@@ -10,7 +10,7 @@ from .bounds import (FAMILIES, BoundParams, BoundReport, DerivedConstants,
                      catoni_bound, catoni_C_for_inflation, catoni_prefactor,
                      derive_matched_catoni_constants, flatness_bound, kst_bound,
                      matched_catoni_bound, mcallester_bound)
-from .processes import (ShiftedRademacherSpec, TailEstimate, debias_mgf_exact,
+from .processes import (TailEstimate, debias_mgf_exact,
                         kl_ball_sup, kl_dual_value, lemma_a3_threshold,
                         shifted_flatness_tail_mc, symmetrization_tail_mc, xy_cap,
                         xy_mgf_bruteforce)
@@ -29,7 +29,7 @@ __all__ = [
     "mcallester_bound", "catoni_bound", "kst_bound", "matched_catoni_bound",
     "derive_matched_catoni_constants", "flatness_bound", "catoni_prefactor",
     "catoni_C_for_inflation",
-    "ShiftedRademacherSpec", "TailEstimate", "kl_ball_sup", "kl_dual_value",
+    "TailEstimate", "kl_ball_sup", "kl_dual_value",
     "debias_mgf_exact", "xy_mgf_bruteforce", "xy_cap", "lemma_a3_threshold",
     "shifted_flatness_tail_mc", "symmetrization_tail_mc",
     "CoverageReport", "coverage_experiment", "clopper_pearson_upper",

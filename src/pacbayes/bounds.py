@@ -15,10 +15,8 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import numpy as np
-
 from .core import LossTable, Sample
-from .measures import ProbMeasure, _flatness_sum, gibbs_losses
+from .measures import ProbMeasure, _flatness_sum, gibbs_empirical_risk
 
 FAMILIES = ("mcallester", "catoni", "kst", "matched_catoni", "flatness")
 
@@ -226,7 +224,7 @@ def flatness_bound(q: ProbMeasure, table: LossTable, s: Sample, kl: float,
     _check_common(kl, delta)
     C = flatness_rate_constant(c, h)
     m = s.m
-    emp = float(gibbs_losses(q, table, s).mean())
+    emp = gibbs_empirical_risk(q, table, s)
     flat_term = c * _flatness_sum(q, table, s, h)
     if math.isinf(kl):
         rate_term = math.inf

@@ -12,22 +12,20 @@ Exit codes: 0 success, 1 invariant/acceptance failure detected during the run,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
 from .bounds import (FAMILIES, BoundParams, derive_matched_catoni_constants,
-                     evaluate_bound, flatness_bound, flatness_rate_constant)
-from .core import DataDistribution, LossTable, draw_sample, true_risks
-from .measures import ProbMeasure, gibbs_losses, kl_divergence
+                     evaluate_bound, flatness_rate_constant, log_cosh_over_x)
+from .core import DataDistribution, LossTable, ResourceLimitError, draw_sample, true_risks
+from .measures import ProbMeasure
 from .io import (Instance, append_run_record, fmt, load_config, load_instance,
                  save_instance, write_csv)
 from .posterior_opt import evaluate_posterior_bound, minimize_bound
 from .processes import (debias_mgf_exact, kl_ball_sup, kl_dual_value,
-                        lemma_a3_threshold, log_cosh_threshold_k,
-                        shifted_flatness_tail_mc, symmetrization_tail_mc,
-                        xy_cap, xy_mgf_bruteforce)
+                        lemma_a3_threshold, shifted_flatness_tail_mc,
+                        symmetrization_tail_mc, xy_cap, xy_mgf_bruteforce)
 from .rng import stream
 from .compare import bound_sweep
 from .verify import coverage_experiment
@@ -165,7 +163,7 @@ def cmd_lemmas(args) -> int:
         k = args.k if args.k is not None else 1.0
         prior, _ = _instance_measures(inst, args)
         value = debias_mgf_exact(prior, inst.table, inst.dist, args.lambda_over_m, k, args.m)
-        threshold = log_cosh_threshold_k(args.lambda_over_m)
+        threshold = log_cosh_over_x(args.lambda_over_m)
         applicable = k >= threshold
         ok = (not applicable) or value <= 1.0 + 1e-12
         print(f"value       {fmt(value)}")
@@ -282,7 +280,10 @@ def cmd_sweep(args) -> int:
     delta = args.delta if args.delta is not None else 0.05
     trials = args.trials if args.trials is not None else 20
     rule = args.rule or "fixed-Q"
-    rule_params = {"q": posterior} if rule == "fixed-Q" else {"beta": args.beta or 1.0}
+    if rule == "fixed-Q":
+        rule_params = {"q": posterior}
+    else:
+        rule_params = {"beta": args.beta if args.beta is not None else 1.0}
     result = bound_sweep(inst.table, inst.dist, prior, rule, rule_params,
                          c, h, delta, _ints(args.m_grid), trials, seed)
     rows = [[r.m, r.catoni_mean, r.flatness_mean, r.T_m_mean, r.kl_mean, r.crossover_flag]
@@ -449,7 +450,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     config = {k: v for k, v in vars(args).items()

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import BoundParams, catoni_C_for_inflation, catoni_bound, flatness_bound
 from .core import DataDistribution, LossTable, draw_sample
-from .measures import ProbMeasure, gibbs_losses, kl_divergence
+from .measures import ProbMeasure, gibbs_empirical_risk, gibbs_losses, kl_divergence
 from .verify import make_posterior_rule
 
 
@@ -74,11 +74,11 @@ def bound_sweep(table: LossTable, dist: DataDistribution, prior: ProbMeasure,
             s = draw_sample(dist, m, seed, j, t)
             q = apply_rule(prior, table, s)
             kl = kl_divergence(q, prior)
+            emp = gibbs_empirical_risk(q, table, s)
             g = gibbs_losses(q, table, s)
-            emp = float(g.mean())
             cat_vals[t] = catoni_bound(emp, kl, m, delta, C_cat)
             flat_vals[t] = flatness_bound(q, table, s, kl, delta, c, h).value
-            tms[t] = c * (1.0 - h * h) * float(np.mean(g * g))
+            tms[t] = c * (1.0 - h * h) * float(s.mean(g * g))
             kls[t] = kl
         crossed = bool(flat_vals.mean() < cat_vals.mean())
         if crossed and math.isinf(crossover_m):

@@ -77,24 +77,45 @@ class LossTable:
 
 @dataclass(frozen=True)
 class Sample:
-    """Training multiset: indices into the data space, plus the seed that drew it."""
+    """Training multiset as counts over the data space, plus the seed that drew it.
 
-    indices: np.ndarray
+    counts[z] is how often point z occurs among the m draws. Every
+    sample-dependent quantity is a sample mean of a function of the point, so
+    it depends on the sample only through these counts, and consumers take it
+    with mean(). Only draws of per-point randomness (the Rademacher sums of
+    the symmetrization processes) read the counts directly.
+    """
+
+    counts: np.ndarray
     seed_record: int
+    m: int = field(init=False)
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ValueError("a sample must contain at least one index")
-        if np.any(idx < 0):
-            raise ValueError("sample indices must be nonnegative")
-        idx = idx.copy()
-        idx.flags.writeable = False
-        object.__setattr__(self, "indices", idx)
+        raw = np.asarray(self.counts)
+        if raw.ndim != 1 or raw.size == 0:
+            raise ValueError("sample counts must be a nonempty 1-d vector")
+        if raw.dtype.kind not in "iu" and not np.all(np.isfinite(raw) & (raw == np.round(raw))):
+            raise ValueError("sample counts must be integers")
+        c = raw.astype(np.int64)
+        if np.any(c < 0):
+            raise ValueError("sample counts must be nonnegative")
+        m = int(c.sum())
+        if m < 1:
+            raise ValueError("a sample must contain at least one point")
+        c.flags.writeable = False
+        object.__setattr__(self, "counts", c)
+        object.__setattr__(self, "m", m)
 
     @property
-    def m(self) -> int:
-        return self.indices.size
+    def point_count(self) -> int:
+        return self.counts.size
+
+    def mean(self, values):
+        """Sample mean of a per-point array whose last axis indexes the data space."""
+        v = np.asarray(values, dtype=float)
+        if v.ndim == 0 or v.shape[-1] != self.counts.size:
+            raise ValueError("sample and per-point values disagree on point count")
+        return (v @ self.counts) / self.m
 
 
 def draw_sample(dist: DataDistribution, m: int, seed: int, *subkeys: int) -> Sample:
@@ -102,12 +123,11 @@ def draw_sample(dist: DataDistribution, m: int, seed: int, *subkeys: int) -> Sam
     identical samples; subkeys select independent streams (e.g. trial index)."""
     if m < 1:
         raise ValueError("sample size m must be >= 1")
-    gen = stream(seed, *subkeys)
-    cdf = np.cumsum(dist.probs)
-    cdf[-1] = 1.0
-    u = gen.random(m)
-    indices = np.searchsorted(cdf, u, side="right")
-    return Sample(indices=indices, seed_record=seed)
+    # Renormalize: dist.probs may sum to 1 only within tolerance, which the
+    # multinomial rejects when an entry lands above 1.
+    probs = dist.probs / dist.probs.sum()
+    counts = stream(seed, *subkeys).multinomial(m, probs)
+    return Sample(counts=counts, seed_record=seed)
 
 
 def _check_hypothesis(table: LossTable, f: int) -> None:
@@ -126,9 +146,7 @@ def true_risk(table: LossTable, f: int, dist: DataDistribution) -> float:
 def empirical_risk(table: LossTable, f: int, s: Sample) -> float:
     """Empirical risk: mean of loss[f, z_i] over the sample, with multiplicity."""
     _check_hypothesis(table, f)
-    if np.any(s.indices >= table.point_count):
-        raise ValueError("sample contains an index outside the data space")
-    return float(table.loss[f, s.indices].mean())
+    return float(s.mean(table.loss[f]))
 
 
 def true_risks(table: LossTable, dist: DataDistribution) -> np.ndarray:
@@ -140,6 +158,4 @@ def true_risks(table: LossTable, dist: DataDistribution) -> np.ndarray:
 
 def empirical_risks(table: LossTable, s: Sample) -> np.ndarray:
     """Vector of empirical risks for every hypothesis."""
-    if np.any(s.indices >= table.point_count):
-        raise ValueError("sample contains an index outside the data space")
-    return table.loss[:, s.indices].mean(axis=1)
+    return s.mean(table.loss)

@@ -132,7 +132,7 @@ def load_config(path) -> dict[str, str]:
 
 def fmt(x) -> str:
     """Numbers at 17 significant digits; infinities spelled out."""
-    if isinstance(x, bool):
+    if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))

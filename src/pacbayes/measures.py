@@ -84,12 +84,12 @@ def gibbs_loss(q: ProbMeasure, table: LossTable, z: int) -> float:
 
 
 def gibbs_losses(q: ProbMeasure, table: LossTable, s: Sample) -> np.ndarray:
-    """Vector of G_Q(z_i) over the sample."""
+    """Vector of G_Q(z) over the data space; s.mean of it is the empirical Gibbs risk."""
     if q.size != table.hypothesis_count:
         raise ValueError("measure and loss table disagree on hypothesis count")
-    if np.any(s.indices >= table.point_count):
-        raise ValueError("sample contains an index outside the data space")
-    return q.weights @ table.loss[:, s.indices]
+    if s.point_count != table.point_count:
+        raise ValueError("sample and loss table disagree on point count")
+    return q.weights @ table.loss
 
 
 def gibbs_risk(q: ProbMeasure, table: LossTable, dist: DataDistribution) -> float:
@@ -103,7 +103,7 @@ def gibbs_risk(q: ProbMeasure, table: LossTable, dist: DataDistribution) -> floa
 
 def gibbs_empirical_risk(q: ProbMeasure, table: LossTable, s: Sample) -> float:
     """Empirical Gibbs risk: mean of G_Q(z_i) over the sample."""
-    return float(gibbs_losses(q, table, s).mean())
+    return float(s.mean(gibbs_losses(q, table, s)))
 
 
 def flatness(q: ProbMeasure, table: LossTable, s: Sample, h: float) -> FlatnessValue:
@@ -119,10 +119,9 @@ def flatness(q: ProbMeasure, table: LossTable, s: Sample, h: float) -> FlatnessV
 
 
 def _flatness_sum(q: ProbMeasure, table: LossTable, s: Sample, h: float) -> float:
-    cols = table.loss[:, s.indices]                 # [F x m]
-    g = q.weights @ cols                            # G_Q(z_i)
-    dev = cols - (1.0 + h) * g[None, :]
-    return float(np.mean(q.weights @ (dev * dev)))
+    g = q.weights @ table.loss                      # G_Q(z)
+    dev = table.loss - (1.0 + h) * g[None, :]       # [F x n_z]
+    return float(s.mean(q.weights @ (dev * dev)))
 
 
 def flatness_alternate(q: ProbMeasure, table: LossTable, s: Sample, h: float) -> float:
@@ -135,4 +134,4 @@ def flatness_alternate(q: ProbMeasure, table: LossTable, s: Sample, h: float) ->
     if not 0 <= h <= 1:
         raise ValueError(f"h must lie in [0, 1], got {h!r}")
     g = gibbs_losses(q, table, s)
-    return float(g.mean() - (1.0 - h * h) * np.mean(g * g))
+    return float(s.mean(g) - (1.0 - h * h) * s.mean(g * g))

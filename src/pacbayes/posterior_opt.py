@@ -13,9 +13,9 @@ import math
 import numpy as np
 
 from .bounds import (BoundParams, BoundReport, catoni_prefactor, evaluate_bound,
-                     flatness_bound, derive_matched_catoni_constants)
+                     flatness_bound, flatness_rate_constant, derive_matched_catoni_constants)
 from .core import LossTable, Sample, empirical_risks
-from .measures import ProbMeasure, gibbs_losses, kl_divergence
+from .measures import ProbMeasure, gibbs_empirical_risk, kl_divergence
 
 
 def gibbs_posterior(p: ProbMeasure, table: LossTable, s: Sample, beta: float) -> ProbMeasure:
@@ -36,7 +36,7 @@ def evaluate_posterior_bound(family: str, params: BoundParams, q: ProbMeasure,
     kl = kl_divergence(q, prior)
     if family == "flatness":
         return flatness_bound(q, table, s, kl, params.delta, params.c, params.h)
-    emp = float(gibbs_losses(q, table, s).mean())
+    emp = gibbs_empirical_risk(q, table, s)
     return evaluate_bound(family, emp, kl, s.m, params)
 
 
@@ -69,11 +69,11 @@ def _bound_gradient(family: str, params: BoundParams, q: np.ndarray,
         grad = (1.0 + params.c) * emp_risks + k.C1 * g_kl / m
     elif family == "flatness":
         h = params.h
-        cols = table.loss[:, s.indices]
-        gvals = q @ cols
+        loss = table.loss
+        gvals = q @ loss
         # d/dq_f of the flatness sum: (1/m) sum_i [L_{f,i}^2 + 2(h^2-1) G_i L_{f,i}]
-        flat_grad = (cols * cols + 2.0 * (h * h - 1.0) * gvals[None, :] * cols).mean(axis=1)
-        C = 2.0 * h ** 4 * params.c / (1.0 + 16.0 * h * h * params.c)
+        flat_grad = s.mean(loss * loss + 2.0 * (h * h - 1.0) * gvals[None, :] * loss)
+        C = flatness_rate_constant(params.c, h)
         grad = emp_risks + params.c * flat_grad + 4.0 / (C * m) * 3.0 * g_kl
     else:
         raise ValueError(f"unknown bound family {family!r}")

@@ -15,28 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .bounds import log_cosh_over_x as log_cosh_threshold_k
-from .core import DataDistribution, LossTable, ResourceLimitError, draw_sample, true_risks
+from .core import (DataDistribution, LossTable, ResourceLimitError, draw_sample,
+                   empirical_risks, true_risks)
 from .measures import ProbMeasure
 from .rng import stream
 
 _Z95 = 1.959963984540054
-
-
-@dataclass(frozen=True)
-class ShiftedRademacherSpec:
-    """Parameters of a shifted (and possibly scaled) Rademacher multiplier.
-
-    shift form: eps_i - shift_k; scale-shift form: a * eps_i - b.
-    """
-
-    m: int
-    shift_k: float = 0.0
-    scale_shift: tuple[float, float] = (1.0, 0.0)
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -220,12 +204,13 @@ def shifted_flatness_tail_mc(table: LossTable, f: int, dist: DataDistribution,
     if not 0 <= f < table.hypothesis_count:
         raise ValueError("hypothesis index out of range")
     row = table.loss[f]
-    row_sq = row * row
     r = float(row @ dist.probs)
+    # stat = r - (1+c2) Remp(f) + c2 (1-h^2) Remp(f^2) = r - (sample mean of `shifted`)
+    shifted = (1.0 + c2) * row - c2 * (1.0 - h * h) * row * row
     hits = 0
     for i in range(trials):
         s = draw_sample(dist, m, seed, 0x5F, i)
-        stat = r - (1.0 + c2) * row[s.indices].mean() + c2 * (1.0 - h * h) * row_sq[s.indices].mean()
+        stat = r - float(s.mean(shifted))
         if stat >= t / 2.0:
             hits += 1
     return _tail_estimate(hits, trials)
@@ -263,12 +248,13 @@ def symmetrization_tail_mc(table: LossTable, dist: DataDistribution, prior: Prob
         rhs_level = t / (2.0 * (1.0 + c2)) / 2.0
         for i in range(trials):
             s = draw_sample(dist, m, seed, 0, i)
-            emp = loss[:, s.indices].mean(axis=1)
+            emp = empirical_risks(table, s)
             if kl_ball_sup(prior, r - (1.0 + c) * emp, kappa) >= t:
                 lhs_hits += 1
             s2 = draw_sample(dist, m, seed, 1, i)
-            eps = stream(seed, 2, i).integers(0, 2, size=m) * 2 - 1
-            proc = scale * (loss[:, s2.indices] @ (eps - shift)) / m
+            # Per point z, the sum of counts[z] Rademacher signs: 2 Binomial(counts[z], 1/2) - counts[z].
+            eps = stream(seed, 2, i).binomial(s2.counts, 0.5) * 2 - s2.counts
+            proc = scale * (loss @ eps / m - shift * empirical_risks(table, s2))
             if kl_ball_sup(prior, proc, kappa) >= rhs_level:
                 rhs_hits += 1
     else:
@@ -277,18 +263,17 @@ def symmetrization_tail_mc(table: LossTable, dist: DataDistribution, prior: Prob
         c_prime = (c + c2) / 2.0
         c_dprime = (c - c2) / 2.0
         loss_sq = loss * loss
+        shifted = (1.0 + c) * loss - c * (1.0 - h * h) * loss_sq
+        multiplied = (1.0 + c_prime) * loss - c_prime * (1.0 - h * h) * loss_sq
         reduced = loss - (1.0 - h * h) * loss_sq
         for i in range(trials):
             s = draw_sample(dist, m, seed, 0, i)
-            stat = r - (1.0 + c) * loss[:, s.indices].mean(axis=1) \
-                + c * (1.0 - h * h) * loss_sq[:, s.indices].mean(axis=1)
+            stat = r - s.mean(shifted)
             if stat.max() >= t:
                 lhs_hits += 1
             s2 = draw_sample(dist, m, seed, 1, i)
-            eps = stream(seed, 2, i).integers(0, 2, size=m) * 2 - 1
-            proc = ((1.0 + c_prime) * loss[:, s2.indices]
-                    - c_prime * (1.0 - h * h) * loss_sq[:, s2.indices]) @ eps / m \
-                - c_dprime * reduced[:, s2.indices].mean(axis=1)
+            eps = stream(seed, 2, i).binomial(s2.counts, 0.5) * 2 - s2.counts
+            proc = multiplied @ eps / m - c_dprime * s2.mean(reduced)
             if proc.max() >= t / 4.0:
                 rhs_hits += 1
     return _tail_estimate(lhs_hits, trials), _tail_estimate(rhs_hits, trials)

@@ -171,7 +171,7 @@ class TestFlatnessBound:
         # c=1, h=0.5 gives C = 0.025; rate = 0.16 * (3 kl + log(1/delta) + 5).
         assert flatness_rate_constant(1.0, 0.5) == pytest.approx(0.025, abs=1e-15)
         t = LossTable([[0, 0]])
-        s = Sample(np.zeros(1000, dtype=int), seed_record=0)
+        s = Sample(np.array([1000, 0]), seed_record=0)
         q = ProbMeasure([1.0])
         rep = flatness_bound(q, t, s, kl=1.0, delta=0.05, c=1.0, h=0.5)
         with mpmath.workdps(50):
@@ -182,7 +182,7 @@ class TestFlatnessBound:
 
     def test_completely_flat_zero_risk(self):
         t = LossTable([[0, 0], [1, 1]])
-        s = Sample(np.array([0, 1, 1, 0]), seed_record=0)
+        s = Sample(np.array([2, 2]), seed_record=0)
         q = ProbMeasure.point_mass(2, 0)
         rep = flatness_bound(q, t, s, kl=0.3, delta=0.1, c=0.7, h=0.3)
         assert rep.components["empirical"] == 0.0

@@ -19,6 +19,8 @@ prior: 0.25 0.25 0.25 0.25
 posterior: 0.7 0.1 0.1 0.1
 """
 
+NO_POSTERIOR = INSTANCE.replace("posterior: 0.7 0.1 0.1 0.1\n", "")
+
 ZERO_LOSS = """\
 space: 0.5 0.5
 losses:
@@ -119,11 +121,23 @@ class TestLemmas:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_xy(self, capsys, log_file):
+    def test_xy(self, tmp_path, capsys, log_file):
+        out = tmp_path / "xy.csv"
         code = run(["lemmas", "--which", "xy", "--mu", "0.5,0.5",
-                    "--lambda-over-m", "0.001"], log_file)
+                    "--lambda-over-m", "0.001", "--out", str(out)], log_file)
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+        header, row = out.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["pass"] == "true"
+
+    def test_xy_resource_limit_is_usage_error(self, capsys, log_file):
+        mu = ",".join(["0.5"] * 13)
+        code = run(["lemmas", "--which", "xy", "--mu", mu,
+                    "--lambda-over-m", "0.001"], log_file)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
 
     def test_shifted_flatness(self, capsys, inst_file, log_file):
         code = run(["lemmas", "--which", "shifted-flatness", "--instance", inst_file,
@@ -182,6 +196,20 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[0] == \
             "m,catoni_mean,flatness_mean,T_m_mean,kl_mean,crossover_flag"
+
+    def test_beta_zero_is_prior(self, tmp_path, log_file):
+        inst = tmp_path / "noposterior.txt"
+        inst.write_text(NO_POSTERIOR)
+        argv = ["sweep", "--instance", str(inst), "--m-grid", "10,50",
+                "--trials", "3", "--seed", "8"]
+        fixed, beta0, beta1 = (tmp_path / f"{n}.csv" for n in ("fixed", "beta0", "beta1"))
+        assert run(argv + ["--rule", "fixed-Q", "--out", str(fixed)], log_file) == 0
+        assert run(argv + ["--rule", "gibbs-posterior", "--beta", "0",
+                           "--out", str(beta0)], log_file) == 0
+        assert run(argv + ["--rule", "gibbs-posterior", "--beta", "1",
+                           "--out", str(beta1)], log_file) == 0
+        assert beta0.read_bytes() == fixed.read_bytes()
+        assert beta1.read_bytes() != beta0.read_bytes()
 
     def test_requires_m_grid(self, inst_file, log_file):
         assert run(["sweep", "--instance", inst_file, "--seed", "1"], log_file) == 2

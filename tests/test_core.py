@@ -37,24 +37,49 @@ class TestDrawSample:
     def test_point_mass(self):
         d = DataDistribution([1.0, 0.0])
         s = draw_sample(d, 5, seed=99)
-        assert list(s.indices) == [0, 0, 0, 0, 0]
+        assert list(s.counts) == [5, 0]
 
     def test_law_of_large_numbers(self):
         d = DataDistribution([0.5, 0.5])
         s = draw_sample(d, 10 ** 5, seed=1)
-        freq0 = np.mean(s.indices == 0)
+        freq0 = s.counts[0] / s.m
         assert abs(freq0 - 0.5) <= 0.01
 
     def test_determinism(self):
         d = DataDistribution([0.25, 0.25, 0.5])
         a = draw_sample(d, 1000, seed=42)
         b = draw_sample(d, 1000, seed=42)
-        assert a.indices.tobytes() == b.indices.tobytes()
+        assert a.counts.tobytes() == b.counts.tobytes()
         assert a.seed_record == b.seed_record
 
     def test_zero_m_rejected(self):
         with pytest.raises(ValueError):
             draw_sample(DataDistribution([1.0]), 0, seed=0)
+
+    def test_probs_summing_to_one_within_tolerance(self):
+        # Accepted by DataDistribution, but an entry lies above 1, which the
+        # multinomial rejects unless the draw renormalizes.
+        d = DataDistribution([1 + 9e-13, 0.0])
+        s = draw_sample(d, 7, seed=5)
+        assert list(s.counts) == [7, 0]
+
+
+class TestSample:
+    def test_counts_are_read_only(self):
+        s = Sample(np.array([1, 2]), seed_record=0)
+        assert s.m == 3
+        with pytest.raises(ValueError):
+            s.counts[0] = 5
+
+    def test_rejects_invalid_counts(self):
+        with pytest.raises(ValueError):
+            Sample(np.array([2, -1]), seed_record=0)
+        with pytest.raises(ValueError):
+            Sample(np.array([0, 0]), seed_record=0)
+        with pytest.raises(ValueError):
+            Sample(np.array([1.5, 2.0]), seed_record=0)
+        with pytest.raises(ValueError):
+            empirical_risks(LossTable([[1, 0]]), Sample(np.array([1, 1, 1]), seed_record=0))
 
 
 class TestRisks:
@@ -79,17 +104,17 @@ class TestRisks:
 
     def test_empirical_risk_all_ones(self):
         t = LossTable([[1, 1]])
-        s = Sample(np.array([0, 1, 1]), seed_record=0)
+        s = Sample(np.array([1, 2]), seed_record=0)
         assert empirical_risk(t, 0, s) == 1.0
 
     def test_empirical_risk_hand_mean(self):
         t = LossTable([[1, 0]])
-        s = Sample(np.array([0, 0, 1, 1]), seed_record=0)
+        s = Sample(np.array([2, 2]), seed_record=0)
         assert empirical_risk(t, 0, s) == 0.5
 
     def test_empirical_risk_singleton(self):
         t = LossTable([[1, 0]])
-        s = Sample(np.array([1]), seed_record=0)
+        s = Sample(np.array([0, 1]), seed_record=0)
         assert empirical_risk(t, 0, s) == 0.0
 
 

@@ -104,6 +104,8 @@ class TestFmt:
         assert fmt(False) == "false"
         assert fmt(7) == "7"
         assert fmt(np.int64(3)) == "3"
+        assert fmt(np.bool_(True)) == "true"
+        assert fmt(np.bool_(False)) == "false"
 
     def test_17_digits_roundtrip(self):
         x = 0.1 + 0.2

@@ -10,7 +10,7 @@ from pacbayes import (DataDistribution, LossTable, ProbMeasure,
                       shifted_flatness_tail_mc, symmetrization_tail_mc, xy_cap,
                       xy_mgf_bruteforce)
 from pacbayes.bounds import log_cosh_over_x
-from pacbayes.core import true_risks
+from pacbayes.core import empirical_risks, true_risks
 
 from conftest import random_instance, random_measure
 
@@ -221,7 +221,7 @@ class TestSymmetrizationTail:
         gen_hits = 0
         for i in range(trials):
             s = draw_sample(dist, m, 999_331, i)
-            emp = float(p.weights @ table.loss[:, s.indices].mean(axis=1))
+            emp = float(p.weights @ empirical_risks(table, s))
             if r - (1 + c) * emp >= t:
                 gen_hits += 1
         direct = gen_hits / trials
