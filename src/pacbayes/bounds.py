@@ -6,19 +6,18 @@ Catoni's rate (with the non-explicit constants derived here by bisection),
 and the fast-rate flatness bound.
 
 All families treat kl = +inf as a valid input and return a vacuous +inf
-certificate rather than raising.
+certificate rather than raising. FAMILIES, at the end, defines each family.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .core import LossTable, Sample
 from .measures import ProbMeasure, _flatness_sum, gibbs_empirical_risk
-
-FAMILIES = ("mcallester", "catoni", "kst", "matched_catoni", "flatness")
 
 _BISECT_TOL = 1e-12
 
@@ -30,7 +29,7 @@ class BoundParams:
     delta: float = 0.05
     catoni_C: float = 1.0
     c: float = 1.0
-    c2: float | None = None    # default is family-specific, see resolve_c2
+    c2: float | None = None    # matched_catoni only; None means c / 2
     h: float = 0.5
 
     def __post_init__(self):
@@ -40,15 +39,6 @@ class BoundParams:
             raise ValueError("catoni_C must be positive")
         if self.c <= 0:
             raise ValueError("c must be positive")
-
-    def resolve_c2(self, family: str) -> float:
-        if self.c2 is not None:
-            return self.c2
-        if family == "flatness":
-            # The sufficient choice from the fast-rate flatness theorem.
-            hc = self.h * self.h * self.c
-            return hc / (1.0 + 16.0 * hc)
-        return self.c / 2.0
 
 
 @dataclass(frozen=True)
@@ -90,18 +80,18 @@ class BoundReport:
             raise ValueError("components do not reconstruct the bound value")
 
 
-def _check_common(kl: float, delta: float) -> None:
+def _check_common(kl: float, delta: float, m: int, m_min: int = 1) -> None:
     if kl < 0:
         raise ValueError("kl must be nonnegative")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
+    if m < m_min:
+        raise ValueError(f"m must be >= {m_min}")
 
 
 def mcallester_bound(emp: float, kl: float, m: int, delta: float) -> float:
     """emp + sqrt((kl + log(m/delta)) / (2(m-1)))."""
-    _check_common(kl, delta)
-    if m < 2:
-        raise ValueError("m must be >= 2 for the square-root bound")
+    _check_common(kl, delta, m, 2)
     if math.isinf(kl):
         return math.inf
     return emp + math.sqrt((kl + math.log(m / delta)) / (2.0 * (m - 1)))
@@ -116,9 +106,7 @@ def catoni_prefactor(C: float) -> float:
 
 def catoni_bound(emp: float, kl: float, m: int, delta: float, C: float) -> float:
     """(1/(1 - e^{-C})) * [C*emp + (kl + log(1/delta)) / m]."""
-    _check_common(kl, delta)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_common(kl, delta, m)
     if C <= 0:
         raise ValueError("C must be positive")
     if math.isinf(kl):
@@ -128,9 +116,7 @@ def catoni_bound(emp: float, kl: float, m: int, delta: float, C: float) -> float
 
 def kst_bound(emp: float, kl: float, m: int, delta: float) -> float:
     """emp + 4.5*sqrt(max(kl, 2)/m) + sqrt(log(1/delta)/m)."""
-    _check_common(kl, delta)
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    _check_common(kl, delta, m)
     if math.isinf(kl):
         return math.inf
     return emp + 4.5 * math.sqrt(max(kl, 2.0) / m) + math.sqrt(math.log(1.0 / delta) / m)
@@ -190,15 +176,16 @@ def derive_matched_catoni_constants(c: float, c2: float, delta: float) -> Derive
     )
 
 
+def _matched_constants(c: float, c2: float | None, delta: float) -> DerivedConstants:
+    """derive_matched_catoni_constants with the default c2 = c / 2."""
+    return derive_matched_catoni_constants(c, c / 2.0 if c2 is None else c2, delta)
+
+
 def matched_catoni_bound(emp: float, kl: float, m: int, delta: float,
                          c: float, c2: float | None = None) -> float:
     """(1+c)*emp + C1*kl/m + C2*log(1/delta)/m + C3/m with derived constants."""
-    _check_common(kl, delta)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if c2 is None:
-        c2 = c / 2.0
-    k = derive_matched_catoni_constants(c, c2, delta)
+    _check_common(kl, delta, m)
+    k = _matched_constants(c, c2, delta)
     if math.isinf(kl):
         return math.inf
     return (1.0 + c) * emp + k.C1 * kl / m + k.C2 * math.log(1.0 / delta) / m + k.C3 / m
@@ -214,6 +201,14 @@ def flatness_rate_constant(c: float, h: float) -> float:
     return 2.0 * h * h * hc / (1.0 + 16.0 * hc)
 
 
+def _flatness_rate(kl: float, m: int, delta: float, c: float, h: float) -> float:
+    """Rate term (4/(Cm)) [3 kl + log(1/delta) + 5] of the flatness bound."""
+    C = flatness_rate_constant(c, h)
+    if math.isinf(kl):
+        return math.inf
+    return 4.0 / (C * m) * (3.0 * kl + math.log(1.0 / delta) + 5.0)
+
+
 def flatness_bound(q: ProbMeasure, table: LossTable, s: Sample, kl: float,
                    delta: float, c: float, h: float) -> BoundReport:
     """Fast-rate bound: empirical Gibbs risk + c * h-flatness + (4/(Cm)) [3 kl + log(1/delta) + 5].
@@ -221,45 +216,16 @@ def flatness_bound(q: ProbMeasure, table: LossTable, s: Sample, kl: float,
     h = 1 is rejected: the theorem statement requires h in (0, 1) even though
     the underlying MGF lemma tolerates h = 1.
     """
-    _check_common(kl, delta)
-    C = flatness_rate_constant(c, h)
-    m = s.m
+    _check_common(kl, delta, s.m)
+    rate_term = _flatness_rate(kl, s.m, delta, c, h)
     emp = gibbs_empirical_risk(q, table, s)
     flat_term = c * _flatness_sum(q, table, s, h)
-    if math.isinf(kl):
-        rate_term = math.inf
-    else:
-        rate_term = 4.0 / (C * m) * (3.0 * kl + math.log(1.0 / delta) + 5.0)
     value = emp + flat_term + rate_term
     return BoundReport(
         family="flatness",
         value=value,
         components={"empirical": emp, "flatness": flat_term, "rate": rate_term},
     )
-
-
-def evaluate_bound(family: str, emp: float, kl: float, m: int, params: BoundParams) -> BoundReport:
-    """Evaluate a closed-form family (everything but flatness, which needs the sample)."""
-    d = params.delta
-    if family == "mcallester":
-        value = mcallester_bound(emp, kl, m, d)
-        comp = {"empirical": emp, "complexity": value - emp}
-    elif family == "catoni":
-        value = catoni_bound(emp, kl, m, d, params.catoni_C)
-        pref = catoni_prefactor(params.catoni_C)
-        comp = {"empirical": pref * params.catoni_C * emp, "complexity": value - pref * params.catoni_C * emp}
-    elif family == "kst":
-        value = kst_bound(emp, kl, m, d)
-        comp = {"empirical": emp, "complexity": value - emp}
-    elif family == "matched_catoni":
-        c2 = params.resolve_c2(family)
-        value = matched_catoni_bound(emp, kl, m, d, params.c, c2)
-        comp = {"empirical": (1.0 + params.c) * emp, "complexity": value - (1.0 + params.c) * emp}
-    else:
-        raise ValueError(f"unknown or sample-dependent family {family!r}")
-    if math.isinf(value):
-        comp = {"empirical": 0.0, "complexity": math.inf}
-    return BoundReport(family=family, value=value, components=comp)
 
 
 def catoni_C_for_inflation(c: float) -> float:
@@ -274,3 +240,66 @@ def catoni_C_for_inflation(c: float) -> float:
     while catoni_prefactor(hi) < 1.0 + c:
         hi *= 2.0
     return _bisect_increasing(catoni_prefactor, 1.0 + c, lo, hi)
+
+
+@dataclass(frozen=True)
+class Family:
+    """One bound family B(emp, kl, m, params), linear in emp: its value, dB/demp
+    (also the weight of the `empirical` component), dB/dkl at finite kl and the
+    constant reported as C_derived. For flatness (needs_sample) value is only
+    the rate term; flatness_bound adds the empirical risk and c * flatness(Q, S).
+    """
+
+    value: Callable[[float, float, int, BoundParams], float]
+    d_emp: Callable[[BoundParams], float]
+    d_kl: Callable[[float, int, BoundParams], float]
+    derived: Callable[[BoundParams], float] | None = None
+    needs_sample: bool = False
+
+
+FAMILIES: dict[str, Family] = {
+    "mcallester": Family(
+        value=lambda emp, kl, m, p: mcallester_bound(emp, kl, m, p.delta),
+        d_emp=lambda p: 1.0,
+        d_kl=lambda kl, m, p: 1.0 / (4.0 * (m - 1) * math.sqrt(
+            (kl + math.log(m / p.delta)) / (2.0 * (m - 1)))),
+    ),
+    "catoni": Family(
+        value=lambda emp, kl, m, p: catoni_bound(emp, kl, m, p.delta, p.catoni_C),
+        d_emp=lambda p: catoni_prefactor(p.catoni_C),
+        d_kl=lambda kl, m, p: 1.0 / (m * -math.expm1(-p.catoni_C)),
+        derived=lambda p: p.catoni_C,
+    ),
+    "kst": Family(
+        value=lambda emp, kl, m, p: kst_bound(emp, kl, m, p.delta),
+        d_emp=lambda p: 1.0,
+        d_kl=lambda kl, m, p: 4.5 / (2.0 * math.sqrt(kl * m)) if kl > 2.0 else 0.0,
+    ),
+    "matched_catoni": Family(
+        value=lambda emp, kl, m, p: matched_catoni_bound(emp, kl, m, p.delta, p.c, p.c2),
+        d_emp=lambda p: 1.0 + p.c,
+        d_kl=lambda kl, m, p: _matched_constants(p.c, p.c2, p.delta).C1 / m,
+        derived=lambda p: _matched_constants(p.c, p.c2, p.delta).C_big,
+    ),
+    "flatness": Family(
+        value=lambda emp, kl, m, p: _flatness_rate(kl, m, p.delta, p.c, p.h),
+        d_emp=lambda p: 1.0,
+        d_kl=lambda kl, m, p: 4.0 / (flatness_rate_constant(p.c, p.h) * m) * 3.0,
+        derived=lambda p: flatness_rate_constant(p.c, p.h),
+        needs_sample=True,
+    ),
+}
+
+
+def evaluate_bound(family: str, emp: float, kl: float, m: int, params: BoundParams) -> BoundReport:
+    """Evaluate a closed-form family (everything but flatness, which needs the sample)."""
+    fam = FAMILIES.get(family)
+    if fam is None or fam.needs_sample:
+        raise ValueError(f"unknown or sample-dependent family {family!r}")
+    value = fam.value(emp, kl, m, params)
+    if math.isinf(value):
+        comp = {"empirical": 0.0, "complexity": math.inf}
+    else:
+        empirical = fam.d_emp(params) * emp
+        comp = {"empirical": empirical, "complexity": value - empirical}
+    return BoundReport(family=family, value=value, components=comp)

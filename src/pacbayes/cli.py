@@ -16,8 +16,7 @@ import sys
 
 import numpy as np
 
-from .bounds import (FAMILIES, BoundParams, derive_matched_catoni_constants,
-                     evaluate_bound, flatness_rate_constant, log_cosh_over_x)
+from .bounds import FAMILIES, BoundParams, evaluate_bound, log_cosh_over_x
 from .core import DataDistribution, LossTable, ResourceLimitError, draw_sample, true_risks
 from .measures import ProbMeasure
 from .io import (Instance, append_run_record, fmt, load_config, load_instance,
@@ -25,7 +24,8 @@ from .io import (Instance, append_run_record, fmt, load_config, load_instance,
 from .posterior_opt import evaluate_posterior_bound, minimize_bound
 from .processes import (debias_mgf_exact, kl_ball_sup, kl_dual_value,
                         lemma_a3_threshold, shifted_flatness_tail_mc,
-                        symmetrization_tail_mc, xy_cap, xy_mgf_bruteforce)
+                        symmetrization_tail_mc, xy_cap, xy_default_c2,
+                        xy_mgf_bruteforce)
 from .rng import stream
 from .compare import bound_sweep
 from .verify import coverage_experiment
@@ -49,19 +49,12 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def _bound_params(args, family: str) -> BoundParams:
-    kw = {}
-    if args.delta is not None:
-        kw["delta"] = args.delta
-    if getattr(args, "C", None) is not None:
-        kw["catoni_C"] = args.C
-    if getattr(args, "c", None) is not None:
-        kw["c"] = args.c
-    if getattr(args, "c2", None) is not None:
-        kw["c2"] = args.c2
-    if getattr(args, "h", None) is not None:
-        kw["h"] = args.h
-    return BoundParams(**kw)
+_BOUND_FLAGS = {"delta": "delta", "C": "catoni_C", "c": "c", "c2": "c2", "h": "h"}
+
+
+def _bound_params(args) -> BoundParams:
+    return BoundParams(**{name: getattr(args, flag) for flag, name in _BOUND_FLAGS.items()
+                          if getattr(args, flag, None) is not None})
 
 
 def _instance_measures(inst: Instance, args):
@@ -75,9 +68,15 @@ COVERAGE_CSV_HEADER = ["family", "trials", "violations", "cp_upper", "mean_slack
 SWEEP_CSV_HEADER = ["m", "catoni_mean", "flatness_mean", "T_m_mean", "kl_mean", "crossover_flag"]
 
 
+def _bounds_row(report, c_derived) -> list:
+    comp = report.components
+    return [report.family, report.value, comp.get("empirical", 0.0),
+            comp.get("complexity", comp.get("rate", 0.0)), comp.get("flatness", 0.0), c_derived]
+
+
 def cmd_bounds(args) -> int:
     family = args.family
-    params = _bound_params(args, family)
+    params = _bound_params(args)
     if family == "flatness" or args.instance and args.emp is None:
         if args.instance is None:
             raise UsageError("the flatness family needs --instance, --m and --seed")
@@ -93,28 +92,16 @@ def cmd_bounds(args) -> int:
             raise UsageError("closed-form mode needs --emp, --kl and --m")
         report = evaluate_bound(family, args.emp, args.kl, args.m, params)
 
-    comp = report.components
-    emp_term = comp.get("empirical", 0.0)
-    flat_term = comp.get("flatness", 0.0)
-    complexity = comp.get("complexity", comp.get("rate", 0.0))
-    if family == "catoni":
-        c_derived = params.catoni_C
-    elif family == "matched_catoni":
-        c_derived = derive_matched_catoni_constants(
-            params.c, params.resolve_c2(family), params.delta).C_big
-    elif family == "flatness":
-        c_derived = flatness_rate_constant(params.c, params.h)
-    else:
-        c_derived = ""
+    derived = FAMILIES[family].derived
+    c_derived = derived(params) if derived is not None else ""
     print(f"family        {family}")
     print(f"value         {fmt(report.value)}")
-    for name, val in comp.items():
+    for name, val in report.components.items():
         print(f"  {name:<12}{fmt(val)}")
     if c_derived != "":
         print(f"  C_derived   {fmt(c_derived)}")
     if args.out:
-        write_csv(args.out, BOUNDS_CSV_HEADER,
-                  [[family, report.value, emp_term, complexity, flat_term, c_derived]])
+        write_csv(args.out, BOUNDS_CSV_HEADER, [_bounds_row(report, c_derived)])
     return 0, {"family": family, "value": report.value}
 
 
@@ -125,7 +112,7 @@ def cmd_coverage(args) -> int:
     inst = load_instance(args.instance)
     prior, posterior = _instance_measures(inst, args)
     family = args.family
-    params = _bound_params(args, family)
+    params = _bound_params(args)
     rule = args.rule or "gibbs-posterior"
     rule_params: dict = {}
     if rule == "gibbs-posterior":
@@ -175,7 +162,7 @@ def cmd_lemmas(args) -> int:
             raise UsageError("xy needs --mu and --lambda-over-m")
         c = args.c if args.c is not None else 1.0
         h = args.h if args.h is not None else 0.5
-        c2 = args.c2 if args.c2 is not None else h * h * c / (1.0 + 16.0 * h * h * c)
+        c2 = args.c2 if args.c2 is not None else xy_default_c2(c, h)
         value = xy_mgf_bruteforce(_floats(args.mu), args.lambda_over_m, c, c2, h,
                                   force=args.force)
         cap = xy_cap(c, c2, h)
@@ -251,7 +238,7 @@ def cmd_optimize(args) -> int:
     inst = load_instance(args.instance)
     prior, _ = _instance_measures(inst, args)
     family = args.family
-    params = _bound_params(args, family)
+    params = _bound_params(args)
     m = args.m if args.m is not None else 100
     beta_grid = _floats(args.beta_grid) if args.beta_grid else [0.0, 0.1, 1.0, 10.0]
     refine = args.refine_steps if args.refine_steps is not None else 50
@@ -261,11 +248,7 @@ def cmd_optimize(args) -> int:
     print(f"value       {fmt(report.value)}")
     print("posterior   " + " ".join(fmt(w) for w in q.weights))
     if args.out:
-        comp = report.components
-        write_csv(args.out, BOUNDS_CSV_HEADER,
-                  [[family, report.value, comp.get("empirical", 0.0),
-                    comp.get("complexity", comp.get("rate", 0.0)),
-                    comp.get("flatness", 0.0), ""]])
+        write_csv(args.out, BOUNDS_CSV_HEADER, [_bounds_row(report, "")])
     return 0, {"family": family, "value": report.value}
 
 
@@ -440,22 +423,29 @@ def _apply_config(args) -> None:
             setattr(args, name, float(v))
 
 
+# Where inputs and outputs live, not what is computed (config keys are merged in).
+_NOT_HASHED = ("handler", "out", "log", "config")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
         code, summary = args.handler(args)
-    except UsageError as exc:
+    except (UsageError, ValueError, OSError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 2
-    except (ValueError, OSError, ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, UsageError):
+            parser.print_usage(sys.stderr)
+        code, summary = 2, {"error": str(exc)}
     config = {k: v for k, v in vars(args).items()
-              if k not in ("handler",) and v is not None}
-    append_run_record(args.log, args.command, config, getattr(args, "seed", None), summary)
+              if k not in _NOT_HASHED and v is not None}
+    try:
+        append_run_record(args.log, args.command, config, getattr(args, "seed", None),
+                          summary, code)
+    except OSError as exc:
+        print(f"error: cannot write the run log: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

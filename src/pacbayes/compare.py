@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundParams, catoni_C_for_inflation, catoni_bound, flatness_bound
+from .bounds import catoni_C_for_inflation, catoni_bound, flatness_bound
 from .core import DataDistribution, LossTable, draw_sample
 from .measures import ProbMeasure, gibbs_empirical_risk, gibbs_losses, kl_divergence
 from .verify import make_posterior_rule
@@ -59,7 +59,6 @@ def bound_sweep(table: LossTable, dist: DataDistribution, prior: ProbMeasure,
         raise ValueError("m grid must be nonempty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    params = BoundParams(delta=delta, c=c, h=h)
     C_cat = catoni_C_for_inflation(c)
     apply_rule = make_posterior_rule(rule, rule_params)
 

@@ -149,7 +149,8 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def append_run_record(log_path, command: str, config: dict, seed: int | None, summary: dict) -> None:
+def append_run_record(log_path, command: str, config: dict, seed: int | None,
+                      summary: dict, exit_code: int) -> None:
     from . import __version__
 
     canonical = json.dumps(config, sort_keys=True, default=str)
@@ -157,6 +158,7 @@ def append_run_record(log_path, command: str, config: dict, seed: int | None, su
         "time": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "command": command,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest()[:16],
+        "exit_code": exit_code,
         "seed": seed,
         "version": __version__,
         "summary": summary,

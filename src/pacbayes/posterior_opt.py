@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from .bounds import (BoundParams, BoundReport, catoni_prefactor, evaluate_bound,
-                     flatness_bound, flatness_rate_constant, derive_matched_catoni_constants)
+from .bounds import FAMILIES, BoundParams, BoundReport, evaluate_bound, flatness_bound
 from .core import LossTable, Sample, empirical_risks
 from .measures import ProbMeasure, gibbs_empirical_risk, kl_divergence
 
@@ -44,40 +43,24 @@ def _bound_gradient(family: str, params: BoundParams, q: np.ndarray,
                     prior: np.ndarray, table: LossTable, s: Sample) -> np.ndarray:
     """Analytic gradient of the bound objective in the posterior weights.
 
+    One chain rule for every family: dB/demp * Remp(f) + dB/dkl * (log(q_f/p_f) + 1),
+    plus c times the gradient of the flatness term for the flatness bound.
     Entries where the prior (hence the posterior) carries no mass get a zero
     gradient; multiplicative updates keep them at zero.
     """
-    emp_risks = empirical_risks(table, s)
+    fam = FAMILIES[family]
     live = (prior > 0) & (q > 0)
+    log_ratio = np.log(q[live] / prior[live])
+    kl = float(np.sum(q[live] * log_ratio))
     g_kl = np.zeros_like(q)
-    g_kl[live] = np.log(q[live] / prior[live]) + 1.0
-    kl = float(np.sum(q[live] * np.log(q[live] / prior[live])))
-    m = s.m
-    d = params.delta
-    if family == "mcallester":
-        root = math.sqrt((kl + math.log(m / d)) / (2.0 * (m - 1)))
-        grad = emp_risks + g_kl / (4.0 * (m - 1) * max(root, 1e-15))
-    elif family == "catoni":
-        pref = catoni_prefactor(params.catoni_C)
-        grad = pref * (params.catoni_C * emp_risks + g_kl / m)
-    elif family == "kst":
-        grad = emp_risks.copy()
-        if kl > 2.0:
-            grad = grad + 4.5 * g_kl / (2.0 * math.sqrt(kl * m))
-    elif family == "matched_catoni":
-        k = derive_matched_catoni_constants(params.c, params.resolve_c2(family), d)
-        grad = (1.0 + params.c) * emp_risks + k.C1 * g_kl / m
-    elif family == "flatness":
+    g_kl[live] = log_ratio + 1.0
+    grad = fam.d_emp(params) * empirical_risks(table, s) + fam.d_kl(kl, s.m, params) * g_kl
+    if fam.needs_sample:
         h = params.h
         loss = table.loss
         gvals = q @ loss
         # d/dq_f of the flatness sum: (1/m) sum_i [L_{f,i}^2 + 2(h^2-1) G_i L_{f,i}]
-        flat_grad = s.mean(loss * loss + 2.0 * (h * h - 1.0) * gvals[None, :] * loss)
-        C = flatness_rate_constant(params.c, h)
-        grad = emp_risks + params.c * flat_grad + 4.0 / (C * m) * 3.0 * g_kl
-    else:
-        raise ValueError(f"unknown bound family {family!r}")
-    grad = grad.copy()
+        grad += params.c * s.mean(loss * loss + 2.0 * (h * h - 1.0) * gvals[None, :] * loss)
     grad[~live] = 0.0
     return grad
 

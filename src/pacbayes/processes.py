@@ -145,6 +145,11 @@ def xy_cap(c: float, c2: float, h: float) -> float:
     return (h * h * c - c2) / (2.0 * (1.0 + h * h * c) * (1.0 + c2))
 
 
+def xy_default_c2(c: float, h: float) -> float:
+    """The sufficient c2 = h^2 c / (1 + 16 h^2 c) of the fast-rate flatness theorem."""
+    return h * h * c / (1.0 + 16.0 * h * h * c)
+
+
 def xy_mgf_bruteforce(mu, lambda_over_m: float, c: float, c2: float, h: float,
                       force: bool = False) -> float:
     """Adversarial-Y maximum of E_{eps,X} exp((lam/m) sum_i X_i [(eps_i + eps''_i)

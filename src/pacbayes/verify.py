@@ -10,8 +10,6 @@ with an exact Clopper-Pearson upper confidence limit.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from scipy.stats import beta as beta_dist
@@ -35,14 +33,11 @@ class CoverageReport:
 
 
 def worker_count() -> int:
-    """Worker cap: PACBAYES_THREADS if set, else machine parallelism."""
-    env = os.environ.get("PACBAYES_THREADS")
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError("PACBAYES_THREADS must be >= 1")
-        return n
-    return os.cpu_count() or 1
+    """Always 1: coverage trials run in one plain loop, which measures faster
+    than a thread pool (each trial is a few small NumPy calls that hold the
+    interpreter lock). Kept because the benchmark harness in perfbench/ records it.
+    """
+    return 1
 
 
 def clopper_pearson_upper(violations: int, trials: int, confidence: float) -> float:
@@ -98,13 +93,7 @@ def coverage_experiment(table: LossTable, dist: DataDistribution, prior: ProbMea
         true = gibbs_risk(q, table, dist)
         return true > report.value, report.value - true
 
-    workers = min(worker_count(), trials)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trial, range(trials)))
-    else:
-        results = [run_trial(t) for t in range(trials)]
-
+    results = [run_trial(t) for t in range(trials)]
     violations = sum(1 for viol, _ in results if viol)
     slacks = [slack for _, slack in results]
     mean_slack = math.inf if any(math.isinf(x) for x in slacks) else sum(slacks) / trials

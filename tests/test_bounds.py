@@ -242,3 +242,16 @@ class TestMonotonicityAndReports:
         for family in ("mcallester", "catoni", "kst", "matched_catoni"):
             rep = evaluate_bound(family, 0.15, 1.2, 400, BoundParams(delta=0.05))
             assert sum(rep.components.values()) == pytest.approx(rep.value, rel=1e-12)
+
+    def test_evaluate_bound_empirical_component_is_d_emp_times_emp(self):
+        # Catoni's empirical share is C emp / (1 - e^{-C}), also when C != 1.
+        C, emp = 1.5, 0.15
+        rep = evaluate_bound("catoni", emp, 1.2, 400, BoundParams(catoni_C=C))
+        assert rep.components["empirical"] == pytest.approx(C * emp / (1 - math.exp(-C)),
+                                                            rel=1e-14)
+        rep = evaluate_bound("matched_catoni", emp, 1.2, 400, BoundParams(c=2.0))
+        assert rep.components["empirical"] == pytest.approx(3.0 * emp, rel=1e-14)
+
+    def test_evaluate_bound_rejects_flatness(self):
+        with pytest.raises(ValueError):
+            evaluate_bound("flatness", 0.1, 0.5, 100, BoundParams())

@@ -272,3 +272,31 @@ class TestConfigAndLog:
 
     def test_bad_instance_path(self, log_file):
         assert run(["duality", "--instance", "/nonexistent/x.txt"], log_file) == 2
+
+    @staticmethod
+    def records(log_file):
+        return [json.loads(line) for line in open(log_file).read().splitlines()]
+
+    def test_config_hash_ignores_output_paths(self, tmp_path, log_file):
+        argv = ["bounds", "--family", "catoni", "--kl", "0.3", "--m", "100"]
+        run(argv + ["--emp", "0.1", "--out", str(tmp_path / "a.csv")], log_file)
+        run(argv + ["--emp", "0.1", "--out", str(tmp_path / "b.csv")], log_file)
+        run(argv + ["--emp", "0.2", "--out", str(tmp_path / "a.csv")], log_file)
+        records = self.records(log_file)
+        a, b, other = (r["config_hash"] for r in records)
+        assert a == b
+        assert a != other
+        assert all(r["exit_code"] == 0 for r in records)
+
+    def test_failed_run_leaves_record(self, inst_file, log_file):
+        assert run(["coverage", "--family", "kst", "--instance", inst_file], log_file) == 2
+        (rec,) = self.records(log_file)
+        assert rec["command"] == "coverage"
+        assert rec["exit_code"] == 2
+        assert "--seed" in rec["summary"]["error"]
+
+    def test_unwritable_log_is_usage_error(self, tmp_path, capsys):
+        log = str(tmp_path / "missing" / "runs.jsonl")
+        assert run(["bounds", "--family", "kst", "--emp", "0.1", "--kl", "0",
+                    "--m", "10"], log) == 2
+        assert "run log" in capsys.readouterr().err

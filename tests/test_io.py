@@ -120,12 +120,14 @@ class TestCsvAndLog:
 
     def test_append_run_record(self, tmp_path):
         log = tmp_path / "runs.jsonl"
-        append_run_record(log, "bounds", {"family": "kst"}, 7, {"value": 0.5})
-        append_run_record(log, "sweep", {"trials": 3}, 1, {"crossover_m": math.inf})
+        append_run_record(log, "bounds", {"family": "kst"}, 7, {"value": 0.5}, 0)
+        append_run_record(log, "sweep", {"trials": 3}, 1, {"crossover_m": math.inf}, 2)
         lines = log.read_text().splitlines()
         assert len(lines) == 2
         rec = json.loads(lines[0])
         assert rec["command"] == "bounds"
         assert rec["seed"] == 7
+        assert rec["exit_code"] == 0
+        assert json.loads(lines[1])["exit_code"] == 2
         assert len(rec["config_hash"]) == 16
         assert "version" in rec and "time" in rec

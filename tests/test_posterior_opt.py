@@ -67,12 +67,16 @@ class TestGibbsPosterior:
 
 
 class TestGradient:
-    @pytest.mark.parametrize("family", FAMILIES_CLOSED + ("flatness",))
-    def test_finite_difference(self, rng, family):
+    # catoni_C = 1.5 catches a gradient that is right only at C = 1.
+    @pytest.mark.parametrize("family,catoni_C", [
+        *(pytest.param(f, 1.0, id=f) for f in FAMILIES_CLOSED + ("flatness",)),
+        pytest.param("catoni", 1.5, id="catoni-C1.5"),
+    ])
+    def test_finite_difference(self, rng, family, catoni_C):
         dist, table = random_instance(rng, n_h=5, n_z=4)
         p = random_measure(rng, 5)
         s = draw_sample(dist, 20, 6)
-        params = BoundParams(delta=0.05, catoni_C=1.0, c=1.0, h=0.5)
+        params = BoundParams(delta=0.05, catoni_C=catoni_C, c=1.0, h=0.5)
         q = random_measure(rng, 5)
         grad = _bound_gradient(family, params, q.weights, p.weights, table, s)
 

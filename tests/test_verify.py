@@ -5,7 +5,7 @@ from scipy.optimize import brentq
 
 from pacbayes import (BoundParams, DataDistribution, LossTable, ProbMeasure,
                       clopper_pearson_upper, coverage_experiment,
-                      make_posterior_rule, worker_count)
+                      make_posterior_rule)
 
 from conftest import random_instance, random_measure
 
@@ -91,17 +91,6 @@ class TestCoverage:
         assert coverage_experiment(table, dist, prior, **kw) == \
             coverage_experiment(table, dist, prior, **kw)
 
-    def test_thread_count_does_not_change_result(self, rng, monkeypatch):
-        dist, table = random_instance(rng)
-        prior = ProbMeasure.uniform(table.hypothesis_count)
-        kw = dict(rule="fixed-Q", rule_params=None, family="kst",
-                  params=BoundParams(delta=0.1), m=15, trials=40, seed=3)
-        monkeypatch.setenv("PACBAYES_THREADS", "1")
-        serial = coverage_experiment(table, dist, prior, **kw)
-        monkeypatch.setenv("PACBAYES_THREADS", "4")
-        parallel = coverage_experiment(table, dist, prior, **kw)
-        assert serial == parallel
-
     def test_violation_rate_consistent_with_counts(self, rng):
         dist, table = random_instance(rng)
         prior = ProbMeasure.uniform(table.hypothesis_count)
@@ -128,17 +117,3 @@ class TestCoverage:
             coverage_experiment(table, dist, ProbMeasure.uniform(table.hypothesis_count),
                                 "fixed-Q", None, "kst", BoundParams(), 10, 0, 1)
 
-
-class TestWorkerCount:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("PACBAYES_THREADS", "3")
-        assert worker_count() == 3
-
-    def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("PACBAYES_THREADS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
-
-    def test_default_positive(self, monkeypatch):
-        monkeypatch.delenv("PACBAYES_THREADS", raising=False)
-        assert worker_count() >= 1
