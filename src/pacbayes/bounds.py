@@ -131,10 +131,15 @@ def log_cosh_over_x(x: float) -> float:
 
 
 def _bisect_increasing(fn, target: float, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
+    """Root of fn(x) = target for fn increasing on [lo, hi]. Stops once the
+    bracket is within tol * max(1, hi), relative for roots above 1, or once
+    its midpoint is one of its ends; tol = 0 runs to float resolution."""
     if fn(lo) > target or fn(hi) < target:
         raise ValueError("target not bracketed")
-    while hi - lo > tol:
+    while hi - lo > tol * max(1.0, hi):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if fn(mid) < target:
             lo = mid
         else:

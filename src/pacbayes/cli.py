@@ -2,8 +2,11 @@
 
 Subcommands: bounds, coverage, lemmas, duality, optimize, sweep, gen-instance.
 Every stochastic subcommand requires --seed. CSV outputs carry a fixed header
-and 17-significant-digit numbers; each invocation appends one JSON line to the
-run log.
+and 17-significant-digit numbers; each invocation, one whose arguments fail to
+parse included, appends one JSON line to the run log.
+
+The parser is the one declaration of each flag (type, choices, default,
+required); config values become flags and go through the same parser.
 
 Exit codes: 0 success, 1 invariant/acceptance failure detected during the run,
 2 usage or configuration error.
@@ -28,11 +31,20 @@ from .processes import (debias_mgf_exact, kl_ball_sup, kl_dual_value,
                         xy_mgf_bruteforce)
 from .rng import stream
 from .compare import bound_sweep
-from .verify import coverage_experiment
+from .verify import POSTERIOR_RULES, coverage_experiment
 
 
 class UsageError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise UsageError instead of exiting, so
+    main reports and records them like every other usage error. Subparsers
+    inherit the class."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _floats(text: str) -> list[float]:
@@ -49,17 +61,17 @@ def _require_seed(args) -> int:
     return args.seed
 
 
+# Flag -> BoundParams field; the defaults have their one definition in BoundParams.
 _BOUND_FLAGS = {"delta": "delta", "C": "catoni_C", "c": "c", "c2": "c2", "h": "h"}
 
 
 def _bound_params(args) -> BoundParams:
-    return BoundParams(**{name: getattr(args, flag) for flag, name in _BOUND_FLAGS.items()
-                          if getattr(args, flag, None) is not None})
+    return BoundParams(**{name: getattr(args, flag) for flag, name in _BOUND_FLAGS.items()})
 
 
-def _instance_measures(inst: Instance, args):
+def _instance_measures(inst: Instance):
     prior = inst.prior_or_uniform()
-    posterior = inst.posterior if inst.posterior is not None else prior
+    posterior = prior if inst.posterior is None else inst.posterior
     return prior, posterior
 
 
@@ -74,7 +86,7 @@ def _bounds_row(report, c_derived) -> list:
             comp.get("complexity", comp.get("rate", 0.0)), comp.get("flatness", 0.0), c_derived]
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[int, dict]:
     family = args.family
     params = _bound_params(args)
     if family == "flatness" or args.instance and args.emp is None:
@@ -84,7 +96,7 @@ def cmd_bounds(args) -> int:
         seed = _require_seed(args)
         if args.m is None:
             raise UsageError("--m is required in instance mode")
-        prior, posterior = _instance_measures(inst, args)
+        prior, posterior = _instance_measures(inst)
         s = draw_sample(inst.dist, args.m, seed)
         report = evaluate_posterior_bound(family, params, posterior, prior, inst.table, s)
     else:
@@ -93,7 +105,7 @@ def cmd_bounds(args) -> int:
         report = evaluate_bound(family, args.emp, args.kl, args.m, params)
 
     derived = FAMILIES[family].derived
-    c_derived = derived(params) if derived is not None else ""
+    c_derived = "" if derived is None else derived(params)
     print(f"family        {family}")
     print(f"value         {fmt(report.value)}")
     for name, val in report.components.items():
@@ -105,26 +117,15 @@ def cmd_bounds(args) -> int:
     return 0, {"family": family, "value": report.value}
 
 
-def cmd_coverage(args) -> int:
-    seed = _require_seed(args)
-    if args.instance is None:
-        raise UsageError("--instance is required")
+def cmd_coverage(args) -> tuple[int, dict]:
     inst = load_instance(args.instance)
-    prior, posterior = _instance_measures(inst, args)
+    prior, posterior = _instance_measures(inst)
     family = args.family
     params = _bound_params(args)
-    rule = args.rule or "gibbs-posterior"
-    rule_params: dict = {}
-    if rule == "gibbs-posterior":
-        rule_params["beta"] = args.beta if args.beta is not None else 1.0
-    elif rule == "fixed-Q":
-        rule_params["q"] = posterior
-    elif rule == "bound-minimizer":
-        rule_params = {"family": family, "params": params}
-    m = args.m if args.m is not None else 100
-    trials = args.trials if args.trials is not None else 1000
-    report = coverage_experiment(inst.table, inst.dist, prior, rule, rule_params,
-                                 family, params, m, trials, seed)
+    rule_params = {"gibbs-posterior": {"beta": args.beta}, "fixed-Q": {"q": posterior},
+                   "bound-minimizer": {"family": family, "params": params}}[args.rule]
+    report = coverage_experiment(inst.table, inst.dist, prior, args.rule, rule_params,
+                                 family, params, args.m, args.trials, args.seed)
     print(f"family      {family}")
     print(f"trials      {report.trials}")
     print(f"violations  {report.violations}")
@@ -140,27 +141,29 @@ def cmd_coverage(args) -> int:
                               "cp_upper": report.clopper_pearson_upper}
 
 
-def cmd_lemmas(args) -> int:
+def cmd_lemmas(args) -> tuple[int, dict]:
     which = args.which
     summary: dict = {"which": which}
-    if which == "debias":
+    if which != "xy":
+        if args.instance is None:
+            raise UsageError(f"--which {which} needs --instance")
         inst = load_instance(args.instance)
+    if which == "debias":
         if args.lambda_over_m is None or args.m is None:
             raise UsageError("debias needs --lambda-over-m and --m")
-        k = args.k if args.k is not None else 1.0
-        prior, _ = _instance_measures(inst, args)
-        value = debias_mgf_exact(prior, inst.table, inst.dist, args.lambda_over_m, k, args.m)
+        prior, _ = _instance_measures(inst)
+        value = debias_mgf_exact(prior, inst.table, inst.dist, args.lambda_over_m, args.k, args.m)
         threshold = log_cosh_over_x(args.lambda_over_m)
-        applicable = k >= threshold
+        applicable = args.k >= threshold
         ok = (not applicable) or value <= 1.0 + 1e-12
         print(f"value       {fmt(value)}")
-        print(f"k           {fmt(k)} (threshold {fmt(threshold)}, lemma "
+        print(f"k           {fmt(args.k)} (threshold {fmt(threshold)}, lemma "
               f"{'applies' if applicable else 'does not apply'})")
         summary["value"] = value
     elif which == "xy":
         if args.mu is None or args.lambda_over_m is None:
             raise UsageError("xy needs --mu and --lambda-over-m")
-        c = args.c if args.c is not None else 1.0
+        c = args.c
         h = args.h if args.h is not None else 0.5
         c2 = args.c2 if args.c2 is not None else xy_default_c2(c, h)
         value = xy_mgf_bruteforce(_floats(args.mu), args.lambda_over_m, c, c2, h,
@@ -173,37 +176,29 @@ def cmd_lemmas(args) -> int:
         summary["value"] = value
     elif which == "shifted-flatness":
         seed = _require_seed(args)
-        inst = load_instance(args.instance)
-        f = args.f if args.f is not None else 0
         m = args.m if args.m is not None else 50
         c2 = args.c2 if args.c2 is not None else 0.5
         h = args.h if args.h is not None else 0.5
         t = args.t if args.t is not None else lemma_a3_threshold(m, c2, h)
-        trials = args.trials if args.trials is not None else 10000
-        est = shifted_flatness_tail_mc(inst.table, f, inst.dist, m, c2, h, t, trials, seed)
+        est = shifted_flatness_tail_mc(inst.table, args.f, inst.dist, m, c2, h, t,
+                                       args.trials, seed)
         ok = est.probability <= 0.5 + est.wilson_halfwidth
         print(f"tail        {fmt(est.probability)} +/- {fmt(est.wilson_halfwidth)} "
               f"({est.trials} trials, t = {fmt(t)})")
         summary.update(tail=est.probability, t=t)
-    elif which == "symmetrization":
+    else:  # symmetrization
         seed = _require_seed(args)
-        inst = load_instance(args.instance)
-        prior, _ = _instance_measures(inst, args)
-        c = args.c if args.c is not None else 1.0
+        prior, _ = _instance_measures(inst)
         c2 = args.c2 if args.c2 is not None else 0.5
         m = args.m if args.m is not None else 50
-        kappa = args.kappa if args.kappa is not None else 0.5
         t = args.t if args.t is not None else 0.2
-        trials = args.trials if args.trials is not None else 10000
-        lhs, rhs = symmetrization_tail_mc(inst.table, inst.dist, prior, kappa, c, c2,
-                                          t, m, trials, seed, h=args.h)
+        lhs, rhs = symmetrization_tail_mc(inst.table, inst.dist, prior, args.kappa, args.c, c2,
+                                          t, m, args.trials, seed, h=args.h)
         slack = lhs.wilson_halfwidth + 4.0 * rhs.wilson_halfwidth
         ok = lhs.probability <= 4.0 * rhs.probability + slack
         print(f"lhs tail    {fmt(lhs.probability)} +/- {fmt(lhs.wilson_halfwidth)}")
         print(f"rhs tail    {fmt(rhs.probability)} +/- {fmt(rhs.wilson_halfwidth)}")
         summary.update(lhs=lhs.probability, rhs=rhs.probability)
-    else:
-        raise UsageError(f"unknown lemma {which!r}")
     print("PASS" if ok else "FAIL")
     summary["pass"] = ok
     if args.out:
@@ -211,16 +206,15 @@ def cmd_lemmas(args) -> int:
     return (0 if ok else 1), summary
 
 
-def cmd_duality(args) -> int:
+def cmd_duality(args) -> tuple[int, dict]:
     inst = load_instance(args.instance)
-    prior, _ = _instance_measures(inst, args)
+    prior, _ = _instance_measures(inst)
     values = true_risks(inst.table, inst.dist)
-    kappa = args.kappa if args.kappa is not None else 1.0
     # The infimum sits at lambda -> inf once kappa exceeds the KL of the
     # max-restricted measure, so the grid must reach very large lambda.
     grid = np.logspace(-2, 9, 120)
-    primal = kl_ball_sup(prior, values, kappa)
-    dual = kl_dual_value(prior, values, kappa, grid)
+    primal = kl_ball_sup(prior, values, args.kappa)
+    dual = kl_dual_value(prior, values, args.kappa, grid)
     gap = dual - primal
     ok = abs(gap) <= 1e-6
     print(f"primal      {fmt(primal)}")
@@ -233,17 +227,14 @@ def cmd_duality(args) -> int:
     return (0 if ok else 1), {"primal": primal, "dual": dual, "gap": gap}
 
 
-def cmd_optimize(args) -> int:
-    seed = _require_seed(args)
+def cmd_optimize(args) -> tuple[int, dict]:
     inst = load_instance(args.instance)
-    prior, _ = _instance_measures(inst, args)
+    prior, _ = _instance_measures(inst)
     family = args.family
     params = _bound_params(args)
-    m = args.m if args.m is not None else 100
-    beta_grid = _floats(args.beta_grid) if args.beta_grid else [0.0, 0.1, 1.0, 10.0]
-    refine = args.refine_steps if args.refine_steps is not None else 50
-    s = draw_sample(inst.dist, m, seed)
-    q, report = minimize_bound(family, params, prior, inst.table, s, beta_grid, refine)
+    s = draw_sample(inst.dist, args.m, args.seed)
+    q, report = minimize_bound(family, params, prior, inst.table, s, args.beta_grid,
+                               args.refine_steps)
     print(f"family      {family}")
     print(f"value       {fmt(report.value)}")
     print("posterior   " + " ".join(fmt(w) for w in q.weights))
@@ -252,23 +243,12 @@ def cmd_optimize(args) -> int:
     return 0, {"family": family, "value": report.value}
 
 
-def cmd_sweep(args) -> int:
-    seed = _require_seed(args)
+def cmd_sweep(args) -> tuple[int, dict]:
     inst = load_instance(args.instance)
-    prior, posterior = _instance_measures(inst, args)
-    if args.m_grid is None:
-        raise UsageError("--m-grid is required")
-    c = args.c if args.c is not None else 1.0
-    h = args.h if args.h is not None else 0.5
-    delta = args.delta if args.delta is not None else 0.05
-    trials = args.trials if args.trials is not None else 20
-    rule = args.rule or "fixed-Q"
-    if rule == "fixed-Q":
-        rule_params = {"q": posterior}
-    else:
-        rule_params = {"beta": args.beta if args.beta is not None else 1.0}
-    result = bound_sweep(inst.table, inst.dist, prior, rule, rule_params,
-                         c, h, delta, _ints(args.m_grid), trials, seed)
+    prior, posterior = _instance_measures(inst)
+    rule_params = {"q": posterior} if args.rule == "fixed-Q" else {"beta": args.beta}
+    result = bound_sweep(inst.table, inst.dist, prior, args.rule, rule_params,
+                         args.c, args.h, args.delta, args.m_grid, args.trials, args.seed)
     rows = [[r.m, r.catoni_mean, r.flatness_mean, r.T_m_mean, r.kl_mean, r.crossover_flag]
             for r in result.rows]
     for r in result.rows:
@@ -280,11 +260,9 @@ def cmd_sweep(args) -> int:
     return 0, {"crossover_m": result.crossover_m}
 
 
-def cmd_gen_instance(args) -> int:
-    seed = _require_seed(args)
-    n_h = args.hypotheses if args.hypotheses is not None else 10
-    n_z = args.points if args.points is not None else 6
-    gen = stream(seed, 71)
+def cmd_gen_instance(args) -> tuple[int, dict]:
+    n_h, n_z = args.hypotheses, args.points
+    gen = stream(args.seed, 71)
     probs = gen.dirichlet(np.ones(n_z))
     if args.nonbinary:
         loss = np.round(gen.random((n_h, n_z)), 3)
@@ -292,157 +270,164 @@ def cmd_gen_instance(args) -> int:
         loss = gen.integers(0, 2, size=(n_h, n_z)).astype(float)
     inst = Instance(dist=DataDistribution(probs), table=LossTable(loss),
                     prior=ProbMeasure.uniform(n_h))
-    if not args.out:
-        raise UsageError("--out is required")
     save_instance(inst, args.out)
     print(f"wrote {args.out} ({n_h} hypotheses, {n_z} points, "
           f"{'general' if args.nonbinary else 'binary'} loss)")
     return 0, {"hypotheses": n_h, "points": n_z}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="pacbayes",
-                                     description="PAC-Bayes bound suite for finite Gibbs classifiers")
-    parser.add_argument("--config", help="flat config file (section.key = value); flags win")
-    parser.add_argument("--log", default="pacbayes_runs.jsonl", help="append-only JSON run log")
+def _add_global_flags(p: _Parser) -> None:
+    """The flags that come before the subcommand."""
+    p.add_argument("--config", help="flat config file (command.key = value); flags win")
+    p.add_argument("--log", default="pacbayes_runs.jsonl", help="append-only JSON run log")
+
+
+def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser, and the parser of each subcommand by name."""
+    parser = _Parser(prog="pacbayes", allow_abbrev=False,
+                     description="PAC-Bayes bound suite for finite Gibbs classifiers")
+    _add_global_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=False):
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", help="CSV output path")
-        p.add_argument("--delta", type=float)
+    def subcommand(name, handler, help, seed=None, instance=None):
+        """A subcommand with --out, and with --seed and --instance if these are
+        "required" or "optional"."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        p.add_argument("--out", required=name == "gen-instance",
+                       help="output path (CSV; the instance file for gen-instance)")
+        if seed:
+            p.add_argument("--seed", type=int, required=seed == "required")
         if instance:
-            p.add_argument("--instance", help="problem instance file")
+            p.add_argument("--instance", required=instance == "required",
+                           help="problem instance file")
+        return p
 
-    p = sub.add_parser("bounds", help="evaluate one bound family")
-    common(p, instance=True)
+    def bound_flags(p, flags=tuple(_BOUND_FLAGS)):
+        for flag in flags:
+            p.add_argument(f"--{flag}", type=float,
+                           default=getattr(BoundParams, _BOUND_FLAGS[flag]))
+
+    p = subcommand("bounds", cmd_bounds, "evaluate one bound family",
+                   seed="optional", instance="optional")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--emp", type=float)
     p.add_argument("--kl", type=float)
     p.add_argument("--m", type=int)
-    p.add_argument("--C", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--c2", type=float)
-    p.add_argument("--h", type=float)
-    p.set_defaults(handler=cmd_bounds)
+    bound_flags(p)
 
-    p = sub.add_parser("coverage", help="bound coverage experiment")
-    common(p, instance=True)
+    p = subcommand("coverage", cmd_coverage, "bound coverage experiment",
+                   seed="required", instance="required")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--rule", choices=("fixed-Q", "gibbs-posterior", "bound-minimizer"))
-    p.add_argument("--beta", type=float)
-    p.add_argument("--C", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--c2", type=float)
-    p.add_argument("--h", type=float)
-    p.set_defaults(handler=cmd_coverage)
+    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--m", type=int, default=100)
+    p.add_argument("--rule", choices=POSTERIOR_RULES, default="gibbs-posterior")
+    p.add_argument("--beta", type=float, default=1.0)
+    bound_flags(p)
 
-    p = sub.add_parser("lemmas", help="verify a proof lemma numerically")
-    common(p, instance=True)
+    p = subcommand("lemmas", cmd_lemmas, "verify a proof lemma numerically",
+                   seed="optional", instance="optional")
     p.add_argument("--which", required=True,
                    choices=("debias", "xy", "shifted-flatness", "symmetrization"))
     p.add_argument("--lambda-over-m", dest="lambda_over_m", type=float)
-    p.add_argument("--k", type=float)
+    p.add_argument("--k", type=float, default=1.0)
     p.add_argument("--m", type=int)
     p.add_argument("--mu", help="comma-separated Bernoulli means")
-    p.add_argument("--c", type=float)
+    p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--c2", type=float)
     p.add_argument("--h", type=float)
-    p.add_argument("--f", type=int)
+    p.add_argument("--f", type=int, default=0)
     p.add_argument("--t", type=float)
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--trials", type=int)
+    p.add_argument("--kappa", type=float, default=0.5)
+    p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--force", action="store_true")
-    p.set_defaults(handler=cmd_lemmas)
 
-    p = sub.add_parser("duality", help="KL-ball primal vs Legendre dual")
-    common(p, instance=True)
-    p.add_argument("--kappa", type=float)
-    p.set_defaults(handler=cmd_duality)
+    p = subcommand("duality", cmd_duality, "KL-ball primal vs Legendre dual",
+                   instance="required")
+    p.add_argument("--kappa", type=float, default=1.0)
 
-    p = sub.add_parser("optimize", help="minimize a bound over posteriors")
-    common(p, instance=True)
+    p = subcommand("optimize", cmd_optimize, "minimize a bound over posteriors",
+                   seed="required", instance="required")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--m", type=int)
-    p.add_argument("--beta-grid", dest="beta_grid")
-    p.add_argument("--refine-steps", dest="refine_steps", type=int)
-    p.add_argument("--C", type=float)
-    p.add_argument("--c", type=float)
-    p.add_argument("--c2", type=float)
-    p.add_argument("--h", type=float)
-    p.set_defaults(handler=cmd_optimize)
+    p.add_argument("--m", type=int, default=100)
+    p.add_argument("--beta-grid", dest="beta_grid", type=_floats, default=(0.0, 0.1, 1.0, 10.0))
+    p.add_argument("--refine-steps", dest="refine_steps", type=int, default=50)
+    bound_flags(p)
 
-    p = sub.add_parser("sweep", help="flatness vs aligned Catoni across sample sizes")
-    common(p, instance=True)
-    p.add_argument("--m-grid", dest="m_grid", help="comma-separated sample sizes")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--c", type=float)
-    p.add_argument("--h", type=float)
-    p.add_argument("--rule", choices=("fixed-Q", "gibbs-posterior"))
-    p.add_argument("--beta", type=float)
-    p.set_defaults(handler=cmd_sweep)
+    p = subcommand("sweep", cmd_sweep, "flatness vs aligned Catoni across sample sizes",
+                   seed="required", instance="required")
+    p.add_argument("--m-grid", dest="m_grid", type=_ints, required=True,
+                   help="comma-separated sample sizes")
+    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--rule", choices=[r for r in POSTERIOR_RULES if r != "bound-minimizer"],
+                   default="fixed-Q")
+    p.add_argument("--beta", type=float, default=1.0)
+    bound_flags(p, ("delta", "c", "h"))
 
-    p = sub.add_parser("gen-instance", help="generate a random problem instance")
-    common(p)
-    p.add_argument("--hypotheses", type=int)
-    p.add_argument("--points", type=int)
+    p = subcommand("gen-instance", cmd_gen_instance, "generate a random problem instance",
+                   seed="required")
+    p.add_argument("--hypotheses", type=int, default=10)
+    p.add_argument("--points", type=int, default=6)
     p.add_argument("--nonbinary", action="store_true")
-    p.set_defaults(handler=cmd_gen_instance)
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(args) -> None:
-    if not args.config:
-        return
-    cfg = load_config(args.config)
-    prefix = args.command + "."
-    for key, value in cfg.items():
+def _config_flags(path, command: str, subparser: _Parser) -> list[str]:
+    """The `command.key = value` lines of a config file as flags of the
+    subcommand. A switch (store_true flag) is set by `true`, left out by
+    `false`."""
+    flags = []
+    prefix = command + "."
+    for key, value in load_config(path).items():
         if not key.startswith(prefix):
             continue
-        name = key[len(prefix):].replace("-", "_")
-        if not hasattr(args, name):
-            raise UsageError(f"config key {key!r} does not match a flag of {args.command!r}")
-        if getattr(args, name) is None or getattr(args, name) is False:
-            current = getattr(args, name)
-            if isinstance(current, bool):
-                setattr(args, name, value.lower() == "true")
-            else:
-                setattr(args, name, value)
-    # Re-coerce string values injected for typed flags.
-    for name in ("seed", "m", "trials", "refine_steps", "f", "hypotheses", "points"):
-        v = getattr(args, name, None)
-        if isinstance(v, str):
-            setattr(args, name, int(v))
-    for name in ("delta", "emp", "kl", "C", "c", "c2", "h", "t", "kappa", "beta",
-                 "lambda_over_m", "k"):
-        v = getattr(args, name, None)
-        if isinstance(v, str):
-            setattr(args, name, float(v))
+        name = key[len(prefix):]
+        flag = "--" + name.replace("_", "-")
+        if isinstance(subparser.get_default(name.replace("-", "_")), bool):
+            if value.lower() not in ("true", "false"):
+                raise UsageError(f"config key {key!r} is a switch: its value must be true or false")
+            flags += [flag] if value.lower() == "true" else []
+        else:
+            flags.append(f"{flag}={value}")
+    return flags
 
 
-# Where inputs and outputs live, not what is computed (config keys are merged in).
+# Where inputs and outputs live, not what is computed.
 _NOT_HASHED = ("handler", "out", "log", "config")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, subparsers = build_parser()
+    first = _Parser(add_help=False, allow_abbrev=False)
+    _add_global_flags(first)
+    first.add_argument("rest", nargs=argparse.REMAINDER)
+    log, command, config, seed = first.get_default("log"), None, {}, None
     try:
-        _apply_config(args)
+        # A first pass reads --log, --config and the subcommand, so that a run
+        # whose arguments fail to parse is still recorded in the log asked for.
+        known, _ = first.parse_known_args(argv)
+        log = known.log
+        if known.rest and known.rest[0] in subparsers:
+            command = known.rest[0]
+            if known.config:
+                # After the subcommand and before the user's own flags, which
+                # win because argparse keeps the last value.
+                at = len(argv) - len(known.rest) + 1
+                argv[at:at] = _config_flags(known.config, command, subparsers[command])
+        args = parser.parse_args(argv)
+        config = {k: v for k, v in vars(args).items()
+                  if k not in _NOT_HASHED and v is not None}
+        seed = getattr(args, "seed", None)
         code, summary = args.handler(args)
     except (UsageError, ValueError, OSError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, UsageError):
-            parser.print_usage(sys.stderr)
+            (subparsers[command] if command else parser).print_usage(sys.stderr)
         code, summary = 2, {"error": str(exc)}
-    config = {k: v for k, v in vars(args).items()
-              if k not in _NOT_HASHED and v is not None}
     try:
-        append_run_record(args.log, args.command, config, getattr(args, "seed", None),
-                          summary, code)
+        append_run_record(log, command, config, seed, summary, code)
     except OSError as exc:
         print(f"error: cannot write the run log: {exc}", file=sys.stderr)
         return 2

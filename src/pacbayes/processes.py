@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from .bounds import _bisect_increasing
 from .core import (DataDistribution, LossTable, ResourceLimitError, draw_sample,
                    empirical_risks, true_risks)
 from .measures import ProbMeasure
@@ -77,16 +78,13 @@ def kl_ball_sup(p: ProbMeasure, values, kappa: float) -> float:
         q = np.exp(logq)
         return q, float(q @ (logq - np.log(w)))
 
-    lo, hi = 0.0, 1.0
+    if tilt(0.0)[1] >= kappa:  # kappa is within the rounding error of KL(p||p) = 0
+        return base
+    hi = 1.0
     while tilt(hi)[1] < kappa:
         hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if tilt(mid)[1] < kappa:
-            lo = mid
-        else:
-            hi = mid
-    q, _ = tilt(0.5 * (lo + hi))
+    lam = _bisect_increasing(lambda lam: tilt(lam)[1], kappa, 0.0, hi, tol=0.0)
+    q, _ = tilt(lam)
     return float(q @ v)
 
 

@@ -77,6 +77,13 @@ class TestCatoni:
             C = catoni_C_for_inflation(c)
             assert catoni_prefactor(C) == pytest.approx(1.0 + c, abs=1e-10)
 
+    @pytest.mark.parametrize("c", [1e4, 1e6])
+    def test_inflation_inverse_large_c(self, c):
+        # Float spacing at these roots exceeds 1e-12, which an absolute
+        # bisection tolerance never reaches.
+        C = catoni_C_for_inflation(c)
+        assert catoni_prefactor(C) == pytest.approx(1.0 + c, rel=1e-12)
+
 
 class TestKST:
     def test_high_precision_value(self):

@@ -81,9 +81,10 @@ class TestBounds:
         assert run(["bounds", "--family", "catoni", "--emp", "0.1"], log_file) == 2
 
     def test_unknown_family_rejected_by_argparse(self, log_file):
-        with pytest.raises(SystemExit):
-            run(["bounds", "--family", "bogus", "--emp", "0.1", "--kl", "0",
-                 "--m", "10"], log_file)
+        assert run(["bounds", "--family", "bogus", "--emp", "0.1", "--kl", "0",
+                    "--m", "10"], log_file) == 2
+        (rec,) = [json.loads(line) for line in open(log_file).read().splitlines()]
+        assert rec["exit_code"] == 2
 
 
 class TestCoverage:
@@ -300,3 +301,84 @@ class TestConfigAndLog:
         assert run(["bounds", "--family", "kst", "--emp", "0.1", "--kl", "0",
                     "--m", "10"], log) == 2
         assert "run log" in capsys.readouterr().err
+
+
+class TestUsageContract:
+    @pytest.mark.parametrize("argv, config, command", [
+        (["duality"], None, "duality"),
+        (["optimize", "--family", "kst", "--seed", "1"], None, "optimize"),
+        (["sweep", "--seed", "1", "--m-grid", "10"], None, "sweep"),
+        (["lemmas", "--which", "debias", "--lambda-over-m", "0.5", "--m", "5"], None, "lemmas"),
+        (["bounds", "--family", "kst", "--emp", "0.1", "--kl", "0", "--m", "10",
+          "--bogus", "1"], None, "bounds"),
+        (["bounds", "--family", "bogus"], None, "bounds"),
+        (["sweep", "--instance", "INST", "--seed", "1", "--m-grid", "10"],
+         "sweep.rule = bound-minimizer\n", "sweep"),
+        (["frobnicate"], None, None),
+    ], ids=["duality-no-instance", "optimize-no-instance", "sweep-no-instance",
+            "debias-no-instance", "unknown-flag", "bad-family", "config-bad-rule",
+            "unknown-command"])
+    def test_usage_error_exits_2_with_one_record(self, argv, config, command, tmp_path,
+                                                 inst_file, log_file, capsys):
+        prefix = ["--log", log_file]
+        if config is not None:
+            cfg = tmp_path / "cfg.txt"
+            cfg.write_text(config)
+            prefix += ["--config", str(cfg)]
+        argv = [inst_file if a == "INST" else a for a in argv]
+        assert main(prefix + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "usage:" in err
+        assert "Traceback" not in err
+        (rec,) = [json.loads(line) for line in open(log_file).read().splitlines()]
+        assert rec["exit_code"] == 2
+        assert rec["command"] == command
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--help"])
+        assert exc.value.code == 0
+        assert "--family" in capsys.readouterr().out
+
+    @staticmethod
+    def run_both(tmp_path, log_file, argv, config, flags):
+        """Run argv once with the config text and once with the flags; return
+        (exit codes, CSV bytes, config hashes) of the two runs."""
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(config)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        codes = (main(["--log", log_file, "--config", str(cfg)] + argv + ["--out", str(a)]),
+                 run(argv + flags + ["--out", str(b)], log_file))
+        hashes = [json.loads(line)["config_hash"]
+                  for line in open(log_file).read().splitlines()[-2:]]
+        return codes, (a.read_bytes(), b.read_bytes()), hashes
+
+    def test_config_value_is_parsed_like_its_flag(self, tmp_path, inst_file, log_file):
+        argv = ["coverage", "--family", "kst", "--instance", inst_file, "--m", "20",
+                "--seed", "3"]
+        (code_a, code_b), (a, b), (hash_a, hash_b) = self.run_both(
+            tmp_path, log_file, argv, "coverage.trials = 50\n", ["--trials", "50"])
+        assert code_a == code_b
+        assert a == b
+        assert b"kst,50," in a
+        assert hash_a == hash_b
+
+    def test_config_switch_is_parsed_like_its_flag(self, tmp_path, log_file):
+        argv = ["lemmas", "--which", "xy", "--mu", "0.5,0.5", "--lambda-over-m", "0.001"]
+        codes, (a, b), (hash_a, hash_b) = self.run_both(
+            tmp_path, log_file, argv, "lemmas.force = true\n", ["--force"])
+        assert codes == (0, 0)
+        assert a == b
+        assert hash_a == hash_b
+        codes, _, (hash_off, hash_plain) = self.run_both(
+            tmp_path, log_file, argv, "lemmas.force = false\n", [])
+        assert codes == (0, 0)
+        assert hash_off == hash_plain != hash_a
+
+    def test_config_switch_rejects_other_values(self, tmp_path, log_file, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("lemmas.force = yes\n")
+        assert main(["--log", log_file, "--config", str(cfg), "lemmas", "--which", "xy",
+                     "--mu", "0.5", "--lambda-over-m", "0.001"]) == 2
+        assert "true or false" in capsys.readouterr().err

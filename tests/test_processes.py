@@ -23,6 +23,14 @@ class TestKLBallSup:
         v = rng.random(6)
         assert kl_ball_sup(p, v, 0.0) == pytest.approx(float(p.weights @ v), abs=1e-14)
 
+    def test_kappa_below_rounding_error_is_prior_mean(self, rng):
+        # KL(p||p) evaluates to about +-1e-16, above these radii.
+        for _ in range(20):
+            p = random_measure(rng, 6)
+            v = rng.random(6)
+            for kappa in (1e-20, 1e-17):
+                assert kl_ball_sup(p, v, kappa) == pytest.approx(float(p.weights @ v), abs=1e-7)
+
     def test_two_atoms_log2_reaches_max(self):
         p = ProbMeasure.uniform(2)
         assert kl_ball_sup(p, [1.0, 0.0], math.log(2)) == pytest.approx(1.0, abs=1e-12)
