@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .core import (DataDistribution, LossTable, ResourceLimitError, Sample,
-                   draw_sample, empirical_risk, true_risk)
+from .core import (DataDistribution, LossTable, Sample, draw_sample, empirical_risk,
+                   true_risk)
 from .measures import (FlatnessValue, ProbMeasure, flatness, flatness_alternate,
                        gibbs_empirical_risk, gibbs_loss, gibbs_risk, kl_divergence)
 from .bounds import (FAMILIES, BoundParams, BoundReport, DerivedConstants,
@@ -14,14 +14,13 @@ from .processes import (TailEstimate, debias_mgf_exact,
                         kl_ball_sup, kl_dual_value, lemma_a3_threshold,
                         shifted_flatness_tail_mc, symmetrization_tail_mc, xy_cap,
                         xy_mgf_bruteforce)
-from .verify import (CoverageReport, clopper_pearson_upper, coverage_experiment,
-                     make_posterior_rule)
+from .verify import CoverageReport, clopper_pearson_upper, coverage_experiment
 from .posterior_opt import evaluate_posterior_bound, gibbs_posterior, minimize_bound
 from .compare import SweepResult, SweepRow, bound_sweep, crossover_threshold
 from .io import Instance, load_instance, save_instance
 
 __all__ = [
-    "DataDistribution", "LossTable", "Sample", "ResourceLimitError",
+    "DataDistribution", "LossTable", "Sample",
     "draw_sample", "true_risk", "empirical_risk",
     "ProbMeasure", "FlatnessValue", "kl_divergence", "gibbs_loss", "gibbs_risk",
     "gibbs_empirical_risk", "flatness", "flatness_alternate",
@@ -33,7 +32,6 @@ __all__ = [
     "debias_mgf_exact", "xy_mgf_bruteforce", "xy_cap", "lemma_a3_threshold",
     "shifted_flatness_tail_mc", "symmetrization_tail_mc",
     "CoverageReport", "coverage_experiment", "clopper_pearson_upper",
-    "make_posterior_rule",
     "gibbs_posterior", "minimize_bound", "evaluate_posterior_bound",
     "SweepRow", "SweepResult", "bound_sweep", "crossover_threshold",
     "Instance", "load_instance", "save_instance",

@@ -15,23 +15,24 @@ Exit codes: 0 success, 1 invariant/acceptance failure detected during the run,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
 
 from .bounds import FAMILIES, BoundParams, evaluate_bound, log_cosh_over_x
-from .core import DataDistribution, LossTable, ResourceLimitError, draw_sample, true_risks
+from .core import DataDistribution, LossTable, draw_sample, true_risks
 from .measures import ProbMeasure
 from .io import (Instance, append_run_record, fmt, load_config, load_instance,
                  save_instance, write_csv)
-from .posterior_opt import evaluate_posterior_bound, minimize_bound
+from .posterior_opt import evaluate_posterior_bound, gibbs_posterior, minimize_bound
 from .processes import (debias_mgf_exact, kl_ball_sup, kl_dual_value,
                         lemma_a3_threshold, shifted_flatness_tail_mc,
                         symmetrization_tail_mc, xy_cap, xy_default_c2,
                         xy_mgf_bruteforce)
 from .rng import stream
 from .compare import bound_sweep
-from .verify import POSTERIOR_RULES, coverage_experiment
+from .verify import coverage_experiment
 
 
 class UsageError(Exception):
@@ -73,6 +74,24 @@ def _instance_measures(inst: Instance):
     prior = inst.prior_or_uniform()
     posterior = prior if inst.posterior is None else inst.posterior
     return prior, posterior
+
+
+POSTERIOR_RULES = ("fixed-Q", "gibbs-posterior", "bound-minimizer")
+# The tempered-posterior grid that minimize_bound starts from.
+BETA_GRID = (0.0, 0.1, 1.0, 10.0)
+
+
+def _posterior_rule(args, posterior):
+    """The rule --rule names, as a function (prior, table, sample) -> posterior:
+    fixed-Q keeps the instance posterior, gibbs-posterior tempers the prior by
+    --beta, bound-minimizer minimizes the --family bound (20 refinement steps)."""
+    if args.rule == "fixed-Q":
+        return lambda prior, table, s: posterior
+    if args.rule == "gibbs-posterior":
+        return functools.partial(gibbs_posterior, beta=args.beta)
+    family, params = args.family, _bound_params(args)
+    return lambda prior, table, s: minimize_bound(family, params, prior, table, s,
+                                                  BETA_GRID, 20)[0]
 
 
 BOUNDS_CSV_HEADER = ["family", "value", "emp_term", "complexity_term", "flatness_term", "C_derived"]
@@ -122,9 +141,7 @@ def cmd_coverage(args) -> tuple[int, dict]:
     prior, posterior = _instance_measures(inst)
     family = args.family
     params = _bound_params(args)
-    rule_params = {"gibbs-posterior": {"beta": args.beta}, "fixed-Q": {"q": posterior},
-                   "bound-minimizer": {"family": family, "params": params}}[args.rule]
-    report = coverage_experiment(inst.table, inst.dist, prior, args.rule, rule_params,
+    report = coverage_experiment(inst.table, inst.dist, prior, _posterior_rule(args, posterior),
                                  family, params, args.m, args.trials, args.seed)
     print(f"family      {family}")
     print(f"trials      {report.trials}")
@@ -246,8 +263,7 @@ def cmd_optimize(args) -> tuple[int, dict]:
 def cmd_sweep(args) -> tuple[int, dict]:
     inst = load_instance(args.instance)
     prior, posterior = _instance_measures(inst)
-    rule_params = {"q": posterior} if args.rule == "fixed-Q" else {"beta": args.beta}
-    result = bound_sweep(inst.table, inst.dist, prior, args.rule, rule_params,
+    result = bound_sweep(inst.table, inst.dist, prior, _posterior_rule(args, posterior),
                          args.c, args.h, args.delta, args.m_grid, args.trials, args.seed)
     rows = [[r.m, r.catoni_mean, r.flatness_mean, r.T_m_mean, r.kl_mean, r.crossover_flag]
             for r in result.rows]
@@ -350,7 +366,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    seed="required", instance="required")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--m", type=int, default=100)
-    p.add_argument("--beta-grid", dest="beta_grid", type=_floats, default=(0.0, 0.1, 1.0, 10.0))
+    p.add_argument("--beta-grid", dest="beta_grid", type=_floats, default=BETA_GRID)
     p.add_argument("--refine-steps", dest="refine_steps", type=int, default=50)
     bound_flags(p)
 
@@ -397,34 +413,38 @@ def _config_flags(path, command: str, subparser: _Parser) -> list[str]:
 _NOT_HASHED = ("handler", "out", "log", "config")
 
 
+# argparse keeps no state between parses, so one process builds its parsers once.
+_PARSER, _SUBPARSERS = build_parser()
+# The first pass: --config, --log and the subcommand, with the rest left over.
+_FIRST = _Parser(add_help=False, allow_abbrev=False)
+_add_global_flags(_FIRST)
+_FIRST.add_argument("rest", nargs=argparse.REMAINDER)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, subparsers = build_parser()
-    first = _Parser(add_help=False, allow_abbrev=False)
-    _add_global_flags(first)
-    first.add_argument("rest", nargs=argparse.REMAINDER)
-    log, command, config, seed = first.get_default("log"), None, {}, None
+    log, command, config, seed = _FIRST.get_default("log"), None, {}, None
     try:
         # A first pass reads --log, --config and the subcommand, so that a run
         # whose arguments fail to parse is still recorded in the log asked for.
-        known, _ = first.parse_known_args(argv)
+        known, _ = _FIRST.parse_known_args(argv)
         log = known.log
-        if known.rest and known.rest[0] in subparsers:
+        if known.rest and known.rest[0] in _SUBPARSERS:
             command = known.rest[0]
             if known.config:
                 # After the subcommand and before the user's own flags, which
                 # win because argparse keeps the last value.
                 at = len(argv) - len(known.rest) + 1
-                argv[at:at] = _config_flags(known.config, command, subparsers[command])
-        args = parser.parse_args(argv)
+                argv[at:at] = _config_flags(known.config, command, _SUBPARSERS[command])
+        args = _PARSER.parse_args(argv)
         config = {k: v for k, v in vars(args).items()
                   if k not in _NOT_HASHED and v is not None}
         seed = getattr(args, "seed", None)
         code, summary = args.handler(args)
-    except (UsageError, ValueError, OSError, ResourceLimitError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, UsageError):
-            (subparsers[command] if command else parser).print_usage(sys.stderr)
+            (_SUBPARSERS[command] if command else _PARSER).print_usage(sys.stderr)
         code, summary = 2, {"error": str(exc)}
     try:
         append_run_record(log, command, config, seed, summary, code)

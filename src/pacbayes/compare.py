@@ -16,7 +16,6 @@ import numpy as np
 from .bounds import catoni_C_for_inflation, catoni_bound, flatness_bound
 from .core import DataDistribution, LossTable, draw_sample
 from .measures import ProbMeasure, gibbs_empirical_risk, gibbs_losses, kl_divergence
-from .verify import make_posterior_rule
 
 
 def crossover_threshold(T_m: float, C_r: float, C_c: float, kl: float, delta: float) -> float:
@@ -46,13 +45,13 @@ class SweepResult:
 
 
 def bound_sweep(table: LossTable, dist: DataDistribution, prior: ProbMeasure,
-                rule: str, rule_params: dict | None, c: float, h: float,
-                delta: float, m_grid, trials: int, seed: int) -> SweepResult:
+                rule, c: float, h: float, delta: float, m_grid, trials: int,
+                seed: int) -> SweepResult:
     """Mean flatness and aligned-Catoni bounds per sample size, on shared samples.
 
     T_m is the quadratic advantage term c (1-h^2)/m * sum_i G_Q(z_i)^2; the
     crossover m* is the first grid m whose mean flatness bound undercuts the
-    mean Catoni bound.
+    mean Catoni bound. rule maps (prior, table, sample) to the posterior.
     """
     grid = [int(m) for m in m_grid]
     if not grid:
@@ -60,7 +59,6 @@ def bound_sweep(table: LossTable, dist: DataDistribution, prior: ProbMeasure,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     C_cat = catoni_C_for_inflation(c)
-    apply_rule = make_posterior_rule(rule, rule_params)
 
     rows = []
     crossover_m = math.inf
@@ -71,7 +69,7 @@ def bound_sweep(table: LossTable, dist: DataDistribution, prior: ProbMeasure,
         kls = np.empty(trials)
         for t in range(trials):
             s = draw_sample(dist, m, seed, j, t)
-            q = apply_rule(prior, table, s)
+            q = rule(prior, table, s)
             kl = kl_divergence(q, prior)
             emp = gibbs_empirical_risk(q, table, s)
             g = gibbs_losses(q, table, s)

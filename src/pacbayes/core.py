@@ -16,10 +16,6 @@ from .rng import stream
 _SUM_TOL = 1e-12
 
 
-class ResourceLimitError(RuntimeError):
-    """Raised when an exact enumeration would exceed its size cap."""
-
-
 @dataclass(frozen=True)
 class DataDistribution:
     """Known categorical distribution over a finite space of labeled examples."""
@@ -77,7 +73,7 @@ class LossTable:
 
 @dataclass(frozen=True)
 class Sample:
-    """Training multiset as counts over the data space, plus the seed that drew it.
+    """Training multiset as counts over the data space.
 
     counts[z] is how often point z occurs among the m draws. Every
     sample-dependent quantity is a sample mean of a function of the point, so
@@ -87,7 +83,6 @@ class Sample:
     """
 
     counts: np.ndarray
-    seed_record: int
     m: int = field(init=False)
 
     def __post_init__(self):
@@ -127,7 +122,7 @@ def draw_sample(dist: DataDistribution, m: int, seed: int, *subkeys: int) -> Sam
     # multinomial rejects when an entry lands above 1.
     probs = dist.probs / dist.probs.sum()
     counts = stream(seed, *subkeys).multinomial(m, probs)
-    return Sample(counts=counts, seed_record=seed)
+    return Sample(counts=counts)
 
 
 def _check_hypothesis(table: LossTable, f: int) -> None:

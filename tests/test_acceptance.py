@@ -5,6 +5,7 @@ All randomness is seeded; every criterion is oracle- or property-based and
 runs at desk scale.
 """
 
+import functools
 import math
 import time
 
@@ -17,7 +18,7 @@ from pacbayes import (BoundParams, DataDistribution, LossTable, ProbMeasure,
                       coverage_experiment, crossover_threshold,
                       debias_mgf_exact, derive_matched_catoni_constants,
                       draw_sample, flatness, flatness_alternate,
-                      gibbs_empirical_risk, kl_ball_sup, kl_dual_value,
+                      gibbs_empirical_risk, gibbs_posterior, kl_ball_sup, kl_dual_value,
                       lemma_a3_threshold, shifted_flatness_tail_mc, xy_cap,
                       xy_mgf_bruteforce)
 from pacbayes.bounds import flatness_rate_constant, log_cosh_over_x
@@ -149,6 +150,9 @@ def test_07_shifted_flatness_tail():
            ok, f"max freq {max(details):.4f}")
 
 
+gibbs_rule = functools.partial(gibbs_posterior, beta=1.0)
+
+
 def _coverage_instances():
     gen = np.random.default_rng(108)
     out = []
@@ -165,8 +169,7 @@ def test_08_coverage_soundness():
     total_viol = 0
     for fam in ("mcallester", "catoni", "kst", "matched_catoni", "flatness"):
         for k, (dist, table, prior) in enumerate(_coverage_instances()):
-            rep = coverage_experiment(table, dist, prior, "gibbs-posterior",
-                                      {"beta": 1.0}, fam, params, m=100,
+            rep = coverage_experiment(table, dist, prior, gibbs_rule, fam, params, m=100,
                                       trials=1000, seed=8000 + k)
             worst_cp = max(worst_cp, rep.clopper_pearson_upper)
             total_viol += rep.violations
@@ -182,7 +185,7 @@ def test_09_fast_vs_slow_rate():
     dist = DataDistribution([0.01, 0.99])
     prior = ProbMeasure.uniform(2)
     q = ProbMeasure.point_mass(2, 0)
-    kw = dict(rule="fixed-Q", rule_params={"q": q}, m=10 ** 4, trials=100, seed=9)
+    kw = dict(rule=lambda prior, table, s: q, m=10 ** 4, trials=100, seed=9)
     cat = coverage_experiment(table, dist, prior, family="catoni",
                               params=BoundParams(delta=0.05, catoni_C=1.0), **kw)
     mca = coverage_experiment(table, dist, prior, family="mcallester",
@@ -197,8 +200,7 @@ def test_10_derived_constants():
     lam_ok = abs(k.lambda_over_m - 0.2896) / 0.2896 <= 1e-3
     C_ok = abs(k.C_big - 24.17) / 24.17 <= 1e-3
     dist, table, prior = _coverage_instances()[0]
-    rep = coverage_experiment(table, dist, prior, "gibbs-posterior", {"beta": 1.0},
-                              "matched_catoni",
+    rep = coverage_experiment(table, dist, prior, gibbs_rule, "matched_catoni",
                               BoundParams(delta=0.05, c=1.0, c2=0.5),
                               m=100, trials=1000, seed=8100)
     report(10, "matched-Catoni constants and soundness",
@@ -216,7 +218,7 @@ def test_11_crossover():
     prior = ProbMeasure.uniform(5)
     q = ProbMeasure.point_mass(5, 0)
     c, h, delta = 1.0, 0.9, 0.05
-    res = bound_sweep(table, dist, prior, "fixed-Q", {"q": q}, c, h, delta,
+    res = bound_sweep(table, dist, prior, lambda prior, table, s: q, c, h, delta,
                       m_grid=(1000, 2000, 5000, 10000, 20000, 40000),
                       trials=20, seed=11)
     finite = math.isfinite(res.crossover_m)

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from pacbayes import BoundParams, coverage_experiment, minimize_bound
 from pacbayes.cli import main
-from pacbayes.io import load_instance
+from pacbayes.io import load_instance, write_csv
 
 INSTANCE = """\
 space: 0.2 0.3 0.5
@@ -114,6 +115,24 @@ class TestCoverage:
         assert rec["command"] == "coverage"
         assert rec["seed"] == 2
 
+    def test_bound_minimizer_rule_is_minimize_bound(self, tmp_path, inst_file, log_file):
+        out, expected = tmp_path / "cov.csv", tmp_path / "expected.csv"
+        assert run(["coverage", "--family", "catoni", "--instance", inst_file,
+                    "--trials", "60", "--m", "30", "--seed", "2", "--rule", "bound-minimizer",
+                    "--out", str(out)], log_file) == 0
+        inst = load_instance(inst_file)
+        params = BoundParams()
+
+        def rule(prior, table, s):
+            return minimize_bound("catoni", params, prior, table, s, (0.0, 0.1, 1.0, 10.0), 20)[0]
+
+        rep = coverage_experiment(inst.table, inst.dist, inst.prior_or_uniform(), rule,
+                                  "catoni", params, m=30, trials=60, seed=2)
+        write_csv(expected, ["family", "trials", "violations", "cp_upper", "mean_slack"],
+                  [["catoni", rep.trials, rep.violations, rep.clopper_pearson_upper,
+                    rep.mean_slack]])
+        assert out.read_bytes() == expected.read_bytes()
+
 
 class TestLemmas:
     def test_debias(self, capsys, inst_file, log_file):
@@ -131,14 +150,12 @@ class TestLemmas:
         header, row = out.read_text().splitlines()
         assert dict(zip(header.split(","), row.split(",")))["pass"] == "true"
 
-    def test_xy_resource_limit_is_usage_error(self, capsys, log_file):
+    def test_xy_thirteen_means(self, capsys, log_file):
         mu = ",".join(["0.5"] * 13)
         code = run(["lemmas", "--which", "xy", "--mu", mu,
                     "--lambda-over-m", "0.001"], log_file)
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "Traceback" not in err
+        assert code == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_shifted_flatness(self, capsys, inst_file, log_file):
         code = run(["lemmas", "--which", "shifted-flatness", "--instance", inst_file,
@@ -363,6 +380,21 @@ class TestUsageContract:
         assert a == b
         assert b"kst,50," in a
         assert hash_a == hash_b
+
+    def test_config_does_not_carry_over_to_the_next_run(self, tmp_path, inst_file, log_file):
+        # One process parses every call with the same parser objects.
+        argv = ["coverage", "--family", "kst", "--instance", inst_file, "--m", "20",
+                "--seed", "3"]
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("coverage.trials = 50\n")
+        first, configured, again = (tmp_path / f"{n}.csv" for n in ("first", "cfg", "again"))
+        assert run(argv + ["--out", str(first)], log_file) == 0
+        # 50 trials without a violation leave the CP upper limit above delta: exit 1.
+        assert main(["--log", log_file, "--config", str(cfg)] + argv
+                    + ["--out", str(configured)]) == 1
+        assert run(argv + ["--out", str(again)], log_file) == 0
+        assert b"kst,50,0," in configured.read_bytes()
+        assert again.read_bytes() == first.read_bytes()
 
     def test_config_switch_is_parsed_like_its_flag(self, tmp_path, log_file):
         argv = ["lemmas", "--which", "xy", "--mu", "0.5,0.5", "--lambda-over-m", "0.001"]

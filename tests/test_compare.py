@@ -1,11 +1,16 @@
+import functools
 import math
 
 import pytest
 
 from pacbayes import (DataDistribution, LossTable, ProbMeasure, bound_sweep,
-                      crossover_threshold)
+                      crossover_threshold, gibbs_posterior)
 
 from conftest import random_instance
+
+
+def prior_rule(prior, table, s):
+    return prior
 
 
 class TestCrossoverThreshold:
@@ -41,7 +46,7 @@ class TestBoundSweep:
 
     def test_row_shape_and_grid(self, rng):
         dist, table, prior = self._setup(rng)
-        res = bound_sweep(table, dist, prior, "fixed-Q", None, c=1.0, h=0.7,
+        res = bound_sweep(table, dist, prior, prior_rule, c=1.0, h=0.7,
                           delta=0.05, m_grid=(10, 50, 200), trials=5, seed=1)
         assert [r.m for r in res.rows] == [10, 50, 200]
         for r in res.rows:
@@ -50,13 +55,13 @@ class TestBoundSweep:
 
     def test_fixed_q_kl_zero(self, rng):
         dist, table, prior = self._setup(rng)
-        res = bound_sweep(table, dist, prior, "fixed-Q", None, c=1.0, h=0.5,
+        res = bound_sweep(table, dist, prior, prior_rule, c=1.0, h=0.5,
                           delta=0.05, m_grid=(20,), trials=4, seed=2)
         assert res.rows[0].kl_mean == 0.0
 
     def test_crossover_m_is_first_flagged(self, rng):
         dist, table, prior = self._setup(rng)
-        res = bound_sweep(table, dist, prior, "fixed-Q", None, c=1.0, h=0.9,
+        res = bound_sweep(table, dist, prior, prior_rule, c=1.0, h=0.9,
                           delta=0.05, m_grid=(5, 100, 5000, 100000), trials=3, seed=3)
         flagged = [r.m for r in res.rows if r.crossover_flag]
         if flagged:
@@ -72,7 +77,7 @@ class TestBoundSweep:
         dist = DataDistribution([0.3, 0.7])
         prior = ProbMeasure.uniform(5)
         q = ProbMeasure.point_mass(5, 0)
-        res = bound_sweep(table, dist, prior, "fixed-Q", {"q": q}, c=1.0, h=0.9,
+        res = bound_sweep(table, dist, prior, lambda prior, table, s: q, c=1.0, h=0.9,
                           delta=0.05, m_grid=(100, 100000), trials=3, seed=4)
         assert not res.rows[0].crossover_flag
         assert res.rows[1].crossover_flag
@@ -80,13 +85,13 @@ class TestBoundSweep:
 
     def test_determinism(self, rng):
         dist, table, prior = self._setup(rng)
-        kw = dict(rule="gibbs-posterior", rule_params={"beta": 1.0}, c=1.0, h=0.6,
+        kw = dict(rule=functools.partial(gibbs_posterior, beta=1.0), c=1.0, h=0.6,
                   delta=0.05, m_grid=(10, 40), trials=4, seed=9)
         assert bound_sweep(table, dist, prior, **kw) == bound_sweep(table, dist, prior, **kw)
 
     def test_validation(self, rng):
         dist, table, prior = self._setup(rng)
         with pytest.raises(ValueError):
-            bound_sweep(table, dist, prior, "fixed-Q", None, 1.0, 0.5, 0.05, (), 3, 1)
+            bound_sweep(table, dist, prior, prior_rule, 1.0, 0.5, 0.05, (), 3, 1)
         with pytest.raises(ValueError):
-            bound_sweep(table, dist, prior, "fixed-Q", None, 1.0, 0.5, 0.05, (10,), 0, 1)
+            bound_sweep(table, dist, prior, prior_rule, 1.0, 0.5, 0.05, (10,), 0, 1)

@@ -50,7 +50,6 @@ class TestDrawSample:
         a = draw_sample(d, 1000, seed=42)
         b = draw_sample(d, 1000, seed=42)
         assert a.counts.tobytes() == b.counts.tobytes()
-        assert a.seed_record == b.seed_record
 
     def test_zero_m_rejected(self):
         with pytest.raises(ValueError):
@@ -66,20 +65,20 @@ class TestDrawSample:
 
 class TestSample:
     def test_counts_are_read_only(self):
-        s = Sample(np.array([1, 2]), seed_record=0)
+        s = Sample(np.array([1, 2]))
         assert s.m == 3
         with pytest.raises(ValueError):
             s.counts[0] = 5
 
     def test_rejects_invalid_counts(self):
         with pytest.raises(ValueError):
-            Sample(np.array([2, -1]), seed_record=0)
+            Sample(np.array([2, -1]))
         with pytest.raises(ValueError):
-            Sample(np.array([0, 0]), seed_record=0)
+            Sample(np.array([0, 0]))
         with pytest.raises(ValueError):
-            Sample(np.array([1.5, 2.0]), seed_record=0)
+            Sample(np.array([1.5, 2.0]))
         with pytest.raises(ValueError):
-            empirical_risks(LossTable([[1, 0]]), Sample(np.array([1, 1, 1]), seed_record=0))
+            empirical_risks(LossTable([[1, 0]]), Sample(np.array([1, 1, 1])))
 
 
 class TestRisks:
@@ -104,17 +103,17 @@ class TestRisks:
 
     def test_empirical_risk_all_ones(self):
         t = LossTable([[1, 1]])
-        s = Sample(np.array([1, 2]), seed_record=0)
+        s = Sample(np.array([1, 2]))
         assert empirical_risk(t, 0, s) == 1.0
 
     def test_empirical_risk_hand_mean(self):
         t = LossTable([[1, 0]])
-        s = Sample(np.array([2, 2]), seed_record=0)
+        s = Sample(np.array([2, 2]))
         assert empirical_risk(t, 0, s) == 0.5
 
     def test_empirical_risk_singleton(self):
         t = LossTable([[1, 0]])
-        s = Sample(np.array([0, 1]), seed_record=0)
+        s = Sample(np.array([0, 1]))
         assert empirical_risk(t, 0, s) == 0.0
 
 

@@ -125,7 +125,7 @@ class TestFlatness:
 
     def test_point_mass_zero_loss(self):
         t = LossTable([[0, 0], [1, 1]])
-        s = Sample(np.array([2, 1]), seed_record=0)
+        s = Sample(np.array([2, 1]))
         q = ProbMeasure.point_mass(2, 0)
         for h in (0.1, 0.5, 1.0):
             assert flatness(q, t, s, h).value == 0.0
@@ -134,7 +134,7 @@ class TestFlatness:
         # Two disagreeing hypotheses, one sample point each; h = 0 via the
         # alternate path (the definitional path requires h > 0).
         t = LossTable([[1, 0], [0, 1]])
-        s = Sample(np.array([1, 1]), seed_record=0)
+        s = Sample(np.array([1, 1]))
         q = ProbMeasure.uniform(2)
         assert flatness_alternate(q, t, s, 0.0) == pytest.approx(0.25, abs=1e-15)
 

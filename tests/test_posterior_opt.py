@@ -39,7 +39,7 @@ class TestGibbsPosterior:
         # weights prop to exp(-beta * m * Remp); m=2, losses 1,1 vs 0,0
         from pacbayes import DataDistribution, LossTable, Sample
         table = LossTable([[1, 1], [0, 0]])
-        s = Sample(np.array([1, 1]), seed_record=0)
+        s = Sample(np.array([1, 1]))
         q = gibbs_posterior(ProbMeasure.uniform(2), table, s, 0.5)
         z = 1.0 + math.exp(1.0)
         assert q.weights[1] == pytest.approx(math.exp(1.0) / z, abs=1e-14)

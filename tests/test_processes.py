@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from pacbayes import (DataDistribution, LossTable, ProbMeasure,
-                      ResourceLimitError, debias_mgf_exact, draw_sample,
-                      kl_ball_sup, kl_dual_value, lemma_a3_threshold,
+from pacbayes import (DataDistribution, LossTable, ProbMeasure, debias_mgf_exact,
+                      draw_sample, kl_ball_sup, kl_dual_value, lemma_a3_threshold,
                       shifted_flatness_tail_mc, symmetrization_tail_mc, xy_cap,
                       xy_mgf_bruteforce)
 from pacbayes.bounds import log_cosh_over_x
@@ -164,15 +163,19 @@ class TestXYMGF:
         c, h = 1.2, 0.7
         c2 = h * h * c / (1 + 16 * h * h * c)
         cap = xy_cap(c, c2, h)
-        for _ in range(5):
-            mu = list(rng.random(4))
+        for m in range(1, 7):
+            mu = list(rng.random(m))
             for x in (0.3 * cap, 0.9 * cap):
                 got = xy_mgf_bruteforce(mu, x, c, c2, h)
                 assert got == pytest.approx(xy_oracle(mu, x, c, c2, h), rel=1e-12)
 
-    def test_resource_limit(self):
-        with pytest.raises(ResourceLimitError):
-            xy_mgf_bruteforce([0.5] * 13, 0.001, 1.0, 0.1, 0.6)
+    def test_iid_coordinates_multiply(self):
+        # Any m is exact: m equal means give the one-coordinate value to the m-th power.
+        c, h = 1.0, 0.5
+        c2 = h * h * c / (1 + 16 * h * h * c)
+        x = 0.5 * xy_cap(c, c2, h)
+        one = xy_mgf_bruteforce([0.4], x, c, c2, h)
+        assert xy_mgf_bruteforce([0.4] * 30, x, c, c2, h) == pytest.approx(one ** 30, rel=1e-12)
 
     def test_constraint_violation_rejected_unless_forced(self):
         with pytest.raises(ValueError):

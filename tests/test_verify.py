@@ -1,13 +1,21 @@
+import functools
 import math
 
+import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from pacbayes import (BoundParams, DataDistribution, LossTable, ProbMeasure,
-                      clopper_pearson_upper, coverage_experiment,
-                      make_posterior_rule)
+                      clopper_pearson_upper, coverage_experiment, draw_sample,
+                      evaluate_posterior_bound, gibbs_posterior, gibbs_risk,
+                      minimize_bound)
+from pacbayes.core import empirical_risks
 
-from conftest import random_instance, random_measure
+from conftest import random_instance
+
+
+def prior_rule(prior, table, s):
+    return prior
 
 
 def binomial_cdf(k, n, p):
@@ -50,34 +58,12 @@ class TestClopperPearson:
             clopper_pearson_upper(0, 10, 1.5)
 
 
-class TestPosteriorRules:
-    def test_fixed_q_defaults_to_prior(self, rng):
-        dist, table = random_instance(rng)
-        prior = random_measure(rng, table.hypothesis_count)
-        apply = make_posterior_rule("fixed-Q")
-        from pacbayes import draw_sample
-        s = draw_sample(dist, 10, 1)
-        assert apply(prior, table, s) is prior
-
-    def test_fixed_q_explicit(self, rng):
-        dist, table = random_instance(rng)
-        q = random_measure(rng, table.hypothesis_count)
-        apply = make_posterior_rule("fixed-Q", {"q": q})
-        from pacbayes import draw_sample
-        assert apply(ProbMeasure.uniform(table.hypothesis_count), table,
-                     draw_sample(dist, 10, 1)) is q
-
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            make_posterior_rule("erm")
-
-
 class TestCoverage:
     def test_zero_loss_never_violates(self):
         table = LossTable([[0, 0], [0, 0]])
         dist = DataDistribution([0.5, 0.5])
         prior = ProbMeasure.uniform(2)
-        rep = coverage_experiment(table, dist, prior, "fixed-Q", None, "mcallester",
+        rep = coverage_experiment(table, dist, prior, prior_rule, "mcallester",
                                   BoundParams(delta=0.05), m=20, trials=50, seed=1)
         assert rep.violations == 0
         assert rep.mean_slack > 0
@@ -85,7 +71,7 @@ class TestCoverage:
     def test_determinism(self, rng):
         dist, table = random_instance(rng)
         prior = ProbMeasure.uniform(table.hypothesis_count)
-        kw = dict(rule="gibbs-posterior", rule_params={"beta": 1.0},
+        kw = dict(rule=functools.partial(gibbs_posterior, beta=1.0),
                   family="catoni", params=BoundParams(delta=0.05, catoni_C=1.0),
                   m=30, trials=64, seed=7)
         assert coverage_experiment(table, dist, prior, **kw) == \
@@ -94,7 +80,7 @@ class TestCoverage:
     def test_violation_rate_consistent_with_counts(self, rng):
         dist, table = random_instance(rng)
         prior = ProbMeasure.uniform(table.hypothesis_count)
-        rep = coverage_experiment(table, dist, prior, "gibbs-posterior", {"beta": 2.0},
+        rep = coverage_experiment(table, dist, prior, functools.partial(gibbs_posterior, beta=2.0),
                                   "mcallester", BoundParams(delta=0.05), m=10,
                                   trials=200, seed=11)
         assert rep.violation_rate == rep.violations / rep.trials
@@ -105,15 +91,40 @@ class TestCoverage:
         prior = ProbMeasure.uniform(3)
         params = BoundParams(delta=0.05, catoni_C=1.5)
         rep = coverage_experiment(
-            table, dist, prior, "bound-minimizer",
-            {"family": "catoni", "params": params, "beta_grid": (0.0, 1.0),
-             "refine_steps": 5},
+            table, dist, prior,
+            lambda p, tab, s: minimize_bound("catoni", params, p, tab, s, (0.0, 1.0), 5)[0],
             "catoni", params, m=25, trials=20, seed=5)
         assert rep.trials == 20
+
+    def test_any_rule_matches_a_hand_written_loop(self, rng):
+        # A rule outside the CLI's three: the point mass on the sample's
+        # empirical risk minimizer.
+        dist, table = random_instance(rng, n_h=6, n_z=4)
+        prior = ProbMeasure.uniform(6)
+        params = BoundParams(delta=0.5)
+
+        def erm_rule(p, tab, s):
+            best = int(np.argmin(empirical_risks(tab, s)))
+            return ProbMeasure.point_mass(tab.hypothesis_count, best)
+
+        m, trials, seed = 30, 300, 13
+        rep = coverage_experiment(table, dist, prior, erm_rule, "catoni", params,
+                                  m=m, trials=trials, seed=seed)
+        violations, slack_sum = 0, 0.0
+        for t in range(trials):
+            s = draw_sample(dist, m, seed, t)
+            q = erm_rule(prior, table, s)
+            bound = evaluate_posterior_bound("catoni", params, q, prior, table, s).value
+            true = gibbs_risk(q, table, dist)
+            violations += int(true > bound)
+            slack_sum += bound - true
+        assert violations > 0  # delta = 0.5 lets the count be exercised
+        assert rep.violations == violations
+        assert rep.mean_slack == slack_sum / trials
 
     def test_trials_validation(self, rng):
         dist, table = random_instance(rng)
         with pytest.raises(ValueError):
             coverage_experiment(table, dist, ProbMeasure.uniform(table.hypothesis_count),
-                                "fixed-Q", None, "kst", BoundParams(), 10, 0, 1)
+                                prior_rule, "kst", BoundParams(), 10, 0, 1)
 
