@@ -2,10 +2,10 @@
 
 __version__ = "0.1.0"
 
-from .core import (DataDistribution, LossTable, Sample, draw_sample, empirical_risk,
-                   true_risk)
-from .measures import (FlatnessValue, ProbMeasure, flatness, flatness_alternate,
-                       gibbs_empirical_risk, gibbs_loss, gibbs_risk, kl_divergence)
+from .core import (DataDistribution, LossTable, Sample, draw_sample, empirical_risks,
+                   sample_blocks, true_risks)
+from .measures import (ProbMeasure, flatness, flatness_alternate, gibbs_empirical_risk,
+                       gibbs_losses, gibbs_risk, kl_divergence)
 from .bounds import (FAMILIES, BoundParams, BoundReport, DerivedConstants,
                      catoni_bound, catoni_C_for_inflation, catoni_prefactor,
                      derive_matched_catoni_constants, flatness_bound, kst_bound,
@@ -15,14 +15,15 @@ from .processes import (TailEstimate, debias_mgf_exact,
                         shifted_flatness_tail_mc, symmetrization_tail_mc, xy_cap,
                         xy_mgf_bruteforce)
 from .verify import CoverageReport, clopper_pearson_upper, coverage_experiment
-from .posterior_opt import evaluate_posterior_bound, gibbs_posterior, minimize_bound
+from .posterior_opt import (evaluate_posterior_bound, gibbs_posterior, minimize_bound,
+                            row_by_row)
 from .compare import SweepResult, SweepRow, bound_sweep, crossover_threshold
 from .io import Instance, load_instance, save_instance
 
 __all__ = [
     "DataDistribution", "LossTable", "Sample",
-    "draw_sample", "true_risk", "empirical_risk",
-    "ProbMeasure", "FlatnessValue", "kl_divergence", "gibbs_loss", "gibbs_risk",
+    "draw_sample", "sample_blocks", "true_risks", "empirical_risks",
+    "ProbMeasure", "kl_divergence", "gibbs_losses", "gibbs_risk",
     "gibbs_empirical_risk", "flatness", "flatness_alternate",
     "FAMILIES", "BoundParams", "BoundReport", "DerivedConstants",
     "mcallester_bound", "catoni_bound", "kst_bound", "matched_catoni_bound",
@@ -32,7 +33,7 @@ __all__ = [
     "debias_mgf_exact", "xy_mgf_bruteforce", "xy_cap", "lemma_a3_threshold",
     "shifted_flatness_tail_mc", "symmetrization_tail_mc",
     "CoverageReport", "coverage_experiment", "clopper_pearson_upper",
-    "gibbs_posterior", "minimize_bound", "evaluate_posterior_bound",
+    "gibbs_posterior", "minimize_bound", "evaluate_posterior_bound", "row_by_row",
     "SweepRow", "SweepResult", "bound_sweep", "crossover_threshold",
     "Instance", "load_instance", "save_instance",
 ]

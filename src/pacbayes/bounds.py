@@ -6,7 +6,9 @@ Catoni's rate (with the non-explicit constants derived here by bisection),
 and the fast-rate flatness bound.
 
 All families treat kl = +inf as a valid input and return a vacuous +inf
-certificate rather than raising. FAMILIES, at the end, defines each family.
+certificate rather than raising. emp and kl may be arrays with one entry per
+sample of a block; the values then follow their shape, and every check applies
+to each entry. FAMILIES, at the end, defines each family.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+import numpy as np
+
 from .core import LossTable, Sample
-from .measures import ProbMeasure, _flatness_sum, gibbs_empirical_risk
+from .measures import ProbMeasure, flatness, gibbs_empirical_risk
 
 _BISECT_TOL = 1e-12
 
@@ -53,7 +57,6 @@ class DerivedConstants:
 
     lambda_over_m: float
     c_prime: float
-    c_doubleprime: float
     C_big: float
     C1: float
     C2: float
@@ -63,25 +66,35 @@ class DerivedConstants:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Evaluated certificate with its additive breakdown."""
+    """Evaluated certificate with its additive breakdown; value and components
+    hold one entry per sample when the bound was evaluated on a block."""
 
     family: str
-    value: float
+    value: float | np.ndarray
     components: dict
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown bound family {self.family!r}")
-        total = sum(self.components.values())
-        if math.isfinite(self.value):
-            if abs(total - self.value) > 1e-12 * max(1.0, abs(self.value)):
-                raise ValueError("components do not reconstruct the bound value")
-        elif total != self.value:
+        # Finite values within 1e-12 relative; infinite ones exactly. A single
+        # value takes the scalar test, which costs far less than array calls.
+        value, total = self.value, sum(self.components.values())
+        if isinstance(value, np.ndarray):
+            finite = np.isfinite(value)
+            gap = np.abs(np.subtract(total, value, out=np.zeros(value.shape), where=finite))
+            off = ((gap > 1e-12 * np.maximum(1.0, np.abs(value)))
+                   | ((total != value) & ~finite)).any()
+        elif math.isfinite(value):
+            off = abs(total - value) > 1e-12 * max(1.0, abs(value))
+        else:
+            off = total != value
+        if off:
             raise ValueError("components do not reconstruct the bound value")
 
 
-def _check_common(kl: float, delta: float, m: int, m_min: int = 1) -> None:
-    if kl < 0:
+def _check_common(kl, delta: float, m: int, m_min: int = 1) -> None:
+    negative = kl < 0
+    if negative.any() if isinstance(negative, np.ndarray) else negative:
         raise ValueError("kl must be nonnegative")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -89,12 +102,10 @@ def _check_common(kl: float, delta: float, m: int, m_min: int = 1) -> None:
         raise ValueError(f"m must be >= {m_min}")
 
 
-def mcallester_bound(emp: float, kl: float, m: int, delta: float) -> float:
+def mcallester_bound(emp, kl, m: int, delta: float):
     """emp + sqrt((kl + log(m/delta)) / (2(m-1)))."""
     _check_common(kl, delta, m, 2)
-    if math.isinf(kl):
-        return math.inf
-    return emp + math.sqrt((kl + math.log(m / delta)) / (2.0 * (m - 1)))
+    return emp + np.sqrt((kl + math.log(m / delta)) / (2.0 * (m - 1)))
 
 
 def catoni_prefactor(C: float) -> float:
@@ -104,22 +115,18 @@ def catoni_prefactor(C: float) -> float:
     return C / -math.expm1(-C)
 
 
-def catoni_bound(emp: float, kl: float, m: int, delta: float, C: float) -> float:
+def catoni_bound(emp, kl, m: int, delta: float, C: float):
     """(1/(1 - e^{-C})) * [C*emp + (kl + log(1/delta)) / m]."""
     _check_common(kl, delta, m)
     if C <= 0:
         raise ValueError("C must be positive")
-    if math.isinf(kl):
-        return math.inf
     return (C * emp + (kl + math.log(1.0 / delta)) / m) / -math.expm1(-C)
 
 
-def kst_bound(emp: float, kl: float, m: int, delta: float) -> float:
+def kst_bound(emp, kl, m: int, delta: float):
     """emp + 4.5*sqrt(max(kl, 2)/m) + sqrt(log(1/delta)/m)."""
     _check_common(kl, delta, m)
-    if math.isinf(kl):
-        return math.inf
-    return emp + 4.5 * math.sqrt(max(kl, 2.0) / m) + math.sqrt(math.log(1.0 / delta) / m)
+    return emp + 4.5 * np.sqrt(np.maximum(kl, 2.0) / m) + math.sqrt(math.log(1.0 / delta) / m)
 
 
 def log_cosh_over_x(x: float) -> float:
@@ -164,7 +171,6 @@ def derive_matched_catoni_constants(c: float, c2: float, delta: float) -> Derive
     return DerivedConstants(
         lambda_over_m=lam,
         c_prime=c_prime,
-        c_doubleprime=(c - c2) / 2.0,
         C_big=C_big,
         C1=3.0 * C_big,
         C2=C_big,
@@ -176,7 +182,6 @@ def derive_matched_catoni_constants(c: float, c2: float, delta: float) -> Derive
             "bisection_root": root,
             "cap_active": cap < root,
             "delta": delta,
-            "t_prime_scale": 1.0 / (2.0 * (1.0 + c2)),
         },
     )
 
@@ -186,13 +191,10 @@ def _matched_constants(c: float, c2: float | None, delta: float) -> DerivedConst
     return derive_matched_catoni_constants(c, c / 2.0 if c2 is None else c2, delta)
 
 
-def matched_catoni_bound(emp: float, kl: float, m: int, delta: float,
-                         c: float, c2: float | None = None) -> float:
+def matched_catoni_bound(emp, kl, m: int, delta: float, c: float, c2: float | None = None):
     """(1+c)*emp + C1*kl/m + C2*log(1/delta)/m + C3/m with derived constants."""
     _check_common(kl, delta, m)
     k = _matched_constants(c, c2, delta)
-    if math.isinf(kl):
-        return math.inf
     return (1.0 + c) * emp + k.C1 * kl / m + k.C2 * math.log(1.0 / delta) / m + k.C3 / m
 
 
@@ -206,17 +208,16 @@ def flatness_rate_constant(c: float, h: float) -> float:
     return 2.0 * h * h * hc / (1.0 + 16.0 * hc)
 
 
-def _flatness_rate(kl: float, m: int, delta: float, c: float, h: float) -> float:
+def _flatness_rate(kl, m: int, delta: float, c: float, h: float):
     """Rate term (4/(Cm)) [3 kl + log(1/delta) + 5] of the flatness bound."""
     C = flatness_rate_constant(c, h)
-    if math.isinf(kl):
-        return math.inf
     return 4.0 / (C * m) * (3.0 * kl + math.log(1.0 / delta) + 5.0)
 
 
-def flatness_bound(q: ProbMeasure, table: LossTable, s: Sample, kl: float,
+def flatness_bound(q: ProbMeasure, table: LossTable, s: Sample, kl,
                    delta: float, c: float, h: float) -> BoundReport:
-    """Fast-rate bound: empirical Gibbs risk + c * h-flatness + (4/(Cm)) [3 kl + log(1/delta) + 5].
+    """Fast-rate bound: empirical Gibbs risk + c * h-flatness + (4/(Cm)) [3 kl + log(1/delta) + 5],
+    one value per sample of s (and per row of q and kl).
 
     h = 1 is rejected: the theorem statement requires h in (0, 1) even though
     the underlying MGF lemma tolerates h = 1.
@@ -224,7 +225,7 @@ def flatness_bound(q: ProbMeasure, table: LossTable, s: Sample, kl: float,
     _check_common(kl, delta, s.m)
     rate_term = _flatness_rate(kl, s.m, delta, c, h)
     emp = gibbs_empirical_risk(q, table, s)
-    flat_term = c * _flatness_sum(q, table, s, h)
+    flat_term = c * flatness(q, table, s, h)
     value = emp + flat_term + rate_term
     return BoundReport(
         family="flatness",
@@ -249,13 +250,14 @@ def catoni_C_for_inflation(c: float) -> float:
 
 @dataclass(frozen=True)
 class Family:
-    """One bound family B(emp, kl, m, params), linear in emp: its value, dB/demp
-    (also the weight of the `empirical` component), dB/dkl at finite kl and the
-    constant reported as C_derived. For flatness (needs_sample) value is only
-    the rate term; flatness_bound adds the empirical risk and c * flatness(Q, S).
+    """One bound family B(emp, kl, m, params), linear in emp: its value (emp and
+    kl may be arrays), dB/demp (also the weight of the `empirical` component),
+    dB/dkl at one finite kl and the constant reported as C_derived. For
+    flatness (needs_sample) value is only the rate term; flatness_bound adds
+    the empirical risk and c * flatness(Q, S).
     """
 
-    value: Callable[[float, float, int, BoundParams], float]
+    value: Callable[..., float | np.ndarray]
     d_emp: Callable[[BoundParams], float]
     d_kl: Callable[[float, int, BoundParams], float]
     derived: Callable[[BoundParams], float] | None = None
@@ -296,15 +298,13 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-def evaluate_bound(family: str, emp: float, kl: float, m: int, params: BoundParams) -> BoundReport:
-    """Evaluate a closed-form family (everything but flatness, which needs the sample)."""
+def evaluate_bound(family: str, emp, kl, m: int, params: BoundParams) -> BoundReport:
+    """Evaluate a closed-form family (everything but flatness, which needs the
+    sample). An infinite value puts all of itself in the complexity component."""
     fam = FAMILIES.get(family)
     if fam is None or fam.needs_sample:
         raise ValueError(f"unknown or sample-dependent family {family!r}")
     value = fam.value(emp, kl, m, params)
-    if math.isinf(value):
-        comp = {"empirical": 0.0, "complexity": math.inf}
-    else:
-        empirical = fam.d_emp(params) * emp
-        comp = {"empirical": empirical, "complexity": value - empirical}
-    return BoundReport(family=family, value=value, components=comp)
+    empirical = fam.d_emp(params) * emp * np.isfinite(value)
+    return BoundReport(family=family, value=value,
+                       components={"empirical": empirical, "complexity": value - empirical})

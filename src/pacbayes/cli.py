@@ -25,7 +25,8 @@ from .core import DataDistribution, LossTable, draw_sample, true_risks
 from .measures import ProbMeasure
 from .io import (Instance, append_run_record, fmt, load_config, load_instance,
                  save_instance, write_csv)
-from .posterior_opt import evaluate_posterior_bound, gibbs_posterior, minimize_bound
+from .posterior_opt import (evaluate_posterior_bound, gibbs_posterior, minimize_bound,
+                            row_by_row)
 from .processes import (debias_mgf_exact, kl_ball_sup, kl_dual_value,
                         lemma_a3_threshold, shifted_flatness_tail_mc,
                         symmetrization_tail_mc, xy_cap, xy_default_c2,
@@ -79,19 +80,32 @@ def _instance_measures(inst: Instance):
 POSTERIOR_RULES = ("fixed-Q", "gibbs-posterior", "bound-minimizer")
 # The tempered-posterior grid that minimize_bound starts from.
 BETA_GRID = (0.0, 0.1, 1.0, 10.0)
+# gibbs-posterior's --beta when none is given.
+GIBBS_BETA = 1.0
+
+
+def _resolve_beta(args) -> None:
+    """--beta tempers gibbs-posterior and means nothing to the other rules, so
+    it is an error with them and left out of their config (and its hash)."""
+    if args.rule == "gibbs-posterior":
+        if args.beta is None:
+            args.beta = GIBBS_BETA
+    elif args.beta is not None:
+        raise UsageError(f"--beta applies to --rule gibbs-posterior only, not {args.rule}")
 
 
 def _posterior_rule(args, posterior):
-    """The rule --rule names, as a function (prior, table, sample) -> posterior:
-    fixed-Q keeps the instance posterior, gibbs-posterior tempers the prior by
-    --beta, bound-minimizer minimizes the --family bound (20 refinement steps)."""
+    """The rule --rule names, as a function (prior, table, block of samples) ->
+    posteriors: fixed-Q keeps the instance posterior, gibbs-posterior tempers
+    the prior by --beta, bound-minimizer minimizes the --family bound (20
+    refinement steps) for each sample of the block."""
     if args.rule == "fixed-Q":
         return lambda prior, table, s: posterior
     if args.rule == "gibbs-posterior":
         return functools.partial(gibbs_posterior, beta=args.beta)
     family, params = args.family, _bound_params(args)
-    return lambda prior, table, s: minimize_bound(family, params, prior, table, s,
-                                                  BETA_GRID, 20)[0]
+    return row_by_row(lambda prior, table, s: minimize_bound(family, params, prior, table, s,
+                                                             BETA_GRID, 20)[0])
 
 
 BOUNDS_CSV_HEADER = ["family", "value", "emp_term", "complexity_term", "flatness_term", "C_derived"]
@@ -338,7 +352,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--rule", choices=POSTERIOR_RULES, default="gibbs-posterior")
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=float, help=f"gibbs-posterior only (default {GIBBS_BETA})")
     bound_flags(p)
 
     p = subcommand("lemmas", cmd_lemmas, "verify a proof lemma numerically",
@@ -377,7 +391,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--rule", choices=[r for r in POSTERIOR_RULES if r != "bound-minimizer"],
                    default="fixed-Q")
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=float, help=f"gibbs-posterior only (default {GIBBS_BETA})")
     bound_flags(p, ("delta", "c", "h"))
 
     p = subcommand("gen-instance", cmd_gen_instance, "generate a random problem instance",
@@ -437,6 +451,8 @@ def main(argv=None) -> int:
                 at = len(argv) - len(known.rest) + 1
                 argv[at:at] = _config_flags(known.config, command, _SUBPARSERS[command])
         args = _PARSER.parse_args(argv)
+        if hasattr(args, "rule"):
+            _resolve_beta(args)
         config = {k: v for k, v in vars(args).items()
                   if k not in _NOT_HASHED and v is not None}
         seed = getattr(args, "seed", None)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import catoni_C_for_inflation, catoni_bound, flatness_bound
-from .core import DataDistribution, LossTable, draw_sample
-from .measures import ProbMeasure, gibbs_empirical_risk, gibbs_losses, kl_divergence
+from .core import DataDistribution, LossTable, sample_blocks
+from .measures import ProbMeasure, gibbs_losses, kl_divergence
 
 
 def crossover_threshold(T_m: float, C_r: float, C_c: float, kl: float, delta: float) -> float:
@@ -51,7 +51,9 @@ def bound_sweep(table: LossTable, dist: DataDistribution, prior: ProbMeasure,
 
     T_m is the quadratic advantage term c (1-h^2)/m * sum_i G_Q(z_i)^2; the
     crossover m* is the first grid m whose mean flatness bound undercuts the
-    mean Catoni bound. rule maps (prior, table, sample) to the posterior.
+    mean Catoni bound. The trials of grid point j come in blocks from
+    sample_blocks(dist, m, trials, seed, j); rule maps (prior, table, block of
+    samples) to one posterior row per sample, or to one posterior for all.
     """
     grid = [int(m) for m in m_grid]
     if not grid:
@@ -67,16 +69,16 @@ def bound_sweep(table: LossTable, dist: DataDistribution, prior: ProbMeasure,
         flat_vals = np.empty(trials)
         tms = np.empty(trials)
         kls = np.empty(trials)
-        for t in range(trials):
-            s = draw_sample(dist, m, seed, j, t)
+        for start, s in sample_blocks(dist, m, trials, seed, j):
+            block = slice(start, start + len(s.counts))
             q = rule(prior, table, s)
             kl = kl_divergence(q, prior)
-            emp = gibbs_empirical_risk(q, table, s)
             g = gibbs_losses(q, table, s)
-            cat_vals[t] = catoni_bound(emp, kl, m, delta, C_cat)
-            flat_vals[t] = flatness_bound(q, table, s, kl, delta, c, h).value
-            tms[t] = c * (1.0 - h * h) * float(s.mean(g * g))
-            kls[t] = kl
+            emp = s.mean(g)
+            cat_vals[block] = catoni_bound(emp, kl, m, delta, C_cat)
+            flat_vals[block] = flatness_bound(q, table, s, kl, delta, c, h).value
+            tms[block] = c * (1.0 - h * h) * s.mean(g * g)
+            kls[block] = kl
         crossed = bool(flat_vals.mean() < cat_vals.mean())
         if crossed and math.isinf(crossover_m):
             crossover_m = float(m)

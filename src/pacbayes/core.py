@@ -73,13 +73,15 @@ class LossTable:
 
 @dataclass(frozen=True)
 class Sample:
-    """Training multiset as counts over the data space.
+    """Training multiset as counts over the data space, or a block of them.
 
-    counts[z] is how often point z occurs among the m draws. Every
-    sample-dependent quantity is a sample mean of a function of the point, so
-    it depends on the sample only through these counts, and consumers take it
-    with mean(). Only draws of per-point randomness (the Rademacher sums of
-    the symmetrization processes) read the counts directly.
+    counts[..., z] is how often point z occurs among the m draws; leading axes
+    index the samples of a block (counts [T, n_z] for T trials), all of size
+    m. Every sample-dependent quantity is a sample mean of a function of the
+    point, so it depends on the sample only through these counts, and
+    consumers take it with mean() or mean_rows(). Only draws of per-point
+    randomness (the Rademacher sums of the symmetrization processes) read the
+    counts directly.
     """
 
     counts: np.ndarray
@@ -87,14 +89,17 @@ class Sample:
 
     def __post_init__(self):
         raw = np.asarray(self.counts)
-        if raw.ndim != 1 or raw.size == 0:
-            raise ValueError("sample counts must be a nonempty 1-d vector")
+        if raw.ndim == 0 or raw.size == 0:
+            raise ValueError("sample counts must be a nonempty vector, or a block of them")
         if raw.dtype.kind not in "iu" and not np.all(np.isfinite(raw) & (raw == np.round(raw))):
             raise ValueError("sample counts must be integers")
         c = raw.astype(np.int64)
-        if np.any(c < 0):
+        if (c < 0).any():
             raise ValueError("sample counts must be nonnegative")
-        m = int(c.sum())
+        sizes = c.sum(axis=-1)
+        m = int(sizes.flat[0])
+        if (sizes != m).any():
+            raise ValueError("the samples of a block must all have the same size m")
         if m < 1:
             raise ValueError("a sample must contain at least one point")
         c.flags.writeable = False
@@ -103,54 +108,66 @@ class Sample:
 
     @property
     def point_count(self) -> int:
-        return self.counts.size
+        return self.counts.shape[-1]
+
+    def rows(self) -> list["Sample"]:
+        """The samples of a block one by one, each without a leading axis."""
+        return [Sample(c) for c in self.counts.reshape(-1, self.point_count)]
+
+    def _per_point(self, values) -> np.ndarray:
+        v = np.asarray(values, dtype=float)
+        if v.ndim == 0 or v.shape[-1] != self.point_count:
+            raise ValueError("sample and per-point values disagree on point count")
+        return v
 
     def mean(self, values):
-        """Sample mean of a per-point array whose last axis indexes the data space."""
-        v = np.asarray(values, dtype=float)
-        if v.ndim == 0 or v.shape[-1] != self.counts.size:
-            raise ValueError("sample and per-point values disagree on point count")
-        return (v @ self.counts) / self.m
+        """Sample mean of per-point values [..., n_z], one vector per sample:
+        the leading axes of values broadcast against those of the counts."""
+        return np.vecdot(self._per_point(values), self.counts) / self.m
+
+    def mean_rows(self, table):
+        """Sample mean of every row of a [k, n_z] table, for each sample: [..., k]."""
+        return np.matvec(self._per_point(table), self.counts) / self.m
 
 
-def draw_sample(dist: DataDistribution, m: int, seed: int, *subkeys: int) -> Sample:
-    """Draw m i.i.d. points from dist. Identical (dist, m, seed, subkeys) give
-    identical samples; subkeys select independent streams (e.g. trial index)."""
+def draw_sample(dist: DataDistribution, m: int, seed: int, *subkeys: int,
+                size: int | None = None) -> Sample:
+    """Draw m i.i.d. points from dist, or a block of `size` such samples (counts
+    [size, n_z]) from one multinomial call. Identical (dist, m, seed, subkeys)
+    give identical samples, and a smaller size draws a prefix of the same
+    block; subkeys select independent streams (e.g. trial or block index)."""
     if m < 1:
         raise ValueError("sample size m must be >= 1")
+    if size is not None and size < 1:
+        raise ValueError("a block must hold at least one sample")
     # Renormalize: dist.probs may sum to 1 only within tolerance, which the
     # multinomial rejects when an entry lands above 1.
     probs = dist.probs / dist.probs.sum()
-    counts = stream(seed, *subkeys).multinomial(m, probs)
+    counts = stream(seed, *subkeys).multinomial(m, probs, size=size)
     return Sample(counts=counts)
 
 
-def _check_hypothesis(table: LossTable, f: int) -> None:
-    if not 0 <= f < table.hypothesis_count:
-        raise ValueError(f"hypothesis index {f} out of range [0, {table.hypothesis_count})")
+# Trials per block of sample_blocks: a block's arrays take O(BLOCK * (n_h + n_z)) memory.
+BLOCK = 1024
 
 
-def true_risk(table: LossTable, f: int, dist: DataDistribution) -> float:
-    """Exact risk R(f) = sum_z dist(z) * loss[f, z]."""
-    _check_hypothesis(table, f)
-    if table.point_count != dist.point_count:
-        raise ValueError("loss table and distribution disagree on point count")
-    return float(table.loss[f] @ dist.probs)
-
-
-def empirical_risk(table: LossTable, f: int, s: Sample) -> float:
-    """Empirical risk: mean of loss[f, z_i] over the sample, with multiplicity."""
-    _check_hypothesis(table, f)
-    return float(s.mean(table.loss[f]))
+def sample_blocks(dist: DataDistribution, m: int, trials: int, seed: int, *subkeys: int):
+    """The samples of trials 0..trials-1 in blocks of at most BLOCK: yields
+    (first trial, block Sample with counts [T, n_z]). Block b is one draw_sample
+    call keyed by (seed, *subkeys, b), so trial t's sample is the same
+    whatever the number of trials."""
+    for block, start in enumerate(range(0, trials, BLOCK)):
+        yield start, draw_sample(dist, m, seed, *subkeys, block,
+                                 size=min(BLOCK, trials - start))
 
 
 def true_risks(table: LossTable, dist: DataDistribution) -> np.ndarray:
-    """Vector of R(f) for every hypothesis."""
+    """Vector of R(f) = sum_z dist(z) * loss[f, z] for every hypothesis."""
     if table.point_count != dist.point_count:
         raise ValueError("loss table and distribution disagree on point count")
     return table.loss @ dist.probs
 
 
 def empirical_risks(table: LossTable, s: Sample) -> np.ndarray:
-    """Vector of empirical risks for every hypothesis."""
-    return s.mean(table.loss)
+    """Empirical risks [..., n_h] of every hypothesis, for each sample of s."""
+    return s.mean_rows(table.loss)

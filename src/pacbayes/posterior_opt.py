@@ -1,5 +1,10 @@
 """Posterior construction: tempered Gibbs family and direct simplex search.
 
+A posterior rule maps (prior, table, sample) to a posterior; given a block of
+samples it returns one posterior row per sample, or one posterior for all of
+them. gibbs_posterior is such a rule once beta is bound; row_by_row turns a
+rule written for one sample, such as a minimize_bound call, into one.
+
 minimize_bound seeds the search with the tempered family (the exact minimizer
 for Catoni-style objectives, which are linear in (emp, KL)) and then refines
 with exponentiated-gradient steps on the simplex. Flatness objectives are
@@ -18,20 +23,32 @@ from .measures import ProbMeasure, gibbs_empirical_risk, kl_divergence
 
 
 def gibbs_posterior(p: ProbMeasure, table: LossTable, s: Sample, beta: float) -> ProbMeasure:
-    """Tempered posterior: weights proportional to p(f) exp(-beta * m * Remp(f))."""
+    """Tempered posterior: weights proportional to p(f) exp(-beta * m * Remp(f)),
+    one row per sample of s."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
     if beta == 0:
         return p
     score = -beta * s.m * empirical_risks(table, s)
-    score -= score.max()
+    score -= score.max(axis=-1, keepdims=True)
     raw = p.weights * np.exp(score)
     return ProbMeasure.normalized(raw)
 
 
+def row_by_row(rule):
+    """A posterior rule for one sample, (prior, table, sample) -> ProbMeasure,
+    as a rule for a block of samples: it runs once per sample and its
+    posteriors are stacked."""
+    def block_rule(prior: ProbMeasure, table: LossTable, s: Sample) -> ProbMeasure:
+        weights = [rule(prior, table, row).weights for row in s.rows()]
+        return ProbMeasure(np.reshape(weights, s.counts.shape[:-1] + (-1,)))
+    return block_rule
+
+
 def evaluate_posterior_bound(family: str, params: BoundParams, q: ProbMeasure,
                              prior: ProbMeasure, table: LossTable, s: Sample) -> BoundReport:
-    """Evaluate any bound family at a concrete posterior."""
+    """Evaluate any bound family at a concrete posterior, one value per sample
+    of s (and per row of q)."""
     kl = kl_divergence(q, prior)
     if family == "flatness":
         return flatness_bound(q, table, s, kl, params.delta, params.c, params.h)
@@ -60,7 +77,8 @@ def _bound_gradient(family: str, params: BoundParams, q: np.ndarray,
         loss = table.loss
         gvals = q @ loss
         # d/dq_f of the flatness sum: (1/m) sum_i [L_{f,i}^2 + 2(h^2-1) G_i L_{f,i}]
-        grad += params.c * s.mean(loss * loss + 2.0 * (h * h - 1.0) * gvals[None, :] * loss)
+        grad += params.c * s.mean_rows(loss * loss
+                                       + 2.0 * (h * h - 1.0) * gvals[None, :] * loss)
     grad[~live] = 0.0
     return grad
 
@@ -69,7 +87,9 @@ def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: Loss
                    s: Sample, beta_grid, refine_steps: int = 50) -> tuple[ProbMeasure, BoundReport]:
     """Best posterior found over the tempered grid plus exponentiated-gradient
     refinement. A refinement step is kept only if it improves the bound, so the
-    result never exceeds the best grid evaluation."""
+    result never exceeds the best grid evaluation. s is one sample, not a block."""
+    if s.counts.ndim != 1:
+        raise ValueError("minimize_bound takes one sample; row_by_row applies it to a block")
     betas = list(beta_grid)
     if not betas:
         raise ValueError("beta grid must be nonempty")

@@ -263,12 +263,12 @@ def symmetrization_tail_mc(table: LossTable, dist: DataDistribution, prior: Prob
         reduced = loss - (1.0 - h * h) * loss_sq
         for i in range(trials):
             s = draw_sample(dist, m, seed, 0, i)
-            stat = r - s.mean(shifted)
+            stat = r - s.mean_rows(shifted)
             if stat.max() >= t:
                 lhs_hits += 1
             s2 = draw_sample(dist, m, seed, 1, i)
             eps = stream(seed, 2, i).binomial(s2.counts, 0.5) * 2 - s2.counts
-            proc = multiplied @ eps / m - c_dprime * s2.mean(reduced)
+            proc = multiplied @ eps / m - c_dprime * s2.mean_rows(reduced)
             if proc.max() >= t / 4.0:
                 rhs_hits += 1
     return _tail_estimate(lhs_hits, trials), _tail_estimate(rhs_hits, trials)

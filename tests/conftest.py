@@ -18,6 +18,18 @@ def random_measure(rng, n):
     return ProbMeasure(rng.dirichlet(np.ones(n)))
 
 
+def flatness_double_sum(q, table, s, h):
+    """Definitional h-flatness of one posterior on one sample, by explicit loops:
+    (1/m) sum over the m points z_i of sum_f Q_f (L(f, z_i) - (1+h) G_Q(z_i))^2."""
+    total = 0.0
+    for z, count in enumerate(s.counts):
+        g = sum(q.weights[f] * table.loss[f, z] for f in range(table.hypothesis_count))
+        inner = sum(q.weights[f] * (table.loss[f, z] - (1.0 + h) * g) ** 2
+                    for f in range(table.hypothesis_count))
+        total += count * inner
+    return total / s.m
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pacbayes import BoundParams, coverage_experiment, minimize_bound
+from pacbayes import BoundParams, coverage_experiment, minimize_bound, row_by_row
 from pacbayes.cli import main
 from pacbayes.io import load_instance, write_csv
 
@@ -123,6 +123,7 @@ class TestCoverage:
         inst = load_instance(inst_file)
         params = BoundParams()
 
+        @row_by_row
         def rule(prior, table, s):
             return minimize_bound("catoni", params, prior, table, s, (0.0, 0.1, 1.0, 10.0), 20)[0]
 
@@ -332,9 +333,16 @@ class TestUsageContract:
         (["sweep", "--instance", "INST", "--seed", "1", "--m-grid", "10"],
          "sweep.rule = bound-minimizer\n", "sweep"),
         (["frobnicate"], None, None),
+        (["sweep", "--instance", "INST", "--seed", "2", "--m-grid", "10,50", "--beta", "5"],
+         None, "sweep"),
+        (["coverage", "--family", "kst", "--instance", "INST", "--seed", "1",
+          "--rule", "bound-minimizer", "--beta", "1"], None, "coverage"),
+        (["coverage", "--family", "kst", "--instance", "INST", "--seed", "1",
+          "--rule", "fixed-Q"], "coverage.beta = 1\n", "coverage"),
     ], ids=["duality-no-instance", "optimize-no-instance", "sweep-no-instance",
             "debias-no-instance", "unknown-flag", "bad-family", "config-bad-rule",
-            "unknown-command"])
+            "unknown-command", "beta-with-fixed-Q", "beta-with-bound-minimizer",
+            "config-beta-with-fixed-Q"])
     def test_usage_error_exits_2_with_one_record(self, argv, config, command, tmp_path,
                                                  inst_file, log_file, capsys):
         prefix = ["--log", log_file]
@@ -351,6 +359,31 @@ class TestUsageContract:
         (rec,) = [json.loads(line) for line in open(log_file).read().splitlines()]
         assert rec["exit_code"] == 2
         assert rec["command"] == command
+
+    def test_beta_is_hashed_only_for_the_rule_that_reads_it(self, tmp_path, inst_file,
+                                                            log_file, monkeypatch):
+        import pacbayes.cli
+        configs = []
+        record = pacbayes.cli.append_run_record
+        monkeypatch.setattr(pacbayes.cli, "append_run_record",
+                            lambda log, command, config, *rest: (configs.append(config),
+                                                                 record(log, command, config,
+                                                                        *rest)))
+        argv = ["sweep", "--instance", inst_file, "--m-grid", "10,50", "--seed", "2"]
+        outs = [tmp_path / f"{n}.csv" for n in range(4)]
+        assert run(argv + ["--out", str(outs[0])], log_file) == 0
+        assert run(argv + ["--rule", "gibbs-posterior", "--out", str(outs[1])], log_file) == 0
+        assert run(argv + ["--rule", "gibbs-posterior", "--beta", "1",
+                           "--out", str(outs[2])], log_file) == 0
+        assert run(argv + ["--rule", "gibbs-posterior", "--beta", "5",
+                           "--out", str(outs[3])], log_file) == 0
+        assert "beta" not in configs[0]
+        assert [c["beta"] for c in configs[1:]] == [1.0, 1.0, 5.0]
+        # The default beta is beta = 1, in the output and in the hash.
+        assert outs[1].read_bytes() == outs[2].read_bytes() != outs[3].read_bytes()
+        default, one, five = (json.loads(line)["config_hash"]
+                              for line in open(log_file).read().splitlines()[1:])
+        assert default == one != five
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,10 +6,9 @@ import pytest
 from scipy.optimize import brentq
 
 from pacbayes import (BoundParams, DataDistribution, LossTable, ProbMeasure,
-                      clopper_pearson_upper, coverage_experiment, draw_sample,
+                      clopper_pearson_upper, coverage_experiment, empirical_risks,
                       evaluate_posterior_bound, gibbs_posterior, gibbs_risk,
-                      minimize_bound)
-from pacbayes.core import empirical_risks
+                      minimize_bound, row_by_row, sample_blocks)
 
 from conftest import random_instance
 
@@ -92,7 +91,8 @@ class TestCoverage:
         params = BoundParams(delta=0.05, catoni_C=1.5)
         rep = coverage_experiment(
             table, dist, prior,
-            lambda p, tab, s: minimize_bound("catoni", params, p, tab, s, (0.0, 1.0), 5)[0],
+            row_by_row(lambda p, tab, s: minimize_bound("catoni", params, p, tab, s,
+                                                        (0.0, 1.0), 5)[0]),
             "catoni", params, m=25, trials=20, seed=5)
         assert rep.trials == 20
 
@@ -108,19 +108,19 @@ class TestCoverage:
             return ProbMeasure.point_mass(tab.hypothesis_count, best)
 
         m, trials, seed = 30, 300, 13
-        rep = coverage_experiment(table, dist, prior, erm_rule, "catoni", params,
+        rep = coverage_experiment(table, dist, prior, row_by_row(erm_rule), "catoni", params,
                                   m=m, trials=trials, seed=seed)
-        violations, slack_sum = 0, 0.0
-        for t in range(trials):
-            s = draw_sample(dist, m, seed, t)
-            q = erm_rule(prior, table, s)
-            bound = evaluate_posterior_bound("catoni", params, q, prior, table, s).value
-            true = gibbs_risk(q, table, dist)
-            violations += int(true > bound)
-            slack_sum += bound - true
+        violations, slacks = 0, []
+        for _, block in sample_blocks(dist, m, trials, seed):
+            for s in block.rows():
+                q = erm_rule(prior, table, s)
+                bound = evaluate_posterior_bound("catoni", params, q, prior, table, s).value
+                true = gibbs_risk(q, table, dist)
+                violations += int(true > bound)
+                slacks.append(bound - true)
         assert violations > 0  # delta = 0.5 lets the count be exercised
         assert rep.violations == violations
-        assert rep.mean_slack == slack_sum / trials
+        assert rep.mean_slack == math.fsum(slacks) / trials
 
     def test_trials_validation(self, rng):
         dist, table = random_instance(rng)
