@@ -15,8 +15,7 @@ from .processes import (TailEstimate, debias_mgf_exact,
                         shifted_flatness_tail_mc, symmetrization_tail_mc, xy_cap,
                         xy_mgf_bruteforce)
 from .verify import CoverageReport, clopper_pearson_upper, coverage_experiment
-from .posterior_opt import (evaluate_posterior_bound, gibbs_posterior, minimize_bound,
-                            row_by_row)
+from .posterior_opt import evaluate_posterior_bound, gibbs_posterior, minimize_bound
 from .compare import SweepResult, SweepRow, bound_sweep, crossover_threshold
 from .io import Instance, load_instance, save_instance
 
@@ -33,7 +32,7 @@ __all__ = [
     "debias_mgf_exact", "xy_mgf_bruteforce", "xy_cap", "lemma_a3_threshold",
     "shifted_flatness_tail_mc", "symmetrization_tail_mc",
     "CoverageReport", "coverage_experiment", "clopper_pearson_upper",
-    "gibbs_posterior", "minimize_bound", "evaluate_posterior_bound", "row_by_row",
+    "gibbs_posterior", "minimize_bound", "evaluate_posterior_bound",
     "SweepRow", "SweepResult", "bound_sweep", "crossover_threshold",
     "Instance", "load_instance", "save_instance",
 ]

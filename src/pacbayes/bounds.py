@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import LossTable, Sample
-from .measures import ProbMeasure, flatness, gibbs_empirical_risk
+from .measures import _SUM_TOL, ProbMeasure, flatness, gibbs_empirical_risk
 
 _BISECT_TOL = 1e-12
 
@@ -39,9 +39,9 @@ class BoundParams:
     def __post_init__(self):
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if self.catoni_C <= 0:
+        if not self.catoni_C > 0:
             raise ValueError("catoni_C must be positive")
-        if self.c <= 0:
+        if not self.c > 0:
             raise ValueError("c must be positive")
 
 
@@ -76,25 +76,16 @@ class BoundReport:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown bound family {self.family!r}")
-        # Finite values within 1e-12 relative; infinite ones exactly. A single
-        # value takes the scalar test, which costs far less than array calls.
-        value, total = self.value, sum(self.components.values())
-        if isinstance(value, np.ndarray):
-            finite = np.isfinite(value)
-            gap = np.abs(np.subtract(total, value, out=np.zeros(value.shape), where=finite))
-            off = ((gap > 1e-12 * np.maximum(1.0, np.abs(value)))
-                   | ((total != value) & ~finite)).any()
-        elif math.isfinite(value):
-            off = abs(total - value) > 1e-12 * max(1.0, abs(value))
-        else:
-            off = total != value
-        if off:
+        # Finite values within 1e-12 relative; infinite ones exactly.
+        value, total = np.asarray(self.value), sum(self.components.values())
+        finite = np.isfinite(value)
+        gap = np.abs(np.subtract(total, value, out=np.zeros(value.shape), where=finite))
+        if ((gap > 1e-12 * np.maximum(1.0, np.abs(value))) | ((total != value) & ~finite)).any():
             raise ValueError("components do not reconstruct the bound value")
 
 
 def _check_common(kl, delta: float, m: int, m_min: int = 1) -> None:
-    negative = kl < 0
-    if negative.any() if isinstance(negative, np.ndarray) else negative:
+    if not np.all(kl >= 0):  # NaN fails too; +inf is valid
         raise ValueError("kl must be nonnegative")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -110,7 +101,7 @@ def mcallester_bound(emp, kl, m: int, delta: float):
 
 def catoni_prefactor(C: float) -> float:
     """C / (1 - e^{-C}); > 1 for all C > 0 and -> 1 as C -> 0+."""
-    if C <= 0:
+    if not C > 0:
         raise ValueError("C must be positive")
     return C / -math.expm1(-C)
 
@@ -118,7 +109,7 @@ def catoni_prefactor(C: float) -> float:
 def catoni_bound(emp, kl, m: int, delta: float, C: float):
     """(1/(1 - e^{-C})) * [C*emp + (kl + log(1/delta)) / m]."""
     _check_common(kl, delta, m)
-    if C <= 0:
+    if not C > 0:
         raise ValueError("C must be positive")
     return (C * emp + (kl + math.log(1.0 / delta)) / m) / -math.expm1(-C)
 
@@ -158,7 +149,7 @@ def _bisect_increasing(fn, target: float, lo: float, hi: float, tol: float = _BI
 def derive_matched_catoni_constants(c: float, c2: float, delta: float) -> DerivedConstants:
     """Pick lambda/m as large as the two matched-Catoni constraints allow and
     turn it into explicit (C1, C2, C3)."""
-    if c <= 0 or c2 <= 0 or c2 >= c:
+    if not 0 < c2 < c:
         raise ValueError("need 0 < c2 < c")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
@@ -200,7 +191,7 @@ def matched_catoni_bound(emp, kl, m: int, delta: float, c: float, c2: float | No
 
 def flatness_rate_constant(c: float, h: float) -> float:
     """Rate constant C = 2 h^4 c / (1 + 16 h^2 c) of the flatness bound."""
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
     if not 0 < h < 1:
         raise ValueError("h must lie in (0, 1)")
@@ -239,7 +230,7 @@ def catoni_C_for_inflation(c: float) -> float:
 
     Aligns Catoni's bound with families written as (1+c) * empirical + rate.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
     # prefactor is increasing in C, from 1 at 0+ to infinity.
     lo, hi = 1e-12, 1.0
@@ -252,14 +243,14 @@ def catoni_C_for_inflation(c: float) -> float:
 class Family:
     """One bound family B(emp, kl, m, params), linear in emp: its value (emp and
     kl may be arrays), dB/demp (also the weight of the `empirical` component),
-    dB/dkl at one finite kl and the constant reported as C_derived. For
+    dB/dkl at finite kl (an array) and the constant reported as C_derived. For
     flatness (needs_sample) value is only the rate term; flatness_bound adds
     the empirical risk and c * flatness(Q, S).
     """
 
     value: Callable[..., float | np.ndarray]
     d_emp: Callable[[BoundParams], float]
-    d_kl: Callable[[float, int, BoundParams], float]
+    d_kl: Callable[[np.ndarray, int, BoundParams], np.ndarray | float]
     derived: Callable[[BoundParams], float] | None = None
     needs_sample: bool = False
 
@@ -268,7 +259,7 @@ FAMILIES: dict[str, Family] = {
     "mcallester": Family(
         value=lambda emp, kl, m, p: mcallester_bound(emp, kl, m, p.delta),
         d_emp=lambda p: 1.0,
-        d_kl=lambda kl, m, p: 1.0 / (4.0 * (m - 1) * math.sqrt(
+        d_kl=lambda kl, m, p: 1.0 / (4.0 * (m - 1) * np.sqrt(
             (kl + math.log(m / p.delta)) / (2.0 * (m - 1)))),
     ),
     "catoni": Family(
@@ -280,7 +271,8 @@ FAMILIES: dict[str, Family] = {
     "kst": Family(
         value=lambda emp, kl, m, p: kst_bound(emp, kl, m, p.delta),
         d_emp=lambda p: 1.0,
-        d_kl=lambda kl, m, p: 4.5 / (2.0 * math.sqrt(kl * m)) if kl > 2.0 else 0.0,
+        d_kl=lambda kl, m, p: np.where(kl > 2.0, 4.5 / (2.0 * np.sqrt(np.maximum(kl, 2.0) * m)),
+                                       0.0),
     ),
     "matched_catoni": Family(
         value=lambda emp, kl, m, p: matched_catoni_bound(emp, kl, m, p.delta, p.c, p.c2),
@@ -300,10 +292,14 @@ FAMILIES: dict[str, Family] = {
 
 def evaluate_bound(family: str, emp, kl, m: int, params: BoundParams) -> BoundReport:
     """Evaluate a closed-form family (everything but flatness, which needs the
-    sample). An infinite value puts all of itself in the complexity component."""
+    sample). An infinite value puts all of itself in the complexity component.
+    emp is a Gibbs risk: it must lie in [0, 1], up to the rounding that a
+    ProbMeasure's weights may carry."""
     fam = FAMILIES.get(family)
     if fam is None or fam.needs_sample:
         raise ValueError(f"unknown or sample-dependent family {family!r}")
+    if not np.all((emp >= 0) & (emp <= 1.0 + _SUM_TOL)):
+        raise ValueError("emp must lie in [0, 1]")
     value = fam.value(emp, kl, m, params)
     empirical = fam.d_emp(params) * emp * np.isfinite(value)
     return BoundReport(family=family, value=value,

@@ -25,8 +25,7 @@ from .core import DataDistribution, LossTable, draw_sample, true_risks
 from .measures import ProbMeasure
 from .io import (Instance, append_run_record, fmt, load_config, load_instance,
                  save_instance, write_csv)
-from .posterior_opt import (evaluate_posterior_bound, gibbs_posterior, minimize_bound,
-                            row_by_row)
+from .posterior_opt import evaluate_posterior_bound, gibbs_posterior, minimize_bound
 from .processes import (debias_mgf_exact, kl_ball_sup, kl_dual_value,
                         lemma_a3_threshold, shifted_flatness_tail_mc,
                         symmetrization_tail_mc, xy_cap, xy_default_c2,
@@ -98,14 +97,14 @@ def _posterior_rule(args, posterior):
     """The rule --rule names, as a function (prior, table, block of samples) ->
     posteriors: fixed-Q keeps the instance posterior, gibbs-posterior tempers
     the prior by --beta, bound-minimizer minimizes the --family bound (20
-    refinement steps) for each sample of the block."""
+    refinement steps) for the whole block in one minimize_bound call."""
     if args.rule == "fixed-Q":
         return lambda prior, table, s: posterior
     if args.rule == "gibbs-posterior":
         return functools.partial(gibbs_posterior, beta=args.beta)
     family, params = args.family, _bound_params(args)
-    return row_by_row(lambda prior, table, s: minimize_bound(family, params, prior, table, s,
-                                                             BETA_GRID, 20)[0])
+    return lambda prior, table, s: minimize_bound(family, params, prior, table, s,
+                                                  BETA_GRID, 20)[0]
 
 
 BOUNDS_CSV_HEADER = ["family", "value", "emp_term", "complexity_term", "flatness_term", "C_derived"]

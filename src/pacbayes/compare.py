@@ -21,7 +21,7 @@ from .measures import ProbMeasure, gibbs_losses, kl_divergence
 def crossover_threshold(T_m: float, C_r: float, C_c: float, kl: float, delta: float) -> float:
     """Sample size beyond which the flatness-form bound beats the Catoni form:
     (1/T_m) * ((C_r - C_c) (kl + log(1/delta)) + C_r)."""
-    if T_m <= 0:
+    if not T_m > 0:
         raise ValueError("T_m must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")

@@ -2,18 +2,17 @@
 
 A posterior rule maps (prior, table, sample) to a posterior; given a block of
 samples it returns one posterior row per sample, or one posterior for all of
-them. gibbs_posterior is such a rule once beta is bound; row_by_row turns a
-rule written for one sample, such as a minimize_bound call, into one.
+them. gibbs_posterior is such a rule once beta is bound, and so is
+minimize_bound once its family, parameters and search settings are.
 
 minimize_bound seeds the search with the tempered family (the exact minimizer
 for Catoni-style objectives, which are linear in (emp, KL)) and then refines
-with exponentiated-gradient steps on the simplex. Flatness objectives are
-nonconvex in Q, so only "best found" is claimed.
+with exponentiated-gradient steps on the simplex, every sample of a block
+with its own step size. Flatness objectives are nonconvex in Q, so only
+"best found" is claimed.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -25,24 +24,16 @@ from .measures import ProbMeasure, gibbs_empirical_risk, kl_divergence
 def gibbs_posterior(p: ProbMeasure, table: LossTable, s: Sample, beta: float) -> ProbMeasure:
     """Tempered posterior: weights proportional to p(f) exp(-beta * m * Remp(f)),
     one row per sample of s."""
-    if beta < 0:
+    if not beta >= 0:
         raise ValueError("beta must be nonnegative")
     if beta == 0:
         return p
-    score = -beta * s.m * empirical_risks(table, s)
+    # Shift by the best score on the prior's support, so that the weights there
+    # do not all underflow when an atom without prior mass scores higher.
+    score = np.where(p.weights > 0, -beta * s.m * empirical_risks(table, s), -np.inf)
     score -= score.max(axis=-1, keepdims=True)
     raw = p.weights * np.exp(score)
     return ProbMeasure.normalized(raw)
-
-
-def row_by_row(rule):
-    """A posterior rule for one sample, (prior, table, sample) -> ProbMeasure,
-    as a rule for a block of samples: it runs once per sample and its
-    posteriors are stacked."""
-    def block_rule(prior: ProbMeasure, table: LossTable, s: Sample) -> ProbMeasure:
-        weights = [rule(prior, table, row).weights for row in s.rows()]
-        return ProbMeasure(np.reshape(weights, s.counts.shape[:-1] + (-1,)))
-    return block_rule
 
 
 def evaluate_posterior_bound(family: str, params: BoundParams, q: ProbMeasure,
@@ -58,7 +49,8 @@ def evaluate_posterior_bound(family: str, params: BoundParams, q: ProbMeasure,
 
 def _bound_gradient(family: str, params: BoundParams, q: np.ndarray,
                     prior: np.ndarray, table: LossTable, s: Sample) -> np.ndarray:
-    """Analytic gradient of the bound objective in the posterior weights.
+    """Analytic gradient of the bound objective in the posterior weights q
+    [..., n_h], one row per sample of s.
 
     One chain rule for every family: dB/demp * Remp(f) + dB/dkl * (log(q_f/p_f) + 1),
     plus c times the gradient of the flatness term for the flatness bound.
@@ -67,61 +59,69 @@ def _bound_gradient(family: str, params: BoundParams, q: np.ndarray,
     """
     fam = FAMILIES[family]
     live = (prior > 0) & (q > 0)
-    log_ratio = np.log(q[live] / prior[live])
-    kl = float(np.sum(q[live] * log_ratio))
-    g_kl = np.zeros_like(q)
-    g_kl[live] = log_ratio + 1.0
-    grad = fam.d_emp(params) * empirical_risks(table, s) + fam.d_kl(kl, s.m, params) * g_kl
+    log_ratio = np.log(np.divide(q, prior, out=np.ones_like(q), where=live))
+    kl = np.sum(q * log_ratio, axis=-1)
+    g_kl = np.where(live, log_ratio + 1.0, 0.0)
+    grad = (fam.d_emp(params) * empirical_risks(table, s)
+            + np.expand_dims(fam.d_kl(kl, s.m, params), -1) * g_kl)
     if fam.needs_sample:
-        h = params.h
-        loss = table.loss
-        gvals = q @ loss
-        # d/dq_f of the flatness sum: (1/m) sum_i [L_{f,i}^2 + 2(h^2-1) G_i L_{f,i}]
-        grad += params.c * s.mean_rows(loss * loss
-                                       + 2.0 * (h * h - 1.0) * gvals[None, :] * loss)
-    grad[~live] = 0.0
-    return grad
+        # d/dq_f of the flatness sum: (1/m) sum_i [L_{f,i}^2 + 2(h^2-1) G_i L_{f,i}],
+        # taken as two matrix-vector products so a block needs no [T, n_h, n_z] array.
+        h, loss = params.h, table.loss
+        gvals = np.vecmat(q, loss)
+        grad += params.c * (s.mean_rows(loss * loss)
+                            + 2.0 * (h * h - 1.0) * np.matvec(loss, gvals * s.counts) / s.m)
+    return np.where(live, grad, 0.0)
 
 
 def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: LossTable,
                    s: Sample, beta_grid, refine_steps: int = 50) -> tuple[ProbMeasure, BoundReport]:
     """Best posterior found over the tempered grid plus exponentiated-gradient
-    refinement. A refinement step is kept only if it improves the bound, so the
-    result never exceeds the best grid evaluation. s is one sample, not a block."""
-    if s.counts.ndim != 1:
-        raise ValueError("minimize_bound takes one sample; row_by_row applies it to a block")
-    betas = list(beta_grid)
+    refinement, one posterior row (weights [..., n_h]) and one bound value per
+    sample of s.
+
+    Each sample keeps the tempered posterior of the smallest beta that attains
+    its least grid value, then refines with its own step size: a step is kept
+    only if it improves that sample's bound, and otherwise (or when the trial
+    weights overflow) the step halves. So the result never exceeds the best
+    grid evaluation, and a sample's result does not depend on the rest of its
+    block.
+    """
+    betas = sorted(set(beta_grid))
     if not betas:
         raise ValueError("beta grid must be nonempty")
-    best_q = None
-    best_val = math.inf
-    best_key = None
-    for beta in betas:
-        q = gibbs_posterior(p, table, s, beta)
-        val = evaluate_posterior_bound(family, params, q, p, table, s).value
-        key = (beta, tuple(q.weights))
-        if best_q is None or val < best_val or (val == best_val and key < best_key):
-            best_q, best_val, best_key = q, val, key
+    if refine_steps < 0:
+        raise ValueError("refine_steps must be nonnegative")
 
-    w = best_q.weights.copy()
-    step = 1.0
+    def bound(q):
+        return evaluate_posterior_bound(family, params, q, p, table, s)
+
+    shape = s.counts.shape[:-1] + (p.size,)
+    q = gibbs_posterior(p, table, s, betas[0])
+    w, best_val = np.broadcast_to(q.weights, shape), bound(q).value
+    for beta in betas[1:]:
+        q = gibbs_posterior(p, table, s, beta)
+        val = bound(q).value
+        better = val < best_val
+        best_val = np.where(better, val, best_val)
+        w = np.where(better[..., None], q.weights, w)
+
+    step = np.ones(shape[:-1])
     for _ in range(refine_steps):
         grad = _bound_gradient(family, params, w, p.weights, table, s)
         live = w > 0
-        centered = grad - grad[live].mean()
-        trial = w * np.exp(-step * np.where(live, centered, 0.0))
-        trial[~live] = 0.0
-        total = trial.sum()
-        if total <= 0 or not np.all(np.isfinite(trial)):
-            step /= 2.0
-            continue
-        trial /= total
-        q_trial = ProbMeasure.normalized(trial)
-        val = evaluate_posterior_bound(family, params, q_trial, p, table, s).value
-        if val < best_val:
-            best_val = val
-            w = q_trial.weights.copy()
-        else:
-            step /= 2.0
+        # grad is zero off the support, so its sum is over the support only.
+        centered = grad - grad.sum(axis=-1, keepdims=True) / live.sum(axis=-1, keepdims=True)
+        trial = w * np.exp(-step[..., None] * np.where(live, centered, 0.0))
+        total = trial.sum(axis=-1)
+        usable = (total > 0) & np.isfinite(trial).all(axis=-1)
+        # A row that cannot be normalized keeps its weights and is not accepted.
+        q_trial = ProbMeasure.normalized(
+            np.divide(trial, total[..., None], out=np.array(w), where=usable[..., None]))
+        val = bound(q_trial).value
+        accept = usable & (val < best_val)
+        best_val = np.where(accept, val, best_val)
+        w = np.where(accept[..., None], q_trial.weights, w)
+        step = np.where(accept, step, step / 2.0)
     best_q = ProbMeasure.normalized(w)
-    return best_q, evaluate_posterior_bound(family, params, best_q, p, table, s)
+    return best_q, bound(best_q)

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .bounds import _bisect_increasing
-from .core import DataDistribution, LossTable, draw_sample, empirical_risks, true_risks
+from .core import DataDistribution, LossTable, empirical_risks, sample_blocks, true_risks
 from .measures import ProbMeasure
 from .rng import stream
 
@@ -53,7 +53,7 @@ def kl_ball_sup(p: ProbMeasure, values, kappa: float) -> float:
     ball boundary; beyond the KL of the max-restricted measure the sup is the
     restricted maximum itself.
     """
-    if kappa < 0:
+    if not kappa >= 0:
         raise ValueError("kappa must be nonnegative")
     v = np.asarray(values, dtype=float)
     if v.shape != p.weights.shape:
@@ -89,7 +89,7 @@ def kl_ball_sup(p: ProbMeasure, values, kappa: float) -> float:
 def kl_dual_value(p: ProbMeasure, values, kappa: float, lambda_grid) -> float:
     """inf_lam { kappa/lam + (1/lam) log E_P e^{lam * values} } on a positive grid,
     refined by a golden-section pass on the bracketing cell."""
-    if kappa < 0:
+    if not kappa >= 0:
         raise ValueError("kappa must be nonnegative")
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.size == 0:
@@ -185,17 +185,32 @@ def xy_mgf_bruteforce(mu, lambda_over_m: float, c: float, c2: float, h: float,
     return float(np.prod(0.5 * (plus + minus)))
 
 
+def _check_shifted_flatness(m: int, c2: float, h: float) -> None:
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if not c2 > 0:
+        raise ValueError("c2 must be positive")
+    if not 0 < h <= 1:
+        raise ValueError("h must lie in (0, 1]")
+
+
 def lemma_a3_threshold(m: int, c2: float, h: float) -> float:
     """Deviation level t above which the shifted-flatness tail is at most 1/2."""
+    _check_shifted_flatness(m, c2, h)
     return (1.0 + c2) * (1.0 + c2 * h * h) / (m * c2 * h * h)
 
 
 def shifted_flatness_tail_mc(table: LossTable, f: int, dist: DataDistribution,
                              m: int, c2: float, h: float, t: float,
                              trials: int, seed: int) -> TailEstimate:
-    """MC frequency of R(f) - (1+c2) Remp(f) + c2 (1-h^2) Remp(f^2) >= t/2."""
+    """MC frequency of R(f) - (1+c2) Remp(f) + c2 (1-h^2) Remp(f^2) >= t/2.
+
+    The trials' samples come from sample_blocks(dist, m, trials, seed, 0x5F),
+    and each block's statistics are one vectorised sample mean.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    _check_shifted_flatness(m, c2, h)
     if not 0 <= f < table.hypothesis_count:
         raise ValueError("hypothesis index out of range")
     row = table.loss[f]
@@ -203,11 +218,8 @@ def shifted_flatness_tail_mc(table: LossTable, f: int, dist: DataDistribution,
     # stat = r - (1+c2) Remp(f) + c2 (1-h^2) Remp(f^2) = r - (sample mean of `shifted`)
     shifted = (1.0 + c2) * row - c2 * (1.0 - h * h) * row * row
     hits = 0
-    for i in range(trials):
-        s = draw_sample(dist, m, seed, 0x5F, i)
-        stat = r - float(s.mean(shifted))
-        if stat >= t / 2.0:
-            hits += 1
+    for _, s in sample_blocks(dist, m, trials, seed, 0x5F):
+        hits += int(np.count_nonzero(r - s.mean(shifted) >= t / 2.0))
     return _tail_estimate(hits, trials)
 
 
@@ -227,6 +239,11 @@ def symmetrization_tail_mc(table: LossTable, dist: DataDistribution, prior: Prob
     max_f [R - (1+c) Remp(f) + c (1-h^2) Remp(f^2)] at level t; RHS is the tail
     of the shifted-and-scaled process with c' = (c+c2)/2, c'' = (c-c2)/2 at
     level t/4. Again LHS <= 4 RHS.
+
+    Trials run in blocks: the LHS samples come from sample_blocks(..., seed, 0),
+    the RHS samples from sample_blocks(..., seed, 1), and block b's Rademacher
+    signs from stream(seed, 2, b). The quadratic variant takes each block's
+    maxima in one call; the linear variant solves one kl_ball_sup per trial.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -234,24 +251,19 @@ def symmetrization_tail_mc(table: LossTable, dist: DataDistribution, prior: Prob
         raise ValueError("need 0 < c2 < c")
     loss = table.loss
     r = true_risks(table, dist)
-    lhs_hits = 0
-    rhs_hits = 0
     if h is None:
         c_prime = (c - c2) / (1.0 + c2)
         shift = c_prime / (2.0 + c_prime)
         scale = 1.0 + c_prime / 2.0
         rhs_level = t / (2.0 * (1.0 + c2)) / 2.0
-        for i in range(trials):
-            s = draw_sample(dist, m, seed, 0, i)
-            emp = empirical_risks(table, s)
-            if kl_ball_sup(prior, r - (1.0 + c) * emp, kappa) >= t:
-                lhs_hits += 1
-            s2 = draw_sample(dist, m, seed, 1, i)
-            # Per point z, the sum of counts[z] Rademacher signs: 2 Binomial(counts[z], 1/2) - counts[z].
-            eps = stream(seed, 2, i).binomial(s2.counts, 0.5) * 2 - s2.counts
-            proc = scale * (loss @ eps / m - shift * empirical_risks(table, s2))
-            if kl_ball_sup(prior, proc, kappa) >= rhs_level:
-                rhs_hits += 1
+
+        def lhs_hits(s):
+            dev = r - (1.0 + c) * empirical_risks(table, s)
+            return sum(kl_ball_sup(prior, row, kappa) >= t for row in dev)
+
+        def rhs_hits(s2, eps):
+            proc = scale * (np.matvec(loss, eps) / m - shift * empirical_risks(table, s2))
+            return sum(kl_ball_sup(prior, row, kappa) >= rhs_level for row in proc)
     else:
         if not 0 <= h <= 1:
             raise ValueError("h must lie in [0, 1]")
@@ -261,14 +273,18 @@ def symmetrization_tail_mc(table: LossTable, dist: DataDistribution, prior: Prob
         shifted = (1.0 + c) * loss - c * (1.0 - h * h) * loss_sq
         multiplied = (1.0 + c_prime) * loss - c_prime * (1.0 - h * h) * loss_sq
         reduced = loss - (1.0 - h * h) * loss_sq
-        for i in range(trials):
-            s = draw_sample(dist, m, seed, 0, i)
-            stat = r - s.mean_rows(shifted)
-            if stat.max() >= t:
-                lhs_hits += 1
-            s2 = draw_sample(dist, m, seed, 1, i)
-            eps = stream(seed, 2, i).binomial(s2.counts, 0.5) * 2 - s2.counts
-            proc = multiplied @ eps / m - c_dprime * s2.mean_rows(reduced)
-            if proc.max() >= t / 4.0:
-                rhs_hits += 1
-    return _tail_estimate(lhs_hits, trials), _tail_estimate(rhs_hits, trials)
+
+        def lhs_hits(s):
+            return np.count_nonzero((r - s.mean_rows(shifted)).max(axis=-1) >= t)
+
+        def rhs_hits(s2, eps):
+            proc = np.matvec(multiplied, eps) / m - c_dprime * s2.mean_rows(reduced)
+            return np.count_nonzero(proc.max(axis=-1) >= t / 4.0)
+    lhs = rhs = 0
+    blocks = zip(sample_blocks(dist, m, trials, seed, 0), sample_blocks(dist, m, trials, seed, 1))
+    for b, ((_, s), (_, s2)) in enumerate(blocks):
+        # Per point z, the sum of counts[z] Rademacher signs: 2 Binomial(counts[z], 1/2) - counts[z].
+        eps = stream(seed, 2, b).binomial(s2.counts, 0.5) * 2 - s2.counts
+        lhs += int(lhs_hits(s))
+        rhs += int(rhs_hits(s2, eps))
+    return _tail_estimate(lhs, trials), _tail_estimate(rhs, trials)

@@ -1,7 +1,7 @@
 """Counter-based, splittable random number streams.
 
 Every stochastic routine in the package derives its generator from a user
-seed plus a tuple of integer subkeys (trial index, grid row, ...). Streams
+seed plus a tuple of integer subkeys (block index, grid row, ...). Streams
 for distinct subkey tuples are independent Philox streams, so Monte-Carlo
 trials can run in any order (or concurrently) and still aggregate to the
 same result.

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pacbayes import BoundParams, coverage_experiment, minimize_bound, row_by_row
+from pacbayes import BoundParams, ProbMeasure, coverage_experiment, minimize_bound
 from pacbayes.cli import main
 from pacbayes.io import load_instance, write_csv
 
@@ -123,9 +123,11 @@ class TestCoverage:
         inst = load_instance(inst_file)
         params = BoundParams()
 
-        @row_by_row
-        def rule(prior, table, s):
-            return minimize_bound("catoni", params, prior, table, s, (0.0, 0.1, 1.0, 10.0), 20)[0]
+        def rule(prior, table, block):
+            # One minimize_bound call per sample of the block.
+            return ProbMeasure([minimize_bound("catoni", params, prior, table, s,
+                                               (0.0, 0.1, 1.0, 10.0), 20)[0].weights
+                                for s in block.rows()])
 
         rep = coverage_experiment(inst.table, inst.dist, inst.prior_or_uniform(), rule,
                                   "catoni", params, m=30, trials=60, seed=2)
@@ -359,6 +361,32 @@ class TestUsageContract:
         (rec,) = [json.loads(line) for line in open(log_file).read().splitlines()]
         assert rec["exit_code"] == 2
         assert rec["command"] == command
+
+    @pytest.mark.parametrize("argv", [
+        ["duality", "--instance", "INST", "--kappa", "nan"],
+        ["bounds", "--family", "kst", "--emp", "nan", "--kl", "0", "--m", "10"],
+        ["bounds", "--family", "kst", "--emp", "0.1", "--kl", "nan", "--m", "10"],
+        ["bounds", "--family", "kst", "--emp", "2", "--kl", "0", "--m", "10"],
+        *(["bounds", "--family", family, "--emp", "0.1", "--kl", "0", "--m", "10", flag, "nan"]
+          for family, flag in (("catoni", "--C"), ("matched_catoni", "--c"),
+                               ("matched_catoni", "--c2"))),
+        ["optimize", "--family", "kst", "--instance", "INST", "--m", "10", "--seed", "1",
+         "--beta-grid", "nan"],
+        ["optimize", "--family", "kst", "--instance", "INST", "--m", "10", "--seed", "1",
+         "--refine-steps", "-3"],
+        *(["lemmas", "--which", "shifted-flatness", "--instance", "INST", "--seed", "1",
+           flag, "0"] for flag in ("--m", "--h", "--c2")),
+    ], ids=["kappa-nan", "emp-nan", "kl-nan", "emp-2", "C-nan", "c-nan", "c2-nan",
+            "beta-grid-nan", "refine-steps-negative",
+            "shifted-flatness-m-0", "shifted-flatness-h-0", "shifted-flatness-c2-0"])
+    def test_bad_value_exits_2_with_one_record(self, argv, inst_file, log_file, capsys):
+        argv = [inst_file if a == "INST" else a for a in argv]
+        assert run(argv, log_file) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        (rec,) = [json.loads(line) for line in open(log_file).read().splitlines()]
+        assert rec["exit_code"] == 2
 
     def test_beta_is_hashed_only_for_the_rule_that_reads_it(self, tmp_path, inst_file,
                                                             log_file, monkeypatch):

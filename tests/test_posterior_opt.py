@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from pacbayes import (BoundParams, ProbMeasure, draw_sample,
+from pacbayes import (FAMILIES, BoundParams, ProbMeasure, draw_sample,
                       evaluate_posterior_bound, gibbs_posterior, kl_divergence,
                       minimize_bound)
 from pacbayes.core import empirical_risks
@@ -55,8 +55,9 @@ class TestGibbsPosterior:
     def test_negative_beta_rejected(self, rng):
         dist, table = random_instance(rng)
         s = draw_sample(dist, 5, 1)
-        with pytest.raises(ValueError):
-            gibbs_posterior(ProbMeasure.uniform(table.hypothesis_count), table, s, -1.0)
+        for beta in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                gibbs_posterior(ProbMeasure.uniform(table.hypothesis_count), table, s, beta)
 
     def test_prior_zero_stays_zero(self, rng):
         dist, table = random_instance(rng, n_h=4)
@@ -64,6 +65,17 @@ class TestGibbsPosterior:
         s = draw_sample(dist, 20, 4)
         q = gibbs_posterior(p, table, s, 3.0)
         assert q.weights[2] == 0.0 and q.weights[3] == 0.0
+
+
+    def test_large_beta_with_a_better_atom_outside_the_prior(self):
+        # Hypothesis 0 fits the sample perfectly but has no prior mass; at
+        # beta * m = 1000 its score would underflow every weight the prior holds.
+        from pacbayes import LossTable, Sample
+        table = LossTable([[0, 0], [1, 1], [1, 0]])
+        s = Sample(np.array([3, 2]))
+        q = gibbs_posterior(ProbMeasure([0.0, 0.5, 0.5]), table, s, 200.0)
+        assert q.weights[0] == 0.0
+        assert q.weights[2] == pytest.approx(1.0, abs=1e-12)
 
 
 class TestGradient:
@@ -147,3 +159,40 @@ class TestMinimizeBound:
         with pytest.raises(ValueError):
             minimize_bound("kst", BoundParams(), ProbMeasure.uniform(table.hypothesis_count),
                            table, s, ())
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_block_equals_one_sample_calls(self, rng, family):
+        # Four atoms carry no prior mass, and the rows of the block pick their
+        # own grid point and accept different refinement steps.
+        dist, table = random_instance(rng, n_h=12, n_z=5, binary=False)
+        weights = rng.dirichlet(np.ones(12))
+        weights[[1, 4, 5, 9]] = 0.0
+        p = ProbMeasure.normalized(weights)
+        params = BoundParams(delta=0.05, catoni_C=1.3, c=1.0, h=0.6)
+        block = draw_sample(dist, 40, 11, size=7)
+        q, rep = minimize_bound(family, params, p, table, block, (0.0, 0.3, 2.0, 1e3), 15)
+        assert q.weights.shape == (7, 12) and rep.value.shape == (7,)
+        for i, s in enumerate(block.rows()):
+            q1, rep1 = minimize_bound(family, params, p, table, s, (0.0, 0.3, 2.0, 1e3), 15)
+            assert np.array_equal(q.weights[i], q1.weights)
+            assert rep.value[i] == rep1.value
+            for name, part in rep.components.items():
+                assert part[i] == rep1.components[name]
+
+    @pytest.mark.parametrize("family", ["kst", "flatness"])
+    def test_grid_order_and_duplicates_do_not_matter(self, rng, family):
+        dist, table = random_instance(rng, n_h=6, n_z=4)
+        p = ProbMeasure.uniform(6)
+        block = draw_sample(dist, 30, 12, size=5)
+        params = BoundParams(delta=0.05, c=1.0, h=0.5)
+        q, rep = minimize_bound(family, params, p, table, block, (0.0, 1.0, 10.0), 10)
+        q2, rep2 = minimize_bound(family, params, p, table, block, (10.0, 0.0, 1.0, 0.0), 10)
+        assert np.array_equal(q.weights, q2.weights)
+        assert np.array_equal(rep.value, rep2.value)
+
+    def test_negative_refine_steps_rejected(self, rng):
+        dist, table = random_instance(rng)
+        s = draw_sample(dist, 5, 1)
+        with pytest.raises(ValueError):
+            minimize_bound("kst", BoundParams(), ProbMeasure.uniform(table.hypothesis_count),
+                           table, s, (0.0, 1.0), -3)

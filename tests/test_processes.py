@@ -207,6 +207,15 @@ class TestShiftedFlatnessTail:
                                        trials=200, seed=3)
         assert est.probability == 0.0
 
+    @pytest.mark.parametrize("m, c2, h", [(0, 0.5, 0.5), (10, 0.0, 0.5), (10, math.nan, 0.5),
+                                          (10, 0.5, 0.0), (10, 0.5, 1.5)])
+    def test_bad_arguments_rejected(self, rng, m, c2, h):
+        dist, table = random_instance(rng)
+        with pytest.raises(ValueError):
+            lemma_a3_threshold(m, c2, h)
+        with pytest.raises(ValueError):
+            shifted_flatness_tail_mc(table, 0, dist, m, c2, h, 0.3, 10, seed=1)
+
     def test_determinism(self, rng):
         dist, table = random_instance(rng)
         a = shifted_flatness_tail_mc(table, 0, dist, 15, 0.5, 0.5, 0.3, 300, seed=11)

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from pacbayes import (BoundParams, DataDistribution, LossTable, ProbMeasure,
                       clopper_pearson_upper, coverage_experiment, empirical_risks,
                       evaluate_posterior_bound, gibbs_posterior, gibbs_risk,
-                      minimize_bound, row_by_row, sample_blocks)
+                      minimize_bound, sample_blocks)
 
 from conftest import random_instance
 
@@ -91,8 +91,7 @@ class TestCoverage:
         params = BoundParams(delta=0.05, catoni_C=1.5)
         rep = coverage_experiment(
             table, dist, prior,
-            row_by_row(lambda p, tab, s: minimize_bound("catoni", params, p, tab, s,
-                                                        (0.0, 1.0), 5)[0]),
+            lambda p, tab, s: minimize_bound("catoni", params, p, tab, s, (0.0, 1.0), 5)[0],
             "catoni", params, m=25, trials=20, seed=5)
         assert rep.trials == 20
 
@@ -104,11 +103,12 @@ class TestCoverage:
         params = BoundParams(delta=0.5)
 
         def erm_rule(p, tab, s):
-            best = int(np.argmin(empirical_risks(tab, s)))
-            return ProbMeasure.point_mass(tab.hypothesis_count, best)
+            # One point mass per sample of the block, on its first minimizer.
+            best = np.argmin(empirical_risks(tab, s), axis=-1)
+            return ProbMeasure(np.eye(tab.hypothesis_count)[best])
 
         m, trials, seed = 30, 300, 13
-        rep = coverage_experiment(table, dist, prior, row_by_row(erm_rule), "catoni", params,
+        rep = coverage_experiment(table, dist, prior, erm_rule, "catoni", params,
                                   m=m, trials=trials, seed=seed)
         violations, slacks = 0, []
         for _, block in sample_blocks(dist, m, trials, seed):
