@@ -128,13 +128,13 @@ def log_cosh_over_x(x: float) -> float:
     return (x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)) / x
 
 
-def _bisect_increasing(fn, target: float, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
+def _bisect_increasing(fn, target: float, lo: float, hi: float) -> float:
     """Root of fn(x) = target for fn increasing on [lo, hi]. Stops once the
-    bracket is within tol * max(1, hi), relative for roots above 1, or once
-    its midpoint is one of its ends; tol = 0 runs to float resolution."""
+    bracket is within _BISECT_TOL * max(1, hi), relative for roots above 1, or
+    once its midpoint is one of its ends."""
     if fn(lo) > target or fn(hi) < target:
         raise ValueError("target not bracketed")
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > _BISECT_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break

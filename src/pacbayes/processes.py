@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .bounds import _bisect_increasing
 from .core import DataDistribution, LossTable, empirical_risks, sample_blocks, true_risks
 from .measures import ProbMeasure
 from .rng import stream
@@ -45,13 +44,93 @@ def _tail_estimate(hits: int, trials: int) -> TailEstimate:
     )
 
 
-def kl_ball_sup(p: ProbMeasure, values, kappa: float) -> float:
-    """sup { E_Q[values] : KL(Q||P) <= kappa } over the simplex.
+# Relative tolerance of kl_ball_sup on the KL radius: an active row stops once
+# |KL(Q_lam || p) - kappa| <= _KL_BALL_RTOL * kappa.
+_KL_BALL_RTOL = 1e-12
 
-    Solved exactly through the exponentially tilted family Q_lam ~ p * e^{lam v}:
-    KL(Q_lam||p) is increasing along the tilt path, so bisection on lam hits the
-    ball boundary; beyond the KL of the max-restricted measure the sup is the
-    restricted maximum itself.
+
+def kl_ball_sup(p: ProbMeasure, values, kappa: float):
+    """sup { E_Q[v] : KL(Q||p) <= kappa } over the simplex, for each row v of
+    values [..., n_h]; one value per row, a number for a 1-D values.
+
+    The sup is reached on the tilt Q_lam ~ p e^{lam v}, along which
+    KL(Q_lam||p) increases with derivative lam Var_{Q_lam}(v). Closed cases:
+    kappa = 0 and rows constant on the support of p give the prior mean;
+    kappa >= -log P(argmax v) gives max v over that support. The other rows
+    are solved together by a safeguarded Newton iteration on lam, started at
+    sqrt(2 kappa / Var_p(v)). Each row keeps a bracket [lo, hi] on the root
+    and takes the step lam - (KL - kappa) / (lam Var_{Q_lam}(v)) when it lands
+    inside it, else a bisection step (geometric while hi > 2 lo > 0). A row
+    stops once |KL - kappa| <= _KL_BALL_RTOL * kappa, or once its bracket is at
+    float resolution: hi is the next float after lo, or E_{Q_hi} v <= E_{Q_lo} v.
+    Its sup is E_{Q_lam} v + (kappa - KL) / lam, the first-order step onto the
+    ball's boundary (dE/dKL = 1/lam). A row still open after 200 steps raises
+    RuntimeError.
+    """
+    if not kappa >= 0:
+        raise ValueError("kappa must be nonnegative")
+    v = np.asarray(values, dtype=float)
+    if v.shape[-1:] != p.weights.shape:
+        raise ValueError("values must have one entry per atom of p, along the last axis")
+    support = p.weights > 0
+    w = p.weights[support]
+    rows = v[..., support].reshape(-1, w.size)
+    base = (rows * w).sum(axis=-1)
+    vmax = rows.max(axis=-1)
+    d = rows - vmax[:, None]  # <= 0, and 0 at the maximum
+    flat = d.min(axis=-1) == 0
+    kl_limit = -np.log(np.where(d == 0, w, 0.0).sum(axis=-1))
+    out = np.where(flat | (kappa == 0) | (kappa < kl_limit), base, vmax)
+    left = np.flatnonzero(~flat & (0 < kappa) & (kappa < kl_limit))
+    d, vmax = d[left], vmax[left]
+    centred = d - (d * w).sum(axis=-1)[:, None]
+    lam = np.sqrt(2.0 * kappa / (centred * centred * w).sum(axis=-1))
+    lo, hi = np.zeros_like(lam), np.full_like(lam, np.inf)
+    e_lo, e_hi = base[left], vmax
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(200):
+            if not left.size:
+                break
+            x = lam[:, None] * d
+            tilt = w * np.exp(x)
+            mgf = tilt.sum(axis=-1)  # E_p e^{lam d}, in [P(argmax v), 1]
+            # Its log, by log1p near 1 so that KL keeps its relative accuracy as lam -> 0.
+            mgf_m1 = (np.expm1(x) * w).sum(axis=-1)
+            lse = np.where(mgf_m1 > -0.5, np.log1p(mgf_m1), np.log(mgf))
+            q = tilt / mgf[:, None]
+            mean_d = (q * d).sum(axis=-1)
+            kl = lam * mean_d - lse
+            dev = d - mean_d[:, None]
+            var = (q * dev * dev).sum(axis=-1)
+            e = vmax + mean_d
+            below = kl < kappa
+            lo, e_lo = np.where(below, lam, lo), np.where(below, e, e_lo)
+            hi, e_hi = np.where(below, hi, lam), np.where(below, e_hi, e)
+            done = ((np.abs(kl - kappa) <= _KL_BALL_RTOL * kappa)
+                    | (np.nextafter(lo, np.inf) >= hi) | (e_hi <= e_lo))
+            out[left[done]] = (e + (kappa - kl) / lam)[done]
+            newton = lam - (kl - kappa) / (lam * var)
+            bisect = np.where(np.isinf(hi), 2.0 * lo,
+                              np.where((lo > 0) & (hi > 2.0 * lo),
+                                       lo * np.sqrt(hi / lo), 0.5 * (lo + hi)))
+            lam = np.where((lo < newton) & (newton < hi), newton, bisect)
+            keep = ~done
+            left, d, vmax, lam, lo, hi, e_lo, e_hi = (
+                a[keep] for a in (left, d, vmax, lam, lo, hi, e_lo, e_hi))
+    if left.size:
+        raise RuntimeError(f"kl_ball_sup: {left.size} rows still open after 200 steps")
+    return out.reshape(v.shape[:-1])[()]
+
+
+def kl_dual_value(p: ProbMeasure, values, kappa: float) -> float:
+    """inf_{lam > 0} (kappa + log E_P e^{lam v}) / lam, the Legendre dual of
+    kl_ball_sup, solved on its own.
+
+    kappa = 0 gives E_P v (the lam -> 0 limit); kappa >= -log P(argmax v),
+    kappa = +inf included, gives max v over the support of P (the lam -> inf
+    limit). Otherwise the objective is unimodal in u = log lam: a downhill
+    walk with doubling steps from u = 0 brackets its minimum, and bounded
+    Brent refines it to xatol = 1e-10 in u.
     """
     if not kappa >= 0:
         raise ValueError("kappa must be nonnegative")
@@ -61,58 +140,35 @@ def kl_ball_sup(p: ProbMeasure, values, kappa: float) -> float:
     support = p.weights > 0
     w = p.weights[support]
     v = v[support]
-    base = float(w @ v)
-    if kappa == 0 or np.ptp(v) == 0:
-        return base
-    vmax = v.max()
+    vmax = float(v.max())
     at_max = v == vmax
-    kl_limit = -math.log(w[at_max].sum())
-    if kappa >= kl_limit:
-        return float(vmax)
+    if kappa == 0:
+        return float(w @ v)
+    if at_max.all() or kappa >= -math.log(w[at_max].sum()):
+        return vmax
+    d = v - vmax
+    logw = np.log(w)
 
-    def tilt(lam: float):
-        logq = lam * (v - vmax) + np.log(w)
-        logq -= np.logaddexp.reduce(logq)
-        q = np.exp(logq)
-        return q, float(q @ (logq - np.log(w)))
+    def objective(u: float) -> float:
+        lam = math.exp(u)
+        return vmax + (kappa + np.logaddexp.reduce(lam * d + logw)) / lam
 
-    if tilt(0.0)[1] >= kappa:  # kappa is within the rounding error of KL(p||p) = 0
-        return base
-    hi = 1.0
-    while tilt(hi)[1] < kappa:
-        hi *= 2.0
-    lam = _bisect_increasing(lambda lam: tilt(lam)[1], kappa, 0.0, hi, tol=0.0)
-    q, _ = tilt(lam)
-    return float(q @ v)
-
-
-def kl_dual_value(p: ProbMeasure, values, kappa: float, lambda_grid) -> float:
-    """inf_lam { kappa/lam + (1/lam) log E_P e^{lam * values} } on a positive grid,
-    refined by a golden-section pass on the bracketing cell."""
-    if not kappa >= 0:
-        raise ValueError("kappa must be nonnegative")
-    grid = np.asarray(lambda_grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("lambda grid must be nonempty")
-    if np.any(grid <= 0):
-        raise ValueError("lambda grid must be positive")
-    v = np.asarray(values, dtype=float)
-    support = p.weights > 0
-    logw = np.log(p.weights[support])
-    vs = v[support]
-
-    def objective(lam: float) -> float:
-        return (kappa + np.logaddexp.reduce(lam * vs + logw)) / lam
-
-    grid = np.sort(grid)
-    vals = np.array([objective(l) for l in grid])
-    j = int(np.argmin(vals))
-    best = float(vals[j])
-    lo = grid[j - 1] if j > 0 else grid[j] / 2.0
-    hi = grid[j + 1] if j < grid.size - 1 else grid[j] * 2.0
-    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
+    # Walk downhill from u = 0 until the objective rises: a, b, c then bracket the minimum.
+    a, b = 0.0, 1.0
+    fa, fb = objective(a), objective(b)
+    if fb > fa:
+        a, b, fb = b, a, fa
+    while True:
+        c = b + 2.0 * (b - a)
+        if abs(c) > 700.0:
+            raise RuntimeError("kl_dual_value: no minimum with |log lambda| <= 700")
+        fc = objective(c)
+        if fc >= fb:
+            break
+        a, b, fb = b, c, fc
+    res = minimize_scalar(objective, bounds=(min(a, c), max(a, c)), method="bounded",
                           options={"xatol": 1e-10})
-    return min(best, float(res.fun))
+    return min(fb, float(res.fun))
 
 
 def debias_mgf_exact(p: ProbMeasure, table: LossTable, dist: DataDistribution,
@@ -124,8 +180,10 @@ def debias_mgf_exact(p: ProbMeasure, table: LossTable, dist: DataDistribution,
     """
     if not table.binary_flag:
         raise ValueError("debias MGF requires a binary loss table")
-    if lambda_over_m <= 0:
-        raise ValueError("lambda/m must be positive")
+    if not 0 < lambda_over_m < math.inf:
+        raise ValueError("lambda/m must be positive and finite")
+    if not math.isfinite(k):
+        raise ValueError("k must be finite")
     if m < 1:
         raise ValueError("m must be >= 1")
     if p.size != table.hypothesis_count:
@@ -158,8 +216,10 @@ def xy_mgf_bruteforce(mu, lambda_over_m: float, c: float, c2: float, h: float,
     product over i of 1/2 [max_Y factor_i(+1, Y) + max_Y factor_i(-1, Y)].
     """
     mu = np.asarray(mu, dtype=float)
-    if mu.size == 0 or np.any(mu < 0) or np.any(mu > 1):
+    if mu.size == 0 or not ((0 <= mu) & (mu <= 1)).all():
         raise ValueError("mu must be a nonempty vector of Bernoulli means in [0, 1]")
+    if not all(map(math.isfinite, (lambda_over_m, c, c2, h))):
+        raise ValueError("lambda/m, c, c2 and h must be finite")
     if not force:
         if not 0 < h <= 1:
             raise ValueError("h must lie in (0, 1]")
@@ -210,6 +270,8 @@ def shifted_flatness_tail_mc(table: LossTable, f: int, dist: DataDistribution,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     _check_shifted_flatness(m, c2, h)
     if not 0 <= f < table.hypothesis_count:
         raise ValueError("hypothesis index out of range")
@@ -242,11 +304,13 @@ def symmetrization_tail_mc(table: LossTable, dist: DataDistribution, prior: Prob
 
     Trials run in blocks: the LHS samples come from sample_blocks(..., seed, 0),
     the RHS samples from sample_blocks(..., seed, 1), and block b's Rademacher
-    signs from stream(seed, 2, b). The quadratic variant takes each block's
-    maxima in one call; the linear variant solves one kl_ball_sup per trial.
+    signs from stream(seed, 2, b). Each side of a block is one call: the
+    quadratic variant's maxima, or the linear variant's kl_ball_sup rows.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not math.isfinite(t):
+        raise ValueError("t must be finite")
     if not 0 < c2 < c:
         raise ValueError("need 0 < c2 < c")
     loss = table.loss
@@ -259,11 +323,11 @@ def symmetrization_tail_mc(table: LossTable, dist: DataDistribution, prior: Prob
 
         def lhs_hits(s):
             dev = r - (1.0 + c) * empirical_risks(table, s)
-            return sum(kl_ball_sup(prior, row, kappa) >= t for row in dev)
+            return np.count_nonzero(kl_ball_sup(prior, dev, kappa) >= t)
 
         def rhs_hits(s2, eps):
             proc = scale * (np.matvec(loss, eps) / m - shift * empirical_risks(table, s2))
-            return sum(kl_ball_sup(prior, row, kappa) >= rhs_level for row in proc)
+            return np.count_nonzero(kl_ball_sup(prior, proc, kappa) >= rhs_level)
     else:
         if not 0 <= h <= 1:
             raise ValueError("h must lie in [0, 1]")

@@ -192,6 +192,13 @@ class TestDuality:
         assert run(["duality", "--instance", inst_file, "--kappa", "50"], log_file) == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_infinite_kappa(self, capsys, inst_file, log_file):
+        # Both sides are the support max in closed form, with no warnings.
+        assert run(["duality", "--instance", inst_file, "--kappa", "inf"], log_file) == 0
+        out, err = capsys.readouterr()
+        assert "PASS" in out and err == ""
+        assert float(out.split("gap")[1].split()[0]) == 0.0
+
 
 class TestOptimize:
     def test_runs(self, capsys, inst_file, log_file):
@@ -376,9 +383,19 @@ class TestUsageContract:
          "--refine-steps", "-3"],
         *(["lemmas", "--which", "shifted-flatness", "--instance", "INST", "--seed", "1",
            flag, "0"] for flag in ("--m", "--h", "--c2")),
+        ["lemmas", "--which", "xy", "--mu", "0.5", "--lambda-over-m", "nan", "--force"],
+        ["lemmas", "--which", "debias", "--instance", "INST", "--m", "5",
+         "--lambda-over-m", "nan"],
+        ["lemmas", "--which", "debias", "--instance", "INST", "--m", "5",
+         "--lambda-over-m", "0.5", "--k", "nan"],
+        ["lemmas", "--which", "xy", "--mu", "0.5,nan", "--lambda-over-m", "0.01"],
+        *(["lemmas", "--which", which, "--instance", "INST", "--seed", "1", "--trials", "50",
+           "--t", "nan"] for which in ("shifted-flatness", "symmetrization")),
     ], ids=["kappa-nan", "emp-nan", "kl-nan", "emp-2", "C-nan", "c-nan", "c2-nan",
             "beta-grid-nan", "refine-steps-negative",
-            "shifted-flatness-m-0", "shifted-flatness-h-0", "shifted-flatness-c2-0"])
+            "shifted-flatness-m-0", "shifted-flatness-h-0", "shifted-flatness-c2-0",
+            "xy-lambda-nan-forced", "debias-lambda-nan", "debias-k-nan", "xy-mu-nan",
+            "shifted-flatness-t-nan", "symmetrization-t-nan"])
     def test_bad_value_exits_2_with_one_record(self, argv, inst_file, log_file, capsys):
         argv = [inst_file if a == "INST" else a for a in argv]
         assert run(argv, log_file) == 2

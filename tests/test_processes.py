@@ -10,10 +10,69 @@ from pacbayes import (DataDistribution, LossTable, ProbMeasure, debias_mgf_exact
                       xy_mgf_bruteforce)
 from pacbayes.bounds import log_cosh_over_x
 from pacbayes.core import empirical_risks, true_risks
+from pacbayes.processes import _KL_BALL_RTOL
 
 from conftest import random_instance, random_measure
 
-WIDE_GRID = np.logspace(-2, 9, 120)
+def _tilt(w, v, lam):
+    """Q_lam ~ w e^{lam v} and KL(Q_lam || w), in log space."""
+    logq = lam * (v - v.max()) + np.log(w)
+    logq -= np.logaddexp.reduce(logq)
+    q = np.exp(logq)
+    return q, float(q @ (logq - np.log(w)))
+
+
+def _bisect(fn, target, lo, hi):
+    """Root of the increasing fn on [lo, hi], to float resolution."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if fn(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+
+
+def bisection_sup(p, values, kappa):
+    """The KL-ball sup by bisection on the tilt, one row at a time: the solver
+    that block Newton replaced, kept as an oracle."""
+    support = p.weights > 0
+    w = p.weights[support]
+    v = np.asarray(values, dtype=float)[support]
+    base = float(w @ v)
+    if kappa == 0 or np.ptp(v) == 0:
+        return base
+    vmax = v.max()
+    if kappa >= -math.log(w[v == vmax].sum()):
+        return float(vmax)
+    if _tilt(w, v, 0.0)[1] >= kappa:
+        return base
+    hi = 1.0
+    while _tilt(w, v, hi)[1] < kappa:
+        hi *= 2.0
+    q, _ = _tilt(w, v, _bisect(lambda lam: _tilt(w, v, lam)[1], kappa, 0.0, hi))
+    return float(q @ v)
+
+
+def random_case(gen):
+    """A prior that may put no mass on some atoms, values that may tie at their
+    maximum, and a radius from 1e-8 to 10, often beyond the KL limit."""
+    n = int(gen.integers(2, 12))
+    w = gen.dirichlet(np.full(n, gen.choice([0.3, 1.0, 3.0])))
+    if gen.random() < 0.3:
+        w[gen.choice(n, int(gen.integers(1, n)), replace=False)] = 0.0
+        w[int(gen.integers(n))] += 1.0 - w.sum()
+    v = gen.random(n)
+    if gen.random() < 0.4:
+        v = np.round(v, 1)
+    return ProbMeasure(w / w.sum()), v, float(10.0 ** gen.uniform(-8, 1))
+
+
+def kl_limit(p, v):
+    """-log P(argmax v) over the support of p."""
+    v = np.asarray(v, dtype=float)
+    return -math.log(p.weights[v == v[p.weights > 0].max()].sum())
 
 
 class TestKLBallSup:
@@ -23,7 +82,8 @@ class TestKLBallSup:
         assert kl_ball_sup(p, v, 0.0) == pytest.approx(float(p.weights @ v), abs=1e-14)
 
     def test_kappa_below_rounding_error_is_prior_mean(self, rng):
-        # KL(p||p) evaluates to about +-1e-16, above these radii.
+        # Radii far below the rounding error of a KL of order one: the sup
+        # moves off the prior mean by about sqrt(2 kappa Var_p(v)) only.
         for _ in range(20):
             p = random_measure(rng, 6)
             v = rng.random(6)
@@ -50,9 +110,72 @@ class TestKLBallSup:
         v = rng.random(5)
         assert kl_ball_sup(p, v, 100.0) == pytest.approx(v.max(), abs=1e-12)
 
+    def test_kappa_at_and_beyond_the_kl_limit_is_the_max(self):
+        p = ProbMeasure([0.5, 0.3, 0.2, 0.0])
+        v = [0.1, 0.9, 0.4, 5.0]  # the atom without prior mass does not count
+        limit = -math.log(0.3)
+        for kappa in (limit, np.nextafter(limit, math.inf), 2.0 * limit, math.inf):
+            assert kl_ball_sup(p, v, kappa) == 0.9
+            assert kl_dual_value(p, v, kappa) == 0.9
+        below = kl_ball_sup(p, v, limit * (1.0 - 1e-9))
+        assert 0.9 - 1e-6 < below < 0.9
+        assert below == pytest.approx(bisection_sup(p, v, limit * (1.0 - 1e-9)), rel=1e-9)
+
     def test_negative_kappa_rejected(self):
         with pytest.raises(ValueError):
             kl_ball_sup(ProbMeasure.uniform(2), [0.0, 1.0], -0.1)
+
+    def test_values_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            kl_ball_sup(ProbMeasure.uniform(3), np.zeros((4, 2)), 0.5)
+
+    def test_block_equals_row_calls(self, rng):
+        p = ProbMeasure([0.3, 0.0, 0.2, 0.1, 0.4])
+        rows = np.vstack([
+            rng.random((6, 5)),                    # active at kappa = 0.5
+            np.full((2, 5), 0.25),                 # flat
+            [[0.1, 0.2, 0.3, 0.9, 0.5],            # capped: -log 0.1 < 2.5 below
+             [0.0, 9.0, 0.0, 0.0, 0.0]],           # flat on the support of p
+            np.round(rng.random((4, 5)), 1),       # ties
+        ])
+        for kappa in (0.0, 0.5, 2.5):
+            block = kl_ball_sup(p, rows.reshape(2, 7, 5), kappa)
+            assert block.shape == (2, 7)
+            one_by_one = [kl_ball_sup(p, row, kappa) for row in rows]
+            assert all(np.ndim(x) == 0 for x in one_by_one)
+            np.testing.assert_array_equal(block.ravel(), one_by_one)
+        assert kl_ball_sup(p, rows[8], 2.5) == 0.9
+
+    def test_agrees_with_bisection(self):
+        gen = np.random.default_rng(2024)
+        active = 0
+        for _ in range(2000):
+            p, v, kappa = random_case(gen)
+            got, want = kl_ball_sup(p, v, kappa), bisection_sup(p, v, kappa)
+            assert abs(got - want) <= 1e-9 * abs(want), (p.weights, v, kappa)
+            active += kappa < kl_limit(p, v)
+        assert active >= 1000
+
+    def test_kl_residual_within_tolerance(self):
+        # Recover lam* from the returned sup (E_{Q_lam} v increases in lam) and
+        # check the stopping rule, up to the rounding of the sup itself:
+        # dKL/dE_Q[v] = lam along the tilt.
+        gen = np.random.default_rng(77)
+        checked = 0
+        while checked < 300:
+            p, v, kappa = random_case(gen)
+            if not 1e-3 <= kappa < 0.9 * kl_limit(p, v) or np.ptp(v[p.weights > 0]) == 0:
+                continue
+            got = kl_ball_sup(p, v, kappa)
+            support = p.weights > 0
+            w, vs = p.weights[support], v[support]
+            hi = 1.0
+            while _tilt(w, vs, hi)[0] @ vs < got:
+                hi *= 2.0
+            lam = _bisect(lambda x: _tilt(w, vs, x)[0] @ vs, got, 0.0, hi)
+            slack = 4.0 * lam * np.spacing(got) + 1e-15
+            assert abs(_tilt(w, vs, lam)[1] - kappa) <= _KL_BALL_RTOL * kappa + slack
+            checked += 1
 
 
 class TestKLDual:
@@ -62,22 +185,27 @@ class TestKLDual:
             v = rng.random(10)
             for kappa in (0.1, 1.0, 3.0):
                 primal = kl_ball_sup(p, v, kappa)
-                dual = kl_dual_value(p, v, kappa, WIDE_GRID)
+                dual = kl_dual_value(p, v, kappa)
                 assert abs(dual - primal) <= 1e-6
 
     def test_weak_duality(self, rng):
         p = random_measure(rng, 6)
         v = rng.random(6)
-        dual = kl_dual_value(p, v, 0.2, WIDE_GRID)
+        dual = kl_dual_value(p, v, 0.2)
         assert dual >= float(p.weights @ v) - 1e-12
 
     def test_constant_values(self, rng):
         p = random_measure(rng, 4)
-        assert kl_dual_value(p, [0.3] * 4, 0.5, WIDE_GRID) == pytest.approx(0.3, abs=1e-8)
+        assert kl_dual_value(p, [0.3] * 4, 0.5) == pytest.approx(0.3, abs=1e-8)
 
-    def test_empty_grid_rejected(self, rng):
+    def test_kappa_zero_is_prior_mean(self, rng):
+        p = random_measure(rng, 5)
+        v = rng.random(5)
+        assert kl_dual_value(p, v, 0.0) == pytest.approx(float(p.weights @ v), abs=1e-15)
+
+    def test_negative_kappa_rejected(self, rng):
         with pytest.raises(ValueError):
-            kl_dual_value(random_measure(rng, 3), [0, 1, 2], 0.5, [])
+            kl_dual_value(random_measure(rng, 3), [0, 1, 2], -0.5)
 
 
 class TestDebiasMGF:
