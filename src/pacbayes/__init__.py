@@ -2,10 +2,10 @@
 
 __version__ = "0.1.0"
 
-from .core import (DataDistribution, LossTable, Sample, draw_sample, empirical_risks,
+from .core import (LossTable, ProbMeasure, Sample, draw_sample, empirical_risks,
                    sample_blocks, true_risks)
-from .measures import (ProbMeasure, flatness, flatness_alternate, gibbs_empirical_risk,
-                       gibbs_losses, gibbs_risk, kl_divergence)
+from .measures import (flatness, flatness_alternate, gibbs_empirical_risk, gibbs_losses,
+                       gibbs_risk, kl_divergence)
 from .bounds import (FAMILIES, BoundParams, BoundReport, DerivedConstants,
                      catoni_bound, catoni_C_for_inflation, catoni_prefactor,
                      derive_matched_catoni_constants, flatness_bound, kst_bound,
@@ -20,9 +20,9 @@ from .compare import SweepResult, SweepRow, bound_sweep, crossover_threshold
 from .io import Instance, load_instance, save_instance
 
 __all__ = [
-    "DataDistribution", "LossTable", "Sample",
+    "ProbMeasure", "LossTable", "Sample",
     "draw_sample", "sample_blocks", "true_risks", "empirical_risks",
-    "ProbMeasure", "kl_divergence", "gibbs_losses", "gibbs_risk",
+    "kl_divergence", "gibbs_losses", "gibbs_risk",
     "gibbs_empirical_risk", "flatness", "flatness_alternate",
     "FAMILIES", "BoundParams", "BoundReport", "DerivedConstants",
     "mcallester_bound", "catoni_bound", "kst_bound", "matched_catoni_bound",

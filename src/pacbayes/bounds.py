@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import LossTable, Sample
-from .measures import _SUM_TOL, ProbMeasure, flatness, gibbs_empirical_risk
+from .core import _SUM_TOL, LossTable, ProbMeasure, Sample
+from .measures import flatness, gibbs_empirical_risk
 
 _BISECT_TOL = 1e-12
 

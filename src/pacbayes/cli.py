@@ -21,8 +21,7 @@ import sys
 import numpy as np
 
 from .bounds import FAMILIES, BoundParams, evaluate_bound, log_cosh_over_x
-from .core import DataDistribution, LossTable, draw_sample, true_risks
-from .measures import ProbMeasure
+from .core import LossTable, ProbMeasure, draw_sample, true_risks
 from .io import (Instance, append_run_record, fmt, load_config, load_instance,
                  save_instance, write_csv)
 from .posterior_opt import evaluate_posterior_bound, gibbs_posterior, minimize_bound
@@ -70,35 +69,36 @@ def _bound_params(args) -> BoundParams:
     return BoundParams(**{name: getattr(args, flag) for flag, name in _BOUND_FLAGS.items()})
 
 
-def _instance_measures(inst: Instance):
-    prior = inst.prior_or_uniform()
-    posterior = prior if inst.posterior is None else inst.posterior
-    return prior, posterior
+def _fixed_q(inst: Instance) -> ProbMeasure:
+    """The instance's posterior, or its prior when the file gives none."""
+    return inst.prior if inst.posterior is None else inst.posterior
 
 
 POSTERIOR_RULES = ("fixed-Q", "gibbs-posterior", "bound-minimizer")
 # The tempered-posterior grid that minimize_bound starts from.
 BETA_GRID = (0.0, 0.1, 1.0, 10.0)
-# gibbs-posterior's --beta when none is given.
+# gibbs-posterior's --beta and the linear symmetrization's --kappa when none is given.
 GIBBS_BETA = 1.0
+SYMMETRIZATION_KAPPA = 0.5
 
 
-def _resolve_beta(args) -> None:
-    """--beta tempers gibbs-posterior and means nothing to the other rules, so
-    it is an error with them and left out of their config (and its hash)."""
-    if args.rule == "gibbs-posterior":
-        if args.beta is None:
-            args.beta = GIBBS_BETA
-    elif args.beta is not None:
-        raise UsageError(f"--beta applies to --rule gibbs-posterior only, not {args.rule}")
+def _resolve_flag(args, flag: str, read: bool, default: float, where: str) -> None:
+    """A flag only some runs read takes its default there when omitted; given
+    elsewhere it is an error. Unread, it stays out of the config and its hash."""
+    if read:
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+    elif getattr(args, flag) is not None:
+        raise UsageError(f"--{flag} applies to {where} only")
 
 
-def _posterior_rule(args, posterior):
+def _posterior_rule(args, inst: Instance):
     """The rule --rule names, as a function (prior, table, block of samples) ->
     posteriors: fixed-Q keeps the instance posterior, gibbs-posterior tempers
     the prior by --beta, bound-minimizer minimizes the --family bound (20
     refinement steps) for the whole block in one minimize_bound call."""
     if args.rule == "fixed-Q":
+        posterior = _fixed_q(inst)
         return lambda prior, table, s: posterior
     if args.rule == "gibbs-posterior":
         return functools.partial(gibbs_posterior, beta=args.beta)
@@ -128,9 +128,8 @@ def cmd_bounds(args) -> tuple[int, dict]:
         seed = _require_seed(args)
         if args.m is None:
             raise UsageError("--m is required in instance mode")
-        prior, posterior = _instance_measures(inst)
         s = draw_sample(inst.dist, args.m, seed)
-        report = evaluate_posterior_bound(family, params, posterior, prior, inst.table, s)
+        report = evaluate_posterior_bound(family, params, _fixed_q(inst), inst.prior, inst.table, s)
     else:
         if args.emp is None or args.kl is None or args.m is None:
             raise UsageError("closed-form mode needs --emp, --kl and --m")
@@ -151,10 +150,9 @@ def cmd_bounds(args) -> tuple[int, dict]:
 
 def cmd_coverage(args) -> tuple[int, dict]:
     inst = load_instance(args.instance)
-    prior, posterior = _instance_measures(inst)
     family = args.family
     params = _bound_params(args)
-    report = coverage_experiment(inst.table, inst.dist, prior, _posterior_rule(args, posterior),
+    report = coverage_experiment(inst.table, inst.dist, inst.prior, _posterior_rule(args, inst),
                                  family, params, args.m, args.trials, args.seed)
     print(f"family      {family}")
     print(f"trials      {report.trials}")
@@ -181,8 +179,8 @@ def cmd_lemmas(args) -> tuple[int, dict]:
     if which == "debias":
         if args.lambda_over_m is None or args.m is None:
             raise UsageError("debias needs --lambda-over-m and --m")
-        prior, _ = _instance_measures(inst)
-        value = debias_mgf_exact(prior, inst.table, inst.dist, args.lambda_over_m, args.k, args.m)
+        value = debias_mgf_exact(inst.prior, inst.table, inst.dist, args.lambda_over_m, args.k,
+                                 args.m)
         threshold = log_cosh_over_x(args.lambda_over_m)
         applicable = args.k >= threshold
         ok = (not applicable) or value <= 1.0 + 1e-12
@@ -218,12 +216,11 @@ def cmd_lemmas(args) -> tuple[int, dict]:
         summary.update(tail=est.probability, t=t)
     else:  # symmetrization
         seed = _require_seed(args)
-        prior, _ = _instance_measures(inst)
         c2 = args.c2 if args.c2 is not None else 0.5
         m = args.m if args.m is not None else 50
         t = args.t if args.t is not None else 0.2
-        lhs, rhs = symmetrization_tail_mc(inst.table, inst.dist, prior, args.kappa, args.c, c2,
-                                          t, m, args.trials, seed, h=args.h)
+        lhs, rhs = symmetrization_tail_mc(inst.table, inst.dist, inst.prior, args.kappa, args.c,
+                                          c2, t, m, args.trials, seed, h=args.h)
         slack = lhs.wilson_halfwidth + 4.0 * rhs.wilson_halfwidth
         ok = lhs.probability <= 4.0 * rhs.probability + slack
         print(f"lhs tail    {fmt(lhs.probability)} +/- {fmt(lhs.wilson_halfwidth)}")
@@ -238,10 +235,9 @@ def cmd_lemmas(args) -> tuple[int, dict]:
 
 def cmd_duality(args) -> tuple[int, dict]:
     inst = load_instance(args.instance)
-    prior, _ = _instance_measures(inst)
     values = true_risks(inst.table, inst.dist)
-    primal = kl_ball_sup(prior, values, args.kappa)
-    dual = kl_dual_value(prior, values, args.kappa)
+    primal = kl_ball_sup(inst.prior, values, args.kappa)
+    dual = kl_dual_value(inst.prior, values, args.kappa)
     gap = dual - primal
     ok = abs(gap) <= 1e-6
     print(f"primal      {fmt(primal)}")
@@ -256,11 +252,10 @@ def cmd_duality(args) -> tuple[int, dict]:
 
 def cmd_optimize(args) -> tuple[int, dict]:
     inst = load_instance(args.instance)
-    prior, _ = _instance_measures(inst)
     family = args.family
     params = _bound_params(args)
     s = draw_sample(inst.dist, args.m, args.seed)
-    q, report = minimize_bound(family, params, prior, inst.table, s, args.beta_grid,
+    q, report = minimize_bound(family, params, inst.prior, inst.table, s, args.beta_grid,
                                args.refine_steps)
     print(f"family      {family}")
     print(f"value       {fmt(report.value)}")
@@ -272,8 +267,7 @@ def cmd_optimize(args) -> tuple[int, dict]:
 
 def cmd_sweep(args) -> tuple[int, dict]:
     inst = load_instance(args.instance)
-    prior, posterior = _instance_measures(inst)
-    result = bound_sweep(inst.table, inst.dist, prior, _posterior_rule(args, posterior),
+    result = bound_sweep(inst.table, inst.dist, inst.prior, _posterior_rule(args, inst),
                          args.c, args.h, args.delta, args.m_grid, args.trials, args.seed)
     rows = [[r.m, r.catoni_mean, r.flatness_mean, r.T_m_mean, r.kl_mean, r.crossover_flag]
             for r in result.rows]
@@ -294,7 +288,7 @@ def cmd_gen_instance(args) -> tuple[int, dict]:
         loss = np.round(gen.random((n_h, n_z)), 3)
     else:
         loss = gen.integers(0, 2, size=(n_h, n_z)).astype(float)
-    inst = Instance(dist=DataDistribution(probs), table=LossTable(loss),
+    inst = Instance(dist=ProbMeasure(probs), table=LossTable(loss),
                     prior=ProbMeasure.uniform(n_h))
     save_instance(inst, args.out)
     print(f"wrote {args.out} ({n_h} hypotheses, {n_z} points, "
@@ -364,7 +358,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--h", type=float)
     p.add_argument("--f", type=int, default=0)
     p.add_argument("--t", type=float)
-    p.add_argument("--kappa", type=float, default=0.5)
+    p.add_argument("--kappa", type=float,
+                   help=f"linear symmetrization only (default {SYMMETRIZATION_KAPPA})")
     p.add_argument("--trials", type=int, default=10000)
     p.add_argument("--force", action="store_true")
 
@@ -448,7 +443,11 @@ def main(argv=None) -> int:
                 argv[at:at] = _config_flags(known.config, command, _SUBPARSERS[command])
         args = _PARSER.parse_args(argv)
         if hasattr(args, "rule"):
-            _resolve_beta(args)
+            _resolve_flag(args, "beta", args.rule == "gibbs-posterior", GIBBS_BETA,
+                          "--rule gibbs-posterior")
+        if command == "lemmas":
+            _resolve_flag(args, "kappa", args.which == "symmetrization" and args.h is None,
+                          SYMMETRIZATION_KAPPA, "--which symmetrization without --h")
         config = {k: v for k, v in vars(args).items()
                   if k not in _NOT_HASHED and v is not None}
         seed = getattr(args, "seed", None)

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import catoni_C_for_inflation, catoni_bound, flatness_bound
-from .core import DataDistribution, LossTable, sample_blocks
-from .measures import ProbMeasure, gibbs_losses, kl_divergence
+from .core import LossTable, ProbMeasure, sample_blocks
+from .measures import gibbs_losses, kl_divergence
 
 
 def crossover_threshold(T_m: float, C_r: float, C_c: float, kl: float, delta: float) -> float:
@@ -44,7 +44,7 @@ class SweepResult:
     crossover_m: float  # +inf when no grid point crosses
 
 
-def bound_sweep(table: LossTable, dist: DataDistribution, prior: ProbMeasure,
+def bound_sweep(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
                 rule, c: float, h: float, delta: float, m_grid, trials: int,
                 seed: int) -> SweepResult:
     """Mean flatness and aligned-Catoni bounds per sample size, on shared samples.

@@ -1,8 +1,8 @@
-"""Finite data spaces, exact distributions, sampling, and per-hypothesis risks.
+"""Probability measures on finite sets, loss tables, samples, and true risks.
 
-The data distribution is finite with known probabilities, so the usually
-unknown quantities (true risk, true Gibbs risk) are exact dot products.
-That is what makes bound-coverage certification possible at desk scale.
+The data distribution D, the prior P and the posterior Q are all ProbMeasures.
+D is known exactly, so the usually unknown quantities (true risk, true Gibbs
+risk) are dot products: that makes bound-coverage certification possible.
 """
 
 from __future__ import annotations
@@ -17,26 +17,50 @@ _SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class DataDistribution:
-    """Known categorical distribution over a finite space of labeled examples."""
+class ProbMeasure:
+    """Probability vector over a finite set: D over the points, P or Q over the
+    hypotheses. weights [..., n]: leading axes hold one measure per sample of
+    a block (D never has them), and every check applies to each row."""
 
-    probs: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=float)
-        if p.ndim != 1 or p.size == 0:
-            raise ValueError("probs must be a nonempty 1-d vector")
-        if np.any(p < 0):
-            raise ValueError("probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > _SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1 (got {p.sum()!r})")
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "probs", p)
+        w = np.asarray(self.weights, dtype=float)
+        if w.ndim == 0 or w.size == 0:
+            raise ValueError("weights must be a nonempty vector, or a block of them")
+        # Each check asks that the good case hold, which NaN never does.
+        if not (w >= 0).all():
+            raise ValueError("weights must be nonnegative numbers")
+        total = w.sum(axis=-1)
+        off = ~(np.abs(total - 1.0) <= _SUM_TOL)
+        if off.any():
+            raise ValueError(f"weights must sum to 1 (got {float(total[off].flat[0])!r})")
+        w = w.copy()
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
 
     @property
-    def point_count(self) -> int:
-        return self.probs.size
+    def size(self) -> int:
+        return self.weights.shape[-1]
+
+    @staticmethod
+    def uniform(n: int) -> "ProbMeasure":
+        return ProbMeasure(np.full(n, 1.0 / n))
+
+    @staticmethod
+    def point_mass(n: int, f: int) -> "ProbMeasure":
+        w = np.zeros(n)
+        w[f] = 1.0
+        return ProbMeasure(w)
+
+    @staticmethod
+    def normalized(raw) -> "ProbMeasure":
+        """raw / its sum, row by row."""
+        raw = np.asarray(raw, dtype=float)
+        total = raw.sum(axis=-1, keepdims=True)
+        if (total <= 0).any():
+            raise ValueError("cannot normalize a vector with nonpositive total mass")
+        return ProbMeasure(raw / total)
 
 
 @dataclass(frozen=True)
@@ -55,8 +79,8 @@ class LossTable:
         a = np.asarray(self.loss, dtype=float)
         if a.ndim != 2 or a.size == 0:
             raise ValueError("loss must be a nonempty 2-d matrix")
-        if np.any(a < 0) or np.any(a > 1):
-            raise ValueError("loss entries must lie in [0, 1]")
+        if not ((a >= 0) & (a <= 1)).all():
+            raise ValueError("loss entries must be numbers in [0, 1]")
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "loss", a)
@@ -130,19 +154,21 @@ class Sample:
         return np.matvec(self._per_point(table), self.counts) / self.m
 
 
-def draw_sample(dist: DataDistribution, m: int, seed: int, *subkeys: int,
+def draw_sample(dist: ProbMeasure, m: int, seed: int, *subkeys: int,
                 size: int | None = None) -> Sample:
     """Draw m i.i.d. points from dist, or a block of `size` such samples (counts
     [size, n_z]) from one multinomial call. Identical (dist, m, seed, subkeys)
     give identical samples, and a smaller size draws a prefix of the same
     block; subkeys select independent streams (e.g. trial or block index)."""
+    if dist.weights.ndim != 1:
+        raise ValueError("the data distribution must be one vector, not a block")
     if m < 1:
         raise ValueError("sample size m must be >= 1")
     if size is not None and size < 1:
         raise ValueError("a block must hold at least one sample")
-    # Renormalize: dist.probs may sum to 1 only within tolerance, which the
+    # Renormalize: dist.weights may sum to 1 only within tolerance, which the
     # multinomial rejects when an entry lands above 1.
-    probs = dist.probs / dist.probs.sum()
+    probs = dist.weights / dist.weights.sum()
     counts = stream(seed, *subkeys).multinomial(m, probs, size=size)
     return Sample(counts=counts)
 
@@ -151,7 +177,7 @@ def draw_sample(dist: DataDistribution, m: int, seed: int, *subkeys: int,
 BLOCK = 1024
 
 
-def sample_blocks(dist: DataDistribution, m: int, trials: int, seed: int, *subkeys: int):
+def sample_blocks(dist: ProbMeasure, m: int, trials: int, seed: int, *subkeys: int):
     """The samples of trials 0..trials-1 in blocks of at most BLOCK: yields
     (first trial, block Sample with counts [T, n_z]). Block b is one draw_sample
     call keyed by (seed, *subkeys, b), so trial t's sample is the same
@@ -161,11 +187,11 @@ def sample_blocks(dist: DataDistribution, m: int, trials: int, seed: int, *subke
                                  size=min(BLOCK, trials - start))
 
 
-def true_risks(table: LossTable, dist: DataDistribution) -> np.ndarray:
+def true_risks(table: LossTable, dist: ProbMeasure) -> np.ndarray:
     """Vector of R(f) = sum_z dist(z) * loss[f, z] for every hypothesis."""
-    if table.point_count != dist.point_count:
-        raise ValueError("loss table and distribution disagree on point count")
-    return table.loss @ dist.probs
+    if dist.weights.shape != (table.point_count,):
+        raise ValueError("the data distribution must be one vector over the table's points")
+    return table.loss @ dist.weights
 
 
 def empirical_risks(table: LossTable, s: Sample) -> np.ndarray:

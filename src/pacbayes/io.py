@@ -2,8 +2,8 @@
 
 Instance file: UTF-8 text with `#` comments. Sections `space` (probabilities),
 `losses` (row-major matrix), `binary` (flag), and optional `prior` /
-`posterior` weight lists. Section data may follow the header inline or on
-subsequent lines.
+`posterior` weight lists; the prior is uniform when the file gives none.
+Section data may follow the header inline or on subsequent lines.
 
 Config file: `section.key = value` lines; command-line flags win on conflict.
 Run log: append-only JSON lines, one record per invocation.
@@ -20,21 +20,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DataDistribution, LossTable
-from .measures import ProbMeasure
+from .core import LossTable, ProbMeasure
 
 _SECTIONS = ("space", "losses", "binary", "prior", "posterior")
 
 
 @dataclass(frozen=True)
 class Instance:
-    dist: DataDistribution
+    dist: ProbMeasure
     table: LossTable
-    prior: ProbMeasure | None = None
+    prior: ProbMeasure
     posterior: ProbMeasure | None = None
-
-    def prior_or_uniform(self) -> ProbMeasure:
-        return self.prior if self.prior is not None else ProbMeasure.uniform(self.table.hypothesis_count)
 
 
 def _strip(line: str) -> str:
@@ -64,14 +60,10 @@ def parse_instance(text: str) -> Instance:
     if "space" not in sections or "losses" not in sections:
         raise ValueError("instance file needs `space` and `losses` sections")
 
-    probs = np.array([float(x) for row in sections["space"] for x in row.split()])
-    dist = DataDistribution(probs)
     rows = [[float(x) for x in row.split()] for row in sections["losses"]]
     if len({len(r) for r in rows}) != 1:
         raise ValueError("loss rows must all have the same length")
     table = LossTable(np.array(rows))
-    if table.point_count != dist.point_count:
-        raise ValueError("loss matrix width must match the data space size")
     if "binary" in sections:
         flag_text = " ".join(sections["binary"]).lower()
         if flag_text not in ("true", "false"):
@@ -79,15 +71,20 @@ def parse_instance(text: str) -> Instance:
         if (flag_text == "true") != table.binary_flag:
             raise ValueError("declared binary flag contradicts the loss entries")
 
-    def measure(name):
-        if name not in sections:
-            return None
-        w = np.array([float(x) for row in sections[name] for x in row.split()])
-        if w.size != table.hypothesis_count:
-            raise ValueError(f"{name} length must match the hypothesis count")
-        return ProbMeasure(w)
+    def measure(name, n):
+        """The section's weights as a ProbMeasure of size n; errors name the section."""
+        try:
+            w = np.array([float(x) for row in sections[name] for x in row.split()])
+            if w.size != n:
+                raise ValueError(f"{w.size} entries where the loss matrix needs {n}")
+            return ProbMeasure(w)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
 
-    return Instance(dist=dist, table=table, prior=measure("prior"), posterior=measure("posterior"))
+    dist, n_h = measure("space", table.point_count), table.hypothesis_count
+    prior = measure("prior", n_h) if "prior" in sections else ProbMeasure.uniform(n_h)
+    posterior = measure("posterior", n_h) if "posterior" in sections else None
+    return Instance(dist, table, prior, posterior)
 
 
 def load_instance(path) -> Instance:
@@ -98,11 +95,10 @@ def format_instance(inst: Instance) -> str:
     def vec(v):
         return " ".join(fmt(x) for x in v)
 
-    lines = ["# pacbayes problem instance", "space: " + vec(inst.dist.probs), "losses:"]
+    lines = ["# pacbayes problem instance", "space: " + vec(inst.dist.weights), "losses:"]
     lines += [vec(row) for row in inst.table.loss]
     lines.append(f"binary: {'true' if inst.table.binary_flag else 'false'}")
-    if inst.prior is not None:
-        lines.append("prior: " + vec(inst.prior.weights))
+    lines.append("prior: " + vec(inst.prior.weights))
     if inst.posterior is not None:
         lines.append("posterior: " + vec(inst.posterior.weights))
     return "\n".join(lines) + "\n"

@@ -1,64 +1,13 @@
-"""Probability measures over the loss class, KL divergence, Gibbs risks,
+"""Functionals of core.ProbMeasure posteriors: KL divergence, Gibbs risks,
 and the flatness functional of the empirical risk surface."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DataDistribution, LossTable, Sample
-
-_SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ProbMeasure:
-    """Probability vector over the hypothesis class; serves as prior P or posterior Q.
-
-    weights [..., n_h]: leading axes hold one measure per sample of a block,
-    and every check applies to each row.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim == 0 or w.size == 0:
-            raise ValueError("weights must be a nonempty vector, or a block of them")
-        if (w < 0).any():
-            raise ValueError("weights must be nonnegative")
-        total = w.sum(axis=-1)
-        off = np.abs(total - 1.0) > _SUM_TOL
-        if off.any():
-            raise ValueError(f"weights must sum to 1 (got {float(total[off].flat[0])!r})")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def size(self) -> int:
-        return self.weights.shape[-1]
-
-    @staticmethod
-    def uniform(n: int) -> "ProbMeasure":
-        return ProbMeasure(np.full(n, 1.0 / n))
-
-    @staticmethod
-    def point_mass(n: int, f: int) -> "ProbMeasure":
-        w = np.zeros(n)
-        w[f] = 1.0
-        return ProbMeasure(w)
-
-    @staticmethod
-    def normalized(raw) -> "ProbMeasure":
-        """raw / its sum, row by row."""
-        raw = np.asarray(raw, dtype=float)
-        total = raw.sum(axis=-1, keepdims=True)
-        if (total <= 0).any():
-            raise ValueError("cannot normalize a vector with nonpositive total mass")
-        return ProbMeasure(raw / total)
+from .core import LossTable, ProbMeasure, Sample
 
 
 def _check_hypotheses(q: ProbMeasure, table: LossTable) -> None:
@@ -90,12 +39,12 @@ def gibbs_losses(q: ProbMeasure, table: LossTable, s: Sample) -> np.ndarray:
     return np.vecmat(q.weights, table.loss)
 
 
-def gibbs_risk(q: ProbMeasure, table: LossTable, dist: DataDistribution):
+def gibbs_risk(q: ProbMeasure, table: LossTable, dist: ProbMeasure):
     """Exact Gibbs risk E_{f~Q} R(f), one value per row of q."""
     _check_hypotheses(q, table)
-    if table.point_count != dist.point_count:
-        raise ValueError("loss table and distribution disagree on point count")
-    return np.vecdot(np.vecmat(q.weights, table.loss), dist.probs)
+    if dist.weights.shape != (table.point_count,):
+        raise ValueError("the data distribution must be one vector over the table's points")
+    return np.vecdot(np.vecmat(q.weights, table.loss), dist.weights)
 
 
 def gibbs_empirical_risk(q: ProbMeasure, table: LossTable, s: Sample):

@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import FAMILIES, BoundParams, BoundReport, evaluate_bound, flatness_bound
-from .core import LossTable, Sample, empirical_risks
-from .measures import ProbMeasure, gibbs_empirical_risk, kl_divergence
+from .core import LossTable, ProbMeasure, Sample, empirical_risks
+from .measures import gibbs_empirical_risk, kl_divergence
 
 
 def gibbs_posterior(p: ProbMeasure, table: LossTable, s: Sample, beta: float) -> ProbMeasure:

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .core import DataDistribution, LossTable, empirical_risks, sample_blocks, true_risks
-from .measures import ProbMeasure
+from .core import LossTable, ProbMeasure, empirical_risks, sample_blocks, true_risks
 from .rng import stream
 
 _Z95 = 1.959963984540054
@@ -171,7 +170,7 @@ def kl_dual_value(p: ProbMeasure, values, kappa: float) -> float:
     return min(fb, float(res.fun))
 
 
-def debias_mgf_exact(p: ProbMeasure, table: LossTable, dist: DataDistribution,
+def debias_mgf_exact(p: ProbMeasure, table: LossTable, dist: ProbMeasure,
                      lambda_over_m: float, k: float, m: int) -> float:
     """Exact E_P[((1 - R(f)) + cosh(lam/m) e^{-k lam/m} R(f))^m].
 
@@ -260,7 +259,7 @@ def lemma_a3_threshold(m: int, c2: float, h: float) -> float:
     return (1.0 + c2) * (1.0 + c2 * h * h) / (m * c2 * h * h)
 
 
-def shifted_flatness_tail_mc(table: LossTable, f: int, dist: DataDistribution,
+def shifted_flatness_tail_mc(table: LossTable, f: int, dist: ProbMeasure,
                              m: int, c2: float, h: float, t: float,
                              trials: int, seed: int) -> TailEstimate:
     """MC frequency of R(f) - (1+c2) Remp(f) + c2 (1-h^2) Remp(f^2) >= t/2.
@@ -276,7 +275,7 @@ def shifted_flatness_tail_mc(table: LossTable, f: int, dist: DataDistribution,
     if not 0 <= f < table.hypothesis_count:
         raise ValueError("hypothesis index out of range")
     row = table.loss[f]
-    r = float(row @ dist.probs)
+    r = float(row @ dist.weights)
     # stat = r - (1+c2) Remp(f) + c2 (1-h^2) Remp(f^2) = r - (sample mean of `shifted`)
     shifted = (1.0 + c2) * row - c2 * (1.0 - h * h) * row * row
     hits = 0
@@ -285,7 +284,7 @@ def shifted_flatness_tail_mc(table: LossTable, f: int, dist: DataDistribution,
     return _tail_estimate(hits, trials)
 
 
-def symmetrization_tail_mc(table: LossTable, dist: DataDistribution, prior: ProbMeasure,
+def symmetrization_tail_mc(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
                            kappa: float, c: float, c2: float, t: float, m: int,
                            trials: int, seed: int,
                            h: float | None = None) -> tuple[TailEstimate, TailEstimate]:

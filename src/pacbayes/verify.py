@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as beta_dist
+from scipy.special import betaincinv
 
 from .bounds import BoundParams
-from .core import DataDistribution, LossTable, sample_blocks
-from .measures import ProbMeasure, gibbs_risk
+from .core import LossTable, ProbMeasure, sample_blocks
+from .measures import gibbs_risk
 from .posterior_opt import evaluate_posterior_bound
 
 
@@ -50,10 +50,10 @@ def clopper_pearson_upper(violations: int, trials: int, confidence: float) -> fl
         raise ValueError("confidence must lie in (0, 1)")
     if violations == trials:
         return 1.0
-    return float(beta_dist.ppf(confidence, violations + 1, trials - violations))
+    return float(betaincinv(violations + 1, trials - violations, confidence))
 
 
-def coverage_experiment(table: LossTable, dist: DataDistribution, prior: ProbMeasure,
+def coverage_experiment(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
                         rule, family: str, params: BoundParams, m: int, trials: int,
                         seed: int) -> CoverageReport:
     """Count how often the certificate fails against the exact true Gibbs risk.

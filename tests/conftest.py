@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pacbayes import DataDistribution, LossTable, ProbMeasure
+from pacbayes import LossTable, ProbMeasure
 
 
 def random_instance(rng, n_h=5, n_z=4, binary=True):
@@ -11,7 +11,7 @@ def random_instance(rng, n_h=5, n_z=4, binary=True):
         loss = rng.integers(0, 2, size=(n_h, n_z)).astype(float)
     else:
         loss = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=(n_h, n_z))
-    return DataDistribution(probs), LossTable(loss)
+    return ProbMeasure(probs), LossTable(loss)
 
 
 def random_measure(rng, n):

@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pacbayes import (BoundParams, DataDistribution, LossTable, ProbMeasure,
+from pacbayes import (BoundParams, LossTable, ProbMeasure,
                       bound_sweep, catoni_C_for_inflation, catoni_prefactor,
                       coverage_experiment, crossover_threshold,
                       debias_mgf_exact, derive_matched_catoni_constants,
@@ -181,7 +181,7 @@ def test_08_coverage_soundness():
 def test_09_fast_vs_slow_rate():
     # low-risk instance: the posterior sits on a hypothesis with risk 0.01
     table = LossTable([[1, 0], [1, 1]])
-    dist = DataDistribution([0.01, 0.99])
+    dist = ProbMeasure([0.01, 0.99])
     prior = ProbMeasure.uniform(2)
     q = ProbMeasure.point_mass(2, 0)
     kw = dict(rule=lambda prior, table, s: q, m=10 ** 4, trials=100, seed=9)
@@ -213,7 +213,7 @@ def test_11_crossover():
     # near-flat instance: point-mass posterior (completely flat) with
     # nonzero risk 0.3; uniform prior over 5 hypotheses gives kl = log 5
     table = LossTable([[1, 0]] * 5)
-    dist = DataDistribution([0.3, 0.7])
+    dist = ProbMeasure([0.3, 0.7])
     prior = ProbMeasure.uniform(5)
     q = ProbMeasure.point_mass(5, 0)
     c, h, delta = 1.0, 0.9, 0.05

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pacbayes import (FAMILIES, BoundParams, DataDistribution, LossTable, ProbMeasure, Sample,
+from pacbayes import (FAMILIES, BoundParams, LossTable, ProbMeasure, Sample,
                       bound_sweep, coverage_experiment, draw_sample, evaluate_posterior_bound,
                       flatness_bound, gibbs_empirical_risk, gibbs_posterior, kl_divergence)
 from pacbayes.cli import main
@@ -147,7 +147,7 @@ class TestPosteriorOutsidePriorSupport:
         # The fixed posterior puts mass on a hypothesis the prior excludes: KL
         # is +inf, so every bound of every trial is the vacuous +inf.
         table = LossTable([[1, 0], [0, 1], [1, 1]])
-        dist = DataDistribution([0.4, 0.6])
+        dist = ProbMeasure([0.4, 0.6])
         prior = ProbMeasure([0.5, 0.5, 0.0])
         q = ProbMeasure([0.2, 0.2, 0.6])
         with warnings.catch_warnings():

@@ -129,7 +129,7 @@ class TestCoverage:
                                                (0.0, 0.1, 1.0, 10.0), 20)[0].weights
                                 for s in block.rows()])
 
-        rep = coverage_experiment(inst.table, inst.dist, inst.prior_or_uniform(), rule,
+        rep = coverage_experiment(inst.table, inst.dist, inst.prior, rule,
                                   "catoni", params, m=30, trials=60, seed=2)
         write_csv(expected, ["family", "trials", "violations", "cp_upper", "mean_slack"],
                   [["catoni", rep.trials, rep.violations, rep.clopper_pearson_upper,
@@ -348,10 +348,14 @@ class TestUsageContract:
           "--rule", "bound-minimizer", "--beta", "1"], None, "coverage"),
         (["coverage", "--family", "kst", "--instance", "INST", "--seed", "1",
           "--rule", "fixed-Q"], "coverage.beta = 1\n", "coverage"),
+        (["lemmas", "--which", "symmetrization", "--instance", "INST", "--seed", "3",
+          "--trials", "50", "--h", "0.5", "--kappa", "0.1"], None, "lemmas"),
+        (["lemmas", "--which", "debias", "--instance", "INST", "--m", "5",
+          "--lambda-over-m", "0.5", "--kappa", "0.5"], None, "lemmas"),
     ], ids=["duality-no-instance", "optimize-no-instance", "sweep-no-instance",
             "debias-no-instance", "unknown-flag", "bad-family", "config-bad-rule",
             "unknown-command", "beta-with-fixed-Q", "beta-with-bound-minimizer",
-            "config-beta-with-fixed-Q"])
+            "config-beta-with-fixed-Q", "kappa-with-h", "kappa-with-debias"])
     def test_usage_error_exits_2_with_one_record(self, argv, config, command, tmp_path,
                                                  inst_file, log_file, capsys):
         prefix = ["--log", log_file]
@@ -429,6 +433,38 @@ class TestUsageContract:
         default, one, five = (json.loads(line)["config_hash"]
                               for line in open(log_file).read().splitlines()[1:])
         assert default == one != five
+
+    @pytest.mark.parametrize("old, new, named, argv", [
+        ("1 0 1\n", "nan 0 1\n", "loss entries ", ["duality"]),
+        ("space: 0.2 0.3 0.5", "space: 0.2 nan 0.5", "space: ", ["duality"]),
+        ("prior: 0.25 0.25 0.25 0.25", "prior: nan nan nan nan", "prior: ", ["duality"]),
+        ("posterior: 0.7 0.1 0.1 0.1", "posterior: nan 0.1 0.1 0.1", "posterior: ",
+         ["sweep", "--m-grid", "10", "--seed", "1"]),
+    ], ids=["losses", "space", "prior", "posterior"])
+    def test_nan_in_the_instance_exits_2_naming_it(self, old, new, named, argv, tmp_path,
+                                                    log_file, capsys):
+        inst = tmp_path / "nan.txt"
+        inst.write_text(INSTANCE.replace(old, new, 1))
+        assert run(argv + ["--instance", str(inst)], log_file) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}")
+        assert "Traceback" not in err
+        (rec,) = [json.loads(line) for line in open(log_file).read().splitlines()]
+        assert rec["exit_code"] == 2
+
+    def test_kappa_is_hashed_only_for_the_lemma_that_reads_it(self, tmp_path, inst_file,
+                                                              log_file):
+        argv = ["lemmas", "--which", "symmetrization", "--instance", inst_file,
+                "--seed", "3", "--trials", "200"]
+        outs = [tmp_path / f"{n}.csv" for n in range(3)]
+        assert run(argv + ["--out", str(outs[0])], log_file) == 0
+        assert run(argv + ["--kappa", "0.5", "--out", str(outs[1])], log_file) == 0
+        assert run(argv + ["--h", "0.5", "--out", str(outs[2])], log_file) == 0
+        # The default kappa is kappa = 0.5, in the output and in the hash.
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        records = [json.loads(line) for line in open(log_file).read().splitlines()]
+        default, half, quadratic = (r["config_hash"] for r in records)
+        assert default == half != quadratic
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

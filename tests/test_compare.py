@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from pacbayes import (DataDistribution, LossTable, ProbMeasure, bound_sweep,
+from pacbayes import (LossTable, ProbMeasure, bound_sweep,
                       crossover_threshold, gibbs_posterior)
 
 from conftest import random_instance
@@ -74,7 +74,7 @@ class TestBoundSweep:
         # h^2 * empirical, so for large m and h near 1 the quadratic advantage
         # shows up and the flatness bound undercuts the aligned Catoni bound.
         table = LossTable([[1, 0]] * 5)
-        dist = DataDistribution([0.3, 0.7])
+        dist = ProbMeasure([0.3, 0.7])
         prior = ProbMeasure.uniform(5)
         q = ProbMeasure.point_mass(5, 0)
         res = bound_sweep(table, dist, prior, lambda prior, table, s: q, c=1.0, h=0.9,

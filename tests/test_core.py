@@ -1,32 +1,55 @@
+import math
+
 import numpy as np
 import pytest
 
-from pacbayes import (DataDistribution, LossTable, Sample, draw_sample, empirical_risks,
-                      sample_blocks, true_risks)
+from pacbayes import (LossTable, ProbMeasure, Sample, draw_sample, empirical_risks,
+                      gibbs_risk, sample_blocks, true_risks)
 from pacbayes.core import BLOCK
 
 from conftest import random_instance
 
 
-class TestDataDistribution:
+class TestProbMeasure:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
-            DataDistribution([0.5, 0.4])
+            ProbMeasure([0.5, 0.4])
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            DataDistribution([1.5, -0.5])
+            ProbMeasure([1.5, -0.5])
+
+    @pytest.mark.parametrize("weights", [[math.nan, 0.5], [math.nan, math.nan],
+                                         [[0.5, 0.5], [1.0, math.nan]]])
+    def test_rejects_nan(self, weights):
+        with pytest.raises(ValueError, match="nonnegative numbers"):
+            ProbMeasure(weights)
 
     def test_immutable(self):
-        d = DataDistribution([0.5, 0.5])
+        d = ProbMeasure([0.5, 0.5])
         with pytest.raises(ValueError):
-            d.probs[0] = 1.0
+            d.weights[0] = 1.0
+
+
+@pytest.mark.parametrize("use", [
+    lambda dist: draw_sample(dist, 5, seed=0),
+    lambda dist: true_risks(LossTable([[1, 0]]), dist),
+    lambda dist: gibbs_risk(ProbMeasure([1.0]), LossTable([[1, 0]]), dist),
+], ids=["draw_sample", "true_risks", "gibbs_risk"])
+def test_a_block_is_not_a_data_distribution(use):
+    block = ProbMeasure([[0.5, 0.5], [0.2, 0.8]])
+    with pytest.raises(ValueError, match="one vector"):
+        use(block)
 
 
 class TestLossTable:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             LossTable([[0.0, 1.2]])
+
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="numbers in"):
+            LossTable([[math.nan, 0.0]])
 
     def test_binary_flag_iff(self):
         assert LossTable([[0, 1], [1, 0]]).binary_flag
@@ -35,30 +58,30 @@ class TestLossTable:
 
 class TestDrawSample:
     def test_point_mass(self):
-        d = DataDistribution([1.0, 0.0])
+        d = ProbMeasure([1.0, 0.0])
         s = draw_sample(d, 5, seed=99)
         assert list(s.counts) == [5, 0]
 
     def test_law_of_large_numbers(self):
-        d = DataDistribution([0.5, 0.5])
+        d = ProbMeasure([0.5, 0.5])
         s = draw_sample(d, 10 ** 5, seed=1)
         freq0 = s.counts[0] / s.m
         assert abs(freq0 - 0.5) <= 0.01
 
     def test_determinism(self):
-        d = DataDistribution([0.25, 0.25, 0.5])
+        d = ProbMeasure([0.25, 0.25, 0.5])
         a = draw_sample(d, 1000, seed=42)
         b = draw_sample(d, 1000, seed=42)
         assert a.counts.tobytes() == b.counts.tobytes()
 
     def test_zero_m_rejected(self):
         with pytest.raises(ValueError):
-            draw_sample(DataDistribution([1.0]), 0, seed=0)
+            draw_sample(ProbMeasure([1.0]), 0, seed=0)
 
     def test_probs_summing_to_one_within_tolerance(self):
-        # Accepted by DataDistribution, but an entry lies above 1, which the
+        # Accepted by ProbMeasure, but an entry lies above 1, which the
         # multinomial rejects unless the draw renormalizes.
-        d = DataDistribution([1 + 9e-13, 0.0])
+        d = ProbMeasure([1 + 9e-13, 0.0])
         s = draw_sample(d, 7, seed=5)
         assert list(s.counts) == [7, 0]
 
@@ -84,22 +107,22 @@ class TestSample:
 class TestRisks:
     def test_true_risk_zero_row(self):
         t = LossTable([[0, 0], [1, 1]])
-        d = DataDistribution([0.4, 0.6])
+        d = ProbMeasure([0.4, 0.6])
         assert true_risks(t, d)[0] == 0.0
 
     def test_true_risk_symmetry(self):
         t = LossTable([[1, 0]])
-        d = DataDistribution([0.5, 0.5])
+        d = ProbMeasure([0.5, 0.5])
         assert true_risks(t, d)[0] == 0.5
 
     def test_true_risk_dot_product(self):
         t = LossTable([[1, 0]])
-        d = DataDistribution([0.3, 0.7])
+        d = ProbMeasure([0.3, 0.7])
         assert true_risks(t, d)[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_true_risks_point_count_mismatch(self):
         with pytest.raises(ValueError):
-            true_risks(LossTable([[1, 0]]), DataDistribution([0.5, 0.25, 0.25]))
+            true_risks(LossTable([[1, 0]]), ProbMeasure([0.5, 0.25, 0.25]))
 
     def test_empirical_risk_all_ones(self):
         t = LossTable([[1, 1]])
@@ -122,7 +145,7 @@ class TestProperties:
         dist, table = random_instance(rng, n_h=3, n_z=5)
         f = 1
         r = true_risks(table, dist)[f]
-        var = float(dist.probs @ (table.loss[f] - r) ** 2)
+        var = float(dist.weights @ (table.loss[f] - r) ** 2)
         n_trials, m = 10 ** 4, 20
         total = 0.0
         for i in range(n_trials):
@@ -154,7 +177,7 @@ class TestProperties:
 
 class TestBlocks:
     def test_block_rows_are_samples_of_size_m(self):
-        d = DataDistribution([0.2, 0.3, 0.5])
+        d = ProbMeasure([0.2, 0.3, 0.5])
         s = draw_sample(d, 40, 3, 1, size=6)
         assert s.counts.shape == (6, 3) and s.m == 40 and s.point_count == 3
         assert [row.m for row in s.rows()] == [40] * 6
@@ -168,16 +191,16 @@ class TestBlocks:
         with pytest.raises(ValueError):
             Sample(np.zeros((2, 0), dtype=int))
         with pytest.raises(ValueError):
-            draw_sample(DataDistribution([1.0]), 3, 0, size=0)
+            draw_sample(ProbMeasure([1.0]), 3, 0, size=0)
 
     def test_smaller_block_draws_a_prefix(self):
-        d = DataDistribution([0.1, 0.2, 0.3, 0.4])
+        d = ProbMeasure([0.1, 0.2, 0.3, 0.4])
         big = draw_sample(d, 25, 7, 2, size=50)
         small = draw_sample(d, 25, 7, 2, size=17)
         assert np.array_equal(small.counts, big.counts[:17])
 
     def test_sample_blocks_do_not_depend_on_trial_count(self):
-        d = DataDistribution([0.25, 0.25, 0.5])
+        d = ProbMeasure([0.25, 0.25, 0.5])
         few = [(start, s.counts) for start, s in sample_blocks(d, 9, BLOCK + 5, 4)]
         many = np.concatenate([s.counts for _, s in sample_blocks(d, 9, 2 * BLOCK + 3, 4)])
         assert [start for start, _ in few] == [0, BLOCK]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pacbayes import DataDistribution, Instance, LossTable, ProbMeasure
+from pacbayes import ProbMeasure
 from pacbayes.io import (append_run_record, fmt, format_instance, load_config,
                          load_instance, parse_config, parse_instance,
                          save_instance, write_csv)
@@ -24,7 +24,7 @@ posterior: 0.9 0.1
 class TestParseInstance:
     def test_full_roundtrip_fields(self):
         inst = parse_instance(SAMPLE)
-        assert np.allclose(inst.dist.probs, [0.3, 0.7])
+        assert np.allclose(inst.dist.weights, [0.3, 0.7])
         assert inst.table.loss.shape == (2, 2)
         assert inst.table.binary_flag
         assert np.allclose(inst.prior.weights, [0.5, 0.5])
@@ -32,12 +32,24 @@ class TestParseInstance:
 
     def test_inline_losses(self):
         inst = parse_instance("space: 1.0\nlosses: 0.5\nbinary: false\n")
-        assert inst.table.loss[0, 0] == 0.5
-        assert inst.prior is None and inst.posterior is None
+        assert inst.posterior is None
 
-    def test_prior_or_uniform_default(self):
-        inst = parse_instance("space: 0.5 0.5\nlosses:\n1 0\n0 1\n")
-        assert np.allclose(inst.prior_or_uniform().weights, [0.5, 0.5])
+    def test_missing_prior_is_uniform_and_written_back(self):
+        inst = parse_instance("space: 0.5 0.5\nlosses:\n1 0\n0 1\n0 0\n")
+        assert np.array_equal(inst.prior.weights, ProbMeasure.uniform(3).weights)
+        text = format_instance(inst)
+        assert "prior: " + " ".join(fmt(w) for w in inst.prior.weights) in text.splitlines()
+        assert np.array_equal(parse_instance(text).prior.weights, inst.prior.weights)
+
+    @pytest.mark.parametrize("text, named", [
+        ("space: nan 0.5\nlosses:\n1 0\n", "space: "),
+        ("space: 0.5 0.5\nlosses:\nnan 0\n", "loss entries "),
+        ("space: 0.5 0.5\nlosses:\n1 0\n0 1\nprior: nan nan\n", "prior: "),
+        ("space: 0.5 0.5\nlosses:\n1 0\n0 1\nposterior: 0.5 nan\n", "posterior: "),
+    ], ids=["space", "losses", "prior", "posterior"])
+    def test_nan_is_rejected_naming_the_section(self, text, named):
+        with pytest.raises(ValueError, match=f"^{named}"):
+            parse_instance(text)
 
     def test_missing_sections(self):
         with pytest.raises(ValueError):
@@ -72,7 +84,7 @@ class TestParseInstance:
         path = tmp_path / "inst.txt"
         save_instance(inst, path)
         again = load_instance(path)
-        assert np.array_equal(inst.dist.probs, again.dist.probs)
+        assert np.array_equal(inst.dist.weights, again.dist.weights)
         assert np.array_equal(inst.table.loss, again.table.loss)
         assert np.array_equal(inst.posterior.weights, again.posterior.weights)
         # a second round trip is byte-identical

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pacbayes import (DataDistribution, LossTable, ProbMeasure, Sample, draw_sample, flatness,
+from pacbayes import (LossTable, ProbMeasure, Sample, draw_sample, flatness,
                       flatness_alternate, gibbs_empirical_risk, gibbs_losses,
                       gibbs_risk, kl_divergence, true_risks)
 
@@ -91,7 +91,7 @@ class TestGibbsRisks:
 
     def test_gibbs_risk_uniform_symmetry(self):
         t = LossTable([[1, 0], [0, 1]])
-        d = DataDistribution([0.5, 0.5])
+        d = ProbMeasure([0.5, 0.5])
         assert gibbs_risk(ProbMeasure.uniform(2), t, d) == 0.5
 
     def test_gibbs_risk_linearity(self, rng):
@@ -179,7 +179,7 @@ class TestFlatness:
         # flatness uses sum_f Q_f (L - (1+h) G)^2 = Q @ L^2 - (1-h^2) G^2.
         for _ in range(20):
             n_h, n_z = (int(k) for k in rng.integers(2, 9, size=2))
-            dist = DataDistribution(rng.dirichlet(np.ones(n_z)))
+            dist = ProbMeasure(rng.dirichlet(np.ones(n_z)))
             table = LossTable(rng.random((n_h, n_z)))
             q = random_measure(rng, n_h)
             s = draw_sample(dist, int(rng.integers(1, 60)), int(rng.integers(1 << 30)))
@@ -187,7 +187,7 @@ class TestFlatness:
                 assert abs(flatness(q, table, s, h) - flatness_double_sum(q, table, s, h)) <= 1e-12
 
     def test_expansion_matches_double_sum_on_a_block(self, rng):
-        dist = DataDistribution(rng.dirichlet(np.ones(5)))
+        dist = ProbMeasure(rng.dirichlet(np.ones(5)))
         table = LossTable(rng.random((7, 5)))
         q = ProbMeasure(rng.dirichlet(np.ones(7), size=9))
         s = draw_sample(dist, 31, 6, size=9)

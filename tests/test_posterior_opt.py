@@ -37,7 +37,7 @@ class TestGibbsPosterior:
 
     def test_hand_two_hypotheses(self):
         # weights prop to exp(-beta * m * Remp); m=2, losses 1,1 vs 0,0
-        from pacbayes import DataDistribution, LossTable, Sample
+        from pacbayes import LossTable, Sample
         table = LossTable([[1, 1], [0, 0]])
         s = Sample(np.array([1, 1]))
         q = gibbs_posterior(ProbMeasure.uniform(2), table, s, 0.5)

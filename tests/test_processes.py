@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pacbayes import (DataDistribution, LossTable, ProbMeasure, debias_mgf_exact,
+from pacbayes import (LossTable, ProbMeasure, debias_mgf_exact,
                       draw_sample, kl_ball_sup, kl_dual_value, lemma_a3_threshold,
                       shifted_flatness_tail_mc, symmetrization_tail_mc, xy_cap,
                       xy_mgf_bruteforce)
@@ -211,7 +211,7 @@ class TestKLDual:
 class TestDebiasMGF:
     def test_zero_risk_rows_give_one(self):
         t = LossTable([[0, 0], [0, 0]])
-        d = DataDistribution([0.4, 0.6])
+        d = ProbMeasure([0.4, 0.6])
         p = ProbMeasure.uniform(2)
         assert debias_mgf_exact(p, t, d, 0.5, 0.2, 25) == pytest.approx(1.0, abs=1e-15)
 
@@ -330,7 +330,7 @@ class TestShiftedFlatnessTail:
 
     def test_zero_loss_row(self):
         t = LossTable([[0, 0], [1, 0]])
-        d = DataDistribution([0.5, 0.5])
+        d = ProbMeasure([0.5, 0.5])
         est = shifted_flatness_tail_mc(t, 0, d, m=10, c2=0.3, h=0.4, t=0.01,
                                        trials=200, seed=3)
         assert est.probability == 0.0

@@ -1,11 +1,16 @@
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from pacbayes import (BoundParams, DataDistribution, LossTable, ProbMeasure,
+import pacbayes
+from pacbayes import (BoundParams, LossTable, ProbMeasure,
                       clopper_pearson_upper, coverage_experiment, empirical_risks,
                       evaluate_posterior_bound, gibbs_posterior, gibbs_risk,
                       minimize_bound, sample_blocks)
@@ -46,6 +51,26 @@ class TestClopperPearson:
         vals = [clopper_pearson_upper(k, 100, 0.95) for k in range(6)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    def test_matches_the_scipy_stats_beta_quantile(self):
+        from scipy.stats import beta
+        for n in (1, 2, 5, 10, 50, 100, 1000, 10 ** 5):
+            for k in sorted({0, 1, n // 3, n // 2, n - 1} - {n}):
+                for conf in (0.5, 0.9, 0.95, 0.99, 0.999):
+                    want = float(beta.ppf(conf, k + 1, n - k))
+                    got = clopper_pearson_upper(k, n, conf)
+                    assert abs(got - want) <= 4 * np.spacing(want), (k, n, conf)
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # pacbayes needs scipy.optimize; whether that loads scipy.stats is
+        # SciPy's business (recent releases do not), so compare against it.
+        src = str(Path(pacbayes.__file__).resolve().parents[1])
+        code = ("import sys, scipy.optimize; before = 'scipy.stats' in sys.modules; "
+                "import pacbayes.cli; print(before, 'scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        before, after = out.split()
+        assert after == before
+
     def test_bad_args(self):
         with pytest.raises(ValueError):
             clopper_pearson_upper(-1, 10, 0.95)
@@ -60,7 +85,7 @@ class TestClopperPearson:
 class TestCoverage:
     def test_zero_loss_never_violates(self):
         table = LossTable([[0, 0], [0, 0]])
-        dist = DataDistribution([0.5, 0.5])
+        dist = ProbMeasure([0.5, 0.5])
         prior = ProbMeasure.uniform(2)
         rep = coverage_experiment(table, dist, prior, prior_rule, "mcallester",
                                   BoundParams(delta=0.05), m=20, trials=50, seed=1)
