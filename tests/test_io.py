@@ -32,7 +32,8 @@ class TestParseInstance:
 
     def test_inline_losses(self):
         inst = parse_instance("space: 1.0\nlosses: 0.5\nbinary: false\n")
-        assert inst.posterior is None
+        assert inst.table.loss[0, 0] == 0.5
+        assert np.array_equal(inst.prior.weights, [1.0]) and inst.posterior is None
 
     def test_missing_prior_is_uniform_and_written_back(self):
         inst = parse_instance("space: 0.5 0.5\nlosses:\n1 0\n0 1\n0 0\n")

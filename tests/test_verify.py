@@ -61,15 +61,17 @@ class TestClopperPearson:
                     assert abs(got - want) <= 4 * np.spacing(want), (k, n, conf)
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # pacbayes needs scipy.optimize; whether that loads scipy.stats is
-        # SciPy's business (recent releases do not), so compare against it.
+        # pacbayes needs scipy.optimize; some SciPy releases load scipy.stats
+        # from it, and there the check cannot tell anything.
         src = str(Path(pacbayes.__file__).resolve().parents[1])
         code = ("import sys, scipy.optimize; before = 'scipy.stats' in sys.modules; "
                 "import pacbayes.cli; print(before, 'scipy.stats' in sys.modules)")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True).stdout
         before, after = out.split()
-        assert after == before
+        if before == "True":
+            pytest.skip("scipy.optimize itself loads scipy.stats on this SciPy")
+        assert after == "False"
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
