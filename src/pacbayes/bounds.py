@@ -28,7 +28,7 @@ _BISECT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Bound-family parameters. Not every family reads every field."""
+    """Bound-family parameters; a family reads the fields in its Family.reads."""
 
     delta: float = 0.05
     catoni_C: float = 1.0
@@ -243,11 +243,13 @@ def catoni_C_for_inflation(c: float) -> float:
 class Family:
     """One bound family B(emp, kl, m, params), linear in emp: its value (emp and
     kl may be arrays), dB/demp (also the weight of the `empirical` component),
-    dB/dkl at finite kl (an array) and the constant reported as C_derived. For
-    flatness (needs_sample) value is only the rate term; flatness_bound adds
-    the empirical risk and c * flatness(Q, S).
+    dB/dkl at finite kl (an array), the constant reported as C_derived, and
+    the BoundParams fields that these read. For flatness (needs_sample) value
+    is only the rate term; flatness_bound adds the empirical risk and
+    c * flatness(Q, S).
     """
 
+    reads: tuple[str, ...]
     value: Callable[..., float | np.ndarray]
     d_emp: Callable[[BoundParams], float]
     d_kl: Callable[[np.ndarray, int, BoundParams], np.ndarray | float]
@@ -257,30 +259,35 @@ class Family:
 
 FAMILIES: dict[str, Family] = {
     "mcallester": Family(
+        reads=("delta",),
         value=lambda emp, kl, m, p: mcallester_bound(emp, kl, m, p.delta),
         d_emp=lambda p: 1.0,
         d_kl=lambda kl, m, p: 1.0 / (4.0 * (m - 1) * np.sqrt(
             (kl + math.log(m / p.delta)) / (2.0 * (m - 1)))),
     ),
     "catoni": Family(
+        reads=("delta", "catoni_C"),
         value=lambda emp, kl, m, p: catoni_bound(emp, kl, m, p.delta, p.catoni_C),
         d_emp=lambda p: catoni_prefactor(p.catoni_C),
         d_kl=lambda kl, m, p: 1.0 / (m * -math.expm1(-p.catoni_C)),
         derived=lambda p: p.catoni_C,
     ),
     "kst": Family(
+        reads=("delta",),
         value=lambda emp, kl, m, p: kst_bound(emp, kl, m, p.delta),
         d_emp=lambda p: 1.0,
         d_kl=lambda kl, m, p: np.where(kl > 2.0, 4.5 / (2.0 * np.sqrt(np.maximum(kl, 2.0) * m)),
                                        0.0),
     ),
     "matched_catoni": Family(
+        reads=("delta", "c", "c2"),
         value=lambda emp, kl, m, p: matched_catoni_bound(emp, kl, m, p.delta, p.c, p.c2),
         d_emp=lambda p: 1.0 + p.c,
         d_kl=lambda kl, m, p: _matched_constants(p.c, p.c2, p.delta).C1 / m,
         derived=lambda p: _matched_constants(p.c, p.c2, p.delta).C_big,
     ),
     "flatness": Family(
+        reads=("delta", "c", "h"),
         value=lambda emp, kl, m, p: _flatness_rate(kl, m, p.delta, p.c, p.h),
         d_emp=lambda p: 1.0,
         d_kl=lambda kl, m, p: 4.0 / (flatness_rate_constant(p.c, p.h) * m) * 3.0,

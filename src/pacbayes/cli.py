@@ -5,8 +5,14 @@ Every stochastic subcommand requires --seed. CSV outputs carry a fixed header
 and 17-significant-digit numbers; each invocation, one whose arguments fail to
 parse included, appends one JSON line to the run log.
 
-The parser is the one declaration of each flag (type, choices, default,
-required); config values become flags and go through the same parser.
+The parser declares each flag's type and choices, and the default and
+requiredness of a flag that every run of its subcommand reads. Which of the
+other flags a run reads, with their defaults, is declared once per choice
+that decides it: FAMILIES[...].reads, LEMMA_FLAGS, RULE_FLAGS and
+BOUNDS_MODE_FLAGS. _resolve_reads applies these after parsing: an omitted
+flag the run reads takes its default, and a flag it does not read is a usage
+error if given and stays out of the config hash. Config values become flags
+and go through the same parser and resolver.
 
 Exit codes: 0 success, 1 invariant/acceptance failure detected during the run,
 2 usage or configuration error.
@@ -55,18 +61,13 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.replace(",", " ").split()]
 
 
-def _require_seed(args) -> int:
-    if args.seed is None:
-        raise UsageError("this subcommand is stochastic; --seed is required")
-    return args.seed
-
-
 # Flag -> BoundParams field; the defaults have their one definition in BoundParams.
 _BOUND_FLAGS = {"delta": "delta", "C": "catoni_C", "c": "c", "c2": "c2", "h": "h"}
 
 
 def _bound_params(args) -> BoundParams:
-    return BoundParams(**{name: getattr(args, flag) for flag, name in _BOUND_FLAGS.items()})
+    return BoundParams(**{name: value for flag, name in _BOUND_FLAGS.items()
+                          if (value := getattr(args, flag)) is not None})
 
 
 def _fixed_q(inst: Instance) -> ProbMeasure:
@@ -77,19 +78,56 @@ def _fixed_q(inst: Instance) -> ProbMeasure:
 POSTERIOR_RULES = ("fixed-Q", "gibbs-posterior", "bound-minimizer")
 # The tempered-posterior grid that minimize_bound starts from.
 BETA_GRID = (0.0, 0.1, 1.0, 10.0)
-# gibbs-posterior's --beta and the linear symmetrization's --kappa when none is given.
-GIBBS_BETA = 1.0
-SYMMETRIZATION_KAPPA = 0.5
+
+# The flags (by dest) that only some runs read, per choice that decides it, each
+# with its default: REQUIRED if it has none, None if the run works it out.
+REQUIRED = "required"
+FAMILY_FLAGS = {name: {flag: getattr(BoundParams, field) for flag, field in _BOUND_FLAGS.items()
+                       if field in family.reads} for name, family in FAMILIES.items()}
+RULE_FLAGS = {"fixed-Q": {}, "gibbs-posterior": {"beta": 1.0}, "bound-minimizer": {}}
+# bounds in instance mode (True) draws a sample; in closed form it takes emp and kl.
+BOUNDS_MODE_FLAGS = {True: {"instance": REQUIRED, "seed": REQUIRED},
+                     False: {"emp": REQUIRED, "kl": REQUIRED}}
+# The symmetrization reads kappa only without --h (the linear variant).
+LEMMA_FLAGS = {
+    "debias": {"instance": REQUIRED, "lambda_over_m": REQUIRED, "m": REQUIRED, "k": 1.0},
+    "xy": {"mu": REQUIRED, "lambda_over_m": REQUIRED, "c": 1.0, "c2": None, "h": 0.5,
+           "force": False},
+    "shifted-flatness": {"instance": REQUIRED, "seed": REQUIRED, "f": 0, "m": 50, "c2": 0.5,
+                         "h": 0.5, "t": None, "trials": 10000},
+    "symmetrization": {"instance": REQUIRED, "seed": REQUIRED, "m": 50, "c": 1.0, "c2": 0.5,
+                       "h": None, "t": 0.2, "trials": 10000, "kappa": 0.5},
+}
 
 
-def _resolve_flag(args, flag: str, read: bool, default: float, where: str) -> None:
-    """A flag only some runs read takes its default there when omitted; given
-    elsewhere it is an error. Unread, it stays out of the config and its hash."""
-    if read:
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
-    elif getattr(args, flag) is not None:
-        raise UsageError(f"--{flag} applies to {where} only")
+def _resolve_reads(args) -> None:
+    """Give each omitted flag the run reads its default, and reject a given flag
+    it does not read; an unread flag is left None, out of the config hash."""
+    choices = []  # (how the run names it, its table, the run's choice)
+    if args.command == "lemmas":
+        choices.append((f"--which {args.which}", LEMMA_FLAGS, args.which))
+    if hasattr(args, "family"):
+        choices.append((f"--family {args.family}", FAMILY_FLAGS, args.family))
+    if hasattr(args, "rule"):
+        choices.append((f"--rule {args.rule}", RULE_FLAGS, args.rule))
+    if args.command == "bounds":
+        mode = args.instance is not None or FAMILIES[args.family].needs_sample
+        choices.append(("", BOUNDS_MODE_FLAGS, mode))
+    run = " ".join([args.command] + [name for name, _, _ in choices if name])
+    reads = {k: v for _, table, choice in choices for k, v in table[choice].items()}
+    if "kappa" in reads and args.h is not None:  # the quadratic symmetrization
+        del reads["kappa"]
+        run += " with --h"
+    listed = ", ".join("--" + k.replace("_", "-") for k in reads)
+    for key in dict.fromkeys(k for _, table, _ in choices for flags in table.values()
+                             for k in flags):
+        flag, value = "--" + key.replace("_", "-"), getattr(args, key)
+        if value is None or value is False:
+            if key in reads and reads[key] is REQUIRED:
+                raise UsageError(f"{flag} is required for {run}")
+            setattr(args, key, reads.get(key))
+        elif key not in reads:
+            raise UsageError(f"{flag} does not apply to {run} (it reads {listed})")
 
 
 def _posterior_rule(args, inst: Instance):
@@ -121,18 +159,11 @@ def _bounds_row(report, c_derived) -> list:
 def cmd_bounds(args) -> tuple[int, dict]:
     family = args.family
     params = _bound_params(args)
-    if family == "flatness" or args.instance and args.emp is None:
-        if args.instance is None:
-            raise UsageError("the flatness family needs --instance, --m and --seed")
+    if args.instance is not None:
         inst = load_instance(args.instance)
-        seed = _require_seed(args)
-        if args.m is None:
-            raise UsageError("--m is required in instance mode")
-        s = draw_sample(inst.dist, args.m, seed)
+        s = draw_sample(inst.dist, args.m, args.seed)
         report = evaluate_posterior_bound(family, params, _fixed_q(inst), inst.prior, inst.table, s)
     else:
-        if args.emp is None or args.kl is None or args.m is None:
-            raise UsageError("closed-form mode needs --emp, --kl and --m")
         report = evaluate_bound(family, args.emp, args.kl, args.m, params)
 
     derived = FAMILIES[family].derived
@@ -173,12 +204,8 @@ def cmd_lemmas(args) -> tuple[int, dict]:
     which = args.which
     summary: dict = {"which": which}
     if which != "xy":
-        if args.instance is None:
-            raise UsageError(f"--which {which} needs --instance")
         inst = load_instance(args.instance)
     if which == "debias":
-        if args.lambda_over_m is None or args.m is None:
-            raise UsageError("debias needs --lambda-over-m and --m")
         value = debias_mgf_exact(inst.prior, inst.table, inst.dist, args.lambda_over_m, args.k,
                                  args.m)
         threshold = log_cosh_over_x(args.lambda_over_m)
@@ -189,10 +216,7 @@ def cmd_lemmas(args) -> tuple[int, dict]:
               f"{'applies' if applicable else 'does not apply'})")
         summary["value"] = value
     elif which == "xy":
-        if args.mu is None or args.lambda_over_m is None:
-            raise UsageError("xy needs --mu and --lambda-over-m")
-        c = args.c
-        h = args.h if args.h is not None else 0.5
+        c, h = args.c, args.h
         c2 = args.c2 if args.c2 is not None else xy_default_c2(c, h)
         value = xy_mgf_bruteforce(_floats(args.mu), args.lambda_over_m, c, c2, h,
                                   force=args.force)
@@ -203,24 +227,17 @@ def cmd_lemmas(args) -> tuple[int, dict]:
         print(f"lambda/m    {fmt(args.lambda_over_m)} (cap {fmt(cap)})")
         summary["value"] = value
     elif which == "shifted-flatness":
-        seed = _require_seed(args)
-        m = args.m if args.m is not None else 50
-        c2 = args.c2 if args.c2 is not None else 0.5
-        h = args.h if args.h is not None else 0.5
-        t = args.t if args.t is not None else lemma_a3_threshold(m, c2, h)
-        est = shifted_flatness_tail_mc(inst.table, args.f, inst.dist, m, c2, h, t,
-                                       args.trials, seed)
+        t = args.t if args.t is not None else lemma_a3_threshold(args.m, args.c2, args.h)
+        est = shifted_flatness_tail_mc(inst.table, args.f, inst.dist, args.m, args.c2, args.h, t,
+                                       args.trials, args.seed)
         ok = est.probability <= 0.5 + est.wilson_halfwidth
         print(f"tail        {fmt(est.probability)} +/- {fmt(est.wilson_halfwidth)} "
               f"({est.trials} trials, t = {fmt(t)})")
         summary.update(tail=est.probability, t=t)
     else:  # symmetrization
-        seed = _require_seed(args)
-        c2 = args.c2 if args.c2 is not None else 0.5
-        m = args.m if args.m is not None else 50
-        t = args.t if args.t is not None else 0.2
         lhs, rhs = symmetrization_tail_mc(inst.table, inst.dist, inst.prior, args.kappa, args.c,
-                                          c2, t, m, args.trials, seed, h=args.h)
+                                          args.c2, args.t, args.m, args.trials, args.seed,
+                                          h=args.h)
         slack = lhs.wilson_halfwidth + 4.0 * rhs.wilson_halfwidth
         ok = lhs.probability <= 4.0 * rhs.probability + slack
         print(f"lhs tail    {fmt(lhs.probability)} +/- {fmt(lhs.wilson_halfwidth)}")
@@ -323,17 +340,16 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                            help="problem instance file")
         return p
 
-    def bound_flags(p, flags=tuple(_BOUND_FLAGS)):
-        for flag in flags:
-            p.add_argument(f"--{flag}", type=float,
-                           default=getattr(BoundParams, _BOUND_FLAGS[flag]))
+    def bound_flags(p):
+        for flag in _BOUND_FLAGS:
+            p.add_argument(f"--{flag}", type=float)
 
     p = subcommand("bounds", cmd_bounds, "evaluate one bound family",
                    seed="optional", instance="optional")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--emp", type=float)
     p.add_argument("--kl", type=float)
-    p.add_argument("--m", type=int)
+    p.add_argument("--m", type=int, required=True)
     bound_flags(p)
 
     p = subcommand("coverage", cmd_coverage, "bound coverage experiment",
@@ -342,7 +358,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--rule", choices=POSTERIOR_RULES, default="gibbs-posterior")
-    p.add_argument("--beta", type=float, help=f"gibbs-posterior only (default {GIBBS_BETA})")
+    p.add_argument("--beta", type=float, help="read by --rule gibbs-posterior")
     bound_flags(p)
 
     p = subcommand("lemmas", cmd_lemmas, "verify a proof lemma numerically",
@@ -350,17 +366,16 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--which", required=True,
                    choices=("debias", "xy", "shifted-flatness", "symmetrization"))
     p.add_argument("--lambda-over-m", dest="lambda_over_m", type=float)
-    p.add_argument("--k", type=float, default=1.0)
+    p.add_argument("--k", type=float)
     p.add_argument("--m", type=int)
     p.add_argument("--mu", help="comma-separated Bernoulli means")
-    p.add_argument("--c", type=float, default=1.0)
+    p.add_argument("--c", type=float)
     p.add_argument("--c2", type=float)
     p.add_argument("--h", type=float)
-    p.add_argument("--f", type=int, default=0)
+    p.add_argument("--f", type=int)
     p.add_argument("--t", type=float)
-    p.add_argument("--kappa", type=float,
-                   help=f"linear symmetrization only (default {SYMMETRIZATION_KAPPA})")
-    p.add_argument("--trials", type=int, default=10000)
+    p.add_argument("--kappa", type=float, help="read by the linear symmetrization")
+    p.add_argument("--trials", type=int)
     p.add_argument("--force", action="store_true")
 
     p = subcommand("duality", cmd_duality, "KL-ball primal vs Legendre dual",
@@ -382,8 +397,9 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--rule", choices=[r for r in POSTERIOR_RULES if r != "bound-minimizer"],
                    default="fixed-Q")
-    p.add_argument("--beta", type=float, help=f"gibbs-posterior only (default {GIBBS_BETA})")
-    bound_flags(p, ("delta", "c", "h"))
+    p.add_argument("--beta", type=float, help="read by --rule gibbs-posterior")
+    for flag in ("delta", "c", "h"):  # read by every sweep
+        p.add_argument(f"--{flag}", type=float, default=getattr(BoundParams, _BOUND_FLAGS[flag]))
 
     p = subcommand("gen-instance", cmd_gen_instance, "generate a random problem instance",
                    seed="required")
@@ -442,12 +458,7 @@ def main(argv=None) -> int:
                 at = len(argv) - len(known.rest) + 1
                 argv[at:at] = _config_flags(known.config, command, _SUBPARSERS[command])
         args = _PARSER.parse_args(argv)
-        if hasattr(args, "rule"):
-            _resolve_flag(args, "beta", args.rule == "gibbs-posterior", GIBBS_BETA,
-                          "--rule gibbs-posterior")
-        if command == "lemmas":
-            _resolve_flag(args, "kappa", args.which == "symmetrization" and args.h is None,
-                          SYMMETRIZATION_KAPPA, "--which symmetrization without --h")
+        _resolve_reads(args)
         config = {k: v for k, v in vars(args).items()
                   if k not in _NOT_HASHED and v is not None}
         seed = getattr(args, "seed", None)

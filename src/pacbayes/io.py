@@ -60,10 +60,15 @@ def parse_instance(text: str) -> Instance:
     if "space" not in sections or "losses" not in sections:
         raise ValueError("instance file needs `space` and `losses` sections")
 
-    rows = [[float(x) for x in row.split()] for row in sections["losses"]]
-    if len({len(r) for r in rows}) != 1:
-        raise ValueError("loss rows must all have the same length")
-    table = LossTable(np.array(rows))
+    try:
+        rows = [[float(x) for x in row.split()] for row in sections["losses"]]
+        if not rows:
+            raise ValueError("no rows")
+        if len({len(r) for r in rows}) != 1:
+            raise ValueError("rows must all have the same length")
+        table = LossTable(np.array(rows))
+    except ValueError as exc:
+        raise ValueError(f"losses: {exc}") from None
     if "binary" in sections:
         flag_text = " ".join(sections["binary"]).lower()
         if flag_text not in ("true", "false"):

@@ -14,6 +14,8 @@ with its own step size. Flatness objectives are nonconvex in Q, so only
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .bounds import FAMILIES, BoundParams, BoundReport, evaluate_bound, flatness_bound
@@ -23,14 +25,20 @@ from .measures import gibbs_empirical_risk, kl_divergence
 
 def gibbs_posterior(p: ProbMeasure, table: LossTable, s: Sample, beta: float) -> ProbMeasure:
     """Tempered posterior: weights proportional to p(f) exp(-beta * m * Remp(f)),
-    one row per sample of s."""
+    one row per sample of s. Where beta * m overflows (beta = inf included) it
+    is the beta -> inf limit: the prior restricted, row by row, to the atoms of
+    least empirical risk on its support."""
     if not beta >= 0:
         raise ValueError("beta must be nonnegative")
     if beta == 0:
         return p
+    risks = empirical_risks(table, s)
+    if math.isinf(float(beta) * s.m):
+        risks = np.where(p.weights > 0, risks, np.inf)
+        return ProbMeasure.normalized(p.weights * (risks == risks.min(axis=-1, keepdims=True)))
     # Shift by the best score on the prior's support, so that the weights there
     # do not all underflow when an atom without prior mass scores higher.
-    score = np.where(p.weights > 0, -beta * s.m * empirical_risks(table, s), -np.inf)
+    score = np.where(p.weights > 0, -beta * s.m * risks, -np.inf)
     score -= score.max(axis=-1, keepdims=True)
     raw = p.weights * np.exp(score)
     return ProbMeasure.normalized(raw)

@@ -10,7 +10,7 @@ from pacbayes import (BoundParams, LossTable, ProbMeasure, Sample,
                       derive_matched_catoni_constants, draw_sample,
                       flatness_bound, kst_bound, matched_catoni_bound,
                       mcallester_bound)
-from pacbayes.bounds import BoundReport, evaluate_bound, flatness_rate_constant
+from pacbayes.bounds import FAMILIES, BoundReport, evaluate_bound, flatness_rate_constant
 
 from conftest import random_instance, random_measure
 
@@ -262,3 +262,35 @@ class TestMonotonicityAndReports:
     def test_evaluate_bound_rejects_flatness(self):
         with pytest.raises(ValueError):
             evaluate_bound("flatness", 0.1, 0.5, 100, BoundParams())
+
+
+class TestReads:
+    # A value other than the default for each BoundParams field.
+    CHANGED = {"delta": 0.1, "catoni_C": 2.0, "c": 2.0, "c2": 0.3, "h": 0.7}
+
+    @staticmethod
+    def evaluate(family, params, rng):
+        """(value, d_emp, d_kl, derived) of the family at params; kl straddles
+        kst's kink at 2, and flatness is evaluated in full by flatness_bound."""
+        fam, kl, m = FAMILIES[family], np.array([0.5, 3.0]), 100
+        if fam.needs_sample:
+            dist, table = random_instance(rng)
+            q, s = random_measure(rng, table.hypothesis_count), draw_sample(dist, m, 1)
+            value = flatness_bound(q, table, s, kl, params.delta, params.c, params.h).value
+        else:
+            value = fam.value(0.2, kl, m, params)
+        derived = None if fam.derived is None else fam.derived(params)
+        return value, fam.d_emp(params), fam.d_kl(kl, m, params), derived
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_a_family_depends_on_the_fields_it_reads_only(self, family):
+        base = self.evaluate(family, BoundParams(), np.random.default_rng(7))
+        assert set(FAMILIES[family].reads) <= set(self.CHANGED)
+        for field, value in self.CHANGED.items():
+            params = BoundParams(**{field: value})
+            changed = self.evaluate(family, params, np.random.default_rng(7))
+            if field in FAMILIES[family].reads:
+                assert not np.array_equal(changed[0], base[0]), field
+            else:
+                for new, old in zip(changed, base):
+                    assert np.array_equal(new, old), field

@@ -22,6 +22,9 @@ posterior: 0.7 0.1 0.1 0.1
 
 NO_POSTERIOR = INSTANCE.replace("posterior: 0.7 0.1 0.1 0.1\n", "")
 
+# A debias lemma run that is complete as it stands.
+DEBIAS = ["lemmas", "--which", "debias", "--instance", "INST", "--m", "5", "--lambda-over-m", "0.5"]
+
 ZERO_LOSS = """\
 space: 0.5 0.5
 losses:
@@ -239,6 +242,17 @@ class TestSweep:
         assert beta0.read_bytes() == fixed.read_bytes()
         assert beta1.read_bytes() != beta0.read_bytes()
 
+    def test_infinite_beta_is_the_limit(self, tmp_path, inst_file, log_file, capsys):
+        argv = ["sweep", "--instance", inst_file, "--m-grid", "10,50", "--trials", "3",
+                "--seed", "8", "--rule", "gibbs-posterior"]
+        inf, big = tmp_path / "inf.csv", tmp_path / "big.csv"
+        assert run(argv + ["--beta", "inf", "--out", str(inf)], log_file) == 0
+        assert run(argv + ["--beta", "1e300", "--out", str(big)], log_file) == 0
+        assert run(["optimize", "--family", "catoni", "--instance", inst_file, "--seed", "2",
+                    "--beta-grid", "0,inf"], log_file) == 0
+        assert capsys.readouterr().err == ""
+        assert inf.read_bytes() == big.read_bytes()
+
     def test_requires_m_grid(self, inst_file, log_file):
         assert run(["sweep", "--instance", inst_file, "--seed", "1"], log_file) == 2
 
@@ -352,10 +366,34 @@ class TestUsageContract:
           "--trials", "50", "--h", "0.5", "--kappa", "0.1"], None, "lemmas"),
         (["lemmas", "--which", "debias", "--instance", "INST", "--m", "5",
           "--lambda-over-m", "0.5", "--kappa", "0.5"], None, "lemmas"),
+        *((DEBIAS + [flag, *value], None, "lemmas")
+          for flag, *value in (("--f", "3"), ("--f", "0"), ("--force",))),
+        (["lemmas", "--which", "xy", "--mu", "0.5", "--lambda-over-m", "0.01", "--seed", "1"],
+         None, "lemmas"),
+        (["lemmas", "--which", "shifted-flatness", "--instance", "INST", "--seed", "1",
+          "--trials", "50", "--k", "9"], None, "lemmas"),
+        (["lemmas", "--which", "symmetrization", "--instance", "INST", "--seed", "1",
+          "--trials", "50", "--mu", "0.1"], None, "lemmas"),
+        (["bounds", "--family", "catoni", "--emp", "0.1", "--kl", "1", "--m", "100",
+          "--h", "0.3"], None, "bounds"),
+        (["bounds", "--family", "kst", "--emp", "0.1", "--kl", "1", "--m", "100",
+          "--seed", "9"], None, "bounds"),
+        (["bounds", "--family", "flatness", "--instance", "INST", "--m", "10", "--seed", "1",
+          "--emp", "0.1"], None, "bounds"),
+        (["bounds", "--family", "flatness", "--m", "10", "--seed", "1"], None, "bounds"),
+        (["coverage", "--family", "catoni", "--instance", "INST", "--seed", "1", "--c", "3"],
+         None, "coverage"),
+        (["optimize", "--family", "flatness", "--instance", "INST", "--seed", "1", "--C", "3"],
+         None, "optimize"),
+        (DEBIAS, "lemmas.f = 1\n", "lemmas"),
     ], ids=["duality-no-instance", "optimize-no-instance", "sweep-no-instance",
             "debias-no-instance", "unknown-flag", "bad-family", "config-bad-rule",
             "unknown-command", "beta-with-fixed-Q", "beta-with-bound-minimizer",
-            "config-beta-with-fixed-Q", "kappa-with-h", "kappa-with-debias"])
+            "config-beta-with-fixed-Q", "kappa-with-h", "kappa-with-debias",
+            "f-with-debias", "f-0-with-debias", "force-with-debias", "seed-with-xy",
+            "k-with-shifted-flatness", "mu-with-symmetrization", "h-with-catoni",
+            "seed-in-closed-form", "emp-with-flatness", "flatness-no-instance",
+            "c-with-coverage-catoni", "C-with-optimize-flatness", "config-f-with-debias"])
     def test_usage_error_exits_2_with_one_record(self, argv, config, command, tmp_path,
                                                  inst_file, log_file, capsys):
         prefix = ["--log", log_file]
@@ -409,8 +447,22 @@ class TestUsageContract:
         (rec,) = [json.loads(line) for line in open(log_file).read().splitlines()]
         assert rec["exit_code"] == 2
 
-    def test_beta_is_hashed_only_for_the_rule_that_reads_it(self, tmp_path, inst_file,
-                                                            log_file, monkeypatch):
+    @pytest.mark.parametrize("flag, default, other, argv, reads, ignores", [
+        ("beta", "1", "5", ["sweep", "--instance", "INST", "--m-grid", "10,50", "--seed", "2"],
+         ["--rule", "gibbs-posterior"], ["--rule", "fixed-Q"]),
+        ("kappa", "0.5", "2", ["lemmas", "--which", "symmetrization", "--instance", "INST",
+                               "--seed", "3", "--trials", "200"], [], ["--h", "0.5"]),
+        ("C", "1", "3", ["bounds", "--emp", "0.1", "--kl", "1", "--m", "100"],
+         ["--family", "catoni"], ["--family", "kst"]),
+        ("f", "0", "1", ["lemmas", "--instance", "INST", "--seed", "3", "--trials", "200",
+                         "--t", "0.1"],
+         ["--which", "shifted-flatness"], ["--which", "symmetrization"]),
+        ("trials", "10000", "200", ["lemmas", "--instance", "INST", "--m", "5"],
+         ["--which", "symmetrization", "--seed", "3"],
+         ["--which", "debias", "--lambda-over-m", "0.5"]),
+    ], ids=["beta", "kappa", "C", "f", "trials"])
+    def test_flag_is_hashed_only_where_read(self, flag, default, other, argv, reads, ignores,
+                                            tmp_path, inst_file, log_file, monkeypatch):
         import pacbayes.cli
         configs = []
         record = pacbayes.cli.append_run_record
@@ -418,29 +470,36 @@ class TestUsageContract:
                             lambda log, command, config, *rest: (configs.append(config),
                                                                  record(log, command, config,
                                                                         *rest)))
-        argv = ["sweep", "--instance", inst_file, "--m-grid", "10,50", "--seed", "2"]
+        argv = [inst_file if a == "INST" else a for a in argv]
         outs = [tmp_path / f"{n}.csv" for n in range(4)]
-        assert run(argv + ["--out", str(outs[0])], log_file) == 0
-        assert run(argv + ["--rule", "gibbs-posterior", "--out", str(outs[1])], log_file) == 0
-        assert run(argv + ["--rule", "gibbs-posterior", "--beta", "1",
-                           "--out", str(outs[2])], log_file) == 0
-        assert run(argv + ["--rule", "gibbs-posterior", "--beta", "5",
-                           "--out", str(outs[3])], log_file) == 0
-        assert "beta" not in configs[0]
-        assert [c["beta"] for c in configs[1:]] == [1.0, 1.0, 5.0]
-        # The default beta is beta = 1, in the output and in the hash.
+        for out, extra in zip(outs, (ignores, reads, reads + [f"--{flag}", default],
+                                     reads + [f"--{flag}", other])):
+            assert run(argv + extra + ["--out", str(out)], log_file) == 0
+        assert flag not in configs[0]
+        assert [c[flag] for c in configs[1:]] == [float(default), float(default), float(other)]
+        # The omitted flag takes its default, in the output and in the hash.
         assert outs[1].read_bytes() == outs[2].read_bytes() != outs[3].read_bytes()
-        default, one, five = (json.loads(line)["config_hash"]
-                              for line in open(log_file).read().splitlines()[1:])
-        assert default == one != five
+        ignored, omitted, given, changed = (json.loads(line)["config_hash"]
+                                            for line in open(log_file).read().splitlines())
+        assert omitted == given != changed
+        assert ignored != omitted
+
+    def test_unread_flag_error_names_it_and_the_run(self, inst_file, log_file, capsys):
+        argv = [inst_file if a == "INST" else a for a in DEBIAS]
+        assert run(argv + ["--f", "3"], log_file) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --f does not apply to lemmas --which debias "
+            "(it reads --instance, --lambda-over-m, --m, --k)\n")
 
     @pytest.mark.parametrize("old, new, named, argv", [
-        ("1 0 1\n", "nan 0 1\n", "loss entries ", ["duality"]),
+        ("1 0 1\n", "nan 0 1\n", "losses: ", ["duality"]),
+        ("1 0 1\n", "1 abc 1\n", "losses: could not convert", ["duality"]),
+        ("1 0 1\n0 1 0\n1 1 0\n0 0 1\n", "", "losses: no rows", ["duality"]),
         ("space: 0.2 0.3 0.5", "space: 0.2 nan 0.5", "space: ", ["duality"]),
         ("prior: 0.25 0.25 0.25 0.25", "prior: nan nan nan nan", "prior: ", ["duality"]),
         ("posterior: 0.7 0.1 0.1 0.1", "posterior: nan 0.1 0.1 0.1", "posterior: ",
          ["sweep", "--m-grid", "10", "--seed", "1"]),
-    ], ids=["losses", "space", "prior", "posterior"])
+    ], ids=["losses", "losses-text", "losses-empty", "space", "prior", "posterior"])
     def test_nan_in_the_instance_exits_2_naming_it(self, old, new, named, argv, tmp_path,
                                                     log_file, capsys):
         inst = tmp_path / "nan.txt"
@@ -451,20 +510,6 @@ class TestUsageContract:
         assert "Traceback" not in err
         (rec,) = [json.loads(line) for line in open(log_file).read().splitlines()]
         assert rec["exit_code"] == 2
-
-    def test_kappa_is_hashed_only_for_the_lemma_that_reads_it(self, tmp_path, inst_file,
-                                                              log_file):
-        argv = ["lemmas", "--which", "symmetrization", "--instance", inst_file,
-                "--seed", "3", "--trials", "200"]
-        outs = [tmp_path / f"{n}.csv" for n in range(3)]
-        assert run(argv + ["--out", str(outs[0])], log_file) == 0
-        assert run(argv + ["--kappa", "0.5", "--out", str(outs[1])], log_file) == 0
-        assert run(argv + ["--h", "0.5", "--out", str(outs[2])], log_file) == 0
-        # The default kappa is kappa = 0.5, in the output and in the hash.
-        assert outs[0].read_bytes() == outs[1].read_bytes()
-        records = [json.loads(line) for line in open(log_file).read().splitlines()]
-        default, half, quadratic = (r["config_hash"] for r in records)
-        assert default == half != quadratic
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

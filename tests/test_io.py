@@ -44,7 +44,7 @@ class TestParseInstance:
 
     @pytest.mark.parametrize("text, named", [
         ("space: nan 0.5\nlosses:\n1 0\n", "space: "),
-        ("space: 0.5 0.5\nlosses:\nnan 0\n", "loss entries "),
+        ("space: 0.5 0.5\nlosses:\nnan 0\n", "losses: loss entries "),
         ("space: 0.5 0.5\nlosses:\n1 0\n0 1\nprior: nan nan\n", "prior: "),
         ("space: 0.5 0.5\nlosses:\n1 0\n0 1\nposterior: 0.5 nan\n", "posterior: "),
     ], ids=["space", "losses", "prior", "posterior"])

@@ -77,6 +77,19 @@ class TestGibbsPosterior:
         assert q.weights[0] == 0.0
         assert q.weights[2] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("beta", [math.inf, 1e308, 1e300])
+    def test_infinite_beta_is_the_prior_on_the_least_risk_atoms(self, beta):
+        # beta * m overflows at inf and 1e308 (m = 4): the beta -> inf limit,
+        # which 1e300 reaches in finite arithmetic. Hypothesis 0 fits every
+        # sample but has no prior mass; the third sample ties hypothesis 1 with 2 and 3.
+        from pacbayes import LossTable, Sample
+        table = LossTable([[0, 0], [0, 1], [1, 0], [1, 0]])
+        s = Sample(np.array([[3, 1], [0, 4], [2, 2]]))
+        q = gibbs_posterior(ProbMeasure([0.0, 0.25, 0.375, 0.375]), table, s, beta)
+        expected = ProbMeasure([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5],
+                                [0.0, 0.25, 0.375, 0.375]])
+        assert np.array_equal(q.weights, expected.weights)
+
 
 class TestGradient:
     # catoni_C = 1.5 catches a gradient that is right only at C = 1.
