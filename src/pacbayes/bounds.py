@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import _SUM_TOL, LossTable, ProbMeasure, Sample
-from .measures import flatness, gibbs_empirical_risk
+from .measures import flatness, gibbs_losses
 
 _BISECT_TOL = 1e-12
 
@@ -206,17 +206,18 @@ def _flatness_rate(kl, m: int, delta: float, c: float, h: float):
 
 
 def flatness_bound(q: ProbMeasure, table: LossTable, s: Sample, kl,
-                   delta: float, c: float, h: float) -> BoundReport:
+                   delta: float, c: float, h: float, g=None) -> BoundReport:
     """Fast-rate bound: empirical Gibbs risk + c * h-flatness + (4/(Cm)) [3 kl + log(1/delta) + 5],
-    one value per sample of s (and per row of q and kl).
+    one value per sample of s (and per row of q and kl); g as in flatness.
 
     h = 1 is rejected: the theorem statement requires h in (0, 1) even though
     the underlying MGF lemma tolerates h = 1.
     """
     _check_common(kl, delta, s.m)
     rate_term = _flatness_rate(kl, s.m, delta, c, h)
-    emp = gibbs_empirical_risk(q, table, s)
-    flat_term = c * flatness(q, table, s, h)
+    g = gibbs_losses(q, table, s) if g is None else g
+    emp = s.mean(g)
+    flat_term = c * flatness(q, table, s, h, g)
     value = emp + flat_term + rate_term
     return BoundReport(
         family="flatness",
@@ -246,7 +247,7 @@ class Family:
     dB/dkl at finite kl (an array), the constant reported as C_derived, and
     the BoundParams fields that these read. For flatness (needs_sample) value
     is only the rate term; flatness_bound adds the empirical risk and
-    c * flatness(Q, S).
+    c * flatness(Q, S). minimize_bound tilts at beta = d_emp / (m d_kl(kl)).
     """
 
     reads: tuple[str, ...]

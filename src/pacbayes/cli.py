@@ -14,8 +14,8 @@ flag the run reads takes its default, and a flag it does not read is a usage
 error if given and stays out of the config hash. Config values become flags
 and go through the same parser and resolver.
 
-Exit codes: 0 success, 1 invariant/acceptance failure detected during the run,
-2 usage or configuration error.
+Exit codes: 0 success, 1 invariant/acceptance failure detected during the run
+(a solver that raises RuntimeError included), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -133,8 +133,8 @@ def _resolve_reads(args) -> None:
 def _posterior_rule(args, inst: Instance):
     """The rule --rule names, as a function (prior, table, block of samples) ->
     posteriors: fixed-Q keeps the instance posterior, gibbs-posterior tempers
-    the prior by --beta, bound-minimizer minimizes the --family bound (20
-    refinement steps) for the whole block in one minimize_bound call."""
+    the prior by --beta, bound-minimizer minimizes the --family bound from
+    BETA_GRID for the whole block in one minimize_bound call."""
     if args.rule == "fixed-Q":
         posterior = _fixed_q(inst)
         return lambda prior, table, s: posterior
@@ -142,7 +142,7 @@ def _posterior_rule(args, inst: Instance):
         return functools.partial(gibbs_posterior, beta=args.beta)
     family, params = args.family, _bound_params(args)
     return lambda prior, table, s: minimize_bound(family, params, prior, table, s,
-                                                  BETA_GRID, 20)[0]
+                                                  BETA_GRID)[0]
 
 
 BOUNDS_CSV_HEADER = ["family", "value", "emp_term", "complexity_term", "flatness_term", "C_derived"]
@@ -272,8 +272,7 @@ def cmd_optimize(args) -> tuple[int, dict]:
     family = args.family
     params = _bound_params(args)
     s = draw_sample(inst.dist, args.m, args.seed)
-    q, report = minimize_bound(family, params, inst.prior, inst.table, s, args.beta_grid,
-                               args.refine_steps)
+    q, report = minimize_bound(family, params, inst.prior, inst.table, s, args.beta_grid)
     print(f"family      {family}")
     print(f"value       {fmt(report.value)}")
     print("posterior   " + " ".join(fmt(w) for w in q.weights))
@@ -387,7 +386,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--m", type=int, default=100)
     p.add_argument("--beta-grid", dest="beta_grid", type=_floats, default=BETA_GRID)
-    p.add_argument("--refine-steps", dest="refine_steps", type=int, default=50)
     bound_flags(p)
 
     p = subcommand("sweep", cmd_sweep, "flatness vs aligned Catoni across sample sizes",
@@ -463,11 +461,11 @@ def main(argv=None) -> int:
                   if k not in _NOT_HASHED and v is not None}
         seed = getattr(args, "seed", None)
         code, summary = args.handler(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, UsageError):
             (_SUBPARSERS[command] if command else _PARSER).print_usage(sys.stderr)
-        code, summary = 2, {"error": str(exc)}
+        code, summary = 1 if isinstance(exc, RuntimeError) else 2, {"error": str(exc)}
     try:
         append_run_record(log, command, config, seed, summary, code)
     except OSError as exc:

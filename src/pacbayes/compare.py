@@ -76,7 +76,7 @@ def bound_sweep(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
             g = gibbs_losses(q, table, s)
             emp = s.mean(g)
             cat_vals[block] = catoni_bound(emp, kl, m, delta, C_cat)
-            flat_vals[block] = flatness_bound(q, table, s, kl, delta, c, h).value
+            flat_vals[block] = flatness_bound(q, table, s, kl, delta, c, h, g).value
             tms[block] = c * (1.0 - h * h) * s.mean(g * g)
             kls[block] = kl
         crossed = bool(flat_vals.mean() < cat_vals.mean())

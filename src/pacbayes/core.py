@@ -69,11 +69,12 @@ class LossTable:
 
     binary_flag is derived: True iff every entry is exactly 0 or 1. Several
     identities (notably the alternate flatness form) are exact only in the
-    binary case, so callers gate on it.
+    binary case, so callers gate on it. loss_squared (loss * loss) is derived too.
     """
 
     loss: np.ndarray
     binary_flag: bool = field(init=False)
+    loss_squared: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.loss, dtype=float)
@@ -81,9 +82,9 @@ class LossTable:
             raise ValueError("loss must be a nonempty 2-d matrix")
         if not ((a >= 0) & (a <= 1)).all():
             raise ValueError("loss entries must be numbers in [0, 1]")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "loss", a)
+        for name, value in (("loss", a.copy()), ("loss_squared", a * a)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "binary_flag", bool(np.all((a == 0) | (a == 1))))
 
     @property

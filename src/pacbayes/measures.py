@@ -18,7 +18,7 @@ def _check_hypotheses(q: ProbMeasure, table: LossTable) -> None:
 def kl_divergence(q: ProbMeasure, p: ProbMeasure):
     """KL(q || p), with 0 log(0/.) = 0, one value per row. It is +inf where q puts
     mass where p has none, so downstream bounds degrade to the vacuous
-    certificate instead of erroring."""
+    certificate instead of erroring. A KL rounded below 0 is clamped to 0."""
     if q.size != p.size:
         raise ValueError("measures must have the same length")
     qw, pw = q.weights, p.weights
@@ -27,7 +27,7 @@ def kl_divergence(q: ProbMeasure, p: ProbMeasure):
     # +inf; 1 (a zero term) where q has none.
     ratio = np.where(support > charged, math.inf, 1.0)
     np.divide(qw, pw, out=ratio, where=support & charged)
-    return (qw * np.log(ratio)).sum(axis=-1)
+    return np.maximum((qw * np.log(ratio)).sum(axis=-1), 0.0)
 
 
 def gibbs_losses(q: ProbMeasure, table: LossTable, s: Sample) -> np.ndarray:
@@ -52,7 +52,7 @@ def gibbs_empirical_risk(q: ProbMeasure, table: LossTable, s: Sample):
     return s.mean(gibbs_losses(q, table, s))
 
 
-def flatness(q: ProbMeasure, table: LossTable, s: Sample, h: float):
+def flatness(q: ProbMeasure, table: LossTable, s: Sample, h: float, g=None):
     """h-flatness (1/m) sum_i E_Q[f(z_i) - (1+h) G_Q(z_i)]^2, one value per sample.
 
     Small when the posterior concentrates on hypotheses that agree on the
@@ -60,12 +60,12 @@ def flatness(q: ProbMeasure, table: LossTable, s: Sample, h: float):
     [0,1]-valued loss; the alternate form below is exact only for binary loss.
     Computed by the exact expansion (since sum_f Q_f = 1)
     sum_f Q_f (L_fz - (1+h) G_z)^2 = (Q @ L^2)_z - (1-h^2) G_z^2,
-    which needs O(n_h + n_z) memory per sample rather than O(n_h * n_z).
+    which needs O(n_h + n_z) memory per sample rather than O(n_h * n_z). g: G_Q, if known.
     """
     if not 0 < h <= 1:
         raise ValueError(f"h must lie in (0, 1], got {h!r}")
-    g = gibbs_losses(q, table, s)
-    second = np.vecmat(q.weights, table.loss * table.loss)
+    g = gibbs_losses(q, table, s) if g is None else g
+    second = np.vecmat(q.weights, table.loss_squared)
     return s.mean(second - (1.0 - h * h) * (g * g))
 
 

@@ -1,47 +1,55 @@
-"""Posterior construction: tempered Gibbs family and direct simplex search.
+"""Posterior construction: the tempered Gibbs family and the bound minimiser.
 
 A posterior rule maps (prior, table, sample) to a posterior; given a block of
 samples it returns one posterior row per sample, or one posterior for all of
 them. gibbs_posterior is such a rule once beta is bound, and so is
-minimize_bound once its family, parameters and search settings are.
+minimize_bound once its family, parameters and beta grid are.
 
-minimize_bound seeds the search with the tempered family (the exact minimizer
-for Catoni-style objectives, which are linear in (emp, KL)) and then refines
-with exponentiated-gradient steps on the simplex, every sample of a block
-with its own step size. Flatness objectives are nonconvex in Q, so only
-"best found" is claimed.
+Both are made of the Gibbs tilt Q ~ P exp(-t * score) (_tilt): every family's
+bound is minimised by a tilt, or for flatness by a sequence of them.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .bounds import FAMILIES, BoundParams, BoundReport, evaluate_bound, flatness_bound
 from .core import LossTable, ProbMeasure, Sample, empirical_risks
-from .measures import gibbs_empirical_risk, kl_divergence
+from .measures import gibbs_empirical_risk, gibbs_losses, kl_divergence
+from .processes import _kl_ball_tilt
+
+# minimize_bound's stop rule and cap on tilts per row.
+_TILT_RTOL = 1e-12
+_MAX_TILTS = 500
+
+
+def _tilt(p: ProbMeasure, score, t) -> ProbMeasure:
+    """The tilt Q ~ p exp(-t * score), row by row: score [..., n_h], and t >= 0
+    a number or one per row. Where t is +inf it is the t -> inf limit: p
+    restricted to the atoms of least score on its support."""
+    support = p.weights > 0
+    t = np.expand_dims(t, -1)
+    limit = np.isinf(t)
+    # Shift by the best exponent on the prior's support, so that the weights
+    # there do not all underflow when an atom without prior mass scores better.
+    x = np.where(support, -np.where(limit, 0.0, t) * score, -np.inf)
+    x -= x.max(axis=-1, keepdims=True)
+    w = p.weights * np.exp(x)
+    if limit.any():
+        least = np.where(support, score, np.inf)
+        w = np.where(limit, p.weights * (least == least.min(axis=-1, keepdims=True)), w)
+    return ProbMeasure.normalized(w)
 
 
 def gibbs_posterior(p: ProbMeasure, table: LossTable, s: Sample, beta: float) -> ProbMeasure:
     """Tempered posterior: weights proportional to p(f) exp(-beta * m * Remp(f)),
-    one row per sample of s. Where beta * m overflows (beta = inf included) it
-    is the beta -> inf limit: the prior restricted, row by row, to the atoms of
-    least empirical risk on its support."""
+    one row per sample of s; where beta * m overflows (beta = inf included),
+    the beta -> inf limit of _tilt."""
     if not beta >= 0:
         raise ValueError("beta must be nonnegative")
     if beta == 0:
         return p
-    risks = empirical_risks(table, s)
-    if math.isinf(float(beta) * s.m):
-        risks = np.where(p.weights > 0, risks, np.inf)
-        return ProbMeasure.normalized(p.weights * (risks == risks.min(axis=-1, keepdims=True)))
-    # Shift by the best score on the prior's support, so that the weights there
-    # do not all underflow when an atom without prior mass scores higher.
-    score = np.where(p.weights > 0, -beta * s.m * risks, -np.inf)
-    score -= score.max(axis=-1, keepdims=True)
-    raw = p.weights * np.exp(score)
-    return ProbMeasure.normalized(raw)
+    return _tilt(p, empirical_risks(table, s), float(beta) * s.m)
 
 
 def evaluate_posterior_bound(family: str, params: BoundParams, q: ProbMeasure,
@@ -55,81 +63,65 @@ def evaluate_posterior_bound(family: str, params: BoundParams, q: ProbMeasure,
     return evaluate_bound(family, emp, kl, s.m, params)
 
 
-def _bound_gradient(family: str, params: BoundParams, q: np.ndarray,
-                    prior: np.ndarray, table: LossTable, s: Sample) -> np.ndarray:
-    """Analytic gradient of the bound objective in the posterior weights q
-    [..., n_h], one row per sample of s.
-
-    One chain rule for every family: dB/demp * Remp(f) + dB/dkl * (log(q_f/p_f) + 1),
-    plus c times the gradient of the flatness term for the flatness bound.
-    Entries where the prior (hence the posterior) carries no mass get a zero
-    gradient; multiplicative updates keep them at zero.
-    """
+def _majoriser(family: str, params: BoundParams, q: ProbMeasure, p: ProbMeasure,
+               table: LossTable, s: Sample):
+    """(score, t), one row per sample of s: _tilt(p, score, t) minimises the
+    bound linearised at q in KL and, for flatness, in its concave -(1-h^2) G^2
+    term. t = d_emp / d_kl(KL(q || p)) (+inf where d_kl = 0); score is Remp,
+    plus c (mean_rows(L^2) - 2 (1-h^2) matvec(L, G counts) / m) / d_emp for
+    flatness (G = q L). The bound's gradient at q is d_emp (score + (log(q/p) + 1) / t)."""
     fam = FAMILIES[family]
-    live = (prior > 0) & (q > 0)
-    log_ratio = np.log(np.divide(q, prior, out=np.ones_like(q), where=live))
-    kl = np.sum(q * log_ratio, axis=-1)
-    g_kl = np.where(live, log_ratio + 1.0, 0.0)
-    grad = (fam.d_emp(params) * empirical_risks(table, s)
-            + np.expand_dims(fam.d_kl(kl, s.m, params), -1) * g_kl)
+    d_emp = fam.d_emp(params)
+    b = np.broadcast_to(fam.d_kl(kl_divergence(q, p), s.m, params), s.counts.shape[:-1])
+    t = np.divide(d_emp, b, out=np.full(b.shape, np.inf), where=b > 0)
+    score = empirical_risks(table, s)
     if fam.needs_sample:
-        # d/dq_f of the flatness sum: (1/m) sum_i [L_{f,i}^2 + 2(h^2-1) G_i L_{f,i}],
-        # taken as two matrix-vector products so a block needs no [T, n_h, n_z] array.
-        h, loss = params.h, table.loss
-        gvals = np.vecmat(q, loss)
-        grad += params.c * (s.mean_rows(loss * loss)
-                            + 2.0 * (h * h - 1.0) * np.matvec(loss, gvals * s.counts) / s.m)
-    return np.where(live, grad, 0.0)
+        g = gibbs_losses(q, table, s)
+        shrink = 2.0 * (1.0 - params.h * params.h)
+        score = (score + params.c * (s.mean_rows(table.loss_squared)
+                                     - shrink * np.matvec(table.loss, g * s.counts) / s.m)) / d_emp
+    return score, t
 
 
 def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: LossTable,
-                   s: Sample, beta_grid, refine_steps: int = 50) -> tuple[ProbMeasure, BoundReport]:
-    """Best posterior found over the tempered grid plus exponentiated-gradient
-    refinement, one posterior row (weights [..., n_h]) and one bound value per
-    sample of s.
-
-    Each sample keeps the tempered posterior of the smallest beta that attains
-    its least grid value, then refines with its own step size: a step is kept
-    only if it improves that sample's bound, and otherwise (or when the trial
-    weights overflow) the step halves. So the result never exceeds the best
-    grid evaluation, and a sample's result does not depend on the rest of its
-    block.
+                   s: Sample, beta_grid) -> tuple[ProbMeasure, BoundReport]:
+    """Posterior of least bound found, one posterior row (weights [..., n_h])
+    and one bound value per sample of s, by a majorise-minimise loop: each
+    step tilts Q_k by _majoriser at Q_k. One tilt is exact for catoni and
+    matched_catoni; the loop descends for mcallester (concave in KL) and is
+    the convex-concave procedure for flatness. A sample starts from the
+    tempered posterior of every beta in beta_grid; kst, whose max(KL, 2) has a
+    kink, also from the one with KL = 2, or the beta -> inf limit if its KL <= 2.
+    A row takes a tilt only where it lowers its bound B, and stops once the
+    decrease is at most _TILT_RTOL * max(1, |B|); a row still open after
+    _MAX_TILTS tilts raises RuntimeError. A sample keeps its least bound over
+    its starts (the least beta on a tie): never above the grid, and
+    independent of the rest of the block.
     """
-    betas = sorted(set(beta_grid))
-    if not betas:
+    starts = [gibbs_posterior(p, table, s, beta).weights for beta in sorted(set(beta_grid))]
+    if not starts:
         raise ValueError("beta grid must be nonempty")
-    if refine_steps < 0:
-        raise ValueError("refine_steps must be nonnegative")
+    if family == "kst":
+        risks = empirical_risks(table, s)
+        starts.append(_tilt(p, risks, _kl_ball_tilt(p, -risks, 2.0)[1]).weights)
 
-    def bound(q):
-        return evaluate_posterior_bound(family, params, q, p, table, s)
-
+    # One row per (start, sample), so a block of samples is one loop.
     shape = s.counts.shape[:-1] + (p.size,)
-    q = gibbs_posterior(p, table, s, betas[0])
-    w, best_val = np.broadcast_to(q.weights, shape), bound(q).value
-    for beta in betas[1:]:
-        q = gibbs_posterior(p, table, s, beta)
-        val = bound(q).value
-        better = val < best_val
-        best_val = np.where(better, val, best_val)
-        w = np.where(better[..., None], q.weights, w)
-
-    step = np.ones(shape[:-1])
-    for _ in range(refine_steps):
-        grad = _bound_gradient(family, params, w, p.weights, table, s)
-        live = w > 0
-        # grad is zero off the support, so its sum is over the support only.
-        centered = grad - grad.sum(axis=-1, keepdims=True) / live.sum(axis=-1, keepdims=True)
-        trial = w * np.exp(-step[..., None] * np.where(live, centered, 0.0))
-        total = trial.sum(axis=-1)
-        usable = (total > 0) & np.isfinite(trial).all(axis=-1)
-        # A row that cannot be normalized keeps its weights and is not accepted.
-        q_trial = ProbMeasure.normalized(
-            np.divide(trial, total[..., None], out=np.array(w), where=usable[..., None]))
-        val = bound(q_trial).value
-        accept = usable & (val < best_val)
-        best_val = np.where(accept, val, best_val)
-        w = np.where(accept[..., None], q_trial.weights, w)
-        step = np.where(accept, step, step / 2.0)
-    best_q = ProbMeasure.normalized(w)
-    return best_q, bound(best_q)
+    w = np.stack([np.broadcast_to(start, shape) for start in starts]).reshape(-1, p.size)
+    counts = np.broadcast_to(s.counts, (len(starts),) + s.counts.shape).reshape(len(w), -1)
+    val = evaluate_posterior_bound(family, params, ProbMeasure(w), p, table, Sample(counts)).value
+    rows = np.arange(len(w))
+    for _ in range(_MAX_TILTS):
+        if not rows.size:
+            break
+        sample = Sample(counts[rows])
+        q = _tilt(p, *_majoriser(family, params, ProbMeasure(w[rows]), p, table, sample))
+        new = evaluate_posterior_bound(family, params, q, p, table, sample).value
+        drop = np.where(new < val[rows], val[rows] - new, 0.0)
+        w[rows[drop > 0]], val[rows[drop > 0]] = q.weights[drop > 0], new[drop > 0]
+        rows = rows[drop > _TILT_RTOL * np.maximum(1.0, np.abs(val[rows]))]
+    if rows.size:
+        raise RuntimeError(f"minimize_bound: {rows.size} rows still open after {_MAX_TILTS} tilts")
+    best = val.reshape(len(starts), -1).argmin(axis=0)
+    best_q = ProbMeasure(w.reshape(len(starts), -1, p.size)[best, range(best.size)].reshape(shape))
+    return best_q, evaluate_posterior_bound(family, params, best_q, p, table, s)

@@ -66,6 +66,11 @@ def kl_ball_sup(p: ProbMeasure, values, kappa: float):
     ball's boundary (dE/dKL = 1/lam). A row still open after 200 steps raises
     RuntimeError.
     """
+    return _kl_ball_tilt(p, values, kappa)[0]
+
+
+def _kl_ball_tilt(p: ProbMeasure, values, kappa: float):
+    """kl_ball_sup and each row's lam: 0 at the prior, +inf at the lam -> inf limit."""
     if not kappa >= 0:
         raise ValueError("kappa must be nonnegative")
     v = np.asarray(values, dtype=float)
@@ -80,6 +85,7 @@ def kl_ball_sup(p: ProbMeasure, values, kappa: float):
     flat = d.min(axis=-1) == 0
     kl_limit = -np.log(np.where(d == 0, w, 0.0).sum(axis=-1))
     out = np.where(flat | (kappa == 0) | (kappa < kl_limit), base, vmax)
+    lam_out = np.where(flat | (kappa == 0), 0.0, np.inf)
     left = np.flatnonzero(~flat & (0 < kappa) & (kappa < kl_limit))
     d, vmax = d[left], vmax[left]
     centred = d - (d * w).sum(axis=-1)[:, None]
@@ -108,6 +114,7 @@ def kl_ball_sup(p: ProbMeasure, values, kappa: float):
             done = ((np.abs(kl - kappa) <= _KL_BALL_RTOL * kappa)
                     | (np.nextafter(lo, np.inf) >= hi) | (e_hi <= e_lo))
             out[left[done]] = (e + (kappa - kl) / lam)[done]
+            lam_out[left[done]] = lam[done]
             newton = lam - (kl - kappa) / (lam * var)
             bisect = np.where(np.isinf(hi), 2.0 * lo,
                               np.where((lo > 0) & (hi > 2.0 * lo),
@@ -118,7 +125,7 @@ def kl_ball_sup(p: ProbMeasure, values, kappa: float):
                 a[keep] for a in (left, d, vmax, lam, lo, hi, e_lo, e_hi))
     if left.size:
         raise RuntimeError(f"kl_ball_sup: {left.size} rows still open after 200 steps")
-    return out.reshape(v.shape[:-1])[()]
+    return out.reshape(v.shape[:-1])[()], lam_out.reshape(v.shape[:-1])[()]
 
 
 def kl_dual_value(p: ProbMeasure, values, kappa: float) -> float:

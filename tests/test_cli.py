@@ -129,7 +129,7 @@ class TestCoverage:
         def rule(prior, table, block):
             # One minimize_bound call per sample of the block.
             return ProbMeasure([minimize_bound("catoni", params, prior, table, s,
-                                               (0.0, 0.1, 1.0, 10.0), 20)[0].weights
+                                               (0.0, 0.1, 1.0, 10.0))[0].weights
                                 for s in block.rows()])
 
         rep = coverage_experiment(inst.table, inst.dist, inst.prior, rule,
@@ -386,6 +386,10 @@ class TestUsageContract:
         (["optimize", "--family", "flatness", "--instance", "INST", "--seed", "1", "--C", "3"],
          None, "optimize"),
         (DEBIAS, "lemmas.f = 1\n", "lemmas"),
+        (["optimize", "--family", "kst", "--instance", "INST", "--m", "10", "--seed", "1",
+          "--refine-steps", "5"], None, "optimize"),
+        (["optimize", "--family", "kst", "--instance", "INST", "--m", "10", "--seed", "1"],
+         "optimize.refine_steps = 5\n", "optimize"),
     ], ids=["duality-no-instance", "optimize-no-instance", "sweep-no-instance",
             "debias-no-instance", "unknown-flag", "bad-family", "config-bad-rule",
             "unknown-command", "beta-with-fixed-Q", "beta-with-bound-minimizer",
@@ -393,7 +397,8 @@ class TestUsageContract:
             "f-with-debias", "f-0-with-debias", "force-with-debias", "seed-with-xy",
             "k-with-shifted-flatness", "mu-with-symmetrization", "h-with-catoni",
             "seed-in-closed-form", "emp-with-flatness", "flatness-no-instance",
-            "c-with-coverage-catoni", "C-with-optimize-flatness", "config-f-with-debias"])
+            "c-with-coverage-catoni", "C-with-optimize-flatness", "config-f-with-debias",
+            "refine-steps-removed", "config-refine-steps-removed"])
     def test_usage_error_exits_2_with_one_record(self, argv, config, command, tmp_path,
                                                  inst_file, log_file, capsys):
         prefix = ["--log", log_file]
@@ -421,8 +426,8 @@ class TestUsageContract:
                                ("matched_catoni", "--c2"))),
         ["optimize", "--family", "kst", "--instance", "INST", "--m", "10", "--seed", "1",
          "--beta-grid", "nan"],
-        ["optimize", "--family", "kst", "--instance", "INST", "--m", "10", "--seed", "1",
-         "--refine-steps", "-3"],
+        *(["optimize", "--family", "kst", "--instance", "INST", "--m", "10", "--seed", "1",
+           "--beta-grid", grid] for grid in ("-1", "")),
         *(["lemmas", "--which", "shifted-flatness", "--instance", "INST", "--seed", "1",
            flag, "0"] for flag in ("--m", "--h", "--c2")),
         ["lemmas", "--which", "xy", "--mu", "0.5", "--lambda-over-m", "nan", "--force"],
@@ -434,7 +439,7 @@ class TestUsageContract:
         *(["lemmas", "--which", which, "--instance", "INST", "--seed", "1", "--trials", "50",
            "--t", "nan"] for which in ("shifted-flatness", "symmetrization")),
     ], ids=["kappa-nan", "emp-nan", "kl-nan", "emp-2", "C-nan", "c-nan", "c2-nan",
-            "beta-grid-nan", "refine-steps-negative",
+            "beta-grid-nan", "beta-grid-negative", "beta-grid-empty",
             "shifted-flatness-m-0", "shifted-flatness-h-0", "shifted-flatness-c2-0",
             "xy-lambda-nan-forced", "debias-lambda-nan", "debias-k-nan", "xy-mu-nan",
             "shifted-flatness-t-nan", "symmetrization-t-nan"])
@@ -446,6 +451,27 @@ class TestUsageContract:
         assert "Traceback" not in err
         (rec,) = [json.loads(line) for line in open(log_file).read().splitlines()]
         assert rec["exit_code"] == 2
+
+    @pytest.mark.parametrize("argv, target, name", [
+        (["duality", "--instance", "INST", "--kappa", "0.7"], "pacbayes.cli", "kl_ball_sup"),
+        (["optimize", "--family", "flatness", "--instance", "INST", "--m", "50", "--seed", "6"],
+         "pacbayes.posterior_opt", "_MAX_TILTS"),
+    ], ids=["duality", "optimize"])
+    def test_solver_failure_exits_1_with_one_record(self, argv, target, name, inst_file,
+                                                    log_file, capsys, monkeypatch):
+        # kl_ball_sup fails as after 200 steps; minimize_bound gets a cap of one tilt.
+        def fail(*args):
+            raise RuntimeError("kl_ball_sup: 1 rows still open after 200 steps")
+
+        monkeypatch.setattr(f"{target}.{name}", fail if name == "kl_ball_sup" else 1)
+        argv = [inst_file if a == "INST" else a for a in argv]
+        assert run(argv, log_file) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "still open after" in err
+        assert "Traceback" not in err and "usage:" not in err
+        (rec,) = [json.loads(line) for line in open(log_file).read().splitlines()]
+        assert rec["exit_code"] == 1
+        assert "still open after" in rec["summary"]["error"]
 
     @pytest.mark.parametrize("flag, default, other, argv, reads, ignores", [
         ("beta", "1", "5", ["sweep", "--instance", "INST", "--m-grid", "10,50", "--seed", "2"],

@@ -53,6 +53,20 @@ class TestBoundSweep:
             assert r.catoni_mean > 0 and r.flatness_mean > 0
             assert r.T_m_mean >= 0 and r.kl_mean >= 0
 
+    def test_gibbs_losses_once_per_block(self, rng, monkeypatch):
+        import pacbayes.bounds
+        import pacbayes.compare
+        import pacbayes.measures
+        dist, table, prior = self._setup(rng)
+        calls = []
+        real = pacbayes.measures.gibbs_losses
+        for module in (pacbayes.bounds, pacbayes.compare, pacbayes.measures):
+            monkeypatch.setattr(module, "gibbs_losses",
+                                lambda *args: calls.append(1) or real(*args))
+        bound_sweep(table, dist, prior, prior_rule, c=1.0, h=0.7, delta=0.05,
+                    m_grid=(10, 50, 200), trials=5, seed=1)
+        assert len(calls) == 3
+
     def test_fixed_q_kl_zero(self, rng):
         dist, table, prior = self._setup(rng)
         res = bound_sweep(table, dist, prior, prior_rule, c=1.0, h=0.5,

@@ -55,6 +55,12 @@ class TestLossTable:
         assert LossTable([[0, 1], [1, 0]]).binary_flag
         assert not LossTable([[0, 0.5], [1, 0]]).binary_flag
 
+    def test_loss_squared_is_derived_and_read_only(self):
+        table = LossTable([[0, 0.5], [1, 0.25]])
+        assert np.array_equal(table.loss_squared, [[0, 0.25], [1, 0.0625]])
+        with pytest.raises(ValueError):
+            table.loss_squared[0, 0] = 1.0
+
 
 class TestDrawSample:
     def test_point_mass(self):

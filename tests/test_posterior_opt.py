@@ -6,8 +6,10 @@ import pytest
 from pacbayes import (FAMILIES, BoundParams, ProbMeasure, draw_sample,
                       evaluate_posterior_bound, gibbs_posterior, kl_divergence,
                       minimize_bound)
-from pacbayes.core import empirical_risks
-from pacbayes.posterior_opt import _bound_gradient
+from pacbayes.bounds import _matched_constants
+from pacbayes.core import LossTable, Sample, empirical_risks
+from pacbayes import posterior_opt
+from pacbayes.posterior_opt import _majoriser, _tilt
 
 from conftest import random_instance, random_measure
 
@@ -91,19 +93,51 @@ class TestGibbsPosterior:
         assert np.array_equal(q.weights, expected.weights)
 
 
+def zero_prior_instance(rng, n_h, n_z, m, size, seed):
+    """A non-binary instance whose prior has no mass on about a third of the
+    atoms, with a block of samples."""
+    dist, table = random_instance(rng, n_h=n_h, n_z=n_z, binary=False)
+    weights = rng.dirichlet(np.ones(n_h))
+    weights[rng.permutation(n_h)[:n_h // 3]] = 0.0
+    return ProbMeasure.normalized(weights), table, draw_sample(dist, m, seed, size=size)
+
+
+def record_bounds(monkeypatch):
+    """Make minimize_bound record the bound values it evaluates: its starts,
+    then each tilt of the rows still open, then the result."""
+    seen = []
+    evaluate = posterior_opt.evaluate_posterior_bound
+
+    def recording(*args):
+        report = evaluate(*args)
+        seen.append(np.array(report.value, ndmin=1))
+        return report
+
+    monkeypatch.setattr(posterior_opt, "evaluate_posterior_bound", recording)
+    return seen
+
+
 class TestGradient:
-    # catoni_C = 1.5 catches a gradient that is right only at C = 1.
+    """The tilt that _majoriser sets up minimises the bound linearised at q, so
+    it must have the bound's gradient at q: d_emp (score + (log(q/p) + 1) / t)
+    on the prior's support, checked against central differences of the bound.
+    For flatness, score carries the gradient of c * flatness."""
+
+    # catoni_C = 1.5 catches a temperature that is right only at C = 1.
     @pytest.mark.parametrize("family,catoni_C", [
         *(pytest.param(f, 1.0, id=f) for f in FAMILIES_CLOSED + ("flatness",)),
         pytest.param("catoni", 1.5, id="catoni-C1.5"),
     ])
     def test_finite_difference(self, rng, family, catoni_C):
-        dist, table = random_instance(rng, n_h=5, n_z=4)
-        p = random_measure(rng, 5)
+        dist, table = random_instance(rng, n_h=5, n_z=4, binary=False)
+        p = ProbMeasure([0.04, 0.3, 0.26, 0.2, 0.2])
         s = draw_sample(dist, 20, 6)
         params = BoundParams(delta=0.05, catoni_C=catoni_C, c=1.0, h=0.5)
-        q = random_measure(rng, 5)
-        grad = _bound_gradient(family, params, q.weights, p.weights, table, s)
+        # Mostly on the first atom, so that KL exceeds 2, where kst's d_kl is not 0.
+        q = ProbMeasure.normalized(rng.dirichlet(np.ones(5)) * 0.1 + [1.0, 0, 0, 0, 0])
+        assert kl_divergence(q, p) > 2
+        score, t = _majoriser(family, params, q, p, table, s)
+        grad = FAMILIES[family].d_emp(params) * (score + (np.log(q.weights / p.weights) + 1) / t)
 
         def objective(w):
             return evaluate_posterior_bound(
@@ -115,7 +149,14 @@ class TestGradient:
             d = np.zeros(5)
             d[a], d[b] = 1.0, -1.0
             num = (objective(q.weights + eps * d) - objective(q.weights - eps * d)) / (2 * eps)
-            assert num == pytest.approx(float(grad @ d), abs=1e-4)
+            assert num == pytest.approx(float(grad @ d), rel=1e-6, abs=1e-6)
+
+    def test_kst_below_the_kink_tilts_to_the_limit(self, rng):
+        # At KL <= 2 kst's d_kl is 0, so the next tilt is the beta -> inf limit.
+        dist, table = random_instance(rng, n_h=5, n_z=4)
+        p = ProbMeasure.uniform(5)
+        _, t = _majoriser("kst", BoundParams(), p, p, table, draw_sample(dist, 20, 6))
+        assert t == math.inf
 
 
 class TestMinimizeBound:
@@ -142,9 +183,106 @@ class TestMinimizeBound:
         params = BoundParams(delta=0.05, catoni_C=C)
         q_opt = gibbs_posterior(p, table, s, C)
         opt_val = evaluate_posterior_bound("catoni", params, q_opt, p, table, s).value
-        _, rep = minimize_bound("catoni", params, p, table, s, (0.0, C, 5.0), refine_steps=100)
+        _, rep = minimize_bound("catoni", params, p, table, s, (0.0, C, 5.0))
         assert rep.value <= opt_val + 1e-12
         assert rep.value >= opt_val - 1e-8
+
+    @pytest.mark.parametrize("family", ["catoni", "matched_catoni"])
+    def test_one_tilt_is_the_tempered_posterior(self, rng, family):
+        # beta = d_emp / (m d_kl): C for catoni, (1 + c) / C1 for matched_catoni.
+        params = BoundParams(delta=0.05, catoni_C=1.3)
+        beta = 1.3 if family == "catoni" else 2.0 / _matched_constants(1.0, None, 0.05).C1
+        assert family == "catoni" or beta == pytest.approx(0.0276, abs=1e-4)
+        for seed in range(5):
+            p, table, block = zero_prior_instance(rng, 9, 5, 40, 6, seed)
+            q, _ = minimize_bound(family, params, p, table, block, (0.0, 0.1, 1.0, 10.0))
+            # Within 1e-15 at this m: the tilt's temperature d_emp / d_kl
+            # rounds differently from beta * m, by about m * 1e-16 in the exponent.
+            assert np.abs(q.weights - gibbs_posterior(p, table, block, beta).weights).max() <= 1e-15
+
+    @pytest.mark.parametrize("family", FAMILIES_CLOSED)
+    def test_not_above_a_fine_beta_scan(self, rng, family):
+        # The minimiser of a closed-form family lies on the tempered path.
+        params = BoundParams(delta=0.05, catoni_C=0.7)
+        # beta = 0 is the prior itself; the tilt at t = 0 would be p / sum(p).
+        betas = np.concatenate([np.logspace(-5, 4, 2000), [np.inf]])
+        for n_h, n_z, m, seed in ((12, 5, 40, 1), (30, 8, 300, 2), (6, 3, 5000, 3)):
+            p, table, block = zero_prior_instance(rng, n_h, n_z, m, 4, seed)
+            _, rep = minimize_bound(family, params, p, table, block, (0.0, 0.1, 1.0, 10.0))
+            for i, s in enumerate(block.rows()):
+                risks = np.broadcast_to(empirical_risks(table, s), (len(betas), n_h))
+                path = _tilt(p, risks, betas * m)
+                scan = min(evaluate_posterior_bound(family, params, q, p, table, s).value.min()
+                           for q in (path, p))
+                assert rep.value[i] <= scan + 1e-12 * max(1.0, abs(scan))
+
+    def test_kst_optimum_at_the_kink_has_kl_2(self):
+        # Hypothesis f errs on the points z < f, so its empirical risk is f/20.
+        # Past KL = 2 the bound rises along the tempered path, and the beta -> inf
+        # limit (hypothesis 0 alone) has KL = log 20 > 2: the optimum is the kink.
+        n = 20
+        table = LossTable((np.arange(n)[None, :] < np.arange(n)[:, None]).astype(float))
+        s, p = Sample(np.full(n, 5)), ProbMeasure.uniform(n)
+        q, rep = minimize_bound("kst", BoundParams(), p, table, s, (0.0, 0.1, 1.0, 10.0))
+        assert kl_divergence(q, p) == pytest.approx(2.0, rel=1e-11)
+        grid = [evaluate_posterior_bound("kst", BoundParams(), gibbs_posterior(p, table, s, b),
+                                         p, table, s).value for b in (0.0, 0.1, 1.0, 10.0)]
+        assert rep.value < min(grid) - 1e-3
+
+    @pytest.mark.parametrize("family", ["mcallester", "catoni", "matched_catoni", "flatness"])
+    def test_accepted_tilts_lower_the_bound_until_the_stop_rule(self, rng, family,
+                                                                monkeypatch):
+        # One sample and one start (kst would add its KL = 2 start), so every
+        # evaluation after the start is one tilt of the same row. A tilt is
+        # kept only where it lowers the bound, and the row stops at the first
+        # tilt that lowers it by at most 1e-12 max(1, |B|).
+        params = BoundParams(delta=0.05, catoni_C=1.3, c=2.0, h=0.3)
+        seen = record_bounds(monkeypatch)
+        for seed in range(4):
+            p, table, block = zero_prior_instance(rng, 15, 6, 200, 1, seed)
+            for beta in (0.0, 1.0):
+                seen.clear()
+                _, rep = minimize_bound(family, params, p, table, block.rows()[0], (beta,))
+                start, *tilts, result = (float(v[-1]) for v in seen)
+                assert 1 <= len(tilts) <= posterior_opt._MAX_TILTS
+                best = start
+                for k, value in enumerate(tilts):
+                    drop = best - value
+                    if k < len(tilts) - 1:
+                        assert drop > 1e-12 * max(1.0, abs(value))
+                    else:
+                        assert drop <= 1e-12 * max(1.0, abs(min(best, value)))
+                    best = min(best, value)
+                assert result == best == rep.value
+
+    def test_flatness_not_above_its_best_grid_start(self, rng):
+        params = BoundParams(delta=0.05, c=3.0, h=0.2)
+        grid = (0.0, 0.1, 1.0, 10.0)
+        for seed in range(4):
+            p, table, block = zero_prior_instance(rng, 20, 7, 500, 8, seed)
+            _, rep = minimize_bound("flatness", params, p, table, block, grid)
+            starts = np.min([evaluate_posterior_bound(
+                "flatness", params, gibbs_posterior(p, table, block, b), p, table, block).value
+                for b in grid], axis=0)
+            assert (rep.value <= starts).all()
+
+    def test_tilt_cap_raises(self, rng, monkeypatch):
+        dist, table = random_instance(rng, n_h=8, n_z=5, binary=False)
+        monkeypatch.setattr(posterior_opt, "_MAX_TILTS", 1)
+        with pytest.raises(RuntimeError, match="still open after 1 tilts"):
+            minimize_bound("flatness", BoundParams(c=2.0, h=0.3), ProbMeasure.uniform(8),
+                           table, draw_sample(dist, 50, 3), (0.0,))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_risks_tied_on_the_support(self, family):
+        # Every tilt of this prior is p / sum(p), whose KL to p rounds to
+        # -1.8e-16 before it is clamped to 0.
+        p = ProbMeasure([0.6611656251366724, 0.33883437486332774])
+        table, s = LossTable([[0.5, 0.5], [0.5, 0.5]]), Sample(np.array([3, 2]))
+        q, rep = minimize_bound(family, BoundParams(), p, table, s, (0.0, 1.0))
+        assert kl_divergence(q, p) == 0.0
+        at_prior = evaluate_posterior_bound(family, BoundParams(), p, p, table, s).value
+        assert rep.value == pytest.approx(at_prior, rel=1e-14)
 
     def test_flatness_runs_and_reports(self, rng):
         dist, table = random_instance(rng, n_h=4, n_z=4)
@@ -176,17 +314,17 @@ class TestMinimizeBound:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_block_equals_one_sample_calls(self, rng, family):
         # Four atoms carry no prior mass, and the rows of the block pick their
-        # own grid point and accept different refinement steps.
+        # own start and stop after their own number of tilts.
         dist, table = random_instance(rng, n_h=12, n_z=5, binary=False)
         weights = rng.dirichlet(np.ones(12))
         weights[[1, 4, 5, 9]] = 0.0
         p = ProbMeasure.normalized(weights)
         params = BoundParams(delta=0.05, catoni_C=1.3, c=1.0, h=0.6)
         block = draw_sample(dist, 40, 11, size=7)
-        q, rep = minimize_bound(family, params, p, table, block, (0.0, 0.3, 2.0, 1e3), 15)
+        q, rep = minimize_bound(family, params, p, table, block, (0.0, 0.3, 2.0, 1e3))
         assert q.weights.shape == (7, 12) and rep.value.shape == (7,)
         for i, s in enumerate(block.rows()):
-            q1, rep1 = minimize_bound(family, params, p, table, s, (0.0, 0.3, 2.0, 1e3), 15)
+            q1, rep1 = minimize_bound(family, params, p, table, s, (0.0, 0.3, 2.0, 1e3))
             assert np.array_equal(q.weights[i], q1.weights)
             assert rep.value[i] == rep1.value
             for name, part in rep.components.items():
@@ -198,14 +336,7 @@ class TestMinimizeBound:
         p = ProbMeasure.uniform(6)
         block = draw_sample(dist, 30, 12, size=5)
         params = BoundParams(delta=0.05, c=1.0, h=0.5)
-        q, rep = minimize_bound(family, params, p, table, block, (0.0, 1.0, 10.0), 10)
-        q2, rep2 = minimize_bound(family, params, p, table, block, (10.0, 0.0, 1.0, 0.0), 10)
+        q, rep = minimize_bound(family, params, p, table, block, (0.0, 1.0, 10.0))
+        q2, rep2 = minimize_bound(family, params, p, table, block, (10.0, 0.0, 1.0, 0.0))
         assert np.array_equal(q.weights, q2.weights)
         assert np.array_equal(rep.value, rep2.value)
-
-    def test_negative_refine_steps_rejected(self, rng):
-        dist, table = random_instance(rng)
-        s = draw_sample(dist, 5, 1)
-        with pytest.raises(ValueError):
-            minimize_bound("kst", BoundParams(), ProbMeasure.uniform(table.hypothesis_count),
-                           table, s, (0.0, 1.0), -3)

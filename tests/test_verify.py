@@ -118,7 +118,7 @@ class TestCoverage:
         params = BoundParams(delta=0.05, catoni_C=1.5)
         rep = coverage_experiment(
             table, dist, prior,
-            lambda p, tab, s: minimize_bound("catoni", params, p, tab, s, (0.0, 1.0), 5)[0],
+            lambda p, tab, s: minimize_bound("catoni", params, p, tab, s, (0.0, 1.0))[0],
             "catoni", params, m=25, trials=20, seed=5)
         assert rep.trials == 20
 
