@@ -39,10 +39,10 @@ class BoundParams:
     def __post_init__(self):
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if not self.catoni_C > 0:
-            raise ValueError("catoni_C must be positive")
-        if not self.c > 0:
-            raise ValueError("c must be positive")
+        if not 0 < self.catoni_C < math.inf:
+            raise ValueError("catoni_C must be positive and finite")
+        if not 0 < self.c < math.inf:
+            raise ValueError("c must be positive and finite")
 
 
 @dataclass(frozen=True)

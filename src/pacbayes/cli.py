@@ -1,9 +1,14 @@
 """Command-line front end.
 
 Subcommands: bounds, coverage, lemmas, duality, optimize, sweep, gen-instance.
-Every stochastic subcommand requires --seed. CSV outputs carry a fixed header
-and 17-significant-digit numbers; each invocation, one whose arguments fail to
-parse included, appends one JSON line to the run log.
+Every stochastic subcommand requires --seed. Each handler returns a Result;
+main alone outputs it. stdout is the result table as CSV (a fixed header,
+17-significant-digit numbers), then a `name value...` line per note, then
+PASS or FAIL if the run checks something. --out gets the same CSV text;
+gen-instance has no table and writes its instance there. Each invocation, one
+whose arguments fail to parse included, appends one JSON line to the run log,
+with summary {"result": [an object per row], **notes} or {"error": message};
+a non-finite number is the string "inf", "-inf" or "nan", as in the CSV.
 
 The parser declares each flag's type and choices, and the default and
 requiredness of a flag that every run of its subcommand reads. Which of the
@@ -23,12 +28,13 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import FAMILIES, BoundParams, evaluate_bound, log_cosh_over_x
 from .core import LossTable, ProbMeasure, draw_sample, true_risks
-from .io import (Instance, append_run_record, fmt, load_config, load_instance,
+from .io import (Instance, append_run_record, csv_text, fmt, load_config, load_instance,
                  save_instance, write_csv)
 from .posterior_opt import evaluate_posterior_bound, gibbs_posterior, minimize_bound
 from .processes import (debias_mgf_exact, kl_ball_sup, kl_dual_value,
@@ -67,7 +73,7 @@ _BOUND_FLAGS = {"delta": "delta", "C": "catoni_C", "c": "c", "c2": "c2", "h": "h
 
 def _bound_params(args) -> BoundParams:
     return BoundParams(**{name: value for flag, name in _BOUND_FLAGS.items()
-                          if (value := getattr(args, flag)) is not None})
+                          if (value := getattr(args, flag, None)) is not None})
 
 
 def _fixed_q(inst: Instance) -> ProbMeasure:
@@ -146,8 +152,17 @@ def _posterior_rule(args, inst: Instance):
 
 
 BOUNDS_CSV_HEADER = ["family", "value", "emp_term", "complexity_term", "flatness_term", "C_derived"]
-COVERAGE_CSV_HEADER = ["family", "trials", "violations", "cp_upper", "mean_slack"]
-SWEEP_CSV_HEADER = ["m", "catoni_mean", "flatness_mean", "T_m_mean", "kl_mean", "crossover_flag"]
+
+
+@dataclass(frozen=True)
+class Result:
+    """What a run found: its table, which is printed, written to --out and recorded;
+    notes, printed and recorded only; the verdict, None if the run checks nothing."""
+
+    header: list[str]
+    rows: list[list]
+    notes: dict = field(default_factory=dict)
+    ok: bool | None = None
 
 
 def _bounds_row(report, c_derived) -> list:
@@ -156,7 +171,7 @@ def _bounds_row(report, c_derived) -> list:
             comp.get("complexity", comp.get("rate", 0.0)), comp.get("flatness", 0.0), c_derived]
 
 
-def cmd_bounds(args) -> tuple[int, dict]:
+def cmd_bounds(args) -> Result:
     family = args.family
     params = _bound_params(args)
     if args.instance is not None:
@@ -165,44 +180,24 @@ def cmd_bounds(args) -> tuple[int, dict]:
         report = evaluate_posterior_bound(family, params, _fixed_q(inst), inst.prior, inst.table, s)
     else:
         report = evaluate_bound(family, args.emp, args.kl, args.m, params)
-
     derived = FAMILIES[family].derived
     c_derived = "" if derived is None else derived(params)
-    print(f"family        {family}")
-    print(f"value         {fmt(report.value)}")
-    for name, val in report.components.items():
-        print(f"  {name:<12}{fmt(val)}")
-    if c_derived != "":
-        print(f"  C_derived   {fmt(c_derived)}")
-    if args.out:
-        write_csv(args.out, BOUNDS_CSV_HEADER, [_bounds_row(report, c_derived)])
-    return 0, {"family": family, "value": report.value}
+    return Result(BOUNDS_CSV_HEADER, [_bounds_row(report, c_derived)])
 
 
-def cmd_coverage(args) -> tuple[int, dict]:
+def cmd_coverage(args) -> Result:
     inst = load_instance(args.instance)
-    family = args.family
     params = _bound_params(args)
     report = coverage_experiment(inst.table, inst.dist, inst.prior, _posterior_rule(args, inst),
-                                 family, params, args.m, args.trials, args.seed)
-    print(f"family      {family}")
-    print(f"trials      {report.trials}")
-    print(f"violations  {report.violations}")
-    print(f"cp_upper    {fmt(report.clopper_pearson_upper)}")
-    print(f"mean_slack  {fmt(report.mean_slack)}")
-    if args.out:
-        write_csv(args.out, COVERAGE_CSV_HEADER,
-                  [[family, report.trials, report.violations,
-                    report.clopper_pearson_upper, report.mean_slack]])
-    ok = report.clopper_pearson_upper <= params.delta
-    print("PASS" if ok else "FAIL")
-    return (0 if ok else 1), {"family": family, "violations": report.violations,
-                              "cp_upper": report.clopper_pearson_upper}
+                                 args.family, params, args.m, args.trials, args.seed)
+    return Result(["family", "trials", "violations", "cp_upper", "mean_slack"],
+                  [[args.family, report.trials, report.violations,
+                    report.clopper_pearson_upper, report.mean_slack]],
+                  ok=report.clopper_pearson_upper <= params.delta)
 
 
-def cmd_lemmas(args) -> tuple[int, dict]:
+def cmd_lemmas(args) -> Result:
     which = args.which
-    summary: dict = {"which": which}
     if which != "xy":
         inst = load_instance(args.instance)
     if which == "debias":
@@ -211,10 +206,7 @@ def cmd_lemmas(args) -> tuple[int, dict]:
         threshold = log_cosh_over_x(args.lambda_over_m)
         applicable = args.k >= threshold
         ok = (not applicable) or value <= 1.0 + 1e-12
-        print(f"value       {fmt(value)}")
-        print(f"k           {fmt(args.k)} (threshold {fmt(threshold)}, lemma "
-              f"{'applies' if applicable else 'does not apply'})")
-        summary["value"] = value
+        fields, notes = {"value": value}, {"k_threshold": threshold, "applies": applicable}
     elif which == "xy":
         c, h = args.c, args.h
         c2 = args.c2 if args.c2 is not None else xy_default_c2(c, h)
@@ -223,80 +215,55 @@ def cmd_lemmas(args) -> tuple[int, dict]:
         cap = xy_cap(c, c2, h)
         applicable = 0 < args.lambda_over_m < cap and 0 < c2 < h * h * c
         ok = (not applicable) or value <= 1.0 + 1e-12
-        print(f"value       {fmt(value)}")
-        print(f"lambda/m    {fmt(args.lambda_over_m)} (cap {fmt(cap)})")
-        summary["value"] = value
+        fields, notes = {"value": value}, {"cap": cap, "applies": applicable}
     elif which == "shifted-flatness":
         t = args.t if args.t is not None else lemma_a3_threshold(args.m, args.c2, args.h)
         est = shifted_flatness_tail_mc(inst.table, args.f, inst.dist, args.m, args.c2, args.h, t,
                                        args.trials, args.seed)
         ok = est.probability <= 0.5 + est.wilson_halfwidth
-        print(f"tail        {fmt(est.probability)} +/- {fmt(est.wilson_halfwidth)} "
-              f"({est.trials} trials, t = {fmt(t)})")
-        summary.update(tail=est.probability, t=t)
+        fields, notes = {"tail": est.probability, "t": t}, {"halfwidth": est.wilson_halfwidth}
     else:  # symmetrization
         lhs, rhs = symmetrization_tail_mc(inst.table, inst.dist, inst.prior, args.kappa, args.c,
                                           args.c2, args.t, args.m, args.trials, args.seed,
                                           h=args.h)
         slack = lhs.wilson_halfwidth + 4.0 * rhs.wilson_halfwidth
         ok = lhs.probability <= 4.0 * rhs.probability + slack
-        print(f"lhs tail    {fmt(lhs.probability)} +/- {fmt(lhs.wilson_halfwidth)}")
-        print(f"rhs tail    {fmt(rhs.probability)} +/- {fmt(rhs.wilson_halfwidth)}")
-        summary.update(lhs=lhs.probability, rhs=rhs.probability)
-    print("PASS" if ok else "FAIL")
-    summary["pass"] = ok
-    if args.out:
-        write_csv(args.out, list(summary), [list(summary.values())])
-    return (0 if ok else 1), summary
+        fields = {"lhs": lhs.probability, "rhs": rhs.probability}
+        notes = {"lhs_halfwidth": lhs.wilson_halfwidth, "rhs_halfwidth": rhs.wilson_halfwidth}
+    fields = {"which": which, **fields, "pass": ok}
+    return Result(list(fields), [list(fields.values())], notes, ok)
 
 
-def cmd_duality(args) -> tuple[int, dict]:
+def cmd_duality(args) -> Result:
     inst = load_instance(args.instance)
     values = true_risks(inst.table, inst.dist)
     primal = kl_ball_sup(inst.prior, values, args.kappa)
     dual = kl_dual_value(inst.prior, values, args.kappa)
     gap = dual - primal
     ok = abs(gap) <= 1e-6
-    print(f"primal      {fmt(primal)}")
-    print(f"dual        {fmt(dual)}")
-    print(f"gap         {fmt(gap)}")
-    print("PASS" if ok else "FAIL")
-    if args.out:
-        write_csv(args.out, ["primal", "dual", "gap", "pass"],
-                  [[primal, dual, gap, ok]])
-    return (0 if ok else 1), {"primal": primal, "dual": dual, "gap": gap}
+    return Result(["primal", "dual", "gap", "pass"], [[primal, dual, gap, ok]], ok=ok)
 
 
-def cmd_optimize(args) -> tuple[int, dict]:
+def cmd_optimize(args) -> Result:
     inst = load_instance(args.instance)
-    family = args.family
-    params = _bound_params(args)
     s = draw_sample(inst.dist, args.m, args.seed)
-    q, report = minimize_bound(family, params, inst.prior, inst.table, s, args.beta_grid)
-    print(f"family      {family}")
-    print(f"value       {fmt(report.value)}")
-    print("posterior   " + " ".join(fmt(w) for w in q.weights))
-    if args.out:
-        write_csv(args.out, BOUNDS_CSV_HEADER, [_bounds_row(report, "")])
-    return 0, {"family": family, "value": report.value}
+    q, report = minimize_bound(args.family, _bound_params(args), inst.prior, inst.table, s,
+                               args.beta_grid)
+    return Result(BOUNDS_CSV_HEADER, [_bounds_row(report, "")], {"posterior": q.weights})
 
 
-def cmd_sweep(args) -> tuple[int, dict]:
+def cmd_sweep(args) -> Result:
     inst = load_instance(args.instance)
+    params = _bound_params(args)
     result = bound_sweep(inst.table, inst.dist, inst.prior, _posterior_rule(args, inst),
-                         args.c, args.h, args.delta, args.m_grid, args.trials, args.seed)
-    rows = [[r.m, r.catoni_mean, r.flatness_mean, r.T_m_mean, r.kl_mean, r.crossover_flag]
-            for r in result.rows]
-    for r in result.rows:
-        print(f"m={r.m:<8} catoni={fmt(r.catoni_mean)} flatness={fmt(r.flatness_mean)} "
-              f"T_m={fmt(r.T_m_mean)}")
-    print(f"crossover m*: {fmt(result.crossover_m)}")
-    if args.out:
-        write_csv(args.out, SWEEP_CSV_HEADER, rows)
-    return 0, {"crossover_m": result.crossover_m}
+                         params.c, params.h, params.delta, args.m_grid, args.trials, args.seed)
+    return Result(["m", "catoni_mean", "flatness_mean", "T_m_mean", "kl_mean", "crossover_flag"],
+                  [[r.m, r.catoni_mean, r.flatness_mean, r.T_m_mean, r.kl_mean, r.crossover_flag]
+                   for r in result.rows],
+                  {"crossover_m": result.crossover_m})
 
 
-def cmd_gen_instance(args) -> tuple[int, dict]:
+def cmd_gen_instance(args) -> Result:
     n_h, n_z = args.hypotheses, args.points
     gen = stream(args.seed, 71)
     probs = gen.dirichlet(np.ones(n_z))
@@ -307,9 +274,22 @@ def cmd_gen_instance(args) -> tuple[int, dict]:
     inst = Instance(dist=ProbMeasure(probs), table=LossTable(loss),
                     prior=ProbMeasure.uniform(n_h))
     save_instance(inst, args.out)
-    print(f"wrote {args.out} ({n_h} hypotheses, {n_z} points, "
-          f"{'general' if args.nonbinary else 'binary'} loss)")
-    return 0, {"hypotheses": n_h, "points": n_z}
+    return Result([], [], {"hypotheses": n_h, "points": n_z})
+
+
+def _output(result: Result, out) -> tuple[int, dict]:
+    """Print the result and write its table to out, if given; return the exit
+    code and the run record's summary. A run without a table writes nothing."""
+    text = ""
+    if result.header:
+        table = result.header, result.rows
+        text = write_csv(out, *table) if out else csv_text(*table)
+    lines = [f"{name} {' '.join(map(fmt, np.atleast_1d(value)))}"
+             for name, value in result.notes.items()]
+    lines += [] if result.ok is None else ["PASS" if result.ok else "FAIL"]
+    print(text + "".join(line + "\n" for line in lines), end="")
+    summary = {"result": [dict(zip(result.header, row)) for row in result.rows], **result.notes}
+    return (0 if result.ok is None or result.ok else 1), summary
 
 
 def _add_global_flags(p: _Parser) -> None:
@@ -460,7 +440,7 @@ def main(argv=None) -> int:
         config = {k: v for k, v in vars(args).items()
                   if k not in _NOT_HASHED and v is not None}
         seed = getattr(args, "seed", None)
-        code, summary = args.handler(args)
+        code, summary = _output(args.handler(args), args.out)
     except (UsageError, ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, UsageError):

@@ -6,7 +6,7 @@ Instance file: UTF-8 text with `#` comments. Sections `space` (probabilities),
 Section data may follow the header inline or on subsequent lines.
 
 Config file: `section.key = value` lines; command-line flags win on conflict.
-Run log: append-only JSON lines, one record per invocation.
+Run log: append-only strict JSON lines, one record per invocation.
 """
 
 from __future__ import annotations
@@ -143,11 +143,28 @@ def fmt(x) -> str:
     return f"{x:.17g}"
 
 
-def write_csv(path, header: list[str], rows: list[list]) -> None:
+def csv_text(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(cell if isinstance(cell, str) else fmt(cell) for cell in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path, header: list[str], rows: list[list]) -> str:
+    """Write the table as CSV and return the text written."""
+    text = csv_text(header, rows)
+    Path(path).write_text(text, encoding="utf-8")
+    return text
+
+
+def _json_value(x):
+    """x in JSON values: NumPy values as Python ones, a non-finite number as fmt spells it."""
+    if isinstance(x, dict):
+        return {key: _json_value(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_json_value(value) for value in x]
+    x = x.item() if isinstance(x, np.generic) else x
+    return fmt(x) if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def append_run_record(log_path, command: str, config: dict, seed: int | None,
@@ -164,5 +181,6 @@ def append_run_record(log_path, command: str, config: dict, seed: int | None,
         "version": __version__,
         "summary": summary,
     }
+    line = json.dumps(_json_value(record), sort_keys=True, allow_nan=False)
     with open(log_path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, sort_keys=True, default=str) + "\n")
+        fh.write(line + "\n")

@@ -74,8 +74,8 @@ def _kl_ball_tilt(p: ProbMeasure, values, kappa: float):
     if not kappa >= 0:
         raise ValueError("kappa must be nonnegative")
     v = np.asarray(values, dtype=float)
-    if v.shape[-1:] != p.weights.shape:
-        raise ValueError("values must have one entry per atom of p, along the last axis")
+    if v.shape[-1:] != p.weights.shape or not np.isfinite(v).all():
+        raise ValueError("values must be finite, one entry per atom of p along the last axis")
     support = p.weights > 0
     w = p.weights[support]
     rows = v[..., support].reshape(-1, w.size)
@@ -141,8 +141,8 @@ def kl_dual_value(p: ProbMeasure, values, kappa: float) -> float:
     if not kappa >= 0:
         raise ValueError("kappa must be nonnegative")
     v = np.asarray(values, dtype=float)
-    if v.shape != p.weights.shape:
-        raise ValueError("values must have one entry per atom of p")
+    if v.shape != p.weights.shape or not np.isfinite(v).all():
+        raise ValueError("values must be finite, one entry per atom of p")
     support = p.weights > 0
     w = p.weights[support]
     v = v[support]
@@ -254,8 +254,8 @@ def xy_mgf_bruteforce(mu, lambda_over_m: float, c: float, c2: float, h: float,
 def _check_shifted_flatness(m: int, c2: float, h: float) -> None:
     if m < 1:
         raise ValueError("m must be >= 1")
-    if not c2 > 0:
-        raise ValueError("c2 must be positive")
+    if not 0 < c2 < math.inf:
+        raise ValueError("c2 must be positive and finite")
     if not 0 < h <= 1:
         raise ValueError("h must lie in (0, 1]")
 
@@ -317,8 +317,8 @@ def symmetrization_tail_mc(table: LossTable, dist: ProbMeasure, prior: ProbMeasu
         raise ValueError("trials must be >= 1")
     if not math.isfinite(t):
         raise ValueError("t must be finite")
-    if not 0 < c2 < c:
-        raise ValueError("need 0 < c2 < c")
+    if not 0 < c2 < c < math.inf:
+        raise ValueError("need 0 < c2 < c, with c finite")
     loss = table.loss
     r = true_risks(table, dist)
     if h is None:

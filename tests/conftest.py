@@ -30,6 +30,11 @@ def flatness_double_sum(q, table, s, h):
     return total / s.m
 
 
+def strict_json(constant):
+    """json.loads's parse_constant hook: NaN and Infinity are not JSON."""
+    raise ValueError(f"{constant} is not JSON")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

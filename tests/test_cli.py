@@ -6,7 +6,9 @@ import pytest
 
 from pacbayes import BoundParams, ProbMeasure, coverage_experiment, minimize_bound
 from pacbayes.cli import main
-from pacbayes.io import load_instance, write_csv
+from pacbayes.io import fmt, load_instance, write_csv
+
+from conftest import strict_json
 
 INSTANCE = """\
 space: 0.2 0.3 0.5
@@ -50,14 +52,19 @@ def run(argv, log):
     return main(["--log", log] + argv)
 
 
+def printed_row(out, row=0):
+    """Row `row` of the table that opens stdout, as {column: text}."""
+    lines = out.splitlines()
+    return dict(zip(lines[0].split(","), lines[1 + row].split(",")))
+
+
 class TestBounds:
     def test_closed_form_mcallester(self, capsys, log_file):
         code = run(["bounds", "--family", "mcallester", "--emp", "0.1",
                     "--kl", "0.13081203594113694", "--m", "100", "--delta", "0.05"],
                    log_file)
         assert code == 0
-        out = capsys.readouterr().out
-        value = float(out.split("value")[1].split()[0])
+        value = float(printed_row(capsys.readouterr().out)["value"])
         assert value == pytest.approx(0.1 + math.sqrt(
             (0.13081203594113694 + math.log(100 / 0.05)) / (2 * 99)), abs=1e-12)
 
@@ -78,8 +85,10 @@ class TestBounds:
         code = run(["bounds", "--family", "flatness", "--instance", inst_file,
                     "--m", "40", "--seed", "3", "--h", "0.5"], log_file)
         assert code == 0
-        out = capsys.readouterr().out
-        assert "flatness" in out and "rate" in out
+        row = printed_row(capsys.readouterr().out)
+        # The flatness family reports its rate (as complexity_term) and its flatness term.
+        assert row["family"] == "flatness"
+        assert float(row["complexity_term"]) > 0 and float(row["flatness_term"]) > 0
 
     def test_missing_closed_form_args(self, log_file):
         assert run(["bounds", "--family", "catoni", "--emp", "0.1"], log_file) == 2
@@ -103,8 +112,8 @@ class TestCoverage:
                     "--trials", "100", "--m", "10", "--seed", "1"], log_file)
         assert code == 0
         out = capsys.readouterr().out
-        assert "violations  0" in out
-        assert "PASS" in out
+        assert printed_row(out)["violations"] == "0"
+        assert out.splitlines()[-1] == "PASS"
 
     def test_csv_and_log(self, tmp_path, inst_file, log_file):
         out = tmp_path / "cov.csv"
@@ -186,8 +195,8 @@ class TestDuality:
         code = run(["duality", "--instance", inst_file, "--kappa", "0.7"], log_file)
         assert code == 0
         out = capsys.readouterr().out
-        assert "PASS" in out
-        gap = float(out.split("gap")[1].split()[0])
+        assert out.splitlines()[-1] == "PASS"
+        gap = float(printed_row(out)["gap"])
         assert abs(gap) <= 1e-6
 
     def test_large_kappa(self, capsys, inst_file, log_file):
@@ -199,8 +208,18 @@ class TestDuality:
         # Both sides are the support max in closed form, with no warnings.
         assert run(["duality", "--instance", inst_file, "--kappa", "inf"], log_file) == 0
         out, err = capsys.readouterr()
-        assert "PASS" in out and err == ""
-        assert float(out.split("gap")[1].split()[0]) == 0.0
+        assert out.splitlines()[-1] == "PASS" and err == ""
+        assert float(printed_row(out)["gap"]) == 0.0
+
+    def test_fail_exits_1(self, monkeypatch, capsys, inst_file, log_file):
+        # A dual far from the primal is a FAIL: exit 1, in stdout and in the record.
+        monkeypatch.setattr("pacbayes.cli.kl_dual_value", lambda *a: np.float64(5.0))
+        assert run(["duality", "--instance", inst_file, "--kappa", "0.7"], log_file) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "FAIL" and printed_row(out)["pass"] == "false"
+        with open(log_file) as fh:
+            record = json.loads(fh.readline(), parse_constant=strict_json)
+        assert record["exit_code"] == 1 and record["summary"]["result"][0]["pass"] is False
 
 
 class TestOptimize:
@@ -280,6 +299,53 @@ class TestGenInstance:
         assert not load_instance(out).table.binary_flag
 
 
+class TestOutputPath:
+    @pytest.mark.parametrize("argv, notes, verdict", [
+        (["bounds", "--family", "catoni", "--emp", "0.1", "--kl", "0.13", "--m", "100"], [], []),
+        (["bounds", "--family", "flatness", "--instance", "INST", "--m", "40", "--seed", "3"],
+         [], []),
+        (["coverage", "--family", "kst", "--instance", "INST", "--trials", "100", "--m", "30",
+          "--seed", "2"], [], ["PASS"]),
+        (DEBIAS, ["k_threshold", "applies"], ["PASS"]),
+        (["lemmas", "--which", "xy", "--mu", "0.5,0.5", "--lambda-over-m", "0.001"],
+         ["cap", "applies"], ["PASS"]),
+        (["lemmas", "--which", "shifted-flatness", "--instance", "INST", "--m", "40",
+          "--trials", "500", "--seed", "4"], ["halfwidth"], ["PASS"]),
+        (["lemmas", "--which", "symmetrization", "--instance", "INST", "--m", "30",
+          "--trials", "500", "--seed", "5"], ["lhs_halfwidth", "rhs_halfwidth"], ["PASS"]),
+        (["duality", "--instance", "INST", "--kappa", "0.7"], [], ["PASS"]),
+        (["optimize", "--family", "catoni", "--instance", "INST", "--m", "50", "--seed", "6"],
+         ["posterior"], []),
+        (["sweep", "--instance", "INST", "--m-grid", "10,50", "--trials", "3", "--seed", "8"],
+         ["crossover_m"], []),
+        (["gen-instance", "--seed", "9", "--hypotheses", "4", "--points", "3"],
+         ["hypotheses", "points"], []),
+    ], ids=["bounds-closed-form", "bounds-instance", "coverage", "debias", "xy",
+            "shifted-flatness", "symmetrization", "duality", "optimize", "sweep", "gen-instance"])
+    def test_stdout_csv_and_record_hold_one_table(self, argv, notes, verdict, tmp_path,
+                                                  inst_file, log_file, capsys):
+        out = tmp_path / "out"
+        argv = [inst_file if a == "INST" else a for a in argv]
+        assert run(argv + ["--out", str(out)], log_file) == 0
+        stdout = capsys.readouterr().out
+        # gen-instance writes the instance to --out and has no table.
+        text = "" if argv[0] == "gen-instance" else out.read_text()
+        assert stdout.startswith(text)
+        (line,) = open(log_file).read().splitlines()
+        summary = json.loads(line, parse_constant=strict_json)["summary"]
+        assert set(summary) == {"result", *notes}
+
+        def cells(values):
+            return [v if isinstance(v, str) else fmt(v) for v in values]
+
+        header, *rows = [row.split(",") for row in text.splitlines()] or [[]]
+        assert [cells(record[name] for name in header) for record in summary["result"]] == rows
+        assert all(set(record) == set(header) for record in summary["result"])
+        # After the table: one `name value...` line per note, then the verdict.
+        assert stdout[len(text):].splitlines() == [
+            " ".join([name] + cells(np.atleast_1d(summary[name]))) for name in notes] + verdict
+
+
 class TestConfigAndLog:
     def test_config_supplies_flags(self, tmp_path, capsys, log_file):
         cfg = tmp_path / "cfg.txt"
@@ -293,8 +359,7 @@ class TestConfigAndLog:
         cfg.write_text("bounds.emp = 0.9\nbounds.kl = 0.0\nbounds.m = 100\n")
         main(["--log", log_file, "--config", str(cfg), "bounds",
               "--family", "mcallester", "--emp", "0.1"])
-        out = capsys.readouterr().out
-        value = float(out.split("value")[1].split()[0])
+        value = float(printed_row(capsys.readouterr().out)["value"])
         assert value < 0.9
 
     def test_unknown_config_key(self, tmp_path, log_file):
@@ -438,18 +503,31 @@ class TestUsageContract:
         ["lemmas", "--which", "xy", "--mu", "0.5,nan", "--lambda-over-m", "0.01"],
         *(["lemmas", "--which", which, "--instance", "INST", "--seed", "1", "--trials", "50",
            "--t", "nan"] for which in ("shifted-flatness", "symmetrization")),
+        ["bounds", "--family", "catoni", "--emp", "0.1", "--kl", "0.1", "--m", "10", "--C", "inf"],
+        ["bounds", "--family", "flatness", "--instance", "INST", "--m", "10", "--seed", "1",
+         "--c", "inf"],
+        ["sweep", "--instance", "INST", "--m-grid", "10", "--seed", "1", "--c", "inf"],
+        *(["lemmas", "--which", "symmetrization", "--instance", "INST", "--seed", "1",
+           "--trials", "50", "--c", "inf", *h] for h in ([], ["--h", "0.5"])),
+        ["lemmas", "--which", "shifted-flatness", "--instance", "INST", "--seed", "1",
+         "--trials", "50", "--c2", "inf"],
     ], ids=["kappa-nan", "emp-nan", "kl-nan", "emp-2", "C-nan", "c-nan", "c2-nan",
             "beta-grid-nan", "beta-grid-negative", "beta-grid-empty",
             "shifted-flatness-m-0", "shifted-flatness-h-0", "shifted-flatness-c2-0",
             "xy-lambda-nan-forced", "debias-lambda-nan", "debias-k-nan", "xy-mu-nan",
-            "shifted-flatness-t-nan", "symmetrization-t-nan"])
+            "shifted-flatness-t-nan", "symmetrization-t-nan", "C-inf", "flatness-c-inf",
+            "sweep-c-inf", "symmetrization-c-inf", "symmetrization-c-inf-with-h",
+            "shifted-flatness-c2-inf"])
     def test_bad_value_exits_2_with_one_record(self, argv, inst_file, log_file, capsys):
         argv = [inst_file if a == "INST" else a for a in argv]
         assert run(argv, log_file) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
-        (rec,) = [json.loads(line) for line in open(log_file).read().splitlines()]
+        if "inf" in argv:
+            assert "finite" in err.splitlines()[0]
+        (rec,) = [json.loads(line, parse_constant=strict_json)
+                  for line in open(log_file).read().splitlines()]
         assert rec["exit_code"] == 2
 
     @pytest.mark.parametrize("argv, target, name", [

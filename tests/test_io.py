@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -8,6 +9,9 @@ from pacbayes import ProbMeasure
 from pacbayes.io import (append_run_record, fmt, format_instance, load_config,
                          load_instance, parse_config, parse_instance,
                          save_instance, write_csv)
+
+from conftest import strict_json
+
 
 SAMPLE = """\
 # toy instance
@@ -134,13 +138,23 @@ class TestCsvAndLog:
     def test_append_run_record(self, tmp_path):
         log = tmp_path / "runs.jsonl"
         append_run_record(log, "bounds", {"family": "kst"}, 7, {"value": 0.5}, 0)
-        append_run_record(log, "sweep", {"trials": 3}, 1, {"crossover_m": math.inf}, 2)
+        append_run_record(log, "sweep", {"trials": 3, "kappa": math.inf}, 1,
+                          {"crossover_m": math.inf, "result": [
+                              {"pass": np.bool_(True), "gap": np.float64(-math.inf),
+                               "m": np.int64(10), "mean": np.float64(math.nan)}],
+                           "posterior": np.array([0.25, 0.75])}, 2)
         lines = log.read_text().splitlines()
         assert len(lines) == 2
-        rec = json.loads(lines[0])
+        rec, other = (json.loads(line, parse_constant=strict_json) for line in lines)
         assert rec["command"] == "bounds"
         assert rec["seed"] == 7
         assert rec["exit_code"] == 0
-        assert json.loads(lines[1])["exit_code"] == 2
+        assert other["exit_code"] == 2
         assert len(rec["config_hash"]) == 16
         assert "version" in rec and "time" in rec
+        # Non-finite values are spelled as in the CSV; NumPy values become JSON values.
+        assert other["summary"] == {"crossover_m": "inf", "posterior": [0.25, 0.75], "result": [
+            {"pass": True, "gap": "-inf", "m": 10, "mean": "nan"}]}
+        # The config hash is over the config as given, an infinite value included.
+        canonical = json.dumps({"trials": 3, "kappa": math.inf}, sort_keys=True, default=str)
+        assert other["config_hash"] == hashlib.sha256(canonical.encode()).hexdigest()[:16]

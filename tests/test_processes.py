@@ -399,3 +399,25 @@ class TestSymmetrizationTail:
         a = symmetrization_tail_mc(table, dist, p, 0.2, 1.0, 0.5, 0.1, 10, 200, seed=23)
         b = symmetrization_tail_mc(table, dist, p, 0.2, 1.0, 0.5, 0.1, 10, 200, seed=23)
         assert a == b
+
+
+def test_non_finite_lemma_inputs_rejected(rng):
+    """An infinite c or c2, or a NaN or infinite value, is a ValueError; kappa = inf stays valid."""
+    dist, table = random_instance(rng)
+    p = ProbMeasure.uniform(table.hypothesis_count)
+    v = np.linspace(0.1, 0.9, table.hypothesis_count)
+    for bad in (math.nan, math.inf, -math.inf):
+        w = v.copy()
+        w[1] = bad
+        for solver in (kl_ball_sup, kl_dual_value):
+            with pytest.raises(ValueError, match="finite"):
+                solver(p, w, 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        kl_ball_sup(p, np.vstack([v, w]), math.inf)
+    assert kl_ball_sup(p, v, math.inf) == kl_dual_value(p, v, math.inf) == v.max()
+    for h in (None, 0.5):
+        for c, c2 in ((math.inf, 0.5), (math.inf, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                symmetrization_tail_mc(table, dist, p, 0.5, c, c2, 0.2, 10, 50, seed=1, h=h)
+    with pytest.raises(ValueError, match="finite"):
+        shifted_flatness_tail_mc(table, 0, dist, 10, math.inf, 0.5, 0.3, 50, seed=1)
