@@ -7,9 +7,8 @@ from .core import (LossTable, ProbMeasure, Sample, draw_sample, empirical_risks,
 from .measures import (flatness, flatness_alternate, gibbs_empirical_risk, gibbs_losses,
                        gibbs_risk, kl_divergence)
 from .bounds import (FAMILIES, BoundParams, BoundReport, DerivedConstants,
-                     catoni_bound, catoni_C_for_inflation, catoni_prefactor,
-                     derive_matched_catoni_constants, flatness_bound, kst_bound,
-                     matched_catoni_bound, mcallester_bound)
+                     catoni_C_for_inflation, catoni_prefactor,
+                     derive_matched_catoni_constants, evaluate_bound, flatness_bound)
 from .processes import (TailEstimate, debias_mgf_exact,
                         kl_ball_sup, kl_dual_value, lemma_a3_threshold,
                         shifted_flatness_tail_mc, symmetrization_tail_mc, xy_cap,
@@ -24,8 +23,7 @@ __all__ = [
     "draw_sample", "sample_blocks", "true_risks", "empirical_risks",
     "kl_divergence", "gibbs_losses", "gibbs_risk",
     "gibbs_empirical_risk", "flatness", "flatness_alternate",
-    "FAMILIES", "BoundParams", "BoundReport", "DerivedConstants",
-    "mcallester_bound", "catoni_bound", "kst_bound", "matched_catoni_bound",
+    "FAMILIES", "BoundParams", "BoundReport", "DerivedConstants", "evaluate_bound",
     "derive_matched_catoni_constants", "flatness_bound", "catoni_prefactor",
     "catoni_C_for_inflation",
     "TailEstimate", "kl_ball_sup", "kl_dual_value",

@@ -1,14 +1,16 @@
-"""Closed-form PAC-Bayes certificates for Gibbs classifiers.
+"""PAC-Bayes certificates for Gibbs classifiers.
 
 Five families: the classical square-root bound, Catoni's fast-rate bound,
 the Kakade-Sridharan-Tewari bound, a shifted-Rademacher bound matching
 Catoni's rate (with the non-explicit constants derived here by bisection),
-and the fast-rate flatness bound.
+and the fast-rate flatness bound. Each is one FAMILIES entry, at the end,
+which holds its formula, its derivatives, the parameters it reads and its
+least m; evaluate_bound evaluates every family and builds every BoundReport.
 
 All families treat kl = +inf as a valid input and return a vacuous +inf
 certificate rather than raising. emp and kl may be arrays with one entry per
 sample of a block; the values then follow their shape, and every check applies
-to each entry. FAMILIES, at the end, defines each family.
+to each entry.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ class BoundParams:
     delta: float = 0.05
     catoni_C: float = 1.0
     c: float = 1.0
-    c2: float | None = None    # matched_catoni only; None means c / 2
+    c2: float | None = None    # matched_catoni only; None means c / 2, filled in when built
     h: float = 0.5
 
     def __post_init__(self):
@@ -43,6 +45,8 @@ class BoundParams:
             raise ValueError("catoni_C must be positive and finite")
         if not 0 < self.c < math.inf:
             raise ValueError("c must be positive and finite")
+        if self.c2 is None:
+            object.__setattr__(self, "c2", self.c / 2.0)
 
 
 @dataclass(frozen=True)
@@ -84,40 +88,11 @@ class BoundReport:
             raise ValueError("components do not reconstruct the bound value")
 
 
-def _check_common(kl, delta: float, m: int, m_min: int = 1) -> None:
-    if not np.all(kl >= 0):  # NaN fails too; +inf is valid
-        raise ValueError("kl must be nonnegative")
-    if not 0 < delta < 1:
-        raise ValueError("delta must lie in (0, 1)")
-    if m < m_min:
-        raise ValueError(f"m must be >= {m_min}")
-
-
-def mcallester_bound(emp, kl, m: int, delta: float):
-    """emp + sqrt((kl + log(m/delta)) / (2(m-1)))."""
-    _check_common(kl, delta, m, 2)
-    return emp + np.sqrt((kl + math.log(m / delta)) / (2.0 * (m - 1)))
-
-
 def catoni_prefactor(C: float) -> float:
     """C / (1 - e^{-C}); > 1 for all C > 0 and -> 1 as C -> 0+."""
     if not C > 0:
         raise ValueError("C must be positive")
     return C / -math.expm1(-C)
-
-
-def catoni_bound(emp, kl, m: int, delta: float, C: float):
-    """(1/(1 - e^{-C})) * [C*emp + (kl + log(1/delta)) / m]."""
-    _check_common(kl, delta, m)
-    if not C > 0:
-        raise ValueError("C must be positive")
-    return (C * emp + (kl + math.log(1.0 / delta)) / m) / -math.expm1(-C)
-
-
-def kst_bound(emp, kl, m: int, delta: float):
-    """emp + 4.5*sqrt(max(kl, 2)/m) + sqrt(log(1/delta)/m)."""
-    _check_common(kl, delta, m)
-    return emp + 4.5 * np.sqrt(np.maximum(kl, 2.0) / m) + math.sqrt(math.log(1.0 / delta) / m)
 
 
 def log_cosh_over_x(x: float) -> float:
@@ -177,18 +152,6 @@ def derive_matched_catoni_constants(c: float, c2: float, delta: float) -> Derive
     )
 
 
-def _matched_constants(c: float, c2: float | None, delta: float) -> DerivedConstants:
-    """derive_matched_catoni_constants with the default c2 = c / 2."""
-    return derive_matched_catoni_constants(c, c / 2.0 if c2 is None else c2, delta)
-
-
-def matched_catoni_bound(emp, kl, m: int, delta: float, c: float, c2: float | None = None):
-    """(1+c)*emp + C1*kl/m + C2*log(1/delta)/m + C3/m with derived constants."""
-    _check_common(kl, delta, m)
-    k = _matched_constants(c, c2, delta)
-    return (1.0 + c) * emp + k.C1 * kl / m + k.C2 * math.log(1.0 / delta) / m + k.C3 / m
-
-
 def flatness_rate_constant(c: float, h: float) -> float:
     """Rate constant C = 2 h^4 c / (1 + 16 h^2 c) of the flatness bound."""
     if not c > 0:
@@ -199,31 +162,14 @@ def flatness_rate_constant(c: float, h: float) -> float:
     return 2.0 * h * h * hc / (1.0 + 16.0 * hc)
 
 
-def _flatness_rate(kl, m: int, delta: float, c: float, h: float):
-    """Rate term (4/(Cm)) [3 kl + log(1/delta) + 5] of the flatness bound."""
-    C = flatness_rate_constant(c, h)
-    return 4.0 / (C * m) * (3.0 * kl + math.log(1.0 / delta) + 5.0)
-
-
 def flatness_bound(q: ProbMeasure, table: LossTable, s: Sample, kl,
                    delta: float, c: float, h: float, g=None) -> BoundReport:
-    """Fast-rate bound: empirical Gibbs risk + c * h-flatness + (4/(Cm)) [3 kl + log(1/delta) + 5],
-    one value per sample of s (and per row of q and kl); g as in flatness.
-
-    h = 1 is rejected: the theorem statement requires h in (0, 1) even though
-    the underlying MGF lemma tolerates h = 1.
-    """
-    _check_common(kl, delta, s.m)
-    rate_term = _flatness_rate(kl, s.m, delta, c, h)
+    """The flatness family's bound at posterior q, one value per sample of s (and
+    per row of q and kl): evaluate_bound given the empirical Gibbs risk and the
+    h-flatness of q on s; g as in flatness."""
     g = gibbs_losses(q, table, s) if g is None else g
-    emp = s.mean(g)
-    flat_term = c * flatness(q, table, s, h, g)
-    value = emp + flat_term + rate_term
-    return BoundReport(
-        family="flatness",
-        value=value,
-        components={"empirical": emp, "flatness": flat_term, "rate": rate_term},
-    )
+    return evaluate_bound("flatness", s.mean(g), kl, s.m, BoundParams(delta=delta, c=c, h=h),
+                          flatness(q, table, s, h, g))
 
 
 def catoni_C_for_inflation(c: float) -> float:
@@ -242,12 +188,13 @@ def catoni_C_for_inflation(c: float) -> float:
 
 @dataclass(frozen=True)
 class Family:
-    """One bound family B(emp, kl, m, params), linear in emp: its value (emp and
-    kl may be arrays), dB/demp (also the weight of the `empirical` component),
-    dB/dkl at finite kl (an array), the constant reported as C_derived, and
-    the BoundParams fields that these read. For flatness (needs_sample) value
-    is only the rate term; flatness_bound adds the empirical risk and
-    c * flatness(Q, S). minimize_bound tilts at beta = d_emp / (m d_kl(kl)).
+    """One bound family B(emp, kl, m, params, flat), linear in emp: its value
+    (emp, kl and, for flatness, flat may be arrays), dB/demp (also the weight
+    of the `empirical` component), dB/dkl at finite kl (an array), the
+    constant reported as C_derived, the BoundParams fields that these read,
+    and the least m it allows. flat is the h-flatness of the posterior on the
+    sample for the family that needs_sample, and None for the closed forms.
+    minimize_bound tilts at beta = d_emp / (m d_kl(kl)).
     """
 
     reads: tuple[str, ...]
@@ -256,40 +203,53 @@ class Family:
     d_kl: Callable[[np.ndarray, int, BoundParams], np.ndarray | float]
     derived: Callable[[BoundParams], float] | None = None
     needs_sample: bool = False
+    m_min: int = 1
 
 
 FAMILIES: dict[str, Family] = {
     "mcallester": Family(
         reads=("delta",),
-        value=lambda emp, kl, m, p: mcallester_bound(emp, kl, m, p.delta),
+        value=lambda emp, kl, m, p, flat: emp + np.sqrt((kl + math.log(m / p.delta))
+                                                        / (2.0 * (m - 1))),
         d_emp=lambda p: 1.0,
         d_kl=lambda kl, m, p: 1.0 / (4.0 * (m - 1) * np.sqrt(
             (kl + math.log(m / p.delta)) / (2.0 * (m - 1)))),
+        m_min=2,
     ),
     "catoni": Family(
         reads=("delta", "catoni_C"),
-        value=lambda emp, kl, m, p: catoni_bound(emp, kl, m, p.delta, p.catoni_C),
+        value=lambda emp, kl, m, p, flat: ((p.catoni_C * emp + (kl + math.log(1.0 / p.delta)) / m)
+                                           / -math.expm1(-p.catoni_C)),
         d_emp=lambda p: catoni_prefactor(p.catoni_C),
         d_kl=lambda kl, m, p: 1.0 / (m * -math.expm1(-p.catoni_C)),
         derived=lambda p: p.catoni_C,
     ),
     "kst": Family(
         reads=("delta",),
-        value=lambda emp, kl, m, p: kst_bound(emp, kl, m, p.delta),
+        value=lambda emp, kl, m, p, flat: (emp + 4.5 * np.sqrt(np.maximum(kl, 2.0) / m)
+                                           + math.sqrt(math.log(1.0 / p.delta) / m)),
         d_emp=lambda p: 1.0,
         d_kl=lambda kl, m, p: np.where(kl > 2.0, 4.5 / (2.0 * np.sqrt(np.maximum(kl, 2.0) * m)),
                                        0.0),
     ),
     "matched_catoni": Family(
         reads=("delta", "c", "c2"),
-        value=lambda emp, kl, m, p: matched_catoni_bound(emp, kl, m, p.delta, p.c, p.c2),
+        value=lambda emp, kl, m, p, flat: (
+            (1.0 + p.c) * emp
+            + (k := derive_matched_catoni_constants(p.c, p.c2, p.delta)).C1 * kl / m
+            + k.C2 * math.log(1.0 / p.delta) / m + k.C3 / m),
         d_emp=lambda p: 1.0 + p.c,
-        d_kl=lambda kl, m, p: _matched_constants(p.c, p.c2, p.delta).C1 / m,
-        derived=lambda p: _matched_constants(p.c, p.c2, p.delta).C_big,
+        d_kl=lambda kl, m, p: derive_matched_catoni_constants(p.c, p.c2, p.delta).C1 / m,
+        derived=lambda p: derive_matched_catoni_constants(p.c, p.c2, p.delta).C_big,
     ),
+    # The rate constant C = flatness_rate_constant(c, h) rejects h = 1: the
+    # theorem requires h in (0, 1), though its MGF lemma tolerates h = 1.
     "flatness": Family(
         reads=("delta", "c", "h"),
-        value=lambda emp, kl, m, p: _flatness_rate(kl, m, p.delta, p.c, p.h),
+        value=lambda emp, kl, m, p, flat: (
+            emp + p.c * flat
+            + 4.0 / (flatness_rate_constant(p.c, p.h) * m) * (3.0 * kl + math.log(1.0 / p.delta)
+                                                              + 5.0)),
         d_emp=lambda p: 1.0,
         d_kl=lambda kl, m, p: 4.0 / (flatness_rate_constant(p.c, p.h) * m) * 3.0,
         derived=lambda p: flatness_rate_constant(p.c, p.h),
@@ -298,17 +258,29 @@ FAMILIES: dict[str, Family] = {
 }
 
 
-def evaluate_bound(family: str, emp, kl, m: int, params: BoundParams) -> BoundReport:
-    """Evaluate a closed-form family (everything but flatness, which needs the
-    sample). An infinite value puts all of itself in the complexity component.
-    emp is a Gibbs risk: it must lie in [0, 1], up to the rounding that a
-    ProbMeasure's weights may carry."""
+def evaluate_bound(family: str, emp, kl, m: int, params: BoundParams, flat=None) -> BoundReport:
+    """Evaluate a family, with its breakdown into the components `empirical`
+    (d_emp * emp), `flatness` (c * flat, 0 for the closed forms) and
+    `complexity` (the rest). An infinite value puts all of itself in
+    complexity. emp is a Gibbs risk: it must lie in [0, 1], up to the rounding
+    that a ProbMeasure's weights may carry. flat, the h-flatness, is required
+    by the family that needs_sample and rejected by every other."""
     fam = FAMILIES.get(family)
-    if fam is None or fam.needs_sample:
-        raise ValueError(f"unknown or sample-dependent family {family!r}")
+    if fam is None:
+        raise ValueError(f"unknown bound family {family!r}")
+    if fam.needs_sample != (flat is not None):
+        raise ValueError(f"the {family} bound {'needs' if fam.needs_sample else 'takes no'} "
+                         "flatness value")
+    if not np.all(kl >= 0):  # NaN fails too; +inf is valid
+        raise ValueError("kl must be nonnegative")
+    if m < fam.m_min:
+        raise ValueError(f"m must be >= {fam.m_min}")
     if not np.all((emp >= 0) & (emp <= 1.0 + _SUM_TOL)):
         raise ValueError("emp must lie in [0, 1]")
-    value = fam.value(emp, kl, m, params)
-    empirical = fam.d_emp(params) * emp * np.isfinite(value)
+    value = fam.value(emp, kl, m, params, flat)
+    finite = np.isfinite(value)
+    empirical = fam.d_emp(params) * emp * finite
+    flat_term = (0.0 if flat is None else params.c * flat) * finite
     return BoundReport(family=family, value=value,
-                       components={"empirical": empirical, "complexity": value - empirical})
+                       components={"empirical": empirical, "flatness": flat_term,
+                                   "complexity": value - empirical - flat_term})

@@ -20,7 +20,8 @@ error if given and stays out of the config hash. Config values become flags
 and go through the same parser and resolver.
 
 Exit codes: 0 success, 1 invariant/acceptance failure detected during the run
-(a solver that raises RuntimeError included), 2 usage or configuration error.
+(a solver that raises RuntimeError included), 2 usage or configuration error
+(an argument so large that a number overflows included).
 """
 
 from __future__ import annotations
@@ -167,8 +168,8 @@ class Result:
 
 def _bounds_row(report, c_derived) -> list:
     comp = report.components
-    return [report.family, report.value, comp.get("empirical", 0.0),
-            comp.get("complexity", comp.get("rate", 0.0)), comp.get("flatness", 0.0), c_derived]
+    return [report.family, report.value, comp["empirical"], comp["complexity"], comp["flatness"],
+            c_derived]
 
 
 def cmd_bounds(args) -> Result:
@@ -441,11 +442,14 @@ def main(argv=None) -> int:
                   if k not in _NOT_HASHED and v is not None}
         seed = getattr(args, "seed", None)
         code, summary = _output(args.handler(args), args.out)
-    except (UsageError, ValueError, OSError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, ValueError, OSError, RuntimeError, ArithmeticError) as exc:
+        message = str(exc)
+        if isinstance(exc, ArithmeticError):  # a huge finite argument
+            message = f"a number overflowed or divided by zero: {message}"
+        print(f"error: {message}", file=sys.stderr)
         if isinstance(exc, UsageError):
             (_SUBPARSERS[command] if command else _PARSER).print_usage(sys.stderr)
-        code, summary = 1 if isinstance(exc, RuntimeError) else 2, {"error": str(exc)}
+        code, summary = 1 if isinstance(exc, RuntimeError) else 2, {"error": message}
     try:
         append_run_record(log, command, config, seed, summary, code)
     except OSError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import catoni_C_for_inflation, catoni_bound, flatness_bound
+from .bounds import BoundParams, catoni_C_for_inflation, evaluate_bound, flatness_bound
 from .core import LossTable, ProbMeasure, sample_blocks
 from .measures import gibbs_losses, kl_divergence
 
@@ -60,7 +60,7 @@ def bound_sweep(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
         raise ValueError("m grid must be nonempty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    C_cat = catoni_C_for_inflation(c)
+    catoni = BoundParams(delta=delta, catoni_C=catoni_C_for_inflation(c))
 
     rows = []
     crossover_m = math.inf
@@ -75,7 +75,7 @@ def bound_sweep(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
             kl = kl_divergence(q, prior)
             g = gibbs_losses(q, table, s)
             emp = s.mean(g)
-            cat_vals[block] = catoni_bound(emp, kl, m, delta, C_cat)
+            cat_vals[block] = evaluate_bound("catoni", emp, kl, m, catoni).value
             flat_vals[block] = flatness_bound(q, table, s, kl, delta, c, h, g).value
             tms[block] = c * (1.0 - h * h) * s.mean(g * g)
             kls[block] = kl

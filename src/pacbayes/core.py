@@ -135,10 +135,6 @@ class Sample:
     def point_count(self) -> int:
         return self.counts.shape[-1]
 
-    def rows(self) -> list["Sample"]:
-        """The samples of a block one by one, each without a leading axis."""
-        return [Sample(c) for c in self.counts.reshape(-1, self.point_count)]
-
     def _per_point(self, values) -> np.ndarray:
         v = np.asarray(values, dtype=float)
         if v.ndim == 0 or v.shape[-1] != self.point_count:

@@ -54,10 +54,14 @@ def kl_ball_sup(p: ProbMeasure, values, kappa: float):
 
     The sup is reached on the tilt Q_lam ~ p e^{lam v}, along which
     KL(Q_lam||p) increases with derivative lam Var_{Q_lam}(v). Closed cases:
-    kappa = 0 and rows constant on the support of p give the prior mean;
-    kappa >= -log P(argmax v) gives max v over that support. The other rows
-    are solved together by a safeguarded Newton iteration on lam, started at
-    sqrt(2 kappa / Var_p(v)). Each row keeps a bracket [lo, hi] on the root
+    rows constant on the support of p, and rows whose Pinsker bound
+    (max v - min v) sqrt(kappa / 2) on |sup - E_p v| is below half an ulp of
+    E_p v (kappa = 0 included), give the prior mean; kappa >= -log P(argmax v)
+    gives max v over that support. The other rows are solved together by a
+    safeguarded Newton iteration on lam, started at sqrt(2 kappa / Var_p(v)),
+    on v - max v scaled by the power of two just above its largest magnitude,
+    so that no huge finite value overflows; the scaling is exact, so it
+    changes no bit of the result. Each row keeps a bracket [lo, hi] on the root
     and takes the step lam - (KL - kappa) / (lam Var_{Q_lam}(v)) when it lands
     inside it, else a bisection step (geometric while hi > 2 lo > 0). A row
     stops once |KL - kappa| <= _KL_BALL_RTOL * kappa, or once its bracket is at
@@ -82,12 +86,20 @@ def _kl_ball_tilt(p: ProbMeasure, values, kappa: float):
     base = (rows * w).sum(axis=-1)
     vmax = rows.max(axis=-1)
     d = rows - vmax[:, None]  # <= 0, and 0 at the maximum
-    flat = d.min(axis=-1) == 0
+    width = -d.min(axis=-1)
+    # Rows that stay at the prior mean: constant ones, and (kappa = 0 included)
+    # those whose Pinsker bound is at most half an ulp of it.
+    still = width == 0
+    if kappa < math.inf:
+        still |= width * math.sqrt(kappa / 2.0) <= 0.5 * np.spacing(np.abs(base))
     kl_limit = -np.log(np.where(d == 0, w, 0.0).sum(axis=-1))
-    out = np.where(flat | (kappa == 0) | (kappa < kl_limit), base, vmax)
-    lam_out = np.where(flat | (kappa == 0), 0.0, np.inf)
-    left = np.flatnonzero(~flat & (0 < kappa) & (kappa < kl_limit))
-    d, vmax = d[left], vmax[left]
+    out = np.where(still | (kappa < kl_limit), base, vmax)
+    lam_out = np.where(still, 0.0, np.inf)
+    left = np.flatnonzero(~still & (kappa < kl_limit))
+    # Solve on d / scale, with scale the power of two just above max |d|; lam
+    # and the sup in the units of v are lam / scale and vmax + scale * (...).
+    scale = np.ldexp(1.0, np.frexp(width[left])[1])
+    d, vmax = d[left] / scale[:, None], vmax[left]
     centred = d - (d * w).sum(axis=-1)[:, None]
     lam = np.sqrt(2.0 * kappa / (centred * centred * w).sum(axis=-1))
     lo, hi = np.zeros_like(lam), np.full_like(lam, np.inf)
@@ -107,36 +119,38 @@ def _kl_ball_tilt(p: ProbMeasure, values, kappa: float):
             kl = lam * mean_d - lse
             dev = d - mean_d[:, None]
             var = (q * dev * dev).sum(axis=-1)
-            e = vmax + mean_d
+            e = vmax + scale * mean_d
             below = kl < kappa
             lo, e_lo = np.where(below, lam, lo), np.where(below, e, e_lo)
             hi, e_hi = np.where(below, hi, lam), np.where(below, e_hi, e)
             done = ((np.abs(kl - kappa) <= _KL_BALL_RTOL * kappa)
                     | (np.nextafter(lo, np.inf) >= hi) | (e_hi <= e_lo))
-            out[left[done]] = (e + (kappa - kl) / lam)[done]
-            lam_out[left[done]] = lam[done]
+            out[left[done]] = (e + scale * ((kappa - kl) / lam))[done]
+            lam_out[left[done]] = (lam / scale)[done]
             newton = lam - (kl - kappa) / (lam * var)
             bisect = np.where(np.isinf(hi), 2.0 * lo,
                               np.where((lo > 0) & (hi > 2.0 * lo),
                                        lo * np.sqrt(hi / lo), 0.5 * (lo + hi)))
             lam = np.where((lo < newton) & (newton < hi), newton, bisect)
             keep = ~done
-            left, d, vmax, lam, lo, hi, e_lo, e_hi = (
-                a[keep] for a in (left, d, vmax, lam, lo, hi, e_lo, e_hi))
+            left, d, vmax, scale, lam, lo, hi, e_lo, e_hi = (
+                a[keep] for a in (left, d, vmax, scale, lam, lo, hi, e_lo, e_hi))
     if left.size:
         raise RuntimeError(f"kl_ball_sup: {left.size} rows still open after 200 steps")
     return out.reshape(v.shape[:-1])[()], lam_out.reshape(v.shape[:-1])[()]
 
 
 def kl_dual_value(p: ProbMeasure, values, kappa: float) -> float:
-    """inf_{lam > 0} (kappa + log E_P e^{lam v}) / lam, the Legendre dual of
-    kl_ball_sup, solved on its own.
+    """inf_{lam > 0} E_P v + (kappa + log E_P e^{lam (v - E_P v)}) / lam, the
+    Legendre dual of kl_ball_sup, solved on its own.
 
     kappa = 0 gives E_P v (the lam -> 0 limit); kappa >= -log P(argmax v),
     kappa = +inf included, gives max v over the support of P (the lam -> inf
     limit). Otherwise the objective is unimodal in u = log lam: a downhill
     walk with doubling steps from u = 0 brackets its minimum, and bounded
-    Brent refines it to xatol = 1e-10 in u.
+    Brent refines it to xatol = 1e-10 in u. While lam (max v - E_P v) < 1 the
+    log-MGF is log1p(E_P expm1(lam (v - E_P v))), which keeps its relative
+    accuracy as lam -> 0; beyond, it is taken from the maximum, by logaddexp.
     """
     if not kappa >= 0:
         raise ValueError("kappa must be nonnegative")
@@ -148,15 +162,18 @@ def kl_dual_value(p: ProbMeasure, values, kappa: float) -> float:
     v = v[support]
     vmax = float(v.max())
     at_max = v == vmax
+    mean = float(w @ v)
     if kappa == 0:
-        return float(w @ v)
+        return mean
     if at_max.all() or kappa >= -math.log(w[at_max].sum()):
         return vmax
-    d = v - vmax
+    centred, d = v - mean, v - vmax
     logw = np.log(w)
 
     def objective(u: float) -> float:
         lam = math.exp(u)
+        if lam * (vmax - mean) < 1.0:
+            return mean + (kappa + math.log1p(float(w @ np.expm1(lam * centred)))) / lam
         return vmax + (kappa + np.logaddexp.reduce(lam * d + logw)) / lam
 
     # Walk downhill from u = 0 until the objective rises: a, b, c then bracket the minimum.

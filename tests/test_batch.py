@@ -80,7 +80,7 @@ class TestBlockRowsAreIndependent:
         q = gibbs_posterior(prior, table, s, 1.5)
         for family in FAMILIES:
             block = evaluate_posterior_bound(family, PARAMS, q, prior, table, s).value
-            for t, row in enumerate(s.rows()):
+            for t, row in enumerate(map(Sample, s.counts)):
                 q_t = gibbs_posterior(prior, table, row, 1.5)
                 assert np.array_equal(q.weights[t], q_t.weights)
                 assert block[t] == evaluate_posterior_bound(family, PARAMS, q_t, prior,

@@ -6,10 +6,9 @@ import pytest
 from scipy.optimize import brentq
 
 from pacbayes import (BoundParams, LossTable, ProbMeasure, Sample,
-                      catoni_bound, catoni_C_for_inflation, catoni_prefactor,
-                      derive_matched_catoni_constants, draw_sample,
-                      flatness_bound, kst_bound, matched_catoni_bound,
-                      mcallester_bound)
+                      catoni_C_for_inflation, catoni_prefactor,
+                      derive_matched_catoni_constants, draw_sample, flatness_bound)
+from pacbayes.measures import flatness, gibbs_empirical_risk
 from pacbayes.bounds import FAMILIES, BoundReport, evaluate_bound, flatness_rate_constant
 
 from conftest import random_instance, random_measure
@@ -23,27 +22,32 @@ def mp_logcosh_root(target):
         return brentq(fn, 1e-8, 10.0, xtol=1e-13)
 
 
+def bound(family, emp, kl, m, **params):
+    """The family's value at (emp, kl, m) and the given BoundParams fields."""
+    return evaluate_bound(family, emp, kl, m, BoundParams(**params)).value
+
+
 class TestMcAllester:
     def test_monotone_in_delta(self):
-        vals = [mcallester_bound(0.2, 0.5, 100, d) for d in (0.1, 0.5, 0.9)]
+        vals = [bound("mcallester", 0.2, 0.5, 100, delta=d) for d in (0.1, 0.5, 0.9)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_high_precision_value(self):
         with mpmath.workdps(50):
             expected = float(mpmath.mpf("0.1") + mpmath.sqrt(
                 (2 + mpmath.log(100 / mpmath.mpf("0.05"))) / (2 * 99)))
-        assert mcallester_bound(0.1, 2.0, 100, 0.05) == pytest.approx(expected, abs=1e-14)
-        assert mcallester_bound(0.1, 2.0, 100, 0.05) == pytest.approx(0.32020, abs=1e-5)
+        assert bound("mcallester", 0.1, 2.0, 100, delta=0.05) == pytest.approx(expected, abs=1e-14)
+        assert bound("mcallester", 0.1, 2.0, 100, delta=0.05) == pytest.approx(0.32020, abs=1e-5)
 
     def test_vanishing_limit(self):
-        assert mcallester_bound(0.0, 0.0, 10 ** 8, 0.05) < 1e-3
+        assert bound("mcallester", 0.0, 0.0, 10 ** 8, delta=0.05) < 1e-3
 
     def test_small_m_rejected(self):
         with pytest.raises(ValueError):
-            mcallester_bound(0.1, 0.0, 1, 0.05)
+            bound("mcallester", 0.1, 0.0, 1, delta=0.05)
 
     def test_inf_kl_propagates(self):
-        assert mcallester_bound(0.1, math.inf, 100, 0.05) == math.inf
+        assert bound("mcallester", 0.1, math.inf, 100, delta=0.05) == math.inf
 
 
 class TestCatoni:
@@ -51,8 +55,9 @@ class TestCatoni:
         with mpmath.workdps(50):
             expected = float((mpmath.mpf("0.1") + (2 + mpmath.log(20)) / 100)
                              / (1 - mpmath.exp(-1)))
-        assert catoni_bound(0.1, 2.0, 100, 0.05, 1.0) == pytest.approx(expected, abs=1e-14)
-        assert catoni_bound(0.1, 2.0, 100, 0.05, 1.0) == pytest.approx(0.23723, abs=1e-5)
+        value = bound("catoni", 0.1, 2.0, 100, delta=0.05, catoni_C=1.0)
+        assert value == pytest.approx(expected, abs=1e-14)
+        assert value == pytest.approx(0.23723, abs=1e-5)
 
     def test_prefactor_limit_to_one(self):
         assert abs(catoni_prefactor(1e-6) - 1.0) < 1e-5
@@ -61,16 +66,17 @@ class TestCatoni:
         assert catoni_prefactor(1.0) == pytest.approx(1.0 / (1.0 - math.exp(-1.0)), abs=1e-12)
 
     def test_inf_kl_propagates(self):
-        assert catoni_bound(0.1, math.inf, 100, 0.05, 1.0) == math.inf
+        assert bound("catoni", 0.1, math.inf, 100, delta=0.05, catoni_C=1.0) == math.inf
 
     def test_nonpositive_C_rejected(self):
         with pytest.raises(ValueError):
-            catoni_bound(0.1, 0.0, 100, 0.05, 0.0)
+            bound("catoni", 0.1, 0.0, 100, delta=0.05, catoni_C=0.0)
 
     def test_bounded_below_by_inflated_empirical(self):
         for C in (0.3, 1.0, 4.0):
             emp = 0.4
-            assert catoni_bound(emp, 0.0, 10 ** 6, 0.5, C) >= emp * catoni_prefactor(C) * C / C
+            value = bound("catoni", emp, 0.0, 10 ** 6, delta=0.5, catoni_C=C)
+            assert value >= emp * catoni_prefactor(C) * C / C
 
     def test_inflation_inverse(self):
         for c in (0.1, 1.0, 3.0):
@@ -90,15 +96,15 @@ class TestKST:
         with mpmath.workdps(50):
             expected = float(mpmath.mpf("4.5") * mpmath.sqrt(mpmath.mpf(2) / 100)
                              + mpmath.sqrt(mpmath.log(20) / 100))
-        assert kst_bound(0.0, 0.0, 100, 0.05) == pytest.approx(expected, abs=1e-14)
-        assert kst_bound(0.0, 0.0, 100, 0.05) == pytest.approx(0.80948, abs=1e-5)
+        assert bound("kst", 0.0, 0.0, 100, delta=0.05) == pytest.approx(expected, abs=1e-14)
+        assert bound("kst", 0.0, 0.0, 100, delta=0.05) == pytest.approx(0.80948, abs=1e-5)
 
     def test_max_clamp(self):
-        assert kst_bound(0.1, 1.0, 200, 0.1) == kst_bound(0.1, 2.0, 200, 0.1)
+        assert bound("kst", 0.1, 1.0, 200, delta=0.1) == bound("kst", 0.1, 2.0, 200, delta=0.1)
 
     def test_sqrt_scaling(self):
-        b1 = kst_bound(0.0, 3.0, 100, 0.05)
-        b4 = kst_bound(0.0, 3.0, 400, 0.05)
+        b1 = bound("kst", 0.0, 3.0, 100, delta=0.05)
+        b4 = bound("kst", 0.0, 3.0, 400, delta=0.05)
         assert b4 == pytest.approx(b1 / 2.0, abs=1e-14)
 
 
@@ -147,13 +153,13 @@ class TestMatchedCatoniBound:
     def test_compose_with_constants(self):
         k = derive_matched_catoni_constants(1.0, 0.5, 0.05)
         emp = 0.2
-        got = matched_catoni_bound(emp, 0.0, 10 ** 4, 0.05, 1.0, 0.5)
+        got = bound("matched_catoni", emp, 0.0, 10 ** 4, delta=0.05, c=1.0, c2=0.5)
         expected = 2.0 * emp + (k.C2 * math.log(20.0) + k.C3) / 10 ** 4
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_inverse_m_scaling(self):
-        b1 = matched_catoni_bound(0.0, 0.0, 1000, 0.05, 1.0, 0.5)
-        b2 = matched_catoni_bound(0.0, 0.0, 2000, 0.05, 1.0, 0.5)
+        b1 = bound("matched_catoni", 0.0, 0.0, 1000, delta=0.05, c=1.0, c2=0.5)
+        b2 = bound("matched_catoni", 0.0, 0.0, 2000, delta=0.05, c=1.0, c2=0.5)
         assert b1 == pytest.approx(2.0 * b2, rel=1e-12)
 
     def test_complexity_dominates_catoni_by_at_most_C1(self):
@@ -170,7 +176,7 @@ class TestMatchedCatoniBound:
                     assert matched_cplx <= k.C1 * (kl + math.log(1 / delta) + k.C3 / k.C1) / m
 
     def test_inf_kl(self):
-        assert matched_catoni_bound(0.1, math.inf, 100, 0.05, 1.0, 0.5) == math.inf
+        assert bound("matched_catoni", 0.1, math.inf, 100, delta=0.05, c=1.0, c2=0.5) == math.inf
 
 
 class TestFlatnessBound:
@@ -184,8 +190,8 @@ class TestFlatnessBound:
         with mpmath.workdps(50):
             expected = float(mpmath.mpf(4) / (mpmath.mpf("0.025") * 1000)
                              * (3 + mpmath.log(20) + 5))
-        assert rep.components["rate"] == pytest.approx(expected, abs=1e-12)
-        assert rep.components["rate"] == pytest.approx(1.7593, abs=1e-4)
+        assert rep.components["complexity"] == pytest.approx(expected, abs=1e-12)
+        assert rep.components["complexity"] == pytest.approx(1.7593, abs=1e-4)
 
     def test_completely_flat_zero_risk(self):
         t = LossTable([[0, 0], [1, 1]])
@@ -194,7 +200,7 @@ class TestFlatnessBound:
         rep = flatness_bound(q, t, s, kl=0.3, delta=0.1, c=0.7, h=0.3)
         assert rep.components["empirical"] == 0.0
         assert rep.components["flatness"] == 0.0
-        assert rep.value == rep.components["rate"]
+        assert rep.value == rep.components["complexity"]
 
     def test_flatness_term_below_inflated_empirical_under_binary(self, rng):
         dist, table = random_instance(rng, n_h=6, n_z=5)
@@ -226,10 +232,11 @@ class TestMonotonicityAndReports:
         ms = (50, 500, 5000)
         deltas = (0.01, 0.1, 0.5)
         families = {
-            "mcallester": lambda emp, kl, m, d: mcallester_bound(emp, kl, m, d),
-            "catoni": lambda emp, kl, m, d: catoni_bound(emp, kl, m, d, 1.0),
-            "kst": lambda emp, kl, m, d: kst_bound(emp, kl, m, d),
-            "matched": lambda emp, kl, m, d: matched_catoni_bound(emp, kl, m, d, 1.0, 0.5),
+            "mcallester": lambda emp, kl, m, d: bound("mcallester", emp, kl, m, delta=d),
+            "catoni": lambda emp, kl, m, d: bound("catoni", emp, kl, m, delta=d, catoni_C=1.0),
+            "kst": lambda emp, kl, m, d: bound("kst", emp, kl, m, delta=d),
+            "matched": lambda emp, kl, m, d: bound("matched_catoni", emp, kl, m, delta=d, c=1.0,
+                                                   c2=0.5),
         }
         for fn in families.values():
             for m in ms:
@@ -263,6 +270,34 @@ class TestMonotonicityAndReports:
         with pytest.raises(ValueError):
             evaluate_bound("flatness", 0.1, 0.5, 100, BoundParams())
 
+    def test_evaluate_bound_takes_a_flatness_value_for_flatness_only(self):
+        with pytest.raises(ValueError, match="takes no flatness value"):
+            evaluate_bound("catoni", 0.1, 0.5, 100, BoundParams(), 0.05)
+        with pytest.raises(ValueError, match="unknown bound family"):
+            evaluate_bound("bogus", 0.1, 0.5, 100, BoundParams())
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_every_report_has_the_three_components(self, family):
+        flat = np.array([0.05, 0.05]) if FAMILIES[family].needs_sample else None
+        kl = np.array([1.2, math.inf])
+        rep = evaluate_bound(family, np.array([0.15, 0.15]), kl, 400, BoundParams(), flat)
+        assert list(rep.components) == ["empirical", "flatness", "complexity"]
+        comp = {name: np.broadcast_to(v, kl.shape) for name, v in rep.components.items()}
+        assert comp["flatness"][0] == (0.0 if flat is None else BoundParams().c * flat[0])
+        # The infinite value puts all of itself in complexity.
+        assert np.isinf(rep.value[1]) and np.isinf(comp["complexity"][1])
+        assert comp["empirical"][1] == comp["flatness"][1] == 0.0
+
+    def test_flatness_bound_is_evaluate_bound_at_the_posterior(self, rng):
+        dist, table = random_instance(rng, n_h=6, n_z=5)
+        s, q = draw_sample(dist, 40, 3), random_measure(rng, 6)
+        rep = flatness_bound(q, table, s, 0.7, 0.1, 1.5, 0.4)
+        params = BoundParams(delta=0.1, c=1.5, h=0.4)
+        direct = evaluate_bound("flatness", gibbs_empirical_risk(q, table, s), 0.7, s.m, params,
+                                flatness(q, table, s, 0.4))
+        assert rep.value == direct.value
+        assert rep.components == direct.components
+
 
 class TestReads:
     # A value other than the default for each BoundParams field.
@@ -271,14 +306,14 @@ class TestReads:
     @staticmethod
     def evaluate(family, params, rng):
         """(value, d_emp, d_kl, derived) of the family at params; kl straddles
-        kst's kink at 2, and flatness is evaluated in full by flatness_bound."""
+        kst's kink at 2, and flatness is evaluated at a posterior by flatness_bound."""
         fam, kl, m = FAMILIES[family], np.array([0.5, 3.0]), 100
         if fam.needs_sample:
             dist, table = random_instance(rng)
             q, s = random_measure(rng, table.hypothesis_count), draw_sample(dist, m, 1)
             value = flatness_bound(q, table, s, kl, params.delta, params.c, params.h).value
         else:
-            value = fam.value(0.2, kl, m, params)
+            value = evaluate_bound(family, 0.2, kl, m, params).value
         derived = None if fam.derived is None else fam.derived(params)
         return value, fam.d_emp(params), fam.d_kl(kl, m, params), derived
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pacbayes import BoundParams, ProbMeasure, coverage_experiment, minimize_bound
+from pacbayes import BoundParams, ProbMeasure, Sample, coverage_experiment, minimize_bound
 from pacbayes.cli import main
 from pacbayes.io import fmt, load_instance, write_csv
 
@@ -139,7 +139,7 @@ class TestCoverage:
             # One minimize_bound call per sample of the block.
             return ProbMeasure([minimize_bound("catoni", params, prior, table, s,
                                                (0.0, 0.1, 1.0, 10.0))[0].weights
-                                for s in block.rows()])
+                                for s in map(Sample, block.counts)])
 
         rep = coverage_experiment(inst.table, inst.dist, inst.prior, rule,
                                   "catoni", params, m=30, trials=60, seed=2)
@@ -210,6 +210,17 @@ class TestDuality:
         out, err = capsys.readouterr()
         assert out.splitlines()[-1] == "PASS" and err == ""
         assert float(printed_row(out)["gap"]) == 0.0
+
+    def test_tiny_kappa(self, capsys, tmp_path, log_file):
+        # At kappa = 1e-18 the dual's objective must not lose 1e-16 / lambda.
+        inst = str(tmp_path / "g.txt")
+        assert run(["gen-instance", "--seed", "1", "--hypotheses", "6", "--points", "5",
+                    "--out", inst], log_file) == 0
+        capsys.readouterr()
+        assert run(["duality", "--instance", inst, "--kappa", "1e-18"], log_file) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "PASS"
+        assert abs(float(printed_row(out)["gap"])) <= 1e-15
 
     def test_fail_exits_1(self, monkeypatch, capsys, inst_file, log_file):
         # A dual far from the primal is a FAIL: exit 1, in stdout and in the record.
@@ -511,13 +522,17 @@ class TestUsageContract:
            "--trials", "50", "--c", "inf", *h] for h in ([], ["--h", "0.5"])),
         ["lemmas", "--which", "shifted-flatness", "--instance", "INST", "--seed", "1",
          "--trials", "50", "--c2", "inf"],
+        ["bounds", "--family", "matched_catoni", "--emp", "0.1", "--kl", "0.1", "--m", "10",
+         "--c", "1e300"],
+        ["lemmas", "--which", "debias", "--instance", "INST", "--m", "5",
+         "--lambda-over-m", "1e300"],
     ], ids=["kappa-nan", "emp-nan", "kl-nan", "emp-2", "C-nan", "c-nan", "c2-nan",
             "beta-grid-nan", "beta-grid-negative", "beta-grid-empty",
             "shifted-flatness-m-0", "shifted-flatness-h-0", "shifted-flatness-c2-0",
             "xy-lambda-nan-forced", "debias-lambda-nan", "debias-k-nan", "xy-mu-nan",
             "shifted-flatness-t-nan", "symmetrization-t-nan", "C-inf", "flatness-c-inf",
             "sweep-c-inf", "symmetrization-c-inf", "symmetrization-c-inf-with-h",
-            "shifted-flatness-c2-inf"])
+            "shifted-flatness-c2-inf", "matched-catoni-c-overflows", "debias-lambda-overflows"])
     def test_bad_value_exits_2_with_one_record(self, argv, inst_file, log_file, capsys):
         argv = [inst_file if a == "INST" else a for a in argv]
         assert run(argv, log_file) == 2
@@ -526,9 +541,18 @@ class TestUsageContract:
         assert "Traceback" not in err
         if "inf" in argv:
             assert "finite" in err.splitlines()[0]
+        if "1e300" in argv:
+            assert err.splitlines() == [err.splitlines()[0]] and "overflowed" in err
         (rec,) = [json.loads(line, parse_constant=strict_json)
                   for line in open(log_file).read().splitlines()]
         assert rec["exit_code"] == 2
+
+    def test_huge_finite_parameters_run(self, inst_file, log_file, capsys):
+        # The linear symmetrization solves each KL ball on rescaled values, so
+        # c near 1e300 neither overflows nor warns.
+        assert run(["lemmas", "--which", "symmetrization", "--instance", inst_file, "--seed", "1",
+                    "--trials", "50", "--c", "1e300", "--c2", "1e299"], log_file) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("argv, target, name", [
         (["duality", "--instance", "INST", "--kappa", "0.7"], "pacbayes.cli", "kl_ball_sup"),

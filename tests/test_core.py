@@ -186,8 +186,7 @@ class TestBlocks:
         d = ProbMeasure([0.2, 0.3, 0.5])
         s = draw_sample(d, 40, 3, 1, size=6)
         assert s.counts.shape == (6, 3) and s.m == 40 and s.point_count == 3
-        assert [row.m for row in s.rows()] == [40] * 6
-        assert np.array_equal(np.stack([row.counts for row in s.rows()]), s.counts)
+        assert (s.counts.sum(axis=-1) == 40).all()
 
     def test_rejects_rows_of_different_sizes(self):
         with pytest.raises(ValueError):
@@ -217,7 +216,7 @@ class TestBlocks:
         s = draw_sample(dist, 33, 5, size=8)
         risks = empirical_risks(table, s)
         assert risks.shape == (8, 6)
-        for row, r in zip(s.rows(), risks):
-            assert np.array_equal(empirical_risks(table, row), r)
+        for c, r in zip(s.counts, risks):
+            assert np.array_equal(empirical_risks(table, Sample(c)), r)
         g = rng.random((8, 5))
-        assert np.array_equal(s.mean(g), [row.mean(v) for row, v in zip(s.rows(), g)])
+        assert np.array_equal(s.mean(g), [Sample(c).mean(v) for c, v in zip(s.counts, g)])

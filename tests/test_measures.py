@@ -193,7 +193,7 @@ class TestFlatness:
         s = draw_sample(dist, 31, 6, size=9)
         got = flatness(q, table, s, 0.3)
         assert got.shape == (9,)
-        for value, q_row, s_row in zip(got, q.weights, s.rows()):
+        for value, q_row, s_row in zip(got, q.weights, map(Sample, s.counts)):
             assert abs(value - flatness_double_sum(ProbMeasure(q_row), table, s_row, 0.3)) <= 1e-12
 
 
@@ -227,8 +227,8 @@ class TestBlocks:
         for t in range(5):
             row = ProbMeasure(q.weights[t])
             assert risks[t] == gibbs_risk(row, table, dist)
-            assert emp[t] == gibbs_empirical_risk(row, table, s.rows()[t])
+            assert emp[t] == gibbs_empirical_risk(row, table, Sample(s.counts[t]))
         # One posterior for the whole block broadcasts over its samples.
         fixed = ProbMeasure(q.weights[0])
         assert np.array_equal(gibbs_empirical_risk(fixed, table, s),
-                              [gibbs_empirical_risk(fixed, table, row) for row in s.rows()])
+                              [gibbs_empirical_risk(fixed, table, Sample(c)) for c in s.counts])

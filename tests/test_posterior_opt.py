@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pacbayes import (FAMILIES, BoundParams, ProbMeasure, draw_sample,
-                      evaluate_posterior_bound, gibbs_posterior, kl_divergence,
+from pacbayes import (FAMILIES, BoundParams, ProbMeasure, derive_matched_catoni_constants,
+                      draw_sample, evaluate_posterior_bound, gibbs_posterior, kl_divergence,
                       minimize_bound)
-from pacbayes.bounds import _matched_constants
 from pacbayes.core import LossTable, Sample, empirical_risks
 from pacbayes import posterior_opt
 from pacbayes.posterior_opt import _majoriser, _tilt
@@ -191,7 +190,8 @@ class TestMinimizeBound:
     def test_one_tilt_is_the_tempered_posterior(self, rng, family):
         # beta = d_emp / (m d_kl): C for catoni, (1 + c) / C1 for matched_catoni.
         params = BoundParams(delta=0.05, catoni_C=1.3)
-        beta = 1.3 if family == "catoni" else 2.0 / _matched_constants(1.0, None, 0.05).C1
+        C1 = derive_matched_catoni_constants(1.0, 0.5, 0.05).C1
+        beta = 1.3 if family == "catoni" else 2.0 / C1
         assert family == "catoni" or beta == pytest.approx(0.0276, abs=1e-4)
         for seed in range(5):
             p, table, block = zero_prior_instance(rng, 9, 5, 40, 6, seed)
@@ -209,7 +209,7 @@ class TestMinimizeBound:
         for n_h, n_z, m, seed in ((12, 5, 40, 1), (30, 8, 300, 2), (6, 3, 5000, 3)):
             p, table, block = zero_prior_instance(rng, n_h, n_z, m, 4, seed)
             _, rep = minimize_bound(family, params, p, table, block, (0.0, 0.1, 1.0, 10.0))
-            for i, s in enumerate(block.rows()):
+            for i, s in enumerate(map(Sample, block.counts)):
                 risks = np.broadcast_to(empirical_risks(table, s), (len(betas), n_h))
                 path = _tilt(p, risks, betas * m)
                 scan = min(evaluate_posterior_bound(family, params, q, p, table, s).value.min()
@@ -242,7 +242,7 @@ class TestMinimizeBound:
             p, table, block = zero_prior_instance(rng, 15, 6, 200, 1, seed)
             for beta in (0.0, 1.0):
                 seen.clear()
-                _, rep = minimize_bound(family, params, p, table, block.rows()[0], (beta,))
+                _, rep = minimize_bound(family, params, p, table, Sample(block.counts[0]), (beta,))
                 start, *tilts, result = (float(v[-1]) for v in seen)
                 assert 1 <= len(tilts) <= posterior_opt._MAX_TILTS
                 best = start
@@ -291,7 +291,7 @@ class TestMinimizeBound:
         params = BoundParams(delta=0.05, c=1.0, h=0.6)
         q, rep = minimize_bound("flatness", params, p, table, s, (0.0, 1.0, 5.0))
         assert rep.family == "flatness"
-        assert set(rep.components) == {"empirical", "flatness", "rate"}
+        assert set(rep.components) == {"empirical", "flatness", "complexity"}
         assert abs(q.weights.sum() - 1.0) <= 1e-12
 
     def test_deterministic(self, rng):
@@ -323,7 +323,7 @@ class TestMinimizeBound:
         block = draw_sample(dist, 40, 11, size=7)
         q, rep = minimize_bound(family, params, p, table, block, (0.0, 0.3, 2.0, 1e3))
         assert q.weights.shape == (7, 12) and rep.value.shape == (7,)
-        for i, s in enumerate(block.rows()):
+        for i, s in enumerate(map(Sample, block.counts)):
             q1, rep1 = minimize_bound(family, params, p, table, s, (0.0, 0.3, 2.0, 1e3))
             assert np.array_equal(q.weights[i], q1.weights)
             assert rep.value[i] == rep1.value

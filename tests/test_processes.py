@@ -146,6 +146,15 @@ class TestKLBallSup:
             np.testing.assert_array_equal(block.ravel(), one_by_one)
         assert kl_ball_sup(p, rows[8], 2.5) == 0.9
 
+    @pytest.mark.parametrize("kappa", [1e-300, 1e-8, 0.5, 3.0])
+    def test_power_of_two_scaling_is_exact(self, rng, kappa):
+        # Huge finite values neither overflow nor warn (RuntimeWarnings are
+        # errors in this suite), and scaling by 2^900 scales the sup exactly.
+        p = random_measure(rng, 7)
+        v = rng.random((20, 7))
+        scaled = kl_ball_sup(p, 2.0 ** 900 * v, kappa)
+        np.testing.assert_array_equal(scaled, 2.0 ** 900 * kl_ball_sup(p, v, kappa))
+
     def test_agrees_with_bisection(self):
         gen = np.random.default_rng(2024)
         active = 0
@@ -206,6 +215,17 @@ class TestKLDual:
     def test_negative_kappa_rejected(self, rng):
         with pytest.raises(ValueError):
             kl_dual_value(random_measure(rng, 3), [0, 1, 2], -0.5)
+
+    @pytest.mark.parametrize("kappa", [1e-300, 1e-200, 1e-150, 1e-100, 1e-50, 1e-30, 1e-20,
+                                       1e-18, 1e-15, 1e-12, 1e-8, 1e-4, 0.01, 0.5, 3.0, 30.0])
+    def test_matches_primal_at_every_radius(self, kappa):
+        # Down to kappa = 1e-300 neither solver raises, and the dual keeps to
+        # the primal at float resolution, not 1e-16 / lambda.
+        gen = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(gen.integers(2, 30))
+            p, v = ProbMeasure(gen.dirichlet(np.ones(n))), gen.random(n)
+            assert abs(kl_dual_value(p, v, kappa) - kl_ball_sup(p, v, kappa)) <= 2e-15
 
 
 class TestDebiasMGF:

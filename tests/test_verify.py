@@ -10,7 +10,7 @@ import pytest
 from scipy.optimize import brentq
 
 import pacbayes
-from pacbayes import (BoundParams, LossTable, ProbMeasure,
+from pacbayes import (BoundParams, LossTable, ProbMeasure, Sample,
                       clopper_pearson_upper, coverage_experiment, empirical_risks,
                       evaluate_posterior_bound, gibbs_posterior, gibbs_risk,
                       minimize_bound, sample_blocks)
@@ -139,7 +139,7 @@ class TestCoverage:
                                   m=m, trials=trials, seed=seed)
         violations, slacks = 0, []
         for _, block in sample_blocks(dist, m, trials, seed):
-            for s in block.rows():
+            for s in map(Sample, block.counts):
                 q = erm_rule(prior, table, s)
                 bound = evaluate_posterior_bound("catoni", params, q, prior, table, s).value
                 true = gibbs_risk(q, table, dist)
