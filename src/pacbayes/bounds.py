@@ -3,9 +3,12 @@
 Five families: the classical square-root bound, Catoni's fast-rate bound,
 the Kakade-Sridharan-Tewari bound, a shifted-Rademacher bound matching
 Catoni's rate (with the non-explicit constants derived here by bisection),
-and the fast-rate flatness bound. Each is one FAMILIES entry, at the end,
-which holds its formula, its derivatives, the parameters it reads and its
-least m; evaluate_bound evaluates every family and builds every BoundReport.
+and the fast-rate flatness bound. Every one is linear in the empirical Gibbs
+risk, B = dB/demp emp + c flat + complexity(kl, m), where the flatness term
+c flat belongs to the flatness bound alone. Each is one FAMILIES entry, at
+the end, which holds dB/demp, its complexity term, dB/dkl, the parameters it
+reads and its least m; evaluate_bound evaluates every family and builds every
+BoundReport as the sum of the three parts.
 
 All families treat kl = +inf as a valid input and return a vacuous +inf
 certificate rather than raising. emp and kl may be arrays with one entry per
@@ -70,22 +73,13 @@ class DerivedConstants:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Evaluated certificate with its additive breakdown; value and components
-    hold one entry per sample when the bound was evaluated on a block."""
+    """Evaluated certificate, the sum of its components `empirical`, `flatness`
+    and `complexity`; value and components hold one entry per sample when the
+    bound was evaluated on a block. evaluate_bound builds every report."""
 
     family: str
     value: float | np.ndarray
     components: dict
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown bound family {self.family!r}")
-        # Finite values within 1e-12 relative; infinite ones exactly.
-        value, total = np.asarray(self.value), sum(self.components.values())
-        finite = np.isfinite(value)
-        gap = np.abs(np.subtract(total, value, out=np.zeros(value.shape), where=finite))
-        if ((gap > 1e-12 * np.maximum(1.0, np.abs(value))) | ((total != value) & ~finite)).any():
-            raise ValueError("components do not reconstruct the bound value")
 
 
 def catoni_prefactor(C: float) -> float:
@@ -188,18 +182,18 @@ def catoni_C_for_inflation(c: float) -> float:
 
 @dataclass(frozen=True)
 class Family:
-    """One bound family B(emp, kl, m, params, flat), linear in emp: its value
-    (emp, kl and, for flatness, flat may be arrays), dB/demp (also the weight
-    of the `empirical` component), dB/dkl at finite kl (an array), the
+    """One bound family B = d_emp emp + c flat + complexity(kl, m), linear in
+    emp: dB/demp (also the weight of the `empirical` component), the
+    complexity term (kl may be an array), dB/dkl at finite kl (an array), the
     constant reported as C_derived, the BoundParams fields that these read,
-    and the least m it allows. flat is the h-flatness of the posterior on the
-    sample for the family that needs_sample, and None for the closed forms.
-    minimize_bound tilts at beta = d_emp / (m d_kl(kl)).
+    and the least m it allows. The flatness term c flat, with flat the
+    h-flatness of the posterior on the sample, belongs to the family that
+    needs_sample alone. minimize_bound tilts at beta = d_emp / (m d_kl(kl)).
     """
 
     reads: tuple[str, ...]
-    value: Callable[..., float | np.ndarray]
     d_emp: Callable[[BoundParams], float]
+    complexity: Callable[[np.ndarray, int, BoundParams], np.ndarray | float]
     d_kl: Callable[[np.ndarray, int, BoundParams], np.ndarray | float]
     derived: Callable[[BoundParams], float] | None = None
     needs_sample: bool = False
@@ -209,36 +203,34 @@ class Family:
 FAMILIES: dict[str, Family] = {
     "mcallester": Family(
         reads=("delta",),
-        value=lambda emp, kl, m, p, flat: emp + np.sqrt((kl + math.log(m / p.delta))
-                                                        / (2.0 * (m - 1))),
         d_emp=lambda p: 1.0,
+        complexity=lambda kl, m, p: np.sqrt((kl + math.log(m / p.delta)) / (2.0 * (m - 1))),
         d_kl=lambda kl, m, p: 1.0 / (4.0 * (m - 1) * np.sqrt(
             (kl + math.log(m / p.delta)) / (2.0 * (m - 1)))),
         m_min=2,
     ),
     "catoni": Family(
         reads=("delta", "catoni_C"),
-        value=lambda emp, kl, m, p, flat: ((p.catoni_C * emp + (kl + math.log(1.0 / p.delta)) / m)
-                                           / -math.expm1(-p.catoni_C)),
         d_emp=lambda p: catoni_prefactor(p.catoni_C),
+        complexity=lambda kl, m, p: ((kl + math.log(1.0 / p.delta))
+                                     / (m * -math.expm1(-p.catoni_C))),
         d_kl=lambda kl, m, p: 1.0 / (m * -math.expm1(-p.catoni_C)),
         derived=lambda p: p.catoni_C,
     ),
     "kst": Family(
         reads=("delta",),
-        value=lambda emp, kl, m, p, flat: (emp + 4.5 * np.sqrt(np.maximum(kl, 2.0) / m)
-                                           + math.sqrt(math.log(1.0 / p.delta) / m)),
         d_emp=lambda p: 1.0,
+        complexity=lambda kl, m, p: (4.5 * np.sqrt(np.maximum(kl, 2.0) / m)
+                                     + math.sqrt(math.log(1.0 / p.delta) / m)),
         d_kl=lambda kl, m, p: np.where(kl > 2.0, 4.5 / (2.0 * np.sqrt(np.maximum(kl, 2.0) * m)),
                                        0.0),
     ),
     "matched_catoni": Family(
         reads=("delta", "c", "c2"),
-        value=lambda emp, kl, m, p, flat: (
-            (1.0 + p.c) * emp
-            + (k := derive_matched_catoni_constants(p.c, p.c2, p.delta)).C1 * kl / m
-            + k.C2 * math.log(1.0 / p.delta) / m + k.C3 / m),
         d_emp=lambda p: 1.0 + p.c,
+        complexity=lambda kl, m, p: (
+            (k := derive_matched_catoni_constants(p.c, p.c2, p.delta)).C1 * kl / m
+            + k.C2 * math.log(1.0 / p.delta) / m + k.C3 / m),
         d_kl=lambda kl, m, p: derive_matched_catoni_constants(p.c, p.c2, p.delta).C1 / m,
         derived=lambda p: derive_matched_catoni_constants(p.c, p.c2, p.delta).C_big,
     ),
@@ -246,11 +238,9 @@ FAMILIES: dict[str, Family] = {
     # theorem requires h in (0, 1), though its MGF lemma tolerates h = 1.
     "flatness": Family(
         reads=("delta", "c", "h"),
-        value=lambda emp, kl, m, p, flat: (
-            emp + p.c * flat
-            + 4.0 / (flatness_rate_constant(p.c, p.h) * m) * (3.0 * kl + math.log(1.0 / p.delta)
-                                                              + 5.0)),
         d_emp=lambda p: 1.0,
+        complexity=lambda kl, m, p: (4.0 / (flatness_rate_constant(p.c, p.h) * m)
+                                     * (3.0 * kl + math.log(1.0 / p.delta) + 5.0)),
         d_kl=lambda kl, m, p: 4.0 / (flatness_rate_constant(p.c, p.h) * m) * 3.0,
         derived=lambda p: flatness_rate_constant(p.c, p.h),
         needs_sample=True,
@@ -259,12 +249,13 @@ FAMILIES: dict[str, Family] = {
 
 
 def evaluate_bound(family: str, emp, kl, m: int, params: BoundParams, flat=None) -> BoundReport:
-    """Evaluate a family, with its breakdown into the components `empirical`
+    """Evaluate a family as the sum of its components `empirical`
     (d_emp * emp), `flatness` (c * flat, 0 for the closed forms) and
-    `complexity` (the rest). An infinite value puts all of itself in
-    complexity. emp is a Gibbs risk: it must lie in [0, 1], up to the rounding
-    that a ProbMeasure's weights may carry. flat, the h-flatness, is required
-    by the family that needs_sample and rejected by every other."""
+    `complexity`. An infinite bound reports 0 empirical and 0 flatness, so
+    all of it is complexity. emp is a Gibbs risk: it must lie in [0, 1], up
+    to the rounding that a ProbMeasure's weights may carry. flat, the
+    h-flatness, is required by the family that needs_sample and rejected by
+    every other."""
     fam = FAMILIES.get(family)
     if fam is None:
         raise ValueError(f"unknown bound family {family!r}")
@@ -277,10 +268,10 @@ def evaluate_bound(family: str, emp, kl, m: int, params: BoundParams, flat=None)
         raise ValueError(f"m must be >= {fam.m_min}")
     if not np.all((emp >= 0) & (emp <= 1.0 + _SUM_TOL)):
         raise ValueError("emp must lie in [0, 1]")
-    value = fam.value(emp, kl, m, params, flat)
-    finite = np.isfinite(value)
+    complexity = fam.complexity(kl, m, params)
+    finite = np.isfinite(complexity)
     empirical = fam.d_emp(params) * emp * finite
     flat_term = (0.0 if flat is None else params.c * flat) * finite
-    return BoundReport(family=family, value=value,
+    return BoundReport(family=family, value=empirical + flat_term + complexity,
                        components={"empirical": empirical, "flatness": flat_term,
-                                   "complexity": value - empirical - flat_term})
+                                   "complexity": complexity})

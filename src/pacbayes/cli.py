@@ -21,7 +21,8 @@ and go through the same parser and resolver.
 
 Exit codes: 0 success, 1 invariant/acceptance failure detected during the run
 (a solver that raises RuntimeError included), 2 usage or configuration error
-(an argument so large that a number overflows included).
+(an argument so large that a number overflows, or that memory runs out,
+included).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .posterior_opt import evaluate_posterior_bound, gibbs_posterior, minimize_b
 from .processes import (debias_mgf_exact, kl_ball_sup, kl_dual_value,
                         lemma_a3_threshold, shifted_flatness_tail_mc,
                         symmetrization_tail_mc, xy_cap, xy_default_c2,
-                        xy_mgf_bruteforce)
+                        xy_hypothesis_failure, xy_mgf_bruteforce)
 from .rng import stream
 from .compare import bound_sweep
 from .verify import coverage_experiment
@@ -214,7 +215,7 @@ def cmd_lemmas(args) -> Result:
         value = xy_mgf_bruteforce(_floats(args.mu), args.lambda_over_m, c, c2, h,
                                   force=args.force)
         cap = xy_cap(c, c2, h)
-        applicable = 0 < args.lambda_over_m < cap and 0 < c2 < h * h * c
+        applicable = xy_hypothesis_failure(args.lambda_over_m, c, c2, h) is None
         ok = (not applicable) or value <= 1.0 + 1e-12
         fields, notes = {"value": value}, {"cap": cap, "applies": applicable}
     elif which == "shifted-flatness":
@@ -442,10 +443,12 @@ def main(argv=None) -> int:
                   if k not in _NOT_HASHED and v is not None}
         seed = getattr(args, "seed", None)
         code, summary = _output(args.handler(args), args.out)
-    except (UsageError, ValueError, OSError, RuntimeError, ArithmeticError) as exc:
+    except (UsageError, ValueError, OSError, RuntimeError, ArithmeticError, MemoryError) as exc:
         message = str(exc)
         if isinstance(exc, ArithmeticError):  # a huge finite argument
             message = f"a number overflowed or divided by zero: {message}"
+        elif isinstance(exc, MemoryError):  # sizes too large to allocate
+            message = f"out of memory: {message}"
         print(f"error: {message}", file=sys.stderr)
         if isinstance(exc, UsageError):
             (_SUBPARSERS[command] if command else _PARSER).print_usage(sys.stderr)

@@ -59,11 +59,12 @@ def kl_ball_sup(p: ProbMeasure, values, kappa: float):
     E_p v (kappa = 0 included), give the prior mean; kappa >= -log P(argmax v)
     gives max v over that support. The other rows are solved together by a
     safeguarded Newton iteration on lam, started at sqrt(2 kappa / Var_p(v)),
-    on v - max v scaled by the power of two just above its largest magnitude,
-    so that no huge finite value overflows; the scaling is exact, so it
-    changes no bit of the result. Each row keeps a bracket [lo, hi] on the root
-    and takes the step lam - (KL - kappa) / (lam Var_{Q_lam}(v)) when it lands
-    inside it, else a bisection step (geometric while hi > 2 lo > 0). A row
+    on v - max v scaled by the power of two just above its largest magnitude.
+    That shift is formed from halves of v, so that no finite range overflows,
+    and the scaling is exact, so it changes no bit of the result. Each row
+    keeps a bracket [lo, hi] on the root and takes the step
+    lam - (KL - kappa) / (lam Var_{Q_lam}(v)) when it lands inside it, else a
+    bisection step (geometric while hi > 2 lo > 0). A row
     stops once |KL - kappa| <= _KL_BALL_RTOL * kappa, or once its bracket is at
     float resolution: hi is the next float after lo, or E_{Q_hi} v <= E_{Q_lo} v.
     Its sup is E_{Q_lam} v + (kappa - KL) / lam, the first-order step onto the
@@ -85,21 +86,22 @@ def _kl_ball_tilt(p: ProbMeasure, values, kappa: float):
     rows = v[..., support].reshape(-1, w.size)
     base = (rows * w).sum(axis=-1)
     vmax = rows.max(axis=-1)
-    d = rows - vmax[:, None]  # <= 0, and 0 at the maximum
-    width = -d.min(axis=-1)
+    half = rows / 2.0 - vmax[:, None] / 2.0  # (v - max v) / 2, <= 0
+    half_width = -half.min(axis=-1)
     # Rows that stay at the prior mean: constant ones, and (kappa = 0 included)
     # those whose Pinsker bound is at most half an ulp of it.
-    still = width == 0
+    still = half_width == 0
     if kappa < math.inf:
-        still |= width * math.sqrt(kappa / 2.0) <= 0.5 * np.spacing(np.abs(base))
-    kl_limit = -np.log(np.where(d == 0, w, 0.0).sum(axis=-1))
+        still |= half_width * math.sqrt(2.0 * kappa) <= 0.5 * np.spacing(np.abs(base))
+    kl_limit = -np.log(np.where(rows == vmax[:, None], w, 0.0).sum(axis=-1))
     out = np.where(still | (kappa < kl_limit), base, vmax)
     lam_out = np.where(still, 0.0, np.inf)
     left = np.flatnonzero(~still & (kappa < kl_limit))
-    # Solve on d / scale, with scale the power of two just above max |d|; lam
-    # and the sup in the units of v are lam / scale and vmax + scale * (...).
-    scale = np.ldexp(1.0, np.frexp(width[left])[1])
-    d, vmax = d[left] / scale[:, None], vmax[left]
+    # Solve on d = (v - max v) / 2^k, with 2^k the power of two just above
+    # max |v - max v|; lam and the sup in the units of v are lam / 2^k and
+    # vmax + 2^k (...).
+    k = np.frexp(half_width[left])[1] + 1
+    d, vmax = np.ldexp(half[left], (1 - k)[:, None]), vmax[left]
     centred = d - (d * w).sum(axis=-1)[:, None]
     lam = np.sqrt(2.0 * kappa / (centred * centred * w).sum(axis=-1))
     lo, hi = np.zeros_like(lam), np.full_like(lam, np.inf)
@@ -119,22 +121,22 @@ def _kl_ball_tilt(p: ProbMeasure, values, kappa: float):
             kl = lam * mean_d - lse
             dev = d - mean_d[:, None]
             var = (q * dev * dev).sum(axis=-1)
-            e = vmax + scale * mean_d
+            e = vmax + np.ldexp(mean_d, k)
             below = kl < kappa
             lo, e_lo = np.where(below, lam, lo), np.where(below, e, e_lo)
             hi, e_hi = np.where(below, hi, lam), np.where(below, e_hi, e)
             done = ((np.abs(kl - kappa) <= _KL_BALL_RTOL * kappa)
                     | (np.nextafter(lo, np.inf) >= hi) | (e_hi <= e_lo))
-            out[left[done]] = (e + scale * ((kappa - kl) / lam))[done]
-            lam_out[left[done]] = (lam / scale)[done]
+            out[left[done]] = (e + np.ldexp((kappa - kl) / lam, k))[done]
+            lam_out[left[done]] = np.ldexp(lam, -k)[done]
             newton = lam - (kl - kappa) / (lam * var)
             bisect = np.where(np.isinf(hi), 2.0 * lo,
                               np.where((lo > 0) & (hi > 2.0 * lo),
                                        lo * np.sqrt(hi / lo), 0.5 * (lo + hi)))
             lam = np.where((lo < newton) & (newton < hi), newton, bisect)
             keep = ~done
-            left, d, vmax, scale, lam, lo, hi, e_lo, e_hi = (
-                a[keep] for a in (left, d, vmax, scale, lam, lo, hi, e_lo, e_hi))
+            left, d, vmax, k, lam, lo, hi, e_lo, e_hi = (
+                a[keep] for a in (left, d, vmax, k, lam, lo, hi, e_lo, e_hi))
     if left.size:
         raise RuntimeError(f"kl_ball_sup: {left.size} rows still open after 200 steps")
     return out.reshape(v.shape[:-1])[()], lam_out.reshape(v.shape[:-1])[()]
@@ -146,11 +148,15 @@ def kl_dual_value(p: ProbMeasure, values, kappa: float) -> float:
 
     kappa = 0 gives E_P v (the lam -> 0 limit); kappa >= -log P(argmax v),
     kappa = +inf included, gives max v over the support of P (the lam -> inf
-    limit). Otherwise the objective is unimodal in u = log lam: a downhill
-    walk with doubling steps from u = 0 brackets its minimum, and bounded
-    Brent refines it to xatol = 1e-10 in u. While lam (max v - E_P v) < 1 the
-    log-MGF is log1p(E_P expm1(lam (v - E_P v))), which keeps its relative
-    accuracy as lam -> 0; beyond, it is taken from the maximum, by logaddexp.
+    limit). Otherwise it is solved on v / 2^k, with 2^k the power of two just
+    above max v - min v, found from halves of v so that no finite range
+    overflows; the scaling is exact, so the dual of 2^j v is 2^j times that
+    of v, and a range in [1/2, 1) gives k = 0. The objective is unimodal in
+    u = log lam: a downhill walk with doubling steps from u = 0 brackets its
+    minimum, and bounded Brent refines it to xatol = 1e-10 in u. While
+    lam (max v - E_P v) < 1 the log-MGF is log1p(E_P expm1(lam (v - E_P v))),
+    which keeps its relative accuracy as lam -> 0; beyond, it is taken from
+    the maximum, by logaddexp.
     """
     if not kappa >= 0:
         raise ValueError("kappa must be nonnegative")
@@ -167,6 +173,8 @@ def kl_dual_value(p: ProbMeasure, values, kappa: float) -> float:
         return mean
     if at_max.all() or kappa >= -math.log(w[at_max].sum()):
         return vmax
+    k = math.frexp(vmax / 2.0 - float(v.min()) / 2.0)[1] + 1
+    v, vmax, mean = np.ldexp(v, -k), math.ldexp(vmax, -k), math.ldexp(mean, -k)
     centred, d = v - mean, v - vmax
     logw = np.log(w)
 
@@ -191,7 +199,7 @@ def kl_dual_value(p: ProbMeasure, values, kappa: float) -> float:
         a, b, fb = b, c, fc
     res = minimize_scalar(objective, bounds=(min(a, c), max(a, c)), method="bounded",
                           options={"xatol": 1e-10})
-    return min(fb, float(res.fun))
+    return math.ldexp(min(fb, float(res.fun)), k)
 
 
 def debias_mgf_exact(p: ProbMeasure, table: LossTable, dist: ProbMeasure,
@@ -227,6 +235,19 @@ def xy_default_c2(c: float, h: float) -> float:
     return h * h * c / (1.0 + 16.0 * h * h * c)
 
 
+def xy_hypothesis_failure(lambda_over_m: float, c: float, c2: float, h: float) -> str | None:
+    """The first hypothesis of the xy lemma that fails, as an error message, or
+    None if all hold: 0 < h <= 1, 0 < c2 < h^2 c and 0 < lambda/m < xy_cap."""
+    if not 0 < h <= 1:
+        return "h must lie in (0, 1]"
+    if not 0 < c2 < h * h * c:
+        return "need 0 < c2 < h^2 c"
+    cap = xy_cap(c, c2, h)
+    if not 0 < lambda_over_m < cap:
+        return f"lambda/m must lie in (0, {cap}); pass force=True to explore"
+    return None
+
+
 def xy_mgf_bruteforce(mu, lambda_over_m: float, c: float, c2: float, h: float,
                       force: bool = False) -> float:
     """Adversarial-Y maximum of E_{eps,X} exp((lam/m) sum_i X_i [(eps_i + eps''_i)
@@ -243,14 +264,8 @@ def xy_mgf_bruteforce(mu, lambda_over_m: float, c: float, c2: float, h: float,
         raise ValueError("mu must be a nonempty vector of Bernoulli means in [0, 1]")
     if not all(map(math.isfinite, (lambda_over_m, c, c2, h))):
         raise ValueError("lambda/m, c, c2 and h must be finite")
-    if not force:
-        if not 0 < h <= 1:
-            raise ValueError("h must lie in (0, 1]")
-        if not 0 < c2 < h * h * c:
-            raise ValueError("need 0 < c2 < h^2 c")
-        cap = xy_cap(c, c2, h)
-        if not 0 < lambda_over_m < cap:
-            raise ValueError(f"lambda/m must lie in (0, {cap}); pass force=True to explore")
+    if not force and (failure := xy_hypothesis_failure(lambda_over_m, c, c2, h)):
+        raise ValueError(failure)
     x = lambda_over_m
     # Exponent coefficient of X_i at (eps_i, Y_i):
     #   eps = +1: (1 + c2) - c2 (1 - h^2) Y
@@ -261,8 +276,12 @@ def xy_mgf_bruteforce(mu, lambda_over_m: float, c: float, c2: float, h: float,
         (-1, 0): -(1.0 + c),
         (-1, 1): -(1.0 + c) + c * (1.0 - h * h),
     }
-    # Per-coordinate factor after integrating X_i, for each (eps, Y) pair.
-    fac = {key: 1.0 - mu + mu * np.exp(x * coef) for key, coef in a.items()}
+    # Per-coordinate factor after integrating X_i, for each (eps, Y) pair. A
+    # coordinate with mu_i = 0 has factor 1 and is left out, so that a forced
+    # lambda/m large enough to overflow makes the MGF +inf, never 0 * inf.
+    mu = mu[mu > 0]
+    with np.errstate(over="ignore"):
+        fac = {key: 1.0 - mu + mu * np.exp(x * coef) for key, coef in a.items()}
     plus = np.maximum(fac[(+1, 0)], fac[(+1, 1)])
     minus = np.maximum(fac[(-1, 0)], fac[(-1, 1)])
     return float(np.prod(0.5 * (plus + minus)))
@@ -354,19 +373,26 @@ def symmetrization_tail_mc(table: LossTable, dist: ProbMeasure, prior: ProbMeasu
     else:
         if not 0 <= h <= 1:
             raise ValueError("h must lie in [0, 1]")
-        c_prime = (c + c2) / 2.0
-        c_dprime = (c - c2) / 2.0
+        # Both processes and their levels are divided by 2^k >= 1 + c, so that
+        # each process lies in [-2, 2] and no huge finite c overflows; the
+        # scaling is exact.
+        k = math.frexp(1.0 + c)[1]
+        c_prime = c / 2.0 + c2 / 2.0
+        c_dprime = math.ldexp((c - c2) / 2.0, -k)
         loss_sq = loss * loss
-        shifted = (1.0 + c) * loss - c * (1.0 - h * h) * loss_sq
-        multiplied = (1.0 + c_prime) * loss - c_prime * (1.0 - h * h) * loss_sq
+        shifted = (math.ldexp(1.0 + c, -k) * loss
+                   - math.ldexp(c, -k) * (1.0 - h * h) * loss_sq)
+        multiplied = (math.ldexp(1.0 + c_prime, -k) * loss
+                      - math.ldexp(c_prime, -k) * (1.0 - h * h) * loss_sq)
         reduced = loss - (1.0 - h * h) * loss_sq
 
         def lhs_hits(s):
-            return np.count_nonzero((r - s.mean_rows(shifted)).max(axis=-1) >= t)
+            return np.count_nonzero((np.ldexp(r, -k) - s.mean_rows(shifted)).max(axis=-1)
+                                    >= math.ldexp(t, -k))
 
         def rhs_hits(s2, eps):
             proc = np.matvec(multiplied, eps) / m - c_dprime * s2.mean_rows(reduced)
-            return np.count_nonzero(proc.max(axis=-1) >= t / 4.0)
+            return np.count_nonzero(proc.max(axis=-1) >= math.ldexp(t / 4.0, -k))
     lhs = rhs = 0
     blocks = zip(sample_blocks(dist, m, trials, seed, 0), sample_blocks(dist, m, trials, seed, 1))
     for b, ((_, s), (_, s2)) in enumerate(blocks):

@@ -165,6 +165,23 @@ class TestLemmas:
         header, row = out.read_text().splitlines()
         assert dict(zip(header.split(","), row.split(",")))["pass"] == "true"
 
+    def test_xy_h_above_one_does_not_apply(self, capsys, log_file):
+        # The lemma needs 0 < h <= 1; forced past it, the run checks nothing.
+        code = run(["lemmas", "--which", "xy", "--mu", "0.5,0.5,0.5", "--lambda-over-m", "0.05",
+                    "--c", "1", "--c2", "0.5", "--h", "2", "--force"], log_file)
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "applies false" in out.splitlines() and out.splitlines()[-1] == "PASS"
+
+    @pytest.mark.parametrize("mu", ["0.5", "0.5,0"])
+    def test_xy_forced_overflow_prints_inf(self, mu, capsys, log_file):
+        # The MGF is +inf in floating point; a coordinate with mu = 0 keeps its factor 1.
+        code = run(["lemmas", "--which", "xy", "--mu", mu, "--lambda-over-m", "1e300",
+                    "--force"], log_file)
+        out, err = capsys.readouterr()
+        assert code == 0 and err == ""
+        assert printed_row(out)["value"] == "inf"
+
     def test_xy_thirteen_means(self, capsys, log_file):
         mu = ",".join(["0.5"] * 13)
         code = run(["lemmas", "--which", "xy", "--mu", mu,
@@ -548,11 +565,29 @@ class TestUsageContract:
         assert rec["exit_code"] == 2
 
     def test_huge_finite_parameters_run(self, inst_file, log_file, capsys):
-        # The linear symmetrization solves each KL ball on rescaled values, so
-        # c near 1e300 neither overflows nor warns.
+        # The linear symmetrization solves each KL ball on rescaled values, and
+        # the quadratic one divides its processes by a power of two above 1 + c,
+        # so c near the float maximum neither overflows nor warns.
         assert run(["lemmas", "--which", "symmetrization", "--instance", inst_file, "--seed", "1",
                     "--trials", "50", "--c", "1e300", "--c2", "1e299"], log_file) == 0
+        assert run(["lemmas", "--which", "symmetrization", "--instance", inst_file, "--seed", "1",
+                    "--trials", "5", "--h", "0.5", "--c", "1e308", "--c2", "1e307"],
+                   log_file) == 0
         assert capsys.readouterr().err == ""
+
+    def test_out_of_memory_exits_2_with_one_record(self, log_file, capsys, monkeypatch):
+        import pacbayes.cli
+
+        def too_big(args):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setitem(pacbayes.cli._SUBPARSERS["gen-instance"]._defaults, "handler",
+                            too_big)
+        assert run(["gen-instance", "--seed", "1", "--out", "j.txt"], log_file) == 2
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 72.8 TiB for an array\n"
+        (rec,) = [json.loads(line) for line in open(log_file).read().splitlines()]
+        assert rec["exit_code"] == 2 and "out of memory" in rec["summary"]["error"]
 
     @pytest.mark.parametrize("argv, target, name", [
         (["duality", "--instance", "INST", "--kappa", "0.7"], "pacbayes.cli", "kl_ball_sup"),

@@ -227,6 +227,27 @@ class TestKLDual:
             p, v = ProbMeasure(gen.dirichlet(np.ones(n))), gen.random(n)
             assert abs(kl_dual_value(p, v, kappa) - kl_ball_sup(p, v, kappa)) <= 2e-15
 
+    @pytest.mark.parametrize("kappa", [1e-8, 0.5, 3.0])
+    def test_power_of_two_scaling_is_exact(self, rng, kappa):
+        for _ in range(10):
+            p, v = random_measure(rng, 6), rng.random(6)
+            for j in (-900, 900):
+                scaled = kl_dual_value(p, 2.0 ** j * v, kappa)
+                assert scaled == 2.0 ** j * kl_dual_value(p, v, kappa)
+
+    def test_huge_values_match_the_primal(self):
+        p = ProbMeasure.uniform(2)
+        v = [1e300, 3e300]
+        assert kl_dual_value(p, v, 0.5) == pytest.approx(kl_ball_sup(p, v, 0.5), rel=1e-15)
+        assert kl_dual_value(p, v, 0.5) < 3e300
+
+    def test_full_float_range_does_not_overflow(self):
+        # Both solvers form v - max v from halves, so no RuntimeWarning is raised.
+        p, v = ProbMeasure.uniform(2), [-1e308, 1e308]
+        dual, primal = kl_dual_value(p, v, 0.5), kl_ball_sup(p, v, 0.5)
+        assert 0.0 < primal < 1e308
+        assert abs(dual - primal) <= 2e293  # 1e-15 of the range
+
 
 class TestDebiasMGF:
     def test_zero_risk_rows_give_one(self):
@@ -331,6 +352,9 @@ class TestXYMGF:
         # force flag permits exploratory evaluation outside the admissible region
         v = xy_mgf_bruteforce([0.5, 0.5], 10.0, 1.0, 0.125, 0.5, force=True)
         assert v > 1.0
+        with pytest.raises(ValueError, match=r"h must lie in \(0, 1\]"):
+            xy_mgf_bruteforce([0.5], 0.05, 1.0, 0.5, 2.0)
+        assert xy_mgf_bruteforce([0.5], 0.05, 1.0, 0.5, 2.0, force=True) > 1.0
 
 
 class TestShiftedFlatnessTail:

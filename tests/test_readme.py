@@ -19,6 +19,6 @@ def cli_examples() -> list[list[str]]:
 def test_readme_cli_examples_exit_0(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     examples = cli_examples()
-    assert len(examples) >= 8
+    assert len(examples) >= 12
     for argv in examples:  # in order: the first writes the instance the others read
         assert main(argv) == 0, argv
