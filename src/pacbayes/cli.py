@@ -236,13 +236,18 @@ def cmd_lemmas(args) -> Result:
     return Result(list(fields), [list(fields.values())], notes, ok)
 
 
+def duality_tolerance(primal: float) -> float:
+    """The duality self-check's bound on |dual - primal|: 1e-12 max(1, |primal|)."""
+    return 1e-12 * max(1.0, abs(primal))
+
+
 def cmd_duality(args) -> Result:
     inst = load_instance(args.instance)
     values = true_risks(inst.table, inst.dist)
     primal = kl_ball_sup(inst.prior, values, args.kappa)
     dual = kl_dual_value(inst.prior, values, args.kappa)
     gap = dual - primal
-    ok = abs(gap) <= 1e-6
+    ok = abs(gap) <= duality_tolerance(primal)
     return Result(["primal", "dual", "gap", "pass"], [[primal, dual, gap, ok]], ok=ok)
 
 

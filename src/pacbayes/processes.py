@@ -48,34 +48,14 @@ def _tail_estimate(hits: int, trials: int) -> TailEstimate:
 _KL_BALL_RTOL = 1e-12
 
 
-def kl_ball_sup(p: ProbMeasure, values, kappa: float):
-    """sup { E_Q[v] : KL(Q||p) <= kappa } over the simplex, for each row v of
-    values [..., n_h]; one value per row, a number for a 1-D values.
-
-    The sup is reached on the tilt Q_lam ~ p e^{lam v}, along which
-    KL(Q_lam||p) increases with derivative lam Var_{Q_lam}(v). Closed cases:
-    rows constant on the support of p, and rows whose Pinsker bound
-    (max v - min v) sqrt(kappa / 2) on |sup - E_p v| is below half an ulp of
-    E_p v (kappa = 0 included), give the prior mean; kappa >= -log P(argmax v)
-    gives max v over that support. The other rows are solved together by a
-    safeguarded Newton iteration on lam, started at sqrt(2 kappa / Var_p(v)),
-    on v - max v scaled by the power of two just above its largest magnitude.
-    That shift is formed from halves of v, so that no finite range overflows,
-    and the scaling is exact, so it changes no bit of the result. Each row
-    keeps a bracket [lo, hi] on the root and takes the step
-    lam - (KL - kappa) / (lam Var_{Q_lam}(v)) when it lands inside it, else a
-    bisection step (geometric while hi > 2 lo > 0). A row
-    stops once |KL - kappa| <= _KL_BALL_RTOL * kappa, or once its bracket is at
-    float resolution: hi is the next float after lo, or E_{Q_hi} v <= E_{Q_lo} v.
-    Its sup is E_{Q_lam} v + (kappa - KL) / lam, the first-order step onto the
-    ball's boundary (dE/dKL = 1/lam). A row still open after 200 steps raises
-    RuntimeError.
+def _kl_ball(p: ProbMeasure, values, kappa: float):
+    """The checks and rows of values [..., n_h] on p's support that kl_ball_sup
+    and kl_dual_value share: (shape, w, out, lam, left, base, vmax, k, d, cmax,
+    switch). Closed rows: E_p v (lam = 0) at kappa = 0 or if constant, max v (lam
+    = +inf) from the KL limit -log P(argmax v) on. The rest: E_p v, max v, 2^k
+    above max v - min v, d = (v - max v) / 2^k from halves of v so that no finite
+    range overflows (the scaling is exact), cmax = (max v - E_p v) / 2^k, switch.
     """
-    return _kl_ball_tilt(p, values, kappa)[0]
-
-
-def _kl_ball_tilt(p: ProbMeasure, values, kappa: float):
-    """kl_ball_sup and each row's lam: 0 at the prior, +inf at the lam -> inf limit."""
     if not kappa >= 0:
         raise ValueError("kappa must be nonnegative")
     v = np.asarray(values, dtype=float)
@@ -88,103 +68,122 @@ def _kl_ball_tilt(p: ProbMeasure, values, kappa: float):
     vmax = rows.max(axis=-1)
     half = rows / 2.0 - vmax[:, None] / 2.0  # (v - max v) / 2, <= 0
     half_width = -half.min(axis=-1)
-    # Rows that stay at the prior mean: constant ones, and (kappa = 0 included)
-    # those whose Pinsker bound is at most half an ulp of it.
-    still = half_width == 0
-    if kappa < math.inf:
-        still |= half_width * math.sqrt(2.0 * kappa) <= 0.5 * np.spacing(np.abs(base))
-    kl_limit = -np.log(np.where(rows == vmax[:, None], w, 0.0).sum(axis=-1))
-    out = np.where(still | (kappa < kl_limit), base, vmax)
-    lam_out = np.where(still, 0.0, np.inf)
-    left = np.flatnonzero(~still & (kappa < kl_limit))
-    # Solve on d = (v - max v) / 2^k, with 2^k the power of two just above
-    # max |v - max v|; lam and the sup in the units of v are lam / 2^k and
-    # vmax + 2^k (...).
+    limit = -np.log(np.where(half == 0, w, 0.0).sum(axis=-1))
+    still = (half_width == 0) | (kappa == 0)
+    left = np.flatnonzero(~still & (kappa < limit))
     k = np.frexp(half_width[left])[1] + 1
-    d, vmax = np.ldexp(half[left], (1 - k)[:, None]), vmax[left]
-    centred = d - (d * w).sum(axis=-1)[:, None]
-    lam = np.sqrt(2.0 * kappa / (centred * centred * w).sum(axis=-1))
-    lo, hi = np.zeros_like(lam), np.full_like(lam, np.inf)
-    e_lo, e_hi = base[left], vmax
+    d = np.ldexp(half[left], (1 - k)[:, None])
+    return (v.shape[:-1], w, np.where(~still & (kappa >= limit), vmax, base),
+            np.where(still, 0.0, np.inf), left, base[left], vmax[left], k, d,
+            -(d * w).sum(axis=-1), np.minimum(np.maximum(limit[left], 1.0), 700.0))
+
+
+def _log_mgf(w, d, cmax, switch, lam):
+    """log E_w e^{lam c}, c = d + cmax centred (E_w c taken as 0), lam > 0, with
+    cmax, switch, lam one per row. It keeps its relative accuracy: at the prior
+    mean, log1p(E_w phi(lam c)), phi(x) = e^x - 1 - x, each term O(lam^2), until
+    the tilt has moved its mass to max c (lam max c >= switch = max(1, KL limit),
+    at most 700 so that e^x stays finite); then at max c, lam max c + log E_w
+    e^{lam d}, by log1p while E_w expm1(lam d) > -1/2. Returns (at_mean, c or d,
+    x = lam (c or d), expm1(x), log E_w e^x)."""
+    at_mean = lam * cmax < switch
+    y = d + (cmax * at_mean)[..., None]
+    x = lam[..., None] * y
+    em1 = np.expm1(x)
+    g = em1 - x * at_mean[..., None]  # phi(x) at the prior mean, expm1(x) at the max
+    a = (g * w).sum(axis=-1)
+    # em1 - x loses up to 2 ulp / |x| of phi(x), more than 100 ulp of a only below
+    # a = 1e-4; there phi is its Taylor series below |x| = 1e-2, to 1e-16 relative.
+    if np.count_nonzero(redo := at_mean & (a < 1e-4)):
+        small = (np.abs(x) < 1e-2) & redo[..., None]
+        g[small] = (x[small][:, None] ** np.arange(2, 8) / [2, 6, 24, 120, 720, 5040]).sum(-1)
+        a = (g * w).sum(axis=-1)
+    log_m, low = np.log1p(np.maximum(a, -0.5)), a <= -0.5
+    if np.count_nonzero(low):
+        log_m = np.where(low, np.log((np.exp(x) * w).sum(axis=-1)), log_m)
+    return at_mean, y, x, em1, log_m
+
+
+def kl_ball_sup(p: ProbMeasure, values, kappa: float):
+    """sup { E_Q[v] : KL(Q||p) <= kappa } over the simplex, for each row v of
+    values [..., n_h]; one value per row, a number for a 1-D values.
+
+    It is reached on the tilt Q_lam ~ p e^{lam v}, whose KL grows with
+    derivative lam Var_{Q_lam}(v). _kl_ball gives the closed rows; the others
+    take Newton steps on lam together from sqrt(2 kappa / Var_p(v)), with KL =
+    lam E_Q[y] - log E_p e^{lam y}, y = v - _log_mgf's anchor (at the prior mean
+    E_Q[y] = E_p[y expm1(lam y)] / M sums terms >= 0), and bisect their bracket
+    when a step leaves it, geometrically while hi > 2 lo. A row stops once |KL -
+    kappa| <= _KL_BALL_RTOL * kappa, or at float resolution (hi = nextafter(lo),
+    or E_{Q_hi} v <= E_{Q_lo} v), at E_{Q_lam} v + (kappa - KL) / lam, the first-
+    order step onto the boundary; 200 steps raise RuntimeError. Tested within
+    1e-13 of an 80-digit bisection for kappa from 1e-60 to 1e-10.
+    """
+    return _kl_ball_tilt(p, values, kappa)[0]
+
+
+def _kl_ball_tilt(p: ProbMeasure, values, kappa: float):
+    """kl_ball_sup and each row's lam: 0 at the prior mean, +inf at the lam -> inf limit."""
+    shape, w, out, lam_out, left, base, vmax, k, d, cmax, switch = _kl_ball(p, values, kappa)
+    lam = np.sqrt(2.0 * kappa / ((d + cmax[:, None]) ** 2 * w).sum(axis=-1))
+    # The root is above sqrt(8 kappa), as KL(lam) <= lam^2 R^2 / 8 and the range R < 1 here.
+    lo, hi, e_lo, e_hi = np.full_like(lam, math.sqrt(2.0 * kappa)), lam * np.inf, base, vmax
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(200):
             if not left.size:
                 break
-            x = lam[:, None] * d
+            at_mean, y, x, em1, log_m = _log_mgf(w, d, cmax, switch, lam)
             tilt = w * np.exp(x)
-            mgf = tilt.sum(axis=-1)  # E_p e^{lam d}, in [P(argmax v), 1]
-            # Its log, by log1p near 1 so that KL keeps its relative accuracy as lam -> 0.
-            mgf_m1 = (np.expm1(x) * w).sum(axis=-1)
-            lse = np.where(mgf_m1 > -0.5, np.log1p(mgf_m1), np.log(mgf))
-            q = tilt / mgf[:, None]
-            mean_d = (q * d).sum(axis=-1)
-            kl = lam * mean_d - lse
-            dev = d - mean_d[:, None]
-            var = (q * dev * dev).sum(axis=-1)
-            e = vmax + np.ldexp(mean_d, k)
+            mgf = tilt.sum(axis=-1)
+            # E_Q y; at the prior mean E_p y = 0 is left out of the sum.
+            mean_y = (np.where(at_mean[:, None], w * em1, tilt) * y).sum(axis=-1) / mgf
+            kl = lam * mean_y - log_m
+            var = (tilt * (y - mean_y[:, None]) ** 2).sum(axis=-1) / mgf
+            e = np.where(at_mean, base, vmax) + np.ldexp(mean_y, k)
             below = kl < kappa
             lo, e_lo = np.where(below, lam, lo), np.where(below, e, e_lo)
             hi, e_hi = np.where(below, hi, lam), np.where(below, e_hi, e)
             done = ((np.abs(kl - kappa) <= _KL_BALL_RTOL * kappa)
                     | (np.nextafter(lo, np.inf) >= hi) | (e_hi <= e_lo))
-            out[left[done]] = (e + np.ldexp((kappa - kl) / lam, k))[done]
-            lam_out[left[done]] = np.ldexp(lam, -k)[done]
-            newton = lam - (kl - kappa) / (lam * var)
-            bisect = np.where(np.isinf(hi), 2.0 * lo,
-                              np.where((lo > 0) & (hi > 2.0 * lo),
-                                       lo * np.sqrt(hi / lo), 0.5 * (lo + hi)))
-            lam = np.where((lo < newton) & (newton < hi), newton, bisect)
-            keep = ~done
-            left, d, vmax, k, lam, lo, hi, e_lo, e_hi = (
-                a[keep] for a in (left, d, vmax, k, lam, lo, hi, e_lo, e_hi))
+            step = lam - (kl - kappa) / (lam * var)  # Newton's
+            if np.count_nonzero(outside := ~((lo < step) & (step < hi))):
+                step = np.where(outside, np.where(np.isinf(hi), 2.0 * lo, np.where(
+                    hi > 2.0 * lo, lo * np.sqrt(hi / lo), 0.5 * (lo + hi))), step)
+            if np.count_nonzero(done):
+                out[left[done]] = (e + np.ldexp((kappa - kl) / lam, k))[done]
+                lam_out[left[done]] = np.ldexp(lam, -k)[done]
+                left, base, vmax, k, d, cmax, switch, step, lo, hi, e_lo, e_hi = (
+                    a[~done] for a in
+                    (left, base, vmax, k, d, cmax, switch, step, lo, hi, e_lo, e_hi))
+            lam = step
     if left.size:
         raise RuntimeError(f"kl_ball_sup: {left.size} rows still open after 200 steps")
-    return out.reshape(v.shape[:-1])[()], lam_out.reshape(v.shape[:-1])[()]
+    return out.reshape(shape)[()], lam_out.reshape(shape)[()]
 
 
 def kl_dual_value(p: ProbMeasure, values, kappa: float) -> float:
     """inf_{lam > 0} E_P v + (kappa + log E_P e^{lam (v - E_P v)}) / lam, the
     Legendre dual of kl_ball_sup, solved on its own.
 
-    kappa = 0 gives E_P v (the lam -> 0 limit); kappa >= -log P(argmax v),
-    kappa = +inf included, gives max v over the support of P (the lam -> inf
-    limit). Otherwise it is solved on v / 2^k, with 2^k the power of two just
-    above max v - min v, found from halves of v so that no finite range
-    overflows; the scaling is exact, so the dual of 2^j v is 2^j times that
-    of v, and a range in [1/2, 1) gives k = 0. The objective is unimodal in
-    u = log lam: a downhill walk with doubling steps from u = 0 brackets its
-    minimum, and bounded Brent refines it to xatol = 1e-10 in u. While
-    lam (max v - E_P v) < 1 the log-MGF is log1p(E_P expm1(lam (v - E_P v))),
-    which keeps its relative accuracy as lam -> 0; beyond, it is taken from
-    the maximum, by logaddexp.
+    _kl_ball gives the closed cases and the row scaled by 2^k (the dual of 2^j v
+    is 2^j times that of v), _log_mgf the log-MGF. A downhill walk in u = log lam
+    from u = 0 brackets the minimum, and bounded Brent refines it to xatol =
+    1e-10. Tested within 1e-13 of an 80-digit bisection, kappa 1e-60 to 1e-10.
     """
-    if not kappa >= 0:
-        raise ValueError("kappa must be nonnegative")
-    v = np.asarray(values, dtype=float)
-    if v.shape != p.weights.shape or not np.isfinite(v).all():
-        raise ValueError("values must be finite, one entry per atom of p")
-    support = p.weights > 0
-    w = p.weights[support]
-    v = v[support]
-    vmax = float(v.max())
-    at_max = v == vmax
-    mean = float(w @ v)
-    if kappa == 0:
-        return mean
-    if at_max.all() or kappa >= -math.log(w[at_max].sum()):
-        return vmax
-    k = math.frexp(vmax / 2.0 - float(v.min()) / 2.0)[1] + 1
-    v, vmax, mean = np.ldexp(v, -k), math.ldexp(vmax, -k), math.ldexp(mean, -k)
-    centred, d = v - mean, v - vmax
-    logw = np.log(w)
+    shape, w, out, _, left, base, vmax, k, d, cmax, switch = _kl_ball(p, values, kappa)
+    if shape:
+        raise ValueError("values must be one row, one entry per atom of p")
+    if not left.size:
+        return float(out[0])
+    k, row = int(k[0]), (w, d[0], cmax[0], switch[0])
+    anchors = math.ldexp(float(vmax[0]), -k), math.ldexp(float(base[0]), -k)
 
     def objective(u: float) -> float:
-        lam = math.exp(u)
-        if lam * (vmax - mean) < 1.0:
-            return mean + (kappa + math.log1p(float(w @ np.expm1(lam * centred)))) / lam
-        return vmax + (kappa + np.logaddexp.reduce(lam * d + logw)) / lam
+        at_mean, *_, log_m = _log_mgf(*row, lam := np.float64(math.exp(u)))
+        return anchors[int(at_mean)] + float((kappa + log_m) / lam)
 
-    # Walk downhill from u = 0 until the objective rises: a, b, c then bracket the minimum.
+    # Walk downhill from u = 0 until the objective rises: a, b, c then bracket the minimum,
+    # which Brent refines in u - b, so that its partly relative tolerance is xatol there.
     a, b = 0.0, 1.0
     fa, fb = objective(a), objective(b)
     if fb > fa:
@@ -197,8 +196,8 @@ def kl_dual_value(p: ProbMeasure, values, kappa: float) -> float:
         if fc >= fb:
             break
         a, b, fb = b, c, fc
-    res = minimize_scalar(objective, bounds=(min(a, c), max(a, c)), method="bounded",
-                          options={"xatol": 1e-10})
+    res = minimize_scalar(lambda t: objective(b + t), bounds=(min(a, c) - b, max(a, c) - b),
+                          method="bounded", options={"xatol": 1e-10})
     return math.ldexp(min(fb, float(res.fun)), k)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,8 +10,9 @@ from pacbayes import (LossTable, ProbMeasure, debias_mgf_exact,
                       shifted_flatness_tail_mc, symmetrization_tail_mc, xy_cap,
                       xy_mgf_bruteforce)
 from pacbayes.bounds import log_cosh_over_x
+from pacbayes.cli import duality_tolerance
 from pacbayes.core import empirical_risks, true_risks
-from pacbayes.processes import _KL_BALL_RTOL
+from pacbayes.processes import _KL_BALL_RTOL, _kl_ball_tilt
 
 from conftest import random_instance, random_measure
 
@@ -73,6 +75,39 @@ def kl_limit(p, v):
     """-log P(argmax v) over the support of p."""
     v = np.asarray(v, dtype=float)
     return -math.log(p.weights[v == v[p.weights > 0].max()].sum())
+
+
+def mp_tilt(weights, values, lam):
+    """(KL(Q_lam || p), E_Q v) of the tilt Q_lam ~ p e^{lam v}, in 80 digits.
+
+    Both are taken on v centred at its prior mean, with expm1 and log1p, so
+    that each keeps its relative accuracy as lam -> 0."""
+    with mpmath.workdps(80):
+        w = [mpmath.mpf(float(x)) for x in weights]
+        v = [mpmath.mpf(float(x)) for x in values]
+        mean = mpmath.fsum(a * x for a, x in zip(w, v))
+        c = [x - mean for x in v]
+        m1 = mpmath.fsum(a * mpmath.expm1(lam * x) for a, x in zip(w, c))
+        e_qc = mpmath.fsum(a * x * mpmath.expm1(lam * x) for a, x in zip(w, c)) / (1 + m1)
+        return lam * e_qc - mpmath.log1p(m1), mean + e_qc
+
+
+def mp_sup(weights, values, kappa):
+    """The KL-ball sup by 400 geometric bisection steps on lam, in 80 digits."""
+    with mpmath.workdps(80):
+        kappa = mpmath.mpf(kappa)
+        lo = hi = mpmath.mpf(1)
+        while mp_tilt(weights, values, lo)[0] >= kappa:
+            lo /= 2
+        while mp_tilt(weights, values, hi)[0] < kappa:
+            hi *= 2
+        for _ in range(400):
+            mid = mpmath.sqrt(lo * hi)
+            if mp_tilt(weights, values, mid)[0] < kappa:
+                lo = mid
+            else:
+                hi = mid
+        return mp_tilt(weights, values, hi)[1]
 
 
 class TestKLBallSup:
@@ -187,6 +222,60 @@ class TestKLBallSup:
             checked += 1
 
 
+class TestKLBallOracle:
+    """Both solvers against an 80-digit bisection, on rows whose prior mean is
+    zero, tiny against the range, and of order one."""
+
+    ROWS = [((0.5, 0.5), (-1.0, 1.0)), ((0.5, 0.5), (-1.0, 1.000001)),
+            ((0.2, 0.3, 0.5), (-0.7, 0.1, 0.26))]
+
+    @pytest.mark.parametrize("weights, values", ROWS)
+    @pytest.mark.parametrize("kappa", [1e-10, 1e-20, 1e-30, 1e-40, 1e-60])
+    def test_matches_an_mpmath_bisection(self, weights, values, kappa):
+        want = mp_sup(weights, values, kappa)
+        p = ProbMeasure(np.array(weights))
+        for solver in (kl_ball_sup, kl_dual_value):
+            got = solver(p, np.array(values), kappa)
+            assert abs(got - want) <= 1e-13 * abs(want), (solver.__name__, float(got), float(want))
+
+    @pytest.mark.parametrize("kappa", [1e-100, 1e-300, 5e-324])
+    def test_tiny_radius_is_finite_and_raises_nothing(self, kappa):
+        # A prior mean of 0 (or tiny against the range) and a tiny radius: the
+        # primal raised after 200 steps here, as 1-D values and as a block.
+        p, rows = ProbMeasure.uniform(2), np.array([[-1.0, 1.0], [-1.0, 1.000001]])
+        block = kl_ball_sup(p, rows, kappa)
+        for row, sup in zip(rows, block):
+            for got in (sup, kl_ball_sup(p, row, kappa), kl_dual_value(p, row, kappa)):
+                assert np.isfinite(got) and p.weights @ row <= got <= row.max()
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1e-3, 0.1, 0.5, 2.5, math.inf])
+def test_kl_ball_tilt_lambda(kappa):
+    """_kl_ball_tilt's lam: 0 on rows that stay at the prior mean, +inf at or
+    beyond the KL limit, and otherwise a tilt whose KL is kappa within
+    _KL_BALL_RTOL * kappa, up to the rounding of that KL. (At radii so small
+    that the sup moves by few ulp, a row may stop on float resolution first.)"""
+    p = ProbMeasure([0.3, 0.0, 0.2, 0.1, 0.4])
+    rows = np.vstack([
+        np.random.default_rng(11).random((5, 5)),
+        np.full(5, 0.25),                      # constant
+        [0.0, 9.0, 0.0, 0.0, 0.0],             # constant on the support of p
+        [0.1, 0.2, 0.3, 0.9, 0.5],             # KL limit -log 0.1
+        [0.5, 0.2, 0.5, 0.1, 0.2],             # tied at the max
+    ])
+    sup, lam = _kl_ball_tilt(p, rows, kappa)
+    for v, s, t in zip(rows, sup, lam):
+        if kappa == 0 or np.ptp(v[p.weights > 0]) == 0:
+            assert t == 0.0 and math.isclose(s, p.weights @ v, rel_tol=1e-15)
+        elif kappa >= kl_limit(p, v):
+            assert t == math.inf and s == v[p.weights > 0].max()
+        else:
+            kl, e_q = mp_tilt(p.weights, v, mpmath.mpf(float(t)))
+            assert 0 < t < math.inf
+            assert abs(kl - kappa) <= _KL_BALL_RTOL * kappa + 1e-15 * kappa
+            assert abs(e_q - s) <= 1e-12 * abs(s)
+
+
 class TestKLDual:
     def test_matches_primal_on_random_instances(self, rng):
         for _ in range(10):
@@ -195,7 +284,15 @@ class TestKLDual:
             for kappa in (0.1, 1.0, 3.0):
                 primal = kl_ball_sup(p, v, kappa)
                 dual = kl_dual_value(p, v, kappa)
-                assert abs(dual - primal) <= 1e-6
+                assert abs(dual - primal) <= duality_tolerance(primal)
+
+    def test_prior_mass_at_the_max_below_an_ulp(self):
+        # E_P expm1(lam (v - max v)) rounds to -1 at the max anchor: the log is
+        # taken of E_P e^{lam (v - max v)} itself, and nothing warns.
+        p, v = ProbMeasure([1e-17, 1.0]), [1.0, 0.0]
+        for kappa in (1.0, 30.0):
+            primal = kl_ball_sup(p, v, kappa)
+            assert abs(kl_dual_value(p, v, kappa) - primal) <= duality_tolerance(primal)
 
     def test_weak_duality(self, rng):
         p = random_measure(rng, 6)
