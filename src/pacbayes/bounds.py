@@ -28,8 +28,6 @@ import numpy as np
 from .core import _SUM_TOL, LossTable, ProbMeasure, Sample
 from .measures import flatness, gibbs_losses
 
-_BISECT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -97,21 +95,19 @@ def log_cosh_over_x(x: float) -> float:
     return (x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)) / x
 
 
-def _bisect_increasing(fn, target: float, lo: float, hi: float) -> float:
-    """Root of fn(x) = target for fn increasing on [lo, hi]. Stops once the
-    bracket is within _BISECT_TOL * max(1, hi), relative for roots above 1, or
-    once its midpoint is one of its ends."""
-    if fn(lo) > target or fn(hi) < target:
-        raise ValueError("target not bracketed")
-    while hi - lo > _BISECT_TOL * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if fn(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _bisect_increasing(fn, target: float) -> float:
+    """The root of fn(x) = target for fn increasing on (0, inf), from the end
+    where fn <= target. The bracket starts at [1/2, 1] and doubles or halves
+    until fn(lo) <= target <= fn(hi); bisection then runs until no float lies
+    between its ends, and returns lo."""
+    lo, hi = 0.5, 1.0
+    while fn(hi) < target:
+        lo, hi = hi, 2.0 * hi
+    while fn(lo) > target:
+        lo, hi = 0.5 * lo, lo
+    while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):
+        lo, hi = (mid, hi) if fn(mid) <= target else (lo, mid)
+    return lo
 
 
 @lru_cache(maxsize=None)
@@ -124,7 +120,7 @@ def derive_matched_catoni_constants(c: float, c2: float, delta: float) -> Derive
         raise ValueError("delta must lie in (0, 1)")
     c_prime = (c - c2) / (1.0 + c2)
     target = c_prime / (c_prime + 2.0)
-    root = _bisect_increasing(log_cosh_over_x, target, 1e-12, 10.0)
+    root = _bisect_increasing(log_cosh_over_x, target)
     cap = 2.0 * (1.0 + c2) * (2.0 + c_prime) * math.log(4.0 / delta) / ((1.0 + c2) ** 2 / c2)
     lam = min(root, cap)
     C_big = 2.0 * (1.0 + c2) * (2.0 + c_prime) / lam
@@ -156,14 +152,14 @@ def flatness_rate_constant(c: float, h: float) -> float:
     return 2.0 * h * h * hc / (1.0 + 16.0 * hc)
 
 
-def flatness_bound(q: ProbMeasure, table: LossTable, s: Sample, kl,
-                   delta: float, c: float, h: float, g=None) -> BoundReport:
+def flatness_bound(q: ProbMeasure, table: LossTable, s: Sample, kl, params: BoundParams,
+                   g=None) -> BoundReport:
     """The flatness family's bound at posterior q, one value per sample of s (and
     per row of q and kl): evaluate_bound given the empirical Gibbs risk and the
-    h-flatness of q on s; g as in flatness."""
+    params.h-flatness of q on s; g as in flatness."""
     g = gibbs_losses(q, table, s) if g is None else g
-    return evaluate_bound("flatness", s.mean(g), kl, s.m, BoundParams(delta=delta, c=c, h=h),
-                          flatness(q, table, s, h, g))
+    return evaluate_bound("flatness", s.mean(g), kl, s.m, params,
+                          flatness(q, table, s, params.h, g))
 
 
 def catoni_C_for_inflation(c: float) -> float:
@@ -174,10 +170,7 @@ def catoni_C_for_inflation(c: float) -> float:
     if not c > 0:
         raise ValueError("c must be positive")
     # prefactor is increasing in C, from 1 at 0+ to infinity.
-    lo, hi = 1e-12, 1.0
-    while catoni_prefactor(hi) < 1.0 + c:
-        hi *= 2.0
-    return _bisect_increasing(catoni_prefactor, 1.0 + c, lo, hi)
+    return _bisect_increasing(catoni_prefactor, 1.0 + c)
 
 
 @dataclass(frozen=True)

@@ -261,9 +261,8 @@ def cmd_optimize(args) -> Result:
 
 def cmd_sweep(args) -> Result:
     inst = load_instance(args.instance)
-    params = _bound_params(args)
     result = bound_sweep(inst.table, inst.dist, inst.prior, _posterior_rule(args, inst),
-                         params.c, params.h, params.delta, args.m_grid, args.trials, args.seed)
+                         _bound_params(args), args.m_grid, args.trials, args.seed)
     return Result(["m", "catoni_mean", "flatness_mean", "T_m_mean", "kl_mean", "crossover_flag"],
                   [[r.m, r.catoni_mean, r.flatness_mean, r.T_m_mean, r.kl_mean, r.crossover_flag]
                    for r in result.rows],

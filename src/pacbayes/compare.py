@@ -9,7 +9,7 @@ which is the assumption under which the crossover formula holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,13 +45,13 @@ class SweepResult:
 
 
 def bound_sweep(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
-                rule, c: float, h: float, delta: float, m_grid, trials: int,
-                seed: int) -> SweepResult:
+                rule, params: BoundParams, m_grid, trials: int, seed: int) -> SweepResult:
     """Mean flatness and aligned-Catoni bounds per sample size, on shared samples.
 
-    T_m is the quadratic advantage term c (1-h^2)/m * sum_i G_Q(z_i)^2; the
-    crossover m* is the first grid m whose mean flatness bound undercuts the
-    mean Catoni bound. The trials of grid point j come in blocks from
+    The flatness bound reads params; Catoni's reads its delta, with the C whose
+    prefactor is 1 + c. T_m is the quadratic advantage term c (1-h^2)/m *
+    sum_i G_Q(z_i)^2; the crossover m* is the first grid m whose mean
+    flatness bound undercuts the mean Catoni bound. The trials of grid point j come in blocks from
     sample_blocks(dist, m, trials, seed, j); rule maps (prior, table, block of
     samples) to one posterior row per sample, or to one posterior for all.
     """
@@ -60,7 +60,7 @@ def bound_sweep(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
         raise ValueError("m grid must be nonempty")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    catoni = BoundParams(delta=delta, catoni_C=catoni_C_for_inflation(c))
+    catoni = replace(params, catoni_C=catoni_C_for_inflation(params.c))
 
     rows = []
     crossover_m = math.inf
@@ -76,8 +76,8 @@ def bound_sweep(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
             g = gibbs_losses(q, table, s)
             emp = s.mean(g)
             cat_vals[block] = evaluate_bound("catoni", emp, kl, m, catoni).value
-            flat_vals[block] = flatness_bound(q, table, s, kl, delta, c, h, g).value
-            tms[block] = c * (1.0 - h * h) * s.mean(g * g)
+            flat_vals[block] = flatness_bound(q, table, s, kl, params, g).value
+            tms[block] = params.c * (1.0 - params.h * params.h) * s.mean(g * g)
             kls[block] = kl
         crossed = bool(flat_vals.mean() < cat_vals.mean())
         if crossed and math.isinf(crossover_m):

@@ -57,8 +57,8 @@ def evaluate_posterior_bound(family: str, params: BoundParams, q: ProbMeasure,
     """Evaluate any bound family at a concrete posterior, one value per sample
     of s (and per row of q)."""
     kl = kl_divergence(q, prior)
-    if FAMILIES[family].needs_sample:
-        return flatness_bound(q, table, s, kl, params.delta, params.c, params.h)
+    if family in FAMILIES and FAMILIES[family].needs_sample:
+        return flatness_bound(q, table, s, kl, params)
     return evaluate_bound(family, gibbs_empirical_risk(q, table, s), kl, s.m, params)
 
 

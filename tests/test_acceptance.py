@@ -217,7 +217,8 @@ def test_11_crossover():
     prior = ProbMeasure.uniform(5)
     q = ProbMeasure.point_mass(5, 0)
     c, h, delta = 1.0, 0.9, 0.05
-    res = bound_sweep(table, dist, prior, lambda prior, table, s: q, c, h, delta,
+    res = bound_sweep(table, dist, prior, lambda prior, table, s: q,
+                      BoundParams(delta=delta, c=c, h=h),
                       m_grid=(1000, 2000, 5000, 10000, 20000, 40000),
                       trials=20, seed=11)
     finite = math.isfinite(res.crossover_m)

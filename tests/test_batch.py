@@ -65,9 +65,10 @@ class TestOneRowBlockEqualsOneSample:
         _, table, prior, s = case
         q = gibbs_posterior(prior, table, s, 1.0)
         kl = kl_divergence(q, prior)
-        single = flatness_bound(q, table, s, kl, 0.05, 1.0, 0.7)
+        params = BoundParams(delta=0.05, c=1.0, h=0.7)
+        single = flatness_bound(q, table, s, kl, params)
         block = flatness_bound(ProbMeasure(q.weights[None, :]), table, one_row(s),
-                               np.array([kl]), 0.05, 1.0, 0.7)
+                               np.array([kl]), params)
         assert block.value[0] == single.value
         assert block.components["flatness"][0] == single.components["flatness"]
 
@@ -120,8 +121,8 @@ class TestSplitIntoBlocks:
             kw = dict(rule=rule, family=family, params=PARAMS, m=30, trials=BLOCK + 50, seed=6)
             assert coverage_experiment(table, dist, prior, **kw) == \
                 coverage_experiment(table, dist, prior, **kw)
-        kw = dict(rule=rule, c=1.0, h=0.5, delta=0.05, m_grid=(10, 100), trials=BLOCK + 3,
-                  seed=2)
+        kw = dict(rule=rule, params=BoundParams(delta=0.05, c=1.0, h=0.5), m_grid=(10, 100),
+                  trials=BLOCK + 3, seed=2)
         assert bound_sweep(table, dist, prior, **kw) == bound_sweep(table, dist, prior, **kw)
 
     def test_cli_csv_reruns_are_identical(self, tmp_path):
@@ -157,8 +158,9 @@ class TestPosteriorOutsidePriorSupport:
                                           PARAMS, m=20, trials=BLOCK + 7, seed=3)
                 assert rep.violations == 0
                 assert rep.mean_slack == math.inf
-            res = bound_sweep(table, dist, prior, lambda p, t, s: q, c=1.0, h=0.5,
-                              delta=0.05, m_grid=(10, 100), trials=5, seed=1)
+            res = bound_sweep(table, dist, prior, lambda p, t, s: q,
+                              BoundParams(delta=0.05, c=1.0, h=0.5), m_grid=(10, 100),
+                              trials=5, seed=1)
         for row in res.rows:
             assert row.kl_mean == row.catoni_mean == row.flatness_mean == math.inf
 

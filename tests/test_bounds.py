@@ -9,7 +9,8 @@ from pacbayes import (BoundParams, LossTable, ProbMeasure, Sample,
                       catoni_C_for_inflation, catoni_prefactor,
                       derive_matched_catoni_constants, draw_sample, flatness_bound)
 from pacbayes.measures import flatness, gibbs_empirical_risk
-from pacbayes.bounds import FAMILIES, evaluate_bound, flatness_rate_constant
+from pacbayes.bounds import (FAMILIES, _bisect_increasing, evaluate_bound,
+                             flatness_rate_constant, log_cosh_over_x)
 
 from conftest import random_instance, random_measure
 
@@ -19,7 +20,7 @@ def mp_logcosh_root(target):
     # 50-digit log(cosh(x))/x.
     with mpmath.workdps(50):
         fn = lambda x: float(mpmath.log(mpmath.cosh(x)) / x - target)
-        return brentq(fn, 1e-8, 10.0, xtol=1e-13)
+        return brentq(fn, 1e-8, 100.0, xtol=1e-13)
 
 
 def bound(family, emp, kl, m, **params):
@@ -144,9 +145,33 @@ class TestMatchedCatoniConstants:
             derive_matched_catoni_constants(1.0, 1.0, 0.05)
 
     def test_constraint_provenance(self):
-        k = derive_matched_catoni_constants(2.0, 0.3, 0.2)
-        assert k.provenance["logcosh_constraint_value"] <= k.provenance["logcosh_constraint_target"] + 1e-12
-        assert k.lambda_over_m <= k.provenance["delta_cap"]
+        # c' = (c - c2) / (1 + c2) runs from 1e-18 to 499.5, so the root runs
+        # from 1e-18 to 174; the delta cap is active in some cases.
+        for c in (1e-15, 0.3, 2.0, 30.0, 1e3):
+            for share in (1e-3, 0.1, 0.15, 0.5, 0.999):
+                for delta in (0.05, 0.2):
+                    k = derive_matched_catoni_constants(c, c * share, delta)
+                    prov = k.provenance
+                    assert prov["logcosh_constraint_value"] <= prov["logcosh_constraint_target"]
+                    assert k.lambda_over_m == min(prov["bisection_root"], prov["delta_cap"])
+
+    def test_root_beyond_ten_against_oracle(self):
+        # c' = 29.9 / 1.1 puts the root of log cosh(x)/x = c'/(c'+2) above 10.
+        k = derive_matched_catoni_constants(30.0, 0.1, 0.05)
+        c_prime = 29.9 / 1.1
+        root = mp_logcosh_root(c_prime / (c_prime + 2.0))
+        assert root > 10.0
+        assert k.provenance["bisection_root"] == pytest.approx(root, rel=1e-12)
+        assert not k.provenance["cap_active"]
+
+
+class TestBisection:
+    @pytest.mark.parametrize("fn, target", [
+        (log_cosh_over_x, 1e-300), (log_cosh_over_x, 0.3), (log_cosh_over_x, 0.999),
+        (catoni_prefactor, 1.0 + 1e-12), (catoni_prefactor, 2.0), (catoni_prefactor, 1e300)])
+    def test_the_end_where_fn_is_at_most_target_to_float_resolution(self, fn, target):
+        x = _bisect_increasing(fn, target)
+        assert fn(x) <= target <= fn(math.nextafter(x, math.inf))
 
 
 class TestMatchedCatoniBound:
@@ -186,7 +211,7 @@ class TestFlatnessBound:
         t = LossTable([[0, 0]])
         s = Sample(np.array([1000, 0]))
         q = ProbMeasure([1.0])
-        rep = flatness_bound(q, t, s, kl=1.0, delta=0.05, c=1.0, h=0.5)
+        rep = flatness_bound(q, t, s, 1.0, BoundParams(delta=0.05, c=1.0, h=0.5))
         with mpmath.workdps(50):
             expected = float(mpmath.mpf(4) / (mpmath.mpf("0.025") * 1000)
                              * (3 + mpmath.log(20) + 5))
@@ -197,7 +222,7 @@ class TestFlatnessBound:
         t = LossTable([[0, 0], [1, 1]])
         s = Sample(np.array([2, 2]))
         q = ProbMeasure.point_mass(2, 0)
-        rep = flatness_bound(q, t, s, kl=0.3, delta=0.1, c=0.7, h=0.3)
+        rep = flatness_bound(q, t, s, 0.3, BoundParams(delta=0.1, c=0.7, h=0.3))
         assert rep.components["empirical"] == 0.0
         assert rep.components["flatness"] == 0.0
         assert rep.value == rep.components["complexity"]
@@ -208,7 +233,7 @@ class TestFlatnessBound:
         c = 1.3
         for _ in range(10):
             q = random_measure(rng, 6)
-            rep = flatness_bound(q, table, s, kl=0.0, delta=0.05, c=c, h=0.5)
+            rep = flatness_bound(q, table, s, 0.0, BoundParams(delta=0.05, c=c, h=0.5))
             emp = rep.components["empirical"]
             assert rep.components["flatness"] <= c * emp + 1e-12
 
@@ -217,13 +242,14 @@ class TestFlatnessBound:
         s = draw_sample(dist, 10, 1)
         q = random_measure(rng, table.hypothesis_count)
         with pytest.raises(ValueError):
-            flatness_bound(q, table, s, 0.0, 0.05, 1.0, 1.0)
+            flatness_bound(q, table, s, 0.0, BoundParams(delta=0.05, c=1.0, h=1.0))
 
     def test_inf_kl(self, rng):
         dist, table = random_instance(rng)
         s = draw_sample(dist, 10, 1)
         q = random_measure(rng, table.hypothesis_count)
-        assert flatness_bound(q, table, s, math.inf, 0.05, 1.0, 0.5).value == math.inf
+        params = BoundParams(delta=0.05, c=1.0, h=0.5)
+        assert flatness_bound(q, table, s, math.inf, params).value == math.inf
 
 
 class TestMonotonicityAndReports:
@@ -289,8 +315,8 @@ class TestMonotonicityAndReports:
     def test_flatness_bound_is_evaluate_bound_at_the_posterior(self, rng):
         dist, table = random_instance(rng, n_h=6, n_z=5)
         s, q = draw_sample(dist, 40, 3), random_measure(rng, 6)
-        rep = flatness_bound(q, table, s, 0.7, 0.1, 1.5, 0.4)
         params = BoundParams(delta=0.1, c=1.5, h=0.4)
+        rep = flatness_bound(q, table, s, 0.7, params)
         direct = evaluate_bound("flatness", gibbs_empirical_risk(q, table, s), 0.7, s.m, params,
                                 flatness(q, table, s, 0.4))
         assert rep.value == direct.value
@@ -309,7 +335,7 @@ class TestReads:
         if fam.needs_sample:
             dist, table = random_instance(rng)
             q, s = random_measure(rng, table.hypothesis_count), draw_sample(dist, m, 1)
-            value = flatness_bound(q, table, s, kl, params.delta, params.c, params.h).value
+            value = flatness_bound(q, table, s, kl, params).value
         else:
             value = evaluate_bound(family, 0.2, kl, m, params).value
         derived = None if fam.derived is None else fam.derived(params)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from pacbayes import BoundParams, ProbMeasure, Sample, coverage_experiment, minimize_bound
+from pacbayes import (BoundParams, ProbMeasure, Sample, coverage_experiment,
+                      derive_matched_catoni_constants, minimize_bound)
 from pacbayes.cli import duality_tolerance, main
 from pacbayes.io import fmt, load_instance, write_csv
 
@@ -89,6 +90,12 @@ class TestBounds:
         # The flatness family reports its rate (as complexity_term) and its flatness term.
         assert row["family"] == "flatness"
         assert float(row["complexity_term"]) > 0 and float(row["flatness_term"]) > 0
+
+    def test_matched_catoni_root_above_ten(self, capsys, log_file):
+        assert run(["bounds", "--family", "matched_catoni", "--emp", "0.1", "--kl", "1",
+                    "--m", "100", "--c", "30", "--c2", "0.1"], log_file) == 0
+        row = printed_row(capsys.readouterr().out)
+        assert float(row["C_derived"]) == derive_matched_catoni_constants(30.0, 0.1, 0.05).C_big
 
     def test_missing_closed_form_args(self, log_file):
         assert run(["bounds", "--family", "catoni", "--emp", "0.1"], log_file) == 2
@@ -389,6 +396,23 @@ class TestConfigAndLog:
               "--family", "mcallester", "--emp", "0.1"])
         value = float(printed_row(capsys.readouterr().out)["value"])
         assert value < 0.9
+
+    def test_config_keys_of_another_subcommand_are_skipped(self, tmp_path, log_file,
+                                                           monkeypatch):
+        import pacbayes.cli
+        configs = []
+        record = pacbayes.cli.append_run_record
+        monkeypatch.setattr(pacbayes.cli, "append_run_record",
+                            lambda log, command, config, *rest: (configs.append(config),
+                                                                 record(log, command, config,
+                                                                        *rest)))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("bounds.delta = 0.1\ncoverage.trials = 7\n")
+        assert main(["--log", log_file, "--config", str(cfg), "bounds", "--family", "kst",
+                     "--emp", "0.1", "--kl", "0.5", "--m", "100"]) == 0
+        (config,) = configs
+        assert config["delta"] == 0.1
+        assert "trials" not in config
 
     def test_unknown_config_key(self, tmp_path, log_file):
         cfg = tmp_path / "cfg.txt"

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from pacbayes import (LossTable, ProbMeasure, bound_sweep,
+from pacbayes import (BoundParams, LossTable, ProbMeasure, bound_sweep,
                       crossover_threshold, gibbs_posterior)
 
 from conftest import random_instance
@@ -46,8 +46,9 @@ class TestBoundSweep:
 
     def test_row_shape_and_grid(self, rng):
         dist, table, prior = self._setup(rng)
-        res = bound_sweep(table, dist, prior, prior_rule, c=1.0, h=0.7,
-                          delta=0.05, m_grid=(10, 50, 200), trials=5, seed=1)
+        res = bound_sweep(table, dist, prior, prior_rule,
+                          BoundParams(delta=0.05, c=1.0, h=0.7), m_grid=(10, 50, 200),
+                          trials=5, seed=1)
         assert [r.m for r in res.rows] == [10, 50, 200]
         for r in res.rows:
             assert r.catoni_mean > 0 and r.flatness_mean > 0
@@ -63,20 +64,21 @@ class TestBoundSweep:
         for module in (pacbayes.bounds, pacbayes.compare, pacbayes.measures):
             monkeypatch.setattr(module, "gibbs_losses",
                                 lambda *args: calls.append(1) or real(*args))
-        bound_sweep(table, dist, prior, prior_rule, c=1.0, h=0.7, delta=0.05,
+        bound_sweep(table, dist, prior, prior_rule, BoundParams(delta=0.05, c=1.0, h=0.7),
                     m_grid=(10, 50, 200), trials=5, seed=1)
         assert len(calls) == 3
 
     def test_fixed_q_kl_zero(self, rng):
         dist, table, prior = self._setup(rng)
-        res = bound_sweep(table, dist, prior, prior_rule, c=1.0, h=0.5,
-                          delta=0.05, m_grid=(20,), trials=4, seed=2)
+        res = bound_sweep(table, dist, prior, prior_rule,
+                          BoundParams(delta=0.05, c=1.0, h=0.5), m_grid=(20,), trials=4, seed=2)
         assert res.rows[0].kl_mean == 0.0
 
     def test_crossover_m_is_first_flagged(self, rng):
         dist, table, prior = self._setup(rng)
-        res = bound_sweep(table, dist, prior, prior_rule, c=1.0, h=0.9,
-                          delta=0.05, m_grid=(5, 100, 5000, 100000), trials=3, seed=3)
+        res = bound_sweep(table, dist, prior, prior_rule,
+                          BoundParams(delta=0.05, c=1.0, h=0.9),
+                          m_grid=(5, 100, 5000, 100000), trials=3, seed=3)
         flagged = [r.m for r in res.rows if r.crossover_flag]
         if flagged:
             assert res.crossover_m == float(flagged[0])
@@ -91,21 +93,22 @@ class TestBoundSweep:
         dist = ProbMeasure([0.3, 0.7])
         prior = ProbMeasure.uniform(5)
         q = ProbMeasure.point_mass(5, 0)
-        res = bound_sweep(table, dist, prior, lambda prior, table, s: q, c=1.0, h=0.9,
-                          delta=0.05, m_grid=(100, 100000), trials=3, seed=4)
+        res = bound_sweep(table, dist, prior, lambda prior, table, s: q,
+                          BoundParams(delta=0.05, c=1.0, h=0.9), m_grid=(100, 100000),
+                          trials=3, seed=4)
         assert not res.rows[0].crossover_flag
         assert res.rows[1].crossover_flag
         assert res.crossover_m == 100000.0
 
     def test_determinism(self, rng):
         dist, table, prior = self._setup(rng)
-        kw = dict(rule=functools.partial(gibbs_posterior, beta=1.0), c=1.0, h=0.6,
-                  delta=0.05, m_grid=(10, 40), trials=4, seed=9)
+        kw = dict(rule=functools.partial(gibbs_posterior, beta=1.0),
+                  params=BoundParams(delta=0.05, c=1.0, h=0.6), m_grid=(10, 40), trials=4, seed=9)
         assert bound_sweep(table, dist, prior, **kw) == bound_sweep(table, dist, prior, **kw)
 
     def test_validation(self, rng):
         dist, table, prior = self._setup(rng)
         with pytest.raises(ValueError):
-            bound_sweep(table, dist, prior, prior_rule, 1.0, 0.5, 0.05, (), 3, 1)
+            bound_sweep(table, dist, prior, prior_rule, BoundParams(h=0.5), (), 3, 1)
         with pytest.raises(ValueError):
-            bound_sweep(table, dist, prior, prior_rule, 1.0, 0.5, 0.05, (10,), 0, 1)
+            bound_sweep(table, dist, prior, prior_rule, BoundParams(h=0.5), (10,), 0, 1)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from pacbayes import (FAMILIES, BoundParams, ProbMeasure, derive_matched_catoni_constants,
-                      draw_sample, evaluate_posterior_bound, gibbs_posterior, kl_divergence,
-                      minimize_bound)
+from pacbayes import (FAMILIES, BoundParams, ProbMeasure, coverage_experiment,
+                      derive_matched_catoni_constants, draw_sample, evaluate_posterior_bound,
+                      gibbs_posterior, kl_divergence, minimize_bound)
 from pacbayes.core import LossTable, Sample, empirical_risks
 from pacbayes import posterior_opt
 from pacbayes.posterior_opt import _majoriser, _tilt
@@ -310,6 +310,20 @@ class TestMinimizeBound:
         with pytest.raises(ValueError):
             minimize_bound("kst", BoundParams(), ProbMeasure.uniform(table.hypothesis_count),
                            table, s, ())
+
+    def test_unknown_family_is_a_value_error_at_every_entry_point(self, rng):
+        dist, table = random_instance(rng)
+        p = ProbMeasure.uniform(table.hypothesis_count)
+        s = draw_sample(dist, 10, 1)
+        calls = (
+            lambda: evaluate_posterior_bound("bogus", BoundParams(), p, p, table, s),
+            lambda: minimize_bound("bogus", BoundParams(), p, table, s, (0.0, 1.0)),
+            lambda: coverage_experiment(table, dist, p, lambda prior, table, s: prior, "bogus",
+                                        BoundParams(), 10, 5, 1),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="unknown bound family 'bogus'"):
+                call()
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_block_equals_one_sample_calls(self, rng, family):
