@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import LossTable, ProbMeasure, empirical_risks, sample_blocks, true_risks
 from .rng import stream
@@ -80,12 +79,12 @@ def _kl_ball(p: ProbMeasure, values, kappa: float):
 
 def _log_mgf(w, d, cmax, switch, lam):
     """log E_w e^{lam c}, c = d + cmax centred (E_w c taken as 0), lam > 0, with
-    cmax, switch, lam one per row. It keeps its relative accuracy: at the prior
-    mean, log1p(E_w phi(lam c)), phi(x) = e^x - 1 - x, each term O(lam^2), until
-    the tilt has moved its mass to max c (lam max c >= switch = max(1, KL limit),
-    at most 700 so that e^x stays finite); then at max c, lam max c + log E_w
-    e^{lam d}, by log1p while E_w expm1(lam d) > -1/2. Returns (at_mean, c or d,
-    x = lam (c or d), expm1(x), log E_w e^x)."""
+    cmax, switch, lam one per row (or d one row and lam a vector). It keeps its
+    relative accuracy: at the prior mean, log1p(E_w phi(lam c)), phi(x) = e^x - 1
+    - x, each term O(lam^2), until the tilt has moved its mass to max c (lam max c
+    >= switch = max(1, KL limit), at most 700 so that e^x stays finite); then at
+    max c, lam max c + log E_w e^{lam d}, by log1p while E_w expm1(lam d) > -1/2.
+    Returns (at_mean, c or d, x = lam (c or d), expm1(x), log E_w e^x)."""
     at_mean = lam * cmax < switch
     y = d + (cmax * at_mean)[..., None]
     x = lam[..., None] * y
@@ -93,10 +92,11 @@ def _log_mgf(w, d, cmax, switch, lam):
     g = em1 - x * at_mean[..., None]  # phi(x) at the prior mean, expm1(x) at the max
     a = (g * w).sum(axis=-1)
     # em1 - x loses up to 2 ulp / |x| of phi(x), more than 100 ulp of a only below
-    # a = 1e-4; there phi is its Taylor series below |x| = 1e-2, to 1e-16 relative.
+    # a = 1e-4; there phi is its Taylor series below |x| = 1e-2, to 1e-16 relative,
+    # by Horner's rule, as six powers per entry would cost more than the rest of a call.
     if np.count_nonzero(redo := at_mean & (a < 1e-4)):
         small = (np.abs(x) < 1e-2) & redo[..., None]
-        g[small] = (x[small][:, None] ** np.arange(2, 8) / [2, 6, 24, 120, 720, 5040]).sum(-1)
+        g[small] = np.polyval([1 / 5040, 1 / 720, 1 / 120, 1 / 24, 1 / 6, 1 / 2, 0, 0], x[small])
         a = (g * w).sum(axis=-1)
     log_m, low = np.log1p(np.maximum(a, -0.5)), a <= -0.5
     if np.count_nonzero(low):
@@ -166,39 +166,32 @@ def kl_dual_value(p: ProbMeasure, values, kappa: float) -> float:
     Legendre dual of kl_ball_sup, solved on its own.
 
     _kl_ball gives the closed cases and the row scaled by 2^k (the dual of 2^j v
-    is 2^j times that of v), _log_mgf the log-MGF. A downhill walk in u = log lam
-    from u = 0 brackets the minimum, and bounded Brent refines it to xatol =
-    1e-10. Tested within 1e-13 of an 80-digit bisection, kappa 1e-60 to 1e-10.
+    is 2^j times that of v), _log_mgf the log-MGF. The objective is unimodal in
+    u = log lam and least where KL(Q_lam) = kappa, so, as the scaled range is
+    below 1, at lam >= sqrt(8 kappa); _log_mgf's switch caps u at 700. Each round
+    evaluates 65 points of the bracket, [log sqrt(2 kappa), 700] at first, in one
+    _log_mgf call and keeps the two cells beside the least, until the bracket is
+    1e-10 wide; a least point at u = 700 raises RuntimeError. Tested within 1e-13
+    of an 80-digit bisection, kappa 1e-60 to 1e-10.
     """
     shape, w, out, _, left, base, vmax, k, d, cmax, switch = _kl_ball(p, values, kappa)
     if shape:
         raise ValueError("values must be one row, one entry per atom of p")
     if not left.size:
         return float(out[0])
-    k, row = int(k[0]), (w, d[0], cmax[0], switch[0])
-    anchors = math.ldexp(float(vmax[0]), -k), math.ldexp(float(base[0]), -k)
-
-    def objective(u: float) -> float:
-        at_mean, *_, log_m = _log_mgf(*row, lam := np.float64(math.exp(u)))
-        return anchors[int(at_mean)] + float((kappa + log_m) / lam)
-
-    # Walk downhill from u = 0 until the objective rises: a, b, c then bracket the minimum,
-    # which Brent refines in u - b, so that its partly relative tolerance is xatol there.
-    a, b = 0.0, 1.0
-    fa, fb = objective(a), objective(b)
-    if fb > fa:
-        a, b, fb = b, a, fa
+    top, mean = np.ldexp(vmax[0], -k[0]), np.ldexp(base[0], -k[0])
+    lo, hi = 0.5 * math.log(2.0 * kappa), 700.0
     while True:
-        c = b + 2.0 * (b - a)
-        if abs(c) > 700.0:
-            raise RuntimeError("kl_dual_value: no minimum with |log lambda| <= 700")
-        fc = objective(c)
-        if fc >= fb:
+        u = np.linspace(lo, hi, 65)
+        at_mean, *_, log_m = _log_mgf(w, d[0], cmax[0], switch[0], lam := np.exp(u))
+        f = np.where(at_mean, mean, top) + (kappa + log_m) / lam
+        i = int(np.argmin(f))
+        if hi - lo <= 1e-10:
             break
-        a, b, fb = b, c, fc
-    res = minimize_scalar(lambda t: objective(b + t), bounds=(min(a, c) - b, max(a, c) - b),
-                          method="bounded", options={"xatol": 1e-10})
-    return math.ldexp(min(fb, float(res.fun)), k)
+        lo, hi = u[max(i - 1, 0)], u[min(i + 1, 64)]
+    if u[i] == 700.0:
+        raise RuntimeError("kl_dual_value: no minimum with |log lambda| <= 700")
+    return math.ldexp(float(f[i]), int(k[0]))
 
 
 def debias_mgf_exact(p: ProbMeasure, table: LossTable, dist: ProbMeasure,

@@ -144,6 +144,11 @@ class TestMatchedCatoniConstants:
         with pytest.raises(ValueError):
             derive_matched_catoni_constants(1.0, 1.0, 0.05)
 
+    def test_c_prime_whose_target_rounds_to_zero(self):
+        # c' = 5e-324, so c'/(c'+2) rounds to 0 and so would lambda/m.
+        with pytest.raises(ValueError, match=r"c' = \(c - c2\)/\(1 \+ c2\)"):
+            derive_matched_catoni_constants(1e-323, 5e-324, 0.05)
+
     def test_constraint_provenance(self):
         # c' = (c - c2) / (1 + c2) runs from 1e-18 to 499.5, so the root runs
         # from 1e-18 to 174; the delta cap is active in some cases.

@@ -97,6 +97,12 @@ class TestBounds:
         row = printed_row(capsys.readouterr().out)
         assert float(row["C_derived"]) == derive_matched_catoni_constants(30.0, 0.1, 0.05).C_big
 
+    def test_matched_catoni_c_prime_too_small(self, capsys, log_file):
+        assert run(["bounds", "--family", "matched_catoni", "--emp", "0.1", "--kl", "1",
+                    "--m", "100", "--c", "1e-323", "--c2", "5e-324"], log_file) == 2
+        err = capsys.readouterr().err
+        assert "c' = (c - c2)/(1 + c2)" in err and "overflowed" not in err
+
     def test_missing_closed_form_args(self, log_file):
         assert run(["bounds", "--family", "catoni", "--emp", "0.1"], log_file) == 2
 

@@ -77,12 +77,12 @@ def kl_limit(p, v):
     return -math.log(p.weights[v == v[p.weights > 0].max()].sum())
 
 
-def mp_tilt(weights, values, lam):
-    """(KL(Q_lam || p), E_Q v) of the tilt Q_lam ~ p e^{lam v}, in 80 digits.
+def mp_tilt(weights, values, lam, dps=80):
+    """(KL(Q_lam || p), E_Q v) of the tilt Q_lam ~ p e^{lam v}, in dps digits.
 
     Both are taken on v centred at its prior mean, with expm1 and log1p, so
     that each keeps its relative accuracy as lam -> 0."""
-    with mpmath.workdps(80):
+    with mpmath.workdps(dps):
         w = [mpmath.mpf(float(x)) for x in weights]
         v = [mpmath.mpf(float(x)) for x in values]
         mean = mpmath.fsum(a * x for a, x in zip(w, v))
@@ -92,22 +92,23 @@ def mp_tilt(weights, values, lam):
         return lam * e_qc - mpmath.log1p(m1), mean + e_qc
 
 
-def mp_sup(weights, values, kappa):
-    """The KL-ball sup by 400 geometric bisection steps on lam, in 80 digits."""
-    with mpmath.workdps(80):
+def mp_sup(weights, values, kappa, dps=80, start=1):
+    """The KL-ball sup by 400 geometric bisection steps on lam, in dps digits;
+    the search for a bracket halves and doubles from lam = start."""
+    with mpmath.workdps(dps):
         kappa = mpmath.mpf(kappa)
-        lo = hi = mpmath.mpf(1)
-        while mp_tilt(weights, values, lo)[0] >= kappa:
+        lo = hi = mpmath.mpf(start)
+        while mp_tilt(weights, values, lo, dps)[0] >= kappa:
             lo /= 2
-        while mp_tilt(weights, values, hi)[0] < kappa:
+        while mp_tilt(weights, values, hi, dps)[0] < kappa:
             hi *= 2
         for _ in range(400):
             mid = mpmath.sqrt(lo * hi)
-            if mp_tilt(weights, values, mid)[0] < kappa:
+            if mp_tilt(weights, values, mid, dps)[0] < kappa:
                 lo = mid
             else:
                 hi = mid
-        return mp_tilt(weights, values, hi)[1]
+        return mp_tilt(weights, values, hi, dps)[1]
 
 
 class TestKLBallSup:
@@ -293,6 +294,22 @@ class TestKLDual:
         for kappa in (1.0, 30.0):
             primal = kl_ball_sup(p, v, kappa)
             assert abs(kl_dual_value(p, v, kappa) - primal) <= duality_tolerance(primal)
+
+    @pytest.mark.parametrize("kappa", [0.5, 1.0])
+    def test_narrow_valley_near_the_log_lambda_cap(self, kappa):
+        # KL > log(3/2) needs the tilt to split the two atoms 1e-300 apart, so
+        # the minimum lies at log lambda ~ 691, 9 below the cap of 700. 80 digits
+        # cannot resolve 1e-300 against 1; the oracle's bracket search starts at
+        # lam = 2^990 = e^686 to save time.
+        p, v = ProbMeasure.uniform(3), [-1.0, 1e-300, 0.0]
+        want = mp_sup(p.weights, v, kappa, dps=340, start=mpmath.mpf(2) ** 990)
+        got = kl_dual_value(p, v, kappa)
+        assert abs(got - want) <= 1e-13 * abs(want), (got, float(want))
+
+    def test_minimum_beyond_the_log_lambda_cap_raises(self):
+        # Atoms 1e-305 apart put the minimum at log lambda ~ 702.
+        with pytest.raises(RuntimeError, match="no minimum"):
+            kl_dual_value(ProbMeasure.uniform(3), [-1.0, 1e-305, 0.0], 0.5)
 
     def test_weak_duality(self, rng):
         p = random_measure(rng, 6)

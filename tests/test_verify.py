@@ -60,18 +60,14 @@ class TestClopperPearson:
                     got = clopper_pearson_upper(k, n, conf)
                     assert abs(got - want) <= 4 * np.spacing(want), (k, n, conf)
 
-    def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # pacbayes needs scipy.optimize; some SciPy releases load scipy.stats
-        # from it, and there the check cannot tell anything.
+    def test_cli_import_loads_neither_scipy_optimize_nor_scipy_stats(self):
+        # Only Clopper-Pearson's betaincinv needs SciPy at run time.
         src = str(Path(pacbayes.__file__).resolve().parents[1])
-        code = ("import sys, scipy.optimize; before = 'scipy.stats' in sys.modules; "
-                "import pacbayes.cli; print(before, 'scipy.stats' in sys.modules)")
+        code = ("import sys, pacbayes.cli; "
+                "print(sorted({'scipy.optimize', 'scipy.stats'} & set(sys.modules)))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-        before, after = out.split()
-        if before == "True":
-            pytest.skip("scipy.optimize itself loads scipy.stats on this SciPy")
-        assert after == "False"
+        assert out.strip() == "[]"
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
