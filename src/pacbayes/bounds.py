@@ -125,7 +125,9 @@ def derive_matched_catoni_constants(c: float, c2: float, delta: float) -> Derive
     root = _bisect_increasing(log_cosh_over_x, target)
     cap = 2.0 * (1.0 + c2) * (2.0 + c_prime) * math.log(4.0 / delta) / ((1.0 + c2) ** 2 / c2)
     lam = min(root, cap)
-    C_big = 2.0 * (1.0 + c2) * (2.0 + c_prime) / lam
+    if lam == 0 or not math.isfinite(C_big := 2.0 * (1.0 + c2) * (2.0 + c_prime) / lam):
+        raise ValueError(f"c = {c!r} and c2 = {c2!r} leave lambda/m = {lam!r}, so C = "
+                         "2 (1 + c2)(2 + c')/(lambda/m) is not finite")
     return DerivedConstants(
         lambda_over_m=lam,
         c_prime=c_prime,

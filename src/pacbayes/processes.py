@@ -35,16 +35,14 @@ def wilson_halfwidth(successes: int, trials: int, z: float = _Z95) -> float:
 
 
 def _tail_estimate(hits: int, trials: int) -> TailEstimate:
-    return TailEstimate(
-        probability=hits / trials,
-        trials=trials,
-        wilson_halfwidth=wilson_halfwidth(hits, trials),
-    )
+    return TailEstimate(hits / trials, trials, wilson_halfwidth(hits, trials))
 
 
 # Relative tolerance of kl_ball_sup on the KL radius: an active row stops once
 # |KL(Q_lam || p) - kappa| <= _KL_BALL_RTOL * kappa.
 _KL_BALL_RTOL = 1e-12
+# Both KL-ball solvers keep log lam (in _kl_ball's units) and _log_mgf's exponents below it.
+_LOG_LAM_CAP = 700.0
 
 
 def _kl_ball(p: ProbMeasure, values, kappa: float):
@@ -74,7 +72,7 @@ def _kl_ball(p: ProbMeasure, values, kappa: float):
     d = np.ldexp(half[left], (1 - k)[:, None])
     return (v.shape[:-1], w, np.where(~still & (kappa >= limit), vmax, base),
             np.where(still, 0.0, np.inf), left, base[left], vmax[left], k, d,
-            -(d * w).sum(axis=-1), np.minimum(np.maximum(limit[left], 1.0), 700.0))
+            -(d * w).sum(axis=-1), np.minimum(np.maximum(limit[left], 1.0), _LOG_LAM_CAP))
 
 
 def _log_mgf(w, d, cmax, switch, lam):
@@ -82,8 +80,8 @@ def _log_mgf(w, d, cmax, switch, lam):
     cmax, switch, lam one per row (or d one row and lam a vector). It keeps its
     relative accuracy: at the prior mean, log1p(E_w phi(lam c)), phi(x) = e^x - 1
     - x, each term O(lam^2), until the tilt has moved its mass to max c (lam max c
-    >= switch = max(1, KL limit), at most 700 so that e^x stays finite); then at
-    max c, lam max c + log E_w e^{lam d}, by log1p while E_w expm1(lam d) > -1/2.
+    >= switch = min(max(1, KL limit), _LOG_LAM_CAP)); then at max c, lam max c +
+    log E_w e^{lam d}, by log1p while E_w expm1(lam d) > -1/2.
     Returns (at_mean, c or d, x = lam (c or d), expm1(x), log E_w e^x)."""
     at_mean = lam * cmax < switch
     y = d + (cmax * at_mean)[..., None]
@@ -112,12 +110,13 @@ def kl_ball_sup(p: ProbMeasure, values, kappa: float):
     derivative lam Var_{Q_lam}(v). _kl_ball gives the closed rows; the others
     take Newton steps on lam together from sqrt(2 kappa / Var_p(v)), with KL =
     lam E_Q[y] - log E_p e^{lam y}, y = v - _log_mgf's anchor (at the prior mean
-    E_Q[y] = E_p[y expm1(lam y)] / M sums terms >= 0), and bisect their bracket
-    when a step leaves it, geometrically while hi > 2 lo. A row stops once |KL -
-    kappa| <= _KL_BALL_RTOL * kappa, or at float resolution (hi = nextafter(lo),
-    or E_{Q_hi} v <= E_{Q_lo} v), at E_{Q_lam} v + (kappa - KL) / lam, the first-
-    order step onto the boundary; 200 steps raise RuntimeError. Tested within
-    1e-13 of an 80-digit bisection for kappa from 1e-60 to 1e-10.
+    E_Q[y] = E_p[y expm1(lam y)] / M sums terms >= 0). A step that leaves the
+    bracket, [sqrt(2 kappa), e^_LOG_LAM_CAP] at first, takes its geometric
+    midpoint. A row stops once |KL - kappa| <= _KL_BALL_RTOL * kappa, or at
+    float resolution (hi = nextafter(lo), or E_{Q_hi} v <= E_{Q_lo} v), at
+    E_{Q_lam} v + (kappa - KL) / lam, the first-order step onto the boundary. A
+    root beyond the cap and 200 steps raise RuntimeError. Tested within 1e-13 of
+    an 80-digit bisection for kappa from 1e-60 to 1e-10.
     """
     return _kl_ball_tilt(p, values, kappa)[0]
 
@@ -125,13 +124,18 @@ def kl_ball_sup(p: ProbMeasure, values, kappa: float):
 def _kl_ball_tilt(p: ProbMeasure, values, kappa: float):
     """kl_ball_sup and each row's lam: 0 at the prior mean, +inf at the lam -> inf limit."""
     shape, w, out, lam_out, left, base, vmax, k, d, cmax, switch = _kl_ball(p, values, kappa)
-    lam = np.sqrt(2.0 * kappa / ((d + cmax[:, None]) ** 2 * w).sum(axis=-1))
+    step = np.sqrt(2.0 * kappa / ((d + cmax[:, None]) ** 2 * w).sum(axis=-1))
     # The root is above sqrt(8 kappa), as KL(lam) <= lam^2 R^2 / 8 and the range R < 1 here.
-    lo, hi, e_lo, e_hi = np.full_like(lam, math.sqrt(2.0 * kappa)), lam * np.inf, base, vmax
+    lo, hi = np.full_like(step, math.sqrt(2.0 * kappa)), np.full_like(step, math.exp(_LOG_LAM_CAP))
+    e_lo, e_hi, lam, done = base, vmax, step, np.zeros_like(step, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(200):
-            if not left.size:
+            if done.all():
                 break
+            # Finished rows keep lam; a step out of the bracket takes its geometric midpoint,
+            # in a form that neither overflows nor rounds onto an end.
+            mid = lo + (hi - lo) / (1.0 + np.sqrt(hi) / np.sqrt(lo))
+            lam = np.where(done, lam, np.where((lo < step) & (step < hi), step, mid))
             at_mean, y, x, em1, log_m = _log_mgf(w, d, cmax, switch, lam)
             tilt = w * np.exp(x)
             mgf = tilt.sum(axis=-1)
@@ -143,21 +147,16 @@ def _kl_ball_tilt(p: ProbMeasure, values, kappa: float):
             below = kl < kappa
             lo, e_lo = np.where(below, lam, lo), np.where(below, e, e_lo)
             hi, e_hi = np.where(below, hi, lam), np.where(below, e_hi, e)
-            done = ((np.abs(kl - kappa) <= _KL_BALL_RTOL * kappa)
-                    | (np.nextafter(lo, np.inf) >= hi) | (e_hi <= e_lo))
+            done |= ((np.abs(kl - kappa) <= _KL_BALL_RTOL * kappa)
+                     | (np.nextafter(lo, np.inf) >= hi) | (e_hi <= e_lo))
             step = lam - (kl - kappa) / (lam * var)  # Newton's
-            if np.count_nonzero(outside := ~((lo < step) & (step < hi))):
-                step = np.where(outside, np.where(np.isinf(hi), 2.0 * lo, np.where(
-                    hi > 2.0 * lo, lo * np.sqrt(hi / lo), 0.5 * (lo + hi))), step)
-            if np.count_nonzero(done):
-                out[left[done]] = (e + np.ldexp((kappa - kl) / lam, k))[done]
-                lam_out[left[done]] = np.ldexp(lam, -k)[done]
-                left, base, vmax, k, d, cmax, switch, step, lo, hi, e_lo, e_hi = (
-                    a[~done] for a in
-                    (left, base, vmax, k, d, cmax, switch, step, lo, hi, e_lo, e_hi))
-            lam = step
-    if left.size:
-        raise RuntimeError(f"kl_ball_sup: {left.size} rows still open after 200 steps")
+        if not done.all():
+            raise RuntimeError(f"kl_ball_sup: {np.count_nonzero(~done)} rows still open after 200 steps")
+        if (np.nextafter(lo, np.inf) >= math.exp(_LOG_LAM_CAP)).any():
+            raise RuntimeError(f"kl_ball_sup: a root lies beyond log lambda = {_LOG_LAM_CAP:g}")
+        if left.size:
+            out[left] = e + np.ldexp((kappa - kl) / lam, k)
+            lam_out[left] = np.ldexp(lam, -k)
     return out.reshape(shape)[()], lam_out.reshape(shape)[()]
 
 
@@ -168,11 +167,11 @@ def kl_dual_value(p: ProbMeasure, values, kappa: float) -> float:
     _kl_ball gives the closed cases and the row scaled by 2^k (the dual of 2^j v
     is 2^j times that of v), _log_mgf the log-MGF. The objective is unimodal in
     u = log lam and least where KL(Q_lam) = kappa, so, as the scaled range is
-    below 1, at lam >= sqrt(8 kappa); _log_mgf's switch caps u at 700. Each round
-    evaluates 65 points of the bracket, [log sqrt(2 kappa), 700] at first, in one
-    _log_mgf call and keeps the two cells beside the least, until the bracket is
-    1e-10 wide; a least point at u = 700 raises RuntimeError. Tested within 1e-13
-    of an 80-digit bisection, kappa 1e-60 to 1e-10.
+    below 1, at lam >= sqrt(8 kappa). Each round evaluates 65 points of the
+    bracket, [log sqrt(2 kappa), _LOG_LAM_CAP] at first, in one _log_mgf call and
+    keeps the two cells beside the least, until the bracket is 1e-10 wide; a least
+    point at the cap raises RuntimeError. Tested within 1e-13 of an 80-digit
+    bisection, kappa 1e-60 to 1e-10.
     """
     shape, w, out, _, left, base, vmax, k, d, cmax, switch = _kl_ball(p, values, kappa)
     if shape:
@@ -180,7 +179,7 @@ def kl_dual_value(p: ProbMeasure, values, kappa: float) -> float:
     if not left.size:
         return float(out[0])
     top, mean = np.ldexp(vmax[0], -k[0]), np.ldexp(base[0], -k[0])
-    lo, hi = 0.5 * math.log(2.0 * kappa), 700.0
+    lo, hi = 0.5 * math.log(2.0 * kappa), _LOG_LAM_CAP
     while True:
         u = np.linspace(lo, hi, 65)
         at_mean, *_, log_m = _log_mgf(w, d[0], cmax[0], switch[0], lam := np.exp(u))
@@ -189,8 +188,8 @@ def kl_dual_value(p: ProbMeasure, values, kappa: float) -> float:
         if hi - lo <= 1e-10:
             break
         lo, hi = u[max(i - 1, 0)], u[min(i + 1, 64)]
-    if u[i] == 700.0:
-        raise RuntimeError("kl_dual_value: no minimum with |log lambda| <= 700")
+    if u[i] == _LOG_LAM_CAP:
+        raise RuntimeError(f"kl_dual_value: no minimum with |log lambda| <= {_LOG_LAM_CAP:g}")
     return math.ldexp(float(f[i]), int(k[0]))
 
 

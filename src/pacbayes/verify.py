@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaincinv
 
 from .bounds import BoundParams
 from .core import LossTable, ProbMeasure, sample_blocks
@@ -43,7 +42,10 @@ def worker_count() -> int:
 
 
 def clopper_pearson_upper(violations: int, trials: int, confidence: float) -> float:
-    """Exact Beta-quantile upper confidence limit for a binomial proportion."""
+    """Exact Beta-quantile upper confidence limit for a binomial proportion.
+    SciPy is imported here, so that only the commands that call this load it."""
+    from scipy.special import betaincinv
+
     if trials < 1 or violations < 0 or violations > trials:
         raise ValueError("need 0 <= violations <= trials with trials >= 1")
     if not 0 < confidence < 1:

@@ -149,6 +149,14 @@ class TestMatchedCatoniConstants:
         with pytest.raises(ValueError, match=r"c' = \(c - c2\)/\(1 \+ c2\)"):
             derive_matched_catoni_constants(1e-323, 5e-324, 0.05)
 
+    @pytest.mark.parametrize("c, c2", [(1.0, 1e-310), (3e-323, 5e-324),
+                                       (1.0000000000000002e-300, 1e-300)])
+    def test_c2_so_small_that_C_is_not_finite(self, c, c2):
+        # Below c2 ~ 5.6e-309 (1 + c2)^2 / c2 overflows, so the delta cap and
+        # lambda/m are 0; at the last pair lambda/m = 1.7e-316 and C overflows.
+        with pytest.raises(ValueError, match=rf"c = {c!r} and c2 = {c2!r} leave lambda/m"):
+            derive_matched_catoni_constants(c, c2, 0.05)
+
     def test_constraint_provenance(self):
         # c' = (c - c2) / (1 + c2) runs from 1e-18 to 499.5, so the root runs
         # from 1e-18 to 174; the delta cap is active in some cases.

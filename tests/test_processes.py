@@ -303,13 +303,22 @@ class TestKLDual:
         # lam = 2^990 = e^686 to save time.
         p, v = ProbMeasure.uniform(3), [-1.0, 1e-300, 0.0]
         want = mp_sup(p.weights, v, kappa, dps=340, start=mpmath.mpf(2) ** 990)
-        got = kl_dual_value(p, v, kappa)
-        assert abs(got - want) <= 1e-13 * abs(want), (got, float(want))
+        for solver in (kl_ball_sup, kl_dual_value):
+            got = solver(p, v, kappa)
+            assert abs(got - want) <= 1e-13 * abs(want), (solver.__name__, got, float(want))
+        # In a block with rows that finish in a few steps, the row's answer and
+        # theirs are bit for bit those of one call per row.
+        rows = np.array([v, [0.7, 0.3, 0.1], [-3.0, 2.0, 0.5], v, [0.7, 0.9, 0.2]])
+        np.testing.assert_array_equal(kl_ball_sup(p, rows, kappa),
+                                      [kl_ball_sup(p, row, kappa) for row in rows])
 
     def test_minimum_beyond_the_log_lambda_cap_raises(self):
         # Atoms 1e-305 apart put the minimum at log lambda ~ 702.
+        p, v = ProbMeasure.uniform(3), [-1.0, 1e-305, 0.0]
         with pytest.raises(RuntimeError, match="no minimum"):
-            kl_dual_value(ProbMeasure.uniform(3), [-1.0, 1e-305, 0.0], 0.5)
+            kl_dual_value(p, v, 0.5)
+        with pytest.raises(RuntimeError, match="beyond log lambda = 700"):
+            kl_ball_sup(p, v, 0.5)
 
     def test_weak_duality(self, rng):
         p = random_measure(rng, 6)
