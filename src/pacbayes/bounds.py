@@ -120,8 +120,8 @@ def derive_matched_catoni_constants(c: float, c2: float, delta: float) -> Derive
         raise ValueError("delta must lie in (0, 1)")
     c_prime = (c - c2) / (1.0 + c2)
     target = c_prime / (c_prime + 2.0)
-    if not target > 0:
-        raise ValueError(f"c' = (c - c2)/(1 + c2) = {c_prime:g} is too small: c'/(c'+2) rounds to 0")
+    if not 0 < target < 1:
+        raise ValueError(f"c' = (c - c2)/(1 + c2) = {c_prime:g}: c'/(c'+2) rounds to {target:g}")
     root = _bisect_increasing(log_cosh_over_x, target)
     cap = 2.0 * (1.0 + c2) * (2.0 + c_prime) * math.log(4.0 / delta) / ((1.0 + c2) ** 2 / c2)
     lam = min(root, cap)

@@ -149,6 +149,13 @@ class TestMatchedCatoniConstants:
         with pytest.raises(ValueError, match=r"c' = \(c - c2\)/\(1 \+ c2\)"):
             derive_matched_catoni_constants(1e-323, 5e-324, 0.05)
 
+    @pytest.mark.parametrize("c, c2", [(1e300, 0.1), (2.0 ** 55, 1.0)])
+    def test_c_prime_whose_target_rounds_to_one(self, c, c2):
+        # c' = 9.1e299 and c' = 2^54: c' + 2 rounds to c', so c'/(c'+2) is 1 and
+        # the bisection would stop where log cosh(x)/x rounds to 1 (lambda/m = 1.8e16).
+        with pytest.raises(ValueError, match=r"c' = \(c - c2\)/\(1 \+ c2\) = .* rounds to 1"):
+            derive_matched_catoni_constants(c, c2, 0.05)
+
     @pytest.mark.parametrize("c, c2", [(1.0, 1e-310), (3e-323, 5e-324),
                                        (1.0000000000000002e-300, 1e-300)])
     def test_c2_so_small_that_C_is_not_finite(self, c, c2):

@@ -103,6 +103,12 @@ class TestBounds:
         err = capsys.readouterr().err
         assert "c' = (c - c2)/(1 + c2)" in err and "overflowed" not in err
 
+    def test_matched_catoni_c_prime_too_large(self, capsys, log_file):
+        assert run(["bounds", "--family", "matched_catoni", "--emp", "0.1", "--kl", "1",
+                    "--m", "100", "--c", "1e300", "--c2", "0.1"], log_file) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: c' = (c - c2)/(1 + c2)") and "rounds to 1" in line
+
     @pytest.mark.parametrize("c, c2, kl", [("1", "1e-310", "1"),
                                            ("1.0000000000000002e-300", "1e-300", "0")])
     def test_matched_catoni_c2_so_small_that_C_is_not_finite(self, c, c2, kl, capsys, log_file):

@@ -3,8 +3,10 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -51,23 +53,83 @@ class TestClopperPearson:
         vals = [clopper_pearson_upper(k, 100, 0.95) for k in range(6)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    def test_within_two_ulp_of_an_mpmath_beta_quantile(self):
+        # The limit is the confidence-quantile of Beta(k + 1, n - k). The reference
+        # bisects mpmath's regularized incomplete beta at 30 digits inside a 1e-12
+        # relative bracket around the value under test; 24 halvings leave it 1e-3 ulp
+        # wide. SciPy's betaincinv misses this by up to 11 ulp on the same grid.
+        with mpmath.workdps(30):
+            for n in (1, 2, 5, 10, 50, 100, 1000):
+                for k in sorted({0, 1, n // 3, n // 2, n - 1} - {n}):
+                    for conf in (0.5, 0.9, 0.95, 0.99, 0.999):
+                        got = clopper_pearson_upper(k, n, conf)
+
+                        def excess(u):
+                            return mpmath.betainc(k + 1, n - k, 0, u, regularized=True) - conf
+
+                        lo = mpmath.mpf(got) * (1 - mpmath.mpf("1e-12"))
+                        hi = min(mpmath.mpf(got) * (1 + mpmath.mpf("1e-12")), 1)
+                        assert excess(lo) < 0 < excess(hi), (k, n, conf)
+                        for _ in range(24):
+                            mid = (lo + hi) / 2
+                            lo, hi = (mid, hi) if excess(mid) < 0 else (lo, mid)
+                        want = (lo + hi) / 2
+                        assert abs(got - want) <= 2 * math.ulp(float(want)), (k, n, conf)
+
     def test_matches_the_scipy_stats_beta_quantile(self):
+        # At n = 1e5 mpmath's betainc does not converge, so SciPy is the reference.
         from scipy.stats import beta
-        for n in (1, 2, 5, 10, 50, 100, 1000, 10 ** 5):
-            for k in sorted({0, 1, n // 3, n // 2, n - 1} - {n}):
-                for conf in (0.5, 0.9, 0.95, 0.99, 0.999):
-                    want = float(beta.ppf(conf, k + 1, n - k))
-                    got = clopper_pearson_upper(k, n, conf)
-                    assert abs(got - want) <= 4 * np.spacing(want), (k, n, conf)
+        n = 10 ** 5
+        for k in (0, 1, n // 3, n // 2, n - 1):
+            for conf in (0.5, 0.9, 0.95, 0.99, 0.999):
+                want = float(beta.ppf(conf, k + 1, n - k))
+                got = clopper_pearson_upper(k, n, conf)
+                assert abs(got - want) <= 4 * np.spacing(want), (k, n, conf)
+
+    def test_exact_coverage_up_to_thirty_trials(self):
+        # Just above U(k, n), the limits that cover p are those of more than k
+        # violations, so P(U(X, n) >= p) is 1 - P(X <= k), at least confidence
+        # whenever U(k, n) is not below the true quantile by more than about an ulp.
+        for n in range(1, 31):
+            limits = {conf: [clopper_pearson_upper(k, n, conf) for k in range(n + 1)]
+                      for conf in (0.9, 0.95, 0.99)}
+            for conf, u in limits.items():
+                assert all(a <= b for a, b in zip(u, u[1:])), (n, conf)
+                for k in range(n):
+                    p = Fraction(math.nextafter(u[k], 1.0))
+                    covered = sum(math.comb(n, x) * p ** x * (1 - p) ** (n - x)
+                                  for x in range(n + 1) if u[x] >= p)
+                    assert covered >= Fraction(conf) - Fraction(1, 10 ** 15), (k, n, conf)
+            for k in range(n):
+                assert limits[0.9][k] < limits[0.95][k] < limits[0.99][k], (k, n)
 
     def test_cli_import_loads_no_scipy(self):
-        # Only Clopper-Pearson's betaincinv needs SciPy, and imports it when it runs.
         src = str(Path(pacbayes.__file__).resolve().parents[1])
         code = ("import sys, pacbayes.cli; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True).stdout
         assert out.strip() == "[]"
+
+    def test_coverage_run_loads_no_scipy(self, tmp_path):
+        # gen-instance, then a coverage run with 11 violations of 200, so that
+        # Clopper-Pearson takes its Newton path, all in one fresh interpreter.
+        src = str(Path(pacbayes.__file__).resolve().parents[1])
+        code = (
+            "import sys\n"
+            "from pacbayes.cli import main\n"
+            "assert main(['gen-instance', '--seed', '1', '--hypotheses', '8', '--points', '5',"
+            " '--out', 'inst.txt']) == 0\n"
+            "assert main(['coverage', '--family', 'catoni', '--instance', 'inst.txt',"
+            " '--trials', '200', '--m', '20', '--seed', '3', '--delta', '0.5',"
+            " '--out', 'cov.csv']) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+                             check=True).stdout
+        assert out.splitlines()[-1] == "[]"
+        header, row = (tmp_path / "cov.csv").read_text().splitlines()[:2]
+        assert int(dict(zip(header.split(","), row.split(",")))["violations"]) >= 1
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
