@@ -9,6 +9,7 @@ halfwidths rather than asserting inequalities from noisy point estimates.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,9 @@ def _kl_ball(p: ProbMeasure, values, kappa: float):
     """
     if not kappa >= 0:
         raise ValueError("kappa must be nonnegative")
+    # A subnormal kappa carries too few bits for the stop rules and objectives.
+    if 0 < kappa < sys.float_info.min:
+        raise ValueError(f"kappa must be 0 or at least {sys.float_info.min!r}, got {kappa!r}")
     v = np.asarray(values, dtype=float)
     if v.shape[-1:] != p.weights.shape or not np.isfinite(v).all():
         raise ValueError("values must be finite, one entry per atom of p along the last axis")

@@ -114,6 +114,23 @@ def _paulson_start(k: int, n: int, confidence: float) -> float:
     return f / (f + (n - k))
 
 
+def _tail_ratios(a: int, n: int, z: float):
+    """(r, rest): r = j / (n - j + 1), j = a, a - 1, ..., as far as a tail of pmf
+    ratios r z', 0 < z' <= z, needs, in chunks that double from 64. The ratios
+    fall, so once the last, f, is below 1 the products left out sum to at most
+    the last product times f/(1 - f): rest, below 2^-60 (0 if all are kept)."""
+    prod, done, size, rest = 1.0, 0, 64, 0.0
+    while done < a:
+        j = np.arange(a - done, max(a - done - size, 0), -1.0)
+        f = j / (n - j + 1) * z
+        prod, done, size = prod * float(np.prod(f)), done + j.size, 2 * size
+        if done < a and f[-1] < 1.0 and prod * f[-1] <= 2.0 ** -60 * (1.0 - f[-1]):
+            rest = prod * f[-1] / (1.0 - f[-1])
+            break
+    j = np.arange(a, a - done, -1.0)
+    return j / (n - j + 1), float(rest)
+
+
 def clopper_pearson_upper(violations: int, trials: int, confidence: float) -> float:
     """Exact upper confidence limit for a binomial proportion (Clopper & Pearson,
     1934): the u with P(Bin(trials, u) <= violations) = 1 - confidence, i.e. the
@@ -145,14 +162,15 @@ def clopper_pearson_upper(violations: int, trials: int, confidence: float) -> fl
     if k == n - 1:
         return math.exp(math.log(confidence) / n)
     lower = confidence >= 0.5
+    # P(X = j - 1) / P(X = j) = r (1 - u)/u (lower tail, largest at u = lo) and
+    # P(X = n - j + 1) / P(X = n - j) = r u/(1 - u) (upper, largest at u = hi). A
+    # tail cut short is too low: the lower one adds the bound, so u is not too low.
     if lower:  # 1 - confidence is exact here
         x, target, lo, hi = k, 1.0 - confidence, k / n, 1.0
-        j = np.arange(k, 0, -1.0)
-        ratio = j / (n - j + 1)  # P(X = j - 1) / P(X = j) = ratio (1 - u)/u
+        ratio, rest = _tail_ratios(k, n, (1.0 - lo) / lo)
     else:
         x, target, lo, hi = k + 1, confidence, 0.0, (k + 1) / n
-        j = np.arange(k + 1.0, n)
-        ratio = (n - j) / (j + 1)  # P(X = j + 1) / P(X = j) = ratio u/(1 - u)
+        ratio, rest = _tail_ratios(n - k - 1, n, hi / (1.0 - hi))[0], 0.0
     log_target = math.log(target)
     ftol = 8 * 2.0 ** -52 * max(1.0, -log_target)
     u = _paulson_start(k, n, confidence)
@@ -161,7 +179,7 @@ def clopper_pearson_upper(violations: int, trials: int, confidence: float) -> fl
     for _ in range(100):
         q = 1.0 - u
         log_p = _log_binomial_pmf(x, n, u)
-        s = 1.0 + float(np.cumprod(ratio * (q / u if lower else u / q)).sum())
+        s = 1.0 + float(np.cumprod(ratio * (q / u if lower else u / q)).sum()) + rest
         p = math.exp(log_p)
         # f = log(tail/target); d f/d log(1 - u) = (n - k)/s, d f/d log u = (k + 1)/s.
         f = math.log(p * s / target) if p > 0 else log_p + math.log(s) - log_target

@@ -555,6 +555,7 @@ class TestUsageContract:
 
     @pytest.mark.parametrize("argv", [
         ["duality", "--instance", "INST", "--kappa", "nan"],
+        ["duality", "--instance", "INST", "--kappa", "5e-324"],
         ["bounds", "--family", "kst", "--emp", "nan", "--kl", "0", "--m", "10"],
         ["bounds", "--family", "kst", "--emp", "0.1", "--kl", "nan", "--m", "10"],
         ["bounds", "--family", "kst", "--emp", "2", "--kl", "0", "--m", "10"],
@@ -587,8 +588,8 @@ class TestUsageContract:
          "--c", "1e300"],
         ["lemmas", "--which", "debias", "--instance", "INST", "--m", "5",
          "--lambda-over-m", "1e300"],
-    ], ids=["kappa-nan", "emp-nan", "kl-nan", "emp-2", "C-nan", "c-nan", "c2-nan",
-            "beta-grid-nan", "beta-grid-negative", "beta-grid-empty",
+    ], ids=["kappa-nan", "kappa-subnormal", "emp-nan", "kl-nan", "emp-2", "C-nan", "c-nan",
+            "c2-nan", "beta-grid-nan", "beta-grid-negative", "beta-grid-empty",
             "shifted-flatness-m-0", "shifted-flatness-h-0", "shifted-flatness-c2-0",
             "xy-lambda-nan-forced", "debias-lambda-nan", "debias-k-nan", "xy-mu-nan",
             "shifted-flatness-t-nan", "symmetrization-t-nan", "C-inf", "flatness-c-inf",

@@ -7,8 +7,10 @@ from pacbayes import (FAMILIES, BoundParams, ProbMeasure, coverage_experiment,
                       derive_matched_catoni_constants, draw_sample, evaluate_posterior_bound,
                       gibbs_posterior, kl_divergence, minimize_bound)
 from pacbayes.core import LossTable, Sample, empirical_risks
-from pacbayes import posterior_opt
+from pacbayes import bounds, measures, posterior_opt
+from pacbayes.measures import gibbs_losses
 from pacbayes.posterior_opt import _majoriser, _tilt
+from pacbayes.processes import _kl_ball_tilt
 
 from conftest import random_instance, random_measure
 
@@ -116,6 +118,14 @@ def record_bounds(monkeypatch):
     return seen
 
 
+def majorise_at(family, params, q, p, table, s):
+    """_majoriser's (score, t) at the posterior q, from q's KL and G = q L."""
+    flat = ((gibbs_losses(q, table, s), s.mean_rows(table.loss_squared))
+            if FAMILIES[family].needs_sample else ())
+    return _majoriser(family, params, table, s, kl_divergence(q, p), empirical_risks(table, s),
+                      *flat)
+
+
 class TestGradient:
     """The tilt that _majoriser sets up minimises the bound linearised at q, so
     it must have the bound's gradient at q: d_emp (score + (log(q/p) + 1) / t)
@@ -135,7 +145,7 @@ class TestGradient:
         # Mostly on the first atom, so that KL exceeds 2, where kst's d_kl is not 0.
         q = ProbMeasure.normalized(rng.dirichlet(np.ones(5)) * 0.1 + [1.0, 0, 0, 0, 0])
         assert kl_divergence(q, p) > 2
-        score, t = _majoriser(family, params, q, p, table, s)
+        score, t = majorise_at(family, params, q, p, table, s)
         grad = FAMILIES[family].d_emp(params) * (score + (np.log(q.weights / p.weights) + 1) / t)
 
         def objective(w):
@@ -154,7 +164,7 @@ class TestGradient:
         # At KL <= 2 kst's d_kl is 0, so the next tilt is the beta -> inf limit.
         dist, table = random_instance(rng, n_h=5, n_z=4)
         p = ProbMeasure.uniform(5)
-        _, t = _majoriser("kst", BoundParams(), p, p, table, draw_sample(dist, 20, 6))
+        _, t = majorise_at("kst", BoundParams(), p, p, table, draw_sample(dist, 20, 6))
         assert t == math.inf
 
 
@@ -354,3 +364,137 @@ class TestMinimizeBound:
         q2, rep2 = minimize_bound(family, params, p, table, block, (10.0, 0.0, 1.0, 0.0))
         assert np.array_equal(q.weights, q2.weights)
         assert np.array_equal(rep.value, rep2.value)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_kl_and_one_gibbs_losses_per_bound_evaluation(self, rng, family, monkeypatch):
+        # The starts, each tilt and the final report are one bound evaluation
+        # each; the next tilt reads the KL and G = Q L of the last one.
+        calls = {"kl_divergence": 0, "gibbs_losses": 0}
+
+        def counting(fn):
+            def counted(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for fn in (measures.kl_divergence, measures.gibbs_losses):
+            for module in (posterior_opt, bounds, measures):
+                if hasattr(module, fn.__name__):
+                    monkeypatch.setattr(module, fn.__name__, counting(fn))
+        seen = record_bounds(monkeypatch)
+        p, table, block = zero_prior_instance(rng, 15, 6, 200, 5, 3)
+        minimize_bound(family, BoundParams(catoni_C=1.3, c=2.0, h=0.3), p, table, block,
+                       (0.0, 0.1, 1.0, 10.0))
+        assert len(seen) >= 3
+        assert calls == {"kl_divergence": len(seen), "gibbs_losses": len(seen)}
+
+
+def reference_minimize_bound(family, params, p, table, s, beta_grid):
+    """minimize_bound as it stood before each tilt carried its KL and G = Q L
+    on: the majoriser recomputed both from Q, each step recomputed the
+    empirical risks (and for flatness the sample means of L^2), and the tilt
+    formed its weights in fresh temporaries."""
+    def tilt(score, t):
+        support = p.weights > 0
+        t = np.expand_dims(t, -1)
+        limit = np.isinf(t)
+        x = np.where(support, -np.where(limit, 0.0, t) * score, -np.inf)
+        x -= x.max(axis=-1, keepdims=True)
+        w = p.weights * np.exp(x)
+        if limit.any():
+            least = np.where(support, score, np.inf)
+            w = np.where(limit, p.weights * (least == least.min(axis=-1, keepdims=True)), w)
+        return ProbMeasure.normalized(w)
+
+    def evaluate(q, s):
+        kl = kl_divergence(q, p)
+        if FAMILIES[family].needs_sample:
+            return bounds.flatness_bound(q, table, s, kl, params)
+        return bounds.evaluate_bound(family, measures.gibbs_empirical_risk(q, table, s), kl,
+                                     s.m, params)
+
+    def majoriser(q, s):
+        fam = FAMILIES[family]
+        d_emp = fam.d_emp(params)
+        b = np.broadcast_to(fam.d_kl(kl_divergence(q, p), s.m, params), s.counts.shape[:-1])
+        t = np.divide(d_emp, b, out=np.full(b.shape, np.inf), where=b > 0)
+        score = empirical_risks(table, s)
+        if fam.needs_sample:
+            g = gibbs_losses(q, table, s)
+            shrink = 2.0 * (1.0 - params.h * params.h)
+            score = (score + params.c * (s.mean_rows(table.loss_squared)
+                                         - shrink * np.matvec(table.loss, g * s.counts) / s.m)
+                     ) / d_emp
+        return score, t
+
+    risks = empirical_risks(table, s)
+    starts = [p.weights if beta == 0 else tilt(risks, beta * s.m).weights
+              for beta in sorted(set(beta_grid))]
+    if family == "kst":
+        starts.append(tilt(risks, _kl_ball_tilt(p, -risks, 2.0)[1]).weights)
+    shape = s.counts.shape[:-1] + (p.size,)
+    w = np.stack([np.broadcast_to(start, shape) for start in starts]).reshape(-1, p.size)
+    counts = np.broadcast_to(s.counts, (len(starts),) + s.counts.shape).reshape(len(w), -1)
+    val = evaluate(ProbMeasure(w), Sample(counts)).value
+    rows = np.arange(len(w))
+    for _ in range(posterior_opt._MAX_TILTS):
+        if not rows.size:
+            break
+        sample = Sample(counts[rows])
+        q = tilt(*majoriser(ProbMeasure(w[rows]), sample))
+        new = evaluate(q, sample).value
+        drop = np.where(new < val[rows], val[rows] - new, 0.0)
+        w[rows[drop > 0]], val[rows[drop > 0]] = q.weights[drop > 0], new[drop > 0]
+        rows = rows[drop > posterior_opt._TILT_RTOL * np.maximum(1.0, np.abs(val[rows]))]
+    assert not rows.size
+    best = val.reshape(len(starts), -1).argmin(axis=0)
+    best_q = ProbMeasure(w.reshape(len(starts), -1, p.size)[best, range(best.size)].reshape(shape))
+    return best_q, evaluate(best_q, s)
+
+
+def oracle_instance(name, rng):
+    """(prior, table, sample or block) of the bit-identity oracle's instance `name`."""
+    if name == "tied-risks":
+        # Hypotheses 12 to 15 repeat 0 to 3, so their risks tie on every sample.
+        p, table, block = zero_prior_instance(rng, 12, 5, 40, 6, 4)
+        table = LossTable(np.vstack([table.loss, table.loss[:4]]))
+        return ProbMeasure.normalized(np.concatenate([p.weights, p.weights[:4]])), table, block
+    if name.startswith("kst-limit"):
+        # The kst start is the tilt to KL = 2, or the beta -> inf limit where the
+        # KL limit -log P(least risk) is at most 2: 1/4 of the mass, or 1/30.
+        n_h = 4 if name == "kst-limit-below-2" else 30
+        dist, table = random_instance(rng, n_h=n_h, n_z=6, binary=False)
+        return ProbMeasure.uniform(n_h), table, draw_sample(dist, 60, 5, size=6)
+    m, size = {"block": (200, 7), "one-sample": (200, None), "block-of-one": (200, 1),
+               "m-1": (1, 6)}[name]
+    p, table, block = zero_prior_instance(rng, 15, 6, m, size, 6)
+    return p, table, block
+
+
+class TestBitIdentityOracle:
+    """minimize_bound returns exactly the weights and the report of the loop
+    that recomputed each tilt's KL and G = Q L, on non-binary losses with
+    zero prior mass on some atoms."""
+
+    @pytest.mark.parametrize("name", ["block", "one-sample", "block-of-one", "m-1",
+                                      "tied-risks", "kst-limit-below-2", "kst-limit-above-2"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_same_bits_as_the_reference_loop(self, family, name):
+        p, table, s = oracle_instance(name, np.random.default_rng(2024))
+        if name.startswith("kst-limit"):
+            lam = _kl_ball_tilt(p, -empirical_risks(table, s), 2.0)[1]
+            assert np.isinf(lam).all() if name == "kst-limit-below-2" else np.isfinite(lam).all()
+        params = BoundParams(delta=0.05, catoni_C=1.3, c=2.0, h=0.3)
+        grid = (0.0, 0.1, 1.0, 10.0)
+        if s.m < FAMILIES[family].m_min:
+            for solver in (minimize_bound, reference_minimize_bound):
+                with pytest.raises(ValueError, match="m must be >= 2"):
+                    solver(family, params, p, table, s, grid)
+            return
+        q, rep = minimize_bound(family, params, p, table, s, grid)
+        q_ref, rep_ref = reference_minimize_bound(family, params, p, table, s, grid)
+        assert np.array_equal(q.weights, q_ref.weights)
+        assert np.array_equal(rep.value, rep_ref.value)
+        assert rep.components.keys() == rep_ref.components.keys()
+        for name, part in rep.components.items():
+            assert np.array_equal(part, rep_ref.components[name]), name

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -242,8 +243,16 @@ class TestKLBallOracle:
     @pytest.mark.parametrize("kappa", [1e-100, 1e-300, 5e-324])
     def test_tiny_radius_is_finite_and_raises_nothing(self, kappa):
         # A prior mean of 0 (or tiny against the range) and a tiny radius: the
-        # primal raised after 200 steps here, as 1-D values and as a block.
+        # primal raised after 200 steps here, as 1-D values and as a block. A
+        # subnormal radius is rejected: there both solvers came out finite but
+        # wrong (1.57e-162 and 1.28e-162 at 5e-324, against about 3.14e-162).
         p, rows = ProbMeasure.uniform(2), np.array([[-1.0, 1.0], [-1.0, 1.000001]])
+        if kappa < sys.float_info.min:
+            for solver, values in ((kl_ball_sup, rows), (kl_ball_sup, rows[0]),
+                                   (kl_dual_value, rows[0])):
+                with pytest.raises(ValueError, match="kappa must be 0 or at least"):
+                    solver(p, values, kappa)
+            return
         block = kl_ball_sup(p, rows, kappa)
         for row, sup in zip(rows, block):
             for got in (sup, kl_ball_sup(p, row, kappa), kl_dual_value(p, row, kappa)):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -85,6 +86,29 @@ class TestClopperPearson:
                 want = float(beta.ppf(conf, k + 1, n - k))
                 got = clopper_pearson_upper(k, n, conf)
                 assert abs(got - want) <= 4 * np.spacing(want), (k, n, conf)
+
+    def test_a_long_tail_stops_where_its_rest_is_negligible(self):
+        # Up to n - 1 = 10^6 - 1 tail terms, nearly all far below 2^-60 of the
+        # sum: no array of length n (8 MB of floats) is allocated.
+        n = 10 ** 6
+        cases = ((1, 0.3), (n // 2, 0.3), (n // 2, 0.95))
+        tracemalloc.start()
+        try:
+            got = [clopper_pearson_upper(k, n, conf) for k, conf in cases]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
+        # At k = 1, P(X <= 1) = (1 - u)^n + n u (1 - u)^(n - 1) = 1 - confidence.
+        with mpmath.workdps(40):
+            target = 1 - mpmath.mpf(0.3)
+            want = float(mpmath.findroot(
+                lambda u: (1 - u) ** n + n * u * (1 - u) ** (n - 1) - target, got[0]))
+        assert abs(got[0] - want) <= 2 * math.ulp(want)
+        from scipy.stats import beta
+        for (k, conf), u in zip(cases[1:], got[1:]):
+            want = float(beta.ppf(conf, k + 1, n - k))
+            assert abs(u - want) <= 4 * np.spacing(want), (k, conf)
 
     def test_exact_coverage_up_to_thirty_trials(self):
         # Just above U(k, n), the limits that cover p are those of more than k
