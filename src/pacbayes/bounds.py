@@ -54,10 +54,11 @@ class BoundParams:
 class DerivedConstants:
     """Explicit constants for the matched-Catoni bound.
 
-    lambda_over_m solves log cosh(x)/x = c'/(c'+2), capped by the
-    delta-dependent constraint; C_big = 2(1+c2)(2+c')/lambda_over_m, and the
-    final constants are (C1, C2, C3) = (3 C_big, C_big, C_big (3 + log 8)).
-    provenance records the constraint values at the chosen point.
+    lambda_over_m solves log cosh(x)/x = c'/(c'+2) to a few ulp at every c',
+    capped by the delta-dependent constraint; C_big = 2(1+c2)(2+c')/lambda_over_m,
+    and the final constants are (C1, C2, C3) = (3 C_big, C_big, C_big (3 + log 8)).
+    provenance records the constraint at the chosen point in the odds form
+    solved, L/(1 - L) <= c'/2 for L = log cosh(x)/x, whose target is exact.
     """
 
     lambda_over_m: float
@@ -88,11 +89,23 @@ def catoni_prefactor(C: float) -> float:
 
 
 def log_cosh_over_x(x: float) -> float:
-    """log(cosh(x))/x, series-stabilized near zero; increasing on (0, inf)."""
+    """log(cosh(x))/x to a few ulp, series-stabilized near zero; increasing on (0, inf)."""
     if x < 1e-4:
         return x / 2.0 - x ** 3 / 12.0
+    if x < 1.0:  # cosh(x) = 1 + 2 sinh^2(x/2): no cancellation in the log
+        return math.log1p(2.0 * math.sinh(0.5 * x) ** 2) / x
     # log cosh(x) = x + log((1+e^{-2x})/2) avoids overflow for large x.
     return (x + math.log1p(math.exp(-2.0 * x)) - math.log(2.0)) / x
+
+
+def _log_cosh_odds(x: float) -> float:
+    """L/(1 - L) for L = log_cosh_over_x(x), increasing from 0 to inf. Where
+    L > 1/2, 1 - L is taken as (log 2 - log1p(e^{-2x}))/x, so the odds keep full
+    precision as L rounds towards 1."""
+    L = log_cosh_over_x(x)
+    if L <= 0.5:
+        return L / (1.0 - L)
+    return L * x / (math.log(2.0) - math.log1p(math.exp(-2.0 * x)))
 
 
 def _bisect_increasing(fn, target: float) -> float:
@@ -122,7 +135,9 @@ def derive_matched_catoni_constants(c: float, c2: float, delta: float) -> Derive
     target = c_prime / (c_prime + 2.0)
     if not 0 < target < 1:
         raise ValueError(f"c' = (c - c2)/(1 + c2) = {c_prime:g}: c'/(c'+2) rounds to {target:g}")
-    root = _bisect_increasing(log_cosh_over_x, target)
+    # L = c'/(c'+2) as the odds L/(1 - L) = c'/2, a target with no rounding.
+    odds = 0.5 * c_prime
+    root = _bisect_increasing(_log_cosh_odds, odds)
     cap = 2.0 * (1.0 + c2) * (2.0 + c_prime) * math.log(4.0 / delta) / ((1.0 + c2) ** 2 / c2)
     lam = min(root, cap)
     if lam == 0 or not math.isfinite(C_big := 2.0 * (1.0 + c2) * (2.0 + c_prime) / lam):
@@ -136,8 +151,8 @@ def derive_matched_catoni_constants(c: float, c2: float, delta: float) -> Derive
         C2=C_big,
         C3=C_big * (3.0 + math.log(8.0)),
         provenance={
-            "logcosh_constraint_value": log_cosh_over_x(lam),
-            "logcosh_constraint_target": target,
+            "logcosh_constraint_value": _log_cosh_odds(lam),
+            "logcosh_constraint_target": odds,
             "delta_cap": cap,
             "bisection_root": root,
             "cap_active": cap < root,

@@ -3,7 +3,7 @@
 Instance file: UTF-8 text with `#` comments. Sections `space` (probabilities),
 `losses` (row-major matrix), `binary` (flag), and optional `prior` /
 `posterior` weight lists; the prior is uniform when the file gives none.
-Section data may follow the header inline or on subsequent lines.
+Each section appears once; its data may follow the header inline or on later lines.
 
 Config file: `section.key = value` lines; command-line flags win on conflict.
 Run log: append-only strict JSON lines, one record per invocation.
@@ -34,10 +34,7 @@ class Instance:
 
 
 def _strip(line: str) -> str:
-    hash_pos = line.find("#")
-    if hash_pos >= 0:
-        line = line[:hash_pos]
-    return line.strip()
+    return line.partition("#")[0].strip()
 
 
 def parse_instance(text: str) -> Instance:
@@ -49,10 +46,9 @@ def parse_instance(text: str) -> Instance:
             continue
         head, sep, rest = line.partition(":")
         if sep and head.strip().lower() in _SECTIONS:
-            current = head.strip().lower()
-            sections.setdefault(current, [])
-            if rest.strip():
-                sections[current].append(rest.strip())
+            if (current := head.strip().lower()) in sections:
+                raise ValueError(f"{current}: section appears twice")
+            sections[current] = [rest.strip()] if rest.strip() else []
         elif current is not None:
             sections[current].append(line)
         else:
@@ -60,13 +56,17 @@ def parse_instance(text: str) -> Instance:
     if "space" not in sections or "losses" not in sections:
         raise ValueError("instance file needs `space` and `losses` sections")
 
+    rows = sections["losses"]
     try:
-        rows = [[float(x) for x in row.split()] for row in sections["losses"]]
         if not rows:
             raise ValueError("no rows")
-        if len({len(r) for r in rows}) != 1:
-            raise ValueError("rows must all have the same length")
-        table = LossTable(np.array(rows))
+        try:
+            loss = np.loadtxt(rows, ndmin=2)
+        except ValueError:  # NumPy's ragged-rows message names its own API; ours the file's
+            if len({len(row.split()) for row in rows}) == 1:
+                raise
+            raise ValueError("rows must all have the same length") from None
+        table = LossTable(loss)
     except ValueError as exc:
         raise ValueError(f"losses: {exc}") from None
     if "binary" in sections:
@@ -79,7 +79,7 @@ def parse_instance(text: str) -> Instance:
     def measure(name, n):
         """The section's weights as a ProbMeasure of size n; errors name the section."""
         try:
-            w = np.array([float(x) for row in sections[name] for x in row.split()])
+            w = np.array(" ".join(sections[name]).split(), dtype=float)
             if w.size != n:
                 raise ValueError(f"{w.size} entries where the loss matrix needs {n}")
             return ProbMeasure(w)

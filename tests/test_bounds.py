@@ -185,6 +185,51 @@ class TestMatchedCatoniConstants:
         assert not k.provenance["cap_active"]
 
 
+def ulps_from(x, exact):
+    """(x - exact) in units in the last place of the float nearest exact."""
+    return float((mpmath.mpf(x) - exact) / math.ulp(float(exact)))
+
+
+def mp_logcosh_root_55(c_prime):
+    """The root of log(cosh(x))/x = c'/(c'+2) to 55 digits. Newton on the convex
+    g(x) = log cosh(x) - t x from x = c' + 2, right of the root (which lies below
+    log 2 (c'+2)/2), so the iterates fall to it monotonically. 80 digits leave
+    60 after log cosh(x) cancels near x = 1e-6."""
+    with mpmath.workdps(80):
+        t = mpmath.mpf(c_prime) / (mpmath.mpf(c_prime) + 2)
+        x = mpmath.mpf(c_prime) + 2
+        for _ in range(200):
+            step = (mpmath.log(mpmath.cosh(x)) - t * x) / (mpmath.tanh(x) - t)
+            x -= step
+            if abs(step) <= mpmath.mpf(10) ** -55 * x:
+                return x
+    raise AssertionError(f"no convergence at c' = {c_prime}")
+
+
+class TestLogCoshAccuracy:
+    def test_log_cosh_over_x_within_four_ulp(self):
+        # Log-spaced, plus both sides of the switches at 1e-4 and 1.
+        xs = np.concatenate([np.geomspace(1e-12, 1e4, 400), [
+            1e-4, math.nextafter(1e-4, 1), 1.0001e-4, 3e-4, math.nextafter(1.0, 0), 1.0]])
+        with mpmath.workdps(60):
+            worst = max(abs(ulps_from(log_cosh_over_x(float(x)),
+                                      mpmath.log(mpmath.cosh(mpmath.mpf(float(x)))) / float(x)))
+                        for x in xs)
+        assert worst <= 4.0
+
+    def test_matched_catoni_root_within_four_ulp_at_every_c_prime(self):
+        # c' from 1e-6 to 2^53 (208 points), with c2 = 1 or 1/2; at delta = 0.05
+        # the cap is at least 2 (2 + c') log(80) / 3, well above the root.
+        c_primes = np.concatenate([np.geomspace(1e-6, 2.0 ** 53, 200), [
+            1e10, 1e13, 1e15, 2.0 ** 53, 0.1, 1.0 / 3, 1.0, 1e3]])
+        for i, target in enumerate(c_primes):
+            c2 = 1.0 if i % 2 else 0.5
+            k = derive_matched_catoni_constants(c2 + float(target) * (1 + c2), c2, 0.05)
+            assert not k.provenance["cap_active"]
+            root = mp_logcosh_root_55(k.c_prime)
+            assert abs(ulps_from(k.lambda_over_m, root)) <= 4.0, (k.c_prime, k.lambda_over_m)
+
+
 class TestBisection:
     @pytest.mark.parametrize("fn, target", [
         (log_cosh_over_x, 1e-300), (log_cosh_over_x, 0.3), (log_cosh_over_x, 0.999),

@@ -719,6 +719,21 @@ class TestUsageContract:
         (rec,) = [json.loads(line) for line in open(log_file).read().splitlines()]
         assert rec["exit_code"] == 2
 
+    @pytest.mark.parametrize("old, new, named", [
+        ("binary: true\n", "binary: true\nlosses:\n1 0 1\n", "losses: section appears twice"),
+        ("binary: true\n", "binary: true\nbinary: true\n", "binary: section appears twice"),
+        ("prior: ", "space: 0.2 0.3 0.5\nprior: ", "space: section appears twice"),
+    ], ids=["losses", "binary", "space"])
+    def test_a_repeated_section_exits_2_naming_it(self, old, new, named, tmp_path, log_file,
+                                                  capsys):
+        inst = tmp_path / "twice.txt"
+        inst.write_text(INSTANCE.replace(old, new, 1))
+        assert run(["duality", "--instance", str(inst)], log_file) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {named}\n"
+        (rec,) = [json.loads(line) for line in open(log_file).read().splitlines()]
+        assert rec["exit_code"] == 2 and rec["summary"] == {"error": named}
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["bounds", "--help"])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pacbayes import ProbMeasure
+from pacbayes.cli import main
 from pacbayes.io import (append_run_record, fmt, format_instance, load_config,
                          load_instance, parse_config, parse_instance,
                          save_instance, write_csv)
@@ -67,7 +68,7 @@ class TestParseInstance:
             parse_instance("0.5 0.5\nspace: 0.5 0.5\nlosses: 0 1\n")
 
     def test_ragged_losses(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^losses: rows must all have the same length$"):
             parse_instance("space: 0.5 0.5\nlosses:\n1 0\n1\n")
 
     def test_width_mismatch(self):
@@ -94,6 +95,129 @@ class TestParseInstance:
         assert np.array_equal(inst.posterior.weights, again.posterior.weights)
         # a second round trip is byte-identical
         assert format_instance(again) == format_instance(inst)
+
+
+def reference_parse(text):
+    """A per-token reference parser, `float()` on every token. Returns (loss,
+    space, prior, posterior), None for an absent section."""
+    sections = {}
+    for raw in text.splitlines():
+        line = raw.partition("#")[0].strip()
+        head, sep, rest = line.partition(":")
+        if sep and head.strip().lower() in ("space", "losses", "binary", "prior", "posterior"):
+            current = sections.setdefault(head.strip().lower(), [])
+            line = rest.strip()
+        if line:
+            current.append(line)
+    rows = [[float(x) for x in row.split()] for row in sections["losses"]]
+    flat = {name: np.array([x for row in sections[name] for x in map(float, row.split())])
+            for name in ("space", "prior", "posterior") if name in sections}
+    return np.array(rows), flat["space"], flat.get("prior"), flat.get("posterior")
+
+
+def same_bits(a, b):
+    return a is None and b is None or a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def assert_parses_like_the_reference(text):
+    inst = parse_instance(text)
+    loss, space, prior, posterior = reference_parse(text)
+    assert same_bits(inst.table.loss, loss)
+    assert same_bits(inst.dist.weights, space)
+    assert prior is None or same_bits(inst.prior.weights, prior)
+    assert same_bits(None if inst.posterior is None else inst.posterior.weights, posterior)
+
+
+def gen_instance(tmp_path, n_h, n_z, seed, *flags):
+    path = tmp_path / f"gen-{n_h}-{n_z}-{seed}.txt"
+    assert main(["--log", str(tmp_path / "runs.jsonl"), "gen-instance", "--hypotheses",
+                 str(n_h), "--points", str(n_z), "--seed", str(seed), "--out", str(path),
+                 *flags]) == 0
+    return path.read_text(encoding="utf-8")
+
+
+def token(gen, x):
+    """x as one of the spellings an instance file may hold: fmt's 17 digits or
+    15 to 40 significant decimal digits."""
+    return fmt(x) if gen.random() < 0.5 else f"{x:.{gen.integers(14, 40)}e}"
+
+
+def messy_instance(gen, n_h, n_z):
+    """A random instance text whose numbers carry 15 to 40 digits, subnormals
+    included, laid out with inline data, comments after data, blank lines,
+    tabs, measures split over lines and CRLF line ends."""
+    subnormal = gen.integers(1, 2 ** 52, (n_h, n_z)) * 5e-324
+    loss = np.where(gen.random((n_h, n_z)) < 0.2, subnormal, gen.random((n_h, n_z)))
+    loss[gen.random((n_h, n_z)) < 0.2] = 1.0
+    space, prior, posterior = (gen.dirichlet(np.ones(n)) for n in (n_z, n_h, n_h))
+
+    def words(v):
+        return [token(gen, x) for x in v]
+
+    rows = [gen.choice([" ", "\t", " \t "]).join(words(row)) for row in loss]
+    split = gen.integers(0, n_h + 1)
+    lines = ["# random instance", "", "Space: " + " ".join(words(space)) + "  # D",
+             "losses: " + rows[0]] + [row + ("\t# h" if gen.random() < 0.3 else "")
+                                     for row in rows[1:]]
+    lines += ["", "prior:", " ".join(words(prior[:split])), " ".join(words(prior[split:])),
+              "posterior:\t" + " ".join(words(posterior)), "   "]
+    return "\r\n".join(lines) + "\r\n"
+
+
+class TestParserEquivalence:
+    """NumPy's text reader gives every parsed array bit for bit as `float()` does."""
+
+    @pytest.mark.parametrize("flags", [(), ("--nonbinary",)], ids=["binary", "nonbinary"])
+    def test_gen_instance_output(self, flags, tmp_path):
+        gen = np.random.default_rng(22)
+        for seed in range(12):
+            n_h, n_z = (int(n) for n in gen.integers(1, 40, 2))
+            assert_parses_like_the_reference(gen_instance(tmp_path, n_h, n_z, seed, *flags))
+        for n_h, n_z in ((1, 1), (1, 9), (9, 1)):
+            assert_parses_like_the_reference(gen_instance(tmp_path, n_h, n_z, 5, *flags))
+
+    def test_long_decimals_subnormals_comments_tabs_and_crlf(self):
+        gen = np.random.default_rng(23)
+        for n_h, n_z in [(1, 1), (1, 7), (7, 1)] + [tuple(gen.integers(1, 30, 2))
+                                                    for _ in range(40)]:
+            text = messy_instance(gen, int(n_h), int(n_z))
+            assert_parses_like_the_reference(text)
+            assert_parses_like_the_reference(text.replace("\r\n", "\n"))
+
+    def test_a_large_instance_round_trips_byte_for_byte(self, tmp_path):
+        for flags in ((), ("--nonbinary",)):
+            text = gen_instance(tmp_path, 128, 64, 320, *flags)
+            assert format_instance(parse_instance(text)) == text
+
+
+class TestParseErrors:
+    @pytest.mark.parametrize("row", ["1 abc 1", "1_0e-1 1 1", "\u0661 1 1"],
+                             ids=["text", "underscore", "arabic-indic-one"])
+    def test_a_loss_the_reader_cannot_convert_names_the_section(self, row):
+        # float() reads 1_0e-1 and the Arabic-Indic digit one as 1.0; NumPy's
+        # text reader, which reads `losses`, takes neither.
+        with pytest.raises(ValueError, match="^losses: could not convert"):
+            parse_instance(f"space: 0.2 0.3 0.5\nlosses: {row}\n")
+
+    def test_measure_sections_read_numbers_as_float_does(self):
+        inst = parse_instance("space: 1_0e-1\nlosses: 1\nprior: \u0661\n")
+        assert inst.dist.weights.tolist() == inst.prior.weights.tolist() == [1.0]
+        with pytest.raises(ValueError, match="^prior: could not convert string to float: 'x'$"):
+            parse_instance("space: 1\nlosses: 1\nprior: x\n")
+
+    @pytest.mark.parametrize("name", ["space", "losses", "binary", "prior", "posterior"])
+    def test_a_repeated_section_is_rejected(self, name):
+        parts = {"space": "space: 0.5 0.5", "losses": "losses:\n1 0", "binary": "binary: true",
+                 "prior": "prior: 1", "posterior": "posterior: 1"}
+        text = "\n".join(parts.values()) + "\n"
+        again = text + parts[name].replace(name, name.upper()) + "\n"
+        assert parse_instance(text).table.loss.shape == (1, 2)
+        with pytest.raises(ValueError, match=f"^{name}: section appears twice$"):
+            parse_instance(again)
+
+    def test_an_empty_measure_section(self):
+        with pytest.raises(ValueError, match="^prior: 0 entries where the loss matrix needs 2$"):
+            parse_instance("space: 1\nlosses:\n1\n0\nprior:\n")
 
 
 class TestConfig:
