@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import _SUM_TOL, LossTable, ProbMeasure, Sample
 from .measures import flatness, gibbs_losses
+from .processes import xy_default_c2
 
 
 @dataclass(frozen=True)
@@ -162,13 +163,13 @@ def derive_matched_catoni_constants(c: float, c2: float, delta: float) -> Derive
 
 
 def flatness_rate_constant(c: float, h: float) -> float:
-    """Rate constant C = 2 h^4 c / (1 + 16 h^2 c) of the flatness bound."""
+    """Rate constant C = 2 h^2 c2 = 2 h^4 c / (1 + 16 h^2 c) of the flatness bound,
+    with c2 = processes.xy_default_c2(c, h), the theorem's sufficient c2."""
     if not c > 0:
         raise ValueError("c must be positive")
     if not 0 < h < 1:
         raise ValueError("h must lie in (0, 1)")
-    hc = h * h * c
-    return 2.0 * h * h * hc / (1.0 + 16.0 * hc)
+    return 2.0 * h * h * xy_default_c2(c, h)
 
 
 def flatness_bound(q: ProbMeasure, table: LossTable, s: Sample, kl, params: BoundParams,
@@ -181,15 +182,31 @@ def flatness_bound(q: ProbMeasure, table: LossTable, s: Sample, kl, params: Boun
                           flatness(q, table, s, params.h, g))
 
 
+# (-1)^j/(j + 2)! for j = 17..0: the series of (e^-C - 1 + C)/C^2, for Horner's rule.
+_EXPM1_EXCESS_SERIES = tuple((-1) ** j / math.factorial(j + 2) for j in range(17, -1, -1))
+
+
+def _catoni_excess(C: float) -> float:
+    """C/(1 - e^{-C}) - 1 = (e^{-C} - 1 + C)/(1 - e^{-C}), increasing from 0 at 0+.
+    Below C = 1 the numerator is C^2 times its alternating series, whose terms
+    past j = 17 sum to below 1e-17 of it; the direct form cancels there."""
+    if C >= 1.0:
+        return (C + math.expm1(-C)) / -math.expm1(-C)
+    series = 0.0
+    for coef in _EXPM1_EXCESS_SERIES:
+        series = series * C + coef
+    return C * series * (C / -math.expm1(-C))
+
+
 def catoni_C_for_inflation(c: float) -> float:
-    """Invert C/(1-e^{-C}) = 1 + c; unique root for c > 0.
+    """Invert C/(1-e^{-C}) = 1 + c; unique root for c > 0. It is solved as
+    C/(1 - e^{-C}) - 1 = c, so that 1 + c is never rounded.
 
     Aligns Catoni's bound with families written as (1+c) * empirical + rate.
     """
     if not c > 0:
         raise ValueError("c must be positive")
-    # prefactor is increasing in C, from 1 at 0+ to infinity.
-    return _bisect_increasing(catoni_prefactor, 1.0 + c)
+    return _bisect_increasing(_catoni_excess, c)
 
 
 @dataclass(frozen=True)

@@ -212,7 +212,7 @@ def cmd_lemmas(args) -> Result:
     elif which == "xy":
         c, h = args.c, args.h
         c2 = args.c2 if args.c2 is not None else xy_default_c2(c, h)
-        value = xy_mgf_bruteforce(_floats(args.mu), args.lambda_over_m, c, c2, h,
+        value = xy_mgf_bruteforce(args.mu, args.lambda_over_m, c, c2, h,
                                   force=args.force)
         cap = xy_cap(c, c2, h)
         applicable = xy_hypothesis_failure(args.lambda_over_m, c, c2, h) is None
@@ -353,7 +353,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--lambda-over-m", dest="lambda_over_m", type=float)
     p.add_argument("--k", type=float)
     p.add_argument("--m", type=int)
-    p.add_argument("--mu", help="comma-separated Bernoulli means")
+    p.add_argument("--mu", type=_floats, help="comma-separated Bernoulli means")
     p.add_argument("--c", type=float)
     p.add_argument("--c2", type=float)
     p.add_argument("--h", type=float)

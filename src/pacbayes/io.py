@@ -98,7 +98,8 @@ def load_instance(path) -> Instance:
 
 def format_instance(inst: Instance) -> str:
     def vec(v):
-        return " ".join(fmt(x) for x in v)
+        # The shortest spelling that reads back as the same float; 0 and 1 stay bare.
+        return " ".join(repr(x).removesuffix(".0") for x in v.tolist())
 
     lines = ["# pacbayes problem instance", "space: " + vec(inst.dist.weights), "losses:"]
     lines += [vec(row) for row in inst.table.loss]

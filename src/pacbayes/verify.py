@@ -92,28 +92,6 @@ def _log_binomial_pmf(x: int, n: int, u: float) -> float:
             - _bd0(x, mu, d) - _bd0(n - x, n - mu, -d))
 
 
-def _paulson_start(k: int, n: int, confidence: float) -> float:
-    """A start for the Newton loop: Paulson's cube-root normal approximation to
-    the confidence-quantile F of F(2(k + 1), 2(n - k)), as u = (k+1) F/((k+1) F + n - k),
-    with the normal quantile of Abramowitz & Stegun 26.2.23 (error below 4.5e-4).
-    nan where the approximation has no root."""
-    t = math.sqrt(-2.0 * math.log(min(confidence, 1.0 - confidence)))
-    z = t - ((2.515517 + t * (0.802853 + t * 0.010328))
-             / (1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))))
-    z = z if confidence > 0.5 else -z
-    a1, a2 = 1.0 / (9 * (k + 1)), 1.0 / (9 * (n - k))
-    b1, b2 = 1.0 - a1, 1.0 - a2
-    den = b2 * b2 - z * z * a2
-    disc = b1 * b1 * a2 + b2 * b2 * a1 - z * z * a1 * a2
-    if den <= 0 or disc < 0:
-        return math.nan
-    y = (b1 * b2 + z * math.sqrt(disc)) / den  # F^(1/3)
-    if y <= 0:
-        return math.nan
-    f = (k + 1) * y * y * y
-    return f / (f + (n - k))
-
-
 def _tail_ratios(a: int, n: int, z: float):
     """(r, rest): r = j / (n - j + 1), j = a, a - 1, ..., as far as a tail of pmf
     ratios r z', 0 < z' <= z, needs, in chunks that double from 64. The ratios
@@ -133,68 +111,53 @@ def _tail_ratios(a: int, n: int, z: float):
 
 def clopper_pearson_upper(violations: int, trials: int, confidence: float) -> float:
     """Exact upper confidence limit for a binomial proportion (Clopper & Pearson,
-    1934): the u with P(Bin(trials, u) <= violations) = 1 - confidence, i.e. the
-    confidence-quantile of Beta(violations + 1, trials - violations).
+    1934) at a confidence in [1/2, 1): the u with P(Bin(trials, u) <= violations)
+    = 1 - confidence, the confidence-quantile of Beta(violations + 1, trials -
+    violations). (A two-sided interval's lower limit is 1 - U(n - k, n, c).)
 
-    NumPy and math only. With k = violations and n = trials: 1 at k = n, closed
-    forms at k = 0 and k = n - 1, else Newton's method on the log of whichever tail
-    is the smaller at the root, so that no sum cancels: the lower tail P(X <= k)
-    against 1 - confidence when confidence >= 1/2, else P(X > k) against
-    confidence. A tail is its largest term P(X = x), x = k or k + 1 (Loader's
-    saddle-point pmf), times 1 + the cumulative products of the pmf ratios away
-    from it; u stays in a bracket, [k/n, 1] or [0, (k+1)/n], where that term is
-    the tail's largest. Newton runs in log(1 - u) for the lower tail and in
-    log u for the upper one, where a tail far below its target is nearly
-    linear, and takes the bracket's midpoint when a step leaves it. It stops
-    once |log(tail/target)| <= 8 2^-52 max(1, |log target|), that rounding's
-    noise, once a step is below half an ulp, or once no float lies inside the
-    bracket.
+    NumPy and math only. With k = violations and n = trials: 1 at k = n, a closed
+    form at k = 0, else Newton's method on f = log(P(X <= k)/(1 - confidence)),
+    whose target is exact and at most 1/2, so no sum cancels. The tail is P(X = k)
+    (Loader's saddle-point pmf) times 1 + the cumulative products of the pmf
+    ratios below k, and u stays in [k/n, 1], where P(X = k) is its largest term.
+    Newton runs in log(1 - u), where a tail far below its target is nearly
+    linear, from u = k/n, where f >= 0 (k is a median of Bin(n, k/n)); a step
+    that leaves the bracket is halved, then replaced by the bracket's midpoint.
+    It stops once |f| <= 8 2^-52 max(1, |log target|), that rounding's noise,
+    once a step is below half an ulp, or once no float lies inside the bracket.
     """
     if trials < 1 or violations < 0 or violations > trials:
         raise ValueError("need 0 <= violations <= trials with trials >= 1")
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must lie in (0, 1)")
+    if not 0.5 <= confidence < 1:
+        raise ValueError("confidence must lie in [1/2, 1)")
     k, n = violations, trials
     if k == n:
         return 1.0
     if k == 0:
         return -math.expm1(math.log1p(-confidence) / n)
-    if k == n - 1:
-        return math.exp(math.log(confidence) / n)
-    lower = confidence >= 0.5
-    # P(X = j - 1) / P(X = j) = r (1 - u)/u (lower tail, largest at u = lo) and
-    # P(X = n - j + 1) / P(X = n - j) = r u/(1 - u) (upper, largest at u = hi). A
-    # tail cut short is too low: the lower one adds the bound, so u is not too low.
-    if lower:  # 1 - confidence is exact here
-        x, target, lo, hi = k, 1.0 - confidence, k / n, 1.0
-        ratio, rest = _tail_ratios(k, n, (1.0 - lo) / lo)
-    else:
-        x, target, lo, hi = k + 1, confidence, 0.0, (k + 1) / n
-        ratio, rest = _tail_ratios(n - k - 1, n, hi / (1.0 - hi))[0], 0.0
+    # P(X = j - 1) / P(X = j) = r (1 - u)/u, largest at u = lo. A tail cut short
+    # is too low, so it adds the bound on the rest: u is not too low.
+    target, lo, hi = 1.0 - confidence, k / n, 1.0
+    ratio, rest = _tail_ratios(k, n, (1.0 - lo) / lo)
     log_target = math.log(target)
     ftol = 8 * 2.0 ** -52 * max(1.0, -log_target)
-    u = _paulson_start(k, n, confidence)
-    if not lo < u < hi:
-        u = lo if lower else hi
+    u = lo
     for _ in range(100):
         q = 1.0 - u
-        log_p = _log_binomial_pmf(x, n, u)
-        s = 1.0 + float(np.cumprod(ratio * (q / u if lower else u / q)).sum()) + rest
+        log_p = _log_binomial_pmf(k, n, u)
+        s = 1.0 + float(np.cumprod(ratio * (q / u)).sum()) + rest
         p = math.exp(log_p)
-        # f = log(tail/target); d f/d log(1 - u) = (n - k)/s, d f/d log u = (k + 1)/s.
+        # The step in log(1 - u): d f/d log(1 - u) = (n - k)/s.
         f = math.log(p * s / target) if p > 0 else log_p + math.log(s) - log_target
-        if lower:
-            new = u - q * math.expm1(min(-f * s / (n - k), 700.0))
-        else:
-            new = u * math.exp(min(-f * s / (k + 1), 700.0))
+        step = min(-f * s / (n - k), 700.0)
+        new = u - q * math.expm1(step)
         if abs(f) <= ftol or new == u:
             return new
-        if (f > 0) == lower:
-            lo = u
-        else:
-            hi = u
+        lo, hi = (u, hi) if f > 0 else (lo, u)
         if math.nextafter(lo, 1.0) >= hi:
             return u
+        if not lo < new < hi:
+            new = u - q * math.expm1(0.5 * step)
         u = new if lo < new < hi else 0.5 * (lo + hi)
     raise RuntimeError(f"clopper_pearson_upper({k}, {n}, {confidence!r}) did not converge "
                        "in 100 Newton steps")

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -28,6 +29,22 @@ def flatness_double_sum(q, table, s, h):
                     for f in range(table.hypothesis_count))
         total += count * inner
     return total / s.m
+
+
+def mp_logcosh_root_55(c_prime):
+    """The root of log(cosh(x))/x = c'/(c'+2) to 55 digits. Newton on the convex
+    g(x) = log cosh(x) - t x from x = c' + 2, right of the root (which lies below
+    log 2 (c'+2)/2), so the iterates fall to it monotonically. 80 digits leave
+    60 after log cosh(x) cancels near x = 1e-6."""
+    with mpmath.workdps(80):
+        t = mpmath.mpf(c_prime) / (mpmath.mpf(c_prime) + 2)
+        x = mpmath.mpf(c_prime) + 2
+        for _ in range(200):
+            step = (mpmath.log(mpmath.cosh(x)) - t * x) / (mpmath.tanh(x) - t)
+            x -= step
+            if abs(step) <= mpmath.mpf(10) ** -55 * x:
+                return x
+    raise AssertionError(f"no convergence at c' = {c_prime}")
 
 
 def strict_json(constant):

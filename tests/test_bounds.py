@@ -12,7 +12,7 @@ from pacbayes.measures import flatness, gibbs_empirical_risk
 from pacbayes.bounds import (FAMILIES, _bisect_increasing, evaluate_bound,
                              flatness_rate_constant, log_cosh_over_x)
 
-from conftest import random_instance, random_measure
+from conftest import mp_logcosh_root_55, random_instance, random_measure
 
 
 def mp_logcosh_root(target):
@@ -188,22 +188,6 @@ class TestMatchedCatoniConstants:
 def ulps_from(x, exact):
     """(x - exact) in units in the last place of the float nearest exact."""
     return float((mpmath.mpf(x) - exact) / math.ulp(float(exact)))
-
-
-def mp_logcosh_root_55(c_prime):
-    """The root of log(cosh(x))/x = c'/(c'+2) to 55 digits. Newton on the convex
-    g(x) = log cosh(x) - t x from x = c' + 2, right of the root (which lies below
-    log 2 (c'+2)/2), so the iterates fall to it monotonically. 80 digits leave
-    60 after log cosh(x) cancels near x = 1e-6."""
-    with mpmath.workdps(80):
-        t = mpmath.mpf(c_prime) / (mpmath.mpf(c_prime) + 2)
-        x = mpmath.mpf(c_prime) + 2
-        for _ in range(200):
-            step = (mpmath.log(mpmath.cosh(x)) - t * x) / (mpmath.tanh(x) - t)
-            x -= step
-            if abs(step) <= mpmath.mpf(10) ** -55 * x:
-                return x
-    raise AssertionError(f"no convergence at c' = {c_prime}")
 
 
 class TestLogCoshAccuracy:

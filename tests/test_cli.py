@@ -467,6 +467,21 @@ class TestConfigAndLog:
         assert a != other
         assert all(r["exit_code"] == 0 for r in records)
 
+    def test_config_hash_reads_the_means_as_numbers(self, capsys, log_file):
+        argv = ["lemmas", "--which", "xy", "--lambda-over-m", "0.01", "--mu"]
+        for mu in ("0.5,0.25", "0.5 0.25", "0.50,0.250"):
+            assert run(argv + [mu], log_file) == 0
+        assert len({r["config_hash"] for r in self.records(log_file)}) == 1
+        outs = capsys.readouterr().out.split("PASS\n")
+        assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("mu", ["0.5,x", "0.5,1.5"])
+    def test_bad_means_leave_one_record(self, mu, log_file):
+        assert run(["lemmas", "--which", "xy", "--lambda-over-m", "0.01", "--mu", mu],
+                   log_file) == 2
+        (rec,) = self.records(log_file)
+        assert rec["command"] == "lemmas" and rec["exit_code"] == 2
+
     def test_failed_run_leaves_record(self, inst_file, log_file):
         assert run(["coverage", "--family", "kst", "--instance", inst_file], log_file) == 2
         (rec,) = self.records(log_file)

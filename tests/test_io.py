@@ -44,8 +44,15 @@ class TestParseInstance:
         inst = parse_instance("space: 0.5 0.5\nlosses:\n1 0\n0 1\n0 0\n")
         assert np.array_equal(inst.prior.weights, ProbMeasure.uniform(3).weights)
         text = format_instance(inst)
-        assert "prior: " + " ".join(fmt(w) for w in inst.prior.weights) in text.splitlines()
+        assert "prior: " + " ".join(["0.3333333333333333"] * 3) in text.splitlines()
         assert np.array_equal(parse_instance(text).prior.weights, inst.prior.weights)
+
+    def test_numbers_are_spelled_at_their_shortest(self):
+        inst = parse_instance("space: 0.25 0.75\nlosses:\n0.585 1.0\n0 0.1\n"
+                              "posterior: 0.1 0.9\n")
+        assert format_instance(inst).splitlines()[1:] == [
+            "space: 0.25 0.75", "losses:", "0.585 1", "0 0.1", "binary: false",
+            "prior: 0.5 0.5", "posterior: 0.1 0.9"]
 
     @pytest.mark.parametrize("text, named", [
         ("space: nan 0.5\nlosses:\n1 0\n", "space: "),

@@ -58,11 +58,12 @@ class TestClopperPearson:
         # The limit is the confidence-quantile of Beta(k + 1, n - k). The reference
         # bisects mpmath's regularized incomplete beta at 30 digits inside a 1e-12
         # relative bracket around the value under test; 24 halvings leave it 1e-3 ulp
-        # wide. SciPy's betaincinv misses this by up to 11 ulp on the same grid.
+        # wide (at 1 - 1e-12 as well: 60 digits give the same worst case). SciPy's
+        # betaincinv misses this by up to 11 ulp on the same grid.
         with mpmath.workdps(30):
             for n in (1, 2, 5, 10, 50, 100, 1000):
                 for k in sorted({0, 1, n // 3, n // 2, n - 1} - {n}):
-                    for conf in (0.5, 0.9, 0.95, 0.99, 0.999):
+                    for conf in (0.5, 0.9, 0.95, 0.99, 0.999, 1 - 1e-6, 1 - 1e-12):
                         got = clopper_pearson_upper(k, n, conf)
 
                         def excess(u):
@@ -88,10 +89,11 @@ class TestClopperPearson:
                 assert abs(got - want) <= 4 * np.spacing(want), (k, n, conf)
 
     def test_a_long_tail_stops_where_its_rest_is_negligible(self):
-        # Up to n - 1 = 10^6 - 1 tail terms, nearly all far below 2^-60 of the
-        # sum: no array of length n (8 MB of floats) is allocated.
+        # Up to k = 10^6 - 2 tail terms, nearly all far below 2^-60 of the sum:
+        # no array of length n (8 MB of floats) is allocated.
         n = 10 ** 6
-        cases = ((1, 0.3), (n // 2, 0.3), (n // 2, 0.95))
+        cases = ((1, 0.95), (1, 1 - 1e-6), (n // 2, 0.5), (n // 2, 0.95), (n - 2, 0.5),
+                 (n - 2, 0.95))
         tracemalloc.start()
         try:
             got = [clopper_pearson_upper(k, n, conf) for k, conf in cases]
@@ -100,15 +102,36 @@ class TestClopperPearson:
             tracemalloc.stop()
         assert peak < 10 ** 6
         # At k = 1, P(X <= 1) = (1 - u)^n + n u (1 - u)^(n - 1) = 1 - confidence.
-        with mpmath.workdps(40):
-            target = 1 - mpmath.mpf(0.3)
-            want = float(mpmath.findroot(
-                lambda u: (1 - u) ** n + n * u * (1 - u) ** (n - 1) - target, got[0]))
-        assert abs(got[0] - want) <= 2 * math.ulp(want)
+        # SciPy's beta.ppf is thousands of ulp off here.
+        with mpmath.workdps(50):
+            for (k, conf), u in zip(cases[:2], got[:2]):
+                target = 1 - mpmath.mpf(conf)
+                want = float(mpmath.findroot(
+                    lambda x: (1 - x) ** n + n * x * (1 - x) ** (n - 1) - target, u))
+                assert abs(u - want) <= 2 * math.ulp(want), conf
         from scipy.stats import beta
-        for (k, conf), u in zip(cases[1:], got[1:]):
+        for (k, conf), u in zip(cases[2:], got[2:]):
             want = float(beta.ppf(conf, k + 1, n - k))
             assert abs(u - want) <= 4 * np.spacing(want), (k, conf)
+
+    def test_one_short_of_all_matches_its_closed_form(self):
+        # At k = n - 1, P(X <= k) = 1 - u^n, so u = confidence^(1/n).
+        for n in (2, 3, 10, 10 ** 3, 10 ** 6):
+            for conf in (0.5, 0.95, 1 - 1e-6):
+                want = math.exp(math.log(conf) / n)
+                assert abs(clopper_pearson_upper(n - 1, n, conf) - want) <= math.ulp(want)
+
+    def test_a_limit_within_an_ulp_of_one_takes_few_steps(self, monkeypatch):
+        # A full Newton step from k/n rounds to u = 1 here; a halved one does not,
+        # where the bracket's midpoint would take about 50 bisections.
+        from pacbayes import verify
+        calls = []
+        pmf = verify._log_binomial_pmf
+        monkeypatch.setattr(verify, "_log_binomial_pmf", lambda *a: calls.append(a) or pmf(*a))
+        for k, n, conf in ((6, 7, 1 - 2.0 ** -52), (7, 8, 1 - 2.0 ** -51), (1, 2, 1 - 2.0 ** -53)):
+            calls.clear()
+            assert clopper_pearson_upper(k, n, conf) == math.nextafter(1.0, 0.0)
+            assert len(calls) <= 12, (k, n, conf, len(calls))
 
     def test_exact_coverage_up_to_thirty_trials(self):
         # Just above U(k, n), the limits that cover p are those of more than k
@@ -164,6 +187,8 @@ class TestClopperPearson:
             clopper_pearson_upper(0, 0, 0.95)
         with pytest.raises(ValueError):
             clopper_pearson_upper(0, 10, 1.5)
+        with pytest.raises(ValueError):  # only a confidence of at least 1/2
+            clopper_pearson_upper(3, 10, 0.3)
 
 
 class TestCoverage:
