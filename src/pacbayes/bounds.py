@@ -19,6 +19,7 @@ to each entry.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -111,12 +112,15 @@ def _log_cosh_odds(x: float) -> float:
 
 def _bisect_increasing(fn, target: float) -> float:
     """The root of fn(x) = target for fn increasing on (0, inf), from the end
-    where fn <= target. The bracket starts at [1/2, 1] and doubles or halves
-    until fn(lo) <= target <= fn(hi); bisection then runs until no float lies
-    between its ends, and returns lo."""
+    where fn <= target. The bracket starts at [1/2, 1] and doubles, up to the
+    largest float, or halves until fn(lo) <= target <= fn(hi); bisection then
+    runs until no float lies between its ends, and returns lo. ValueError if fn
+    is below target at the largest float."""
     lo, hi = 0.5, 1.0
     while fn(hi) < target:
-        lo, hi = hi, 2.0 * hi
+        if hi == sys.float_info.max:
+            raise ValueError(f"no root: fn stays below {target!r} up to {hi!r}")
+        lo, hi = hi, min(2.0 * hi, sys.float_info.max)
     while fn(lo) > target:
         lo, hi = 0.5 * lo, lo
     while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):

@@ -25,18 +25,18 @@ class TailEstimate:
     """Monte-Carlo tail frequency with a 95% Wilson halfwidth."""
 
     probability: float
-    trials: int
     wilson_halfwidth: float
 
 
-def wilson_halfwidth(successes: int, trials: int, z: float = _Z95) -> float:
-    p = successes / trials
+def wilson_halfwidth(successes: int, trials: int) -> float:
+    """The halfwidth of the 95% Wilson score interval."""
+    p, z = successes / trials, _Z95
     denom = 1.0 + z * z / trials
     return z / denom * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
 
 
 def _tail_estimate(hits: int, trials: int) -> TailEstimate:
-    return TailEstimate(hits / trials, trials, wilson_halfwidth(hits, trials))
+    return TailEstimate(hits / trials, wilson_halfwidth(hits, trials))
 
 
 # Relative tolerance of kl_ball_sup on the KL radius: an active row stops once
@@ -230,21 +230,7 @@ def xy_default_c2(c: float, h: float) -> float:
     return h * h * c / (1.0 + 16.0 * h * h * c)
 
 
-def xy_hypothesis_failure(lambda_over_m: float, c: float, c2: float, h: float) -> str | None:
-    """The first hypothesis of the xy lemma that fails, as an error message, or
-    None if all hold: 0 < h <= 1, 0 < c2 < h^2 c and 0 < lambda/m < xy_cap."""
-    if not 0 < h <= 1:
-        return "h must lie in (0, 1]"
-    if not 0 < c2 < h * h * c:
-        return "need 0 < c2 < h^2 c"
-    cap = xy_cap(c, c2, h)
-    if not 0 < lambda_over_m < cap:
-        return f"lambda/m must lie in (0, {cap}); pass force=True to explore"
-    return None
-
-
-def xy_mgf_bruteforce(mu, lambda_over_m: float, c: float, c2: float, h: float,
-                      force: bool = False) -> float:
+def xy_mgf_bruteforce(mu, lambda_over_m: float, c: float, c2: float, h: float) -> float:
     """Adversarial-Y maximum of E_{eps,X} exp((lam/m) sum_i X_i [(eps_i + eps''_i)
     - eps''_i (1-h^2) Y_i]), X_i ~ Bernoulli(mu_i), eps''_i = eps_i (c+c2)/2 - (c-c2)/2.
 
@@ -253,14 +239,15 @@ def xy_mgf_bruteforce(mu, lambda_over_m: float, c: float, c2: float, h: float,
     form. Given the signs, coordinate i's factor depends only on eps_i, and the
     signs are independent, so the mean over the 2^m sign vectors is exactly the
     product over i of 1/2 [max_Y factor_i(+1, Y) + max_Y factor_i(-1, Y)].
+
+    It is computed at any finite lambda/m, c, c2 and h; the lemma bounds it by 1
+    only where 0 < h <= 1, 0 < c2 < h^2 c and 0 < lambda/m < xy_cap.
     """
     mu = np.asarray(mu, dtype=float)
     if mu.size == 0 or not ((0 <= mu) & (mu <= 1)).all():
         raise ValueError("mu must be a nonempty vector of Bernoulli means in [0, 1]")
     if not all(map(math.isfinite, (lambda_over_m, c, c2, h))):
         raise ValueError("lambda/m, c, c2 and h must be finite")
-    if not force and (failure := xy_hypothesis_failure(lambda_over_m, c, c2, h)):
-        raise ValueError(failure)
     x = lambda_over_m
     # Exponent coefficient of X_i at (eps_i, Y_i):
     #   eps = +1: (1 + c2) - c2 (1 - h^2) Y
@@ -272,8 +259,8 @@ def xy_mgf_bruteforce(mu, lambda_over_m: float, c: float, c2: float, h: float,
         (-1, 1): -(1.0 + c) + c * (1.0 - h * h),
     }
     # Per-coordinate factor after integrating X_i, for each (eps, Y) pair. A
-    # coordinate with mu_i = 0 has factor 1 and is left out, so that a forced
-    # lambda/m large enough to overflow makes the MGF +inf, never 0 * inf.
+    # coordinate with mu_i = 0 has factor 1 and is left out, so that a lambda/m
+    # large enough to overflow makes the MGF +inf, never 0 * inf.
     mu = mu[mu > 0]
     with np.errstate(over="ignore"):
         fac = {key: 1.0 - mu + mu * np.exp(x * coef) for key, coef in a.items()}

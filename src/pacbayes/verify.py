@@ -28,7 +28,6 @@ class CoverageReport:
     family: str
     trials: int
     violations: int
-    violation_rate: float
     clopper_pearson_upper: float
     mean_slack: float
 
@@ -191,7 +190,6 @@ def coverage_experiment(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
         family=family,
         trials=trials,
         violations=violations,
-        violation_rate=violations / trials,
         clopper_pearson_upper=clopper_pearson_upper(violations, trials, 0.95),
         mean_slack=math.fsum(slacks) / trials,
     )

@@ -4,17 +4,20 @@ float inputs, at seeded random points and at the corners of each range:
 kl from 0 to 1e3, m from 2 to 1e7, delta from 1e-300 to 0.999, emp in [0, 1],
 and each family's own parameters across theirs. A certificate may round, but
 it must not fall below its exact value by more than ULP_TOL ulp (MATCHED_ULP_TOL
-for matched_catoni).
+for matched_catoni); the constants and crossover_threshold must lie within
+ULP_TOL ulp of theirs.
 """
 
 import itertools
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
-from pacbayes import BoundParams, FAMILIES, catoni_C_for_inflation, evaluate_bound
+from pacbayes import (BoundParams, FAMILIES, catoni_C_for_inflation, crossover_threshold,
+                      evaluate_bound)
 from pacbayes.bounds import flatness_rate_constant
 
 from conftest import mp_logcosh_root_55
@@ -137,12 +140,34 @@ def test_no_bound_falls_below_its_exact_value(family):
 
 
 def test_catoni_C_for_inflation_is_its_root():
-    # The C with C/(1 - e^-C) = 1 + c, to a few ulp, c from 1e-300 to 1e300.
+    # The C with C/(1 - e^-C) = 1 + c, to a few ulp, c from 1e-300 to the largest float,
+    # where the root, about c + 1, rounds to c; at c = inf there is none.
     gen = np.random.default_rng(7)
-    cs = [log_uniform(gen, 1e-300, 1e300) for _ in range(300)] + [5e-324, 1e-300, 1.0, 1e300]
+    cs = [log_uniform(gen, 1e-300, 1e300) for _ in range(300)] + [
+        5e-324, 1e-300, 1.0, 1e300, 1.5 * 2.0 ** 1023, 1.7e308, sys.float_info.max]
     for c in cs:
         C = catoni_C_for_inflation(c)
         assert abs(ulps_below(C, mp_catoni_C(c, C))) <= ULP_TOL, c
+    with pytest.raises(ValueError):
+        catoni_C_for_inflation(math.inf)
+
+
+def test_crossover_threshold_is_its_exact_value():
+    # C_r >= C_c, where the crossover lies at a positive m: T_m from 1e-12 to 1e6, C_c
+    # (at least 1 from the aligned Catoni bound) up to 1e12, C_r / C_c from 1 to 1e15.
+    gen = np.random.default_rng(13)
+    points = [(log_uniform(gen, 1e-12, 1e6), log_uniform(gen, 1.0, 1e15),
+               log_uniform(gen, 1.0, 1e12), 0.0 if gen.random() < 0.1 else
+               log_uniform(gen, 1e-12, 1e3), log_uniform(gen, 1e-300, 0.999))
+              for _ in range(1000)]
+    points += list(itertools.product((1e-12, 1.0, 1e6), (1.0, 1.0 + 2.0 ** -40, 2.0, 1e15),
+                                     (1.0, 1e12), (0.0, 1e3), (1e-300, 0.5, 0.999)))
+    with mpmath.workdps(50):
+        for T_m, ratio, C_c, kl, delta in points:
+            C_r = C_c * ratio
+            exact = ((mpf(C_r) - mpf(C_c)) * (mpf(kl) - mpmath.log(mpf(delta))) + mpf(C_r)) / T_m
+            got = crossover_threshold(T_m, C_r, C_c, kl, delta)
+            assert abs(ulps_below(got, exact)) <= ULP_TOL, (T_m, C_r, C_c, kl, delta)
 
 
 def test_flatness_rate_constant_is_not_above_its_exact_value():

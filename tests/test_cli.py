@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pacbayes import (BoundParams, ProbMeasure, Sample, coverage_experiment,
+from pacbayes import (FAMILIES, BoundParams, ProbMeasure, Sample, coverage_experiment,
                       derive_matched_catoni_constants, minimize_bound)
 from pacbayes.cli import duality_tolerance, main
 from pacbayes.io import fmt, load_instance, write_csv
@@ -192,19 +192,23 @@ class TestLemmas:
         header, row = out.read_text().splitlines()
         assert dict(zip(header.split(","), row.split(",")))["pass"] == "true"
 
-    def test_xy_h_above_one_does_not_apply(self, capsys, log_file):
-        # The lemma needs 0 < h <= 1; forced past it, the run checks nothing.
-        code = run(["lemmas", "--which", "xy", "--mu", "0.5,0.5,0.5", "--lambda-over-m", "0.05",
-                    "--c", "1", "--c2", "0.5", "--h", "2", "--force"], log_file)
+    @pytest.mark.parametrize("flags", [
+        ["--mu", "0.5,0.5,0.5", "--lambda-over-m", "0.05", "--c", "1", "--c2", "0.5", "--h", "2"],
+        ["--mu", "0.5,0.5", "--lambda-over-m", "10"],
+    ], ids=["h-above-one", "lambda-above-cap"])
+    def test_xy_outside_its_hypotheses_does_not_apply(self, flags, capsys, log_file):
+        # As for debias: the value is computed, and the run checks nothing.
+        code = run(["lemmas", "--which", "xy"] + flags, log_file)
         out = capsys.readouterr().out
         assert code == 0
+        assert float(printed_row(out)["value"]) > 1.0
         assert "applies false" in out.splitlines() and out.splitlines()[-1] == "PASS"
 
     @pytest.mark.parametrize("mu", ["0.5", "0.5,0"])
-    def test_xy_forced_overflow_prints_inf(self, mu, capsys, log_file):
+    def test_xy_overflow_prints_inf(self, mu, capsys, log_file):
         # The MGF is +inf in floating point; a coordinate with mu = 0 keeps its factor 1.
-        code = run(["lemmas", "--which", "xy", "--mu", mu, "--lambda-over-m", "1e300",
-                    "--force"], log_file)
+        code = run(["lemmas", "--which", "xy", "--mu", mu, "--lambda-over-m", "1e300"],
+                   log_file)
         out, err = capsys.readouterr()
         assert code == 0 and err == ""
         assert printed_row(out)["value"] == "inf"
@@ -290,6 +294,16 @@ class TestOptimize:
         assert run(["optimize", "--family", "kst", "--instance", inst_file],
                    log_file) == 2
 
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_same_C_derived_as_bounds(self, family, capsys, inst_file, log_file):
+        argv = ["--family", family, "--instance", inst_file, "--m", "50", "--seed", "6"]
+        printed = []
+        for command in ("bounds", "optimize"):
+            assert run([command] + argv, log_file) == 0
+            printed.append(printed_row(capsys.readouterr().out)["C_derived"])
+        assert printed[0] == printed[1]
+        assert (printed[0] == "") == (FAMILIES[family].derived is None)
+
 
 class TestSweep:
     def test_deterministic_csv(self, tmp_path, inst_file, log_file):
@@ -322,8 +336,6 @@ class TestSweep:
         inf, big = tmp_path / "inf.csv", tmp_path / "big.csv"
         assert run(argv + ["--beta", "inf", "--out", str(inf)], log_file) == 0
         assert run(argv + ["--beta", "1e300", "--out", str(big)], log_file) == 0
-        assert run(["optimize", "--family", "catoni", "--instance", inst_file, "--seed", "2",
-                    "--beta-grid", "0,inf"], log_file) == 0
         assert capsys.readouterr().err == ""
         assert inf.read_bytes() == big.read_bytes()
 
@@ -519,7 +531,11 @@ class TestUsageContract:
         (["lemmas", "--which", "debias", "--instance", "INST", "--m", "5",
           "--lambda-over-m", "0.5", "--kappa", "0.5"], None, "lemmas"),
         *((DEBIAS + [flag, *value], None, "lemmas")
-          for flag, *value in (("--f", "3"), ("--f", "0"), ("--force",))),
+          for flag, *value in (("--f", "3"), ("--f", "0"))),
+        (["lemmas", "--which", "xy", "--mu", "0.5", "--lambda-over-m", "10", "--force"], None,
+         "lemmas"),
+        (["optimize", "--family", "kst", "--instance", "INST", "--m", "10", "--seed", "1",
+          "--beta-grid", "0,1"], None, "optimize"),
         (["lemmas", "--which", "xy", "--mu", "0.5", "--lambda-over-m", "0.01", "--seed", "1"],
          None, "lemmas"),
         (["lemmas", "--which", "shifted-flatness", "--instance", "INST", "--seed", "1",
@@ -546,7 +562,8 @@ class TestUsageContract:
             "debias-no-instance", "unknown-flag", "bad-family", "config-bad-rule",
             "unknown-command", "beta-with-fixed-Q", "beta-with-bound-minimizer",
             "config-beta-with-fixed-Q", "kappa-with-h", "kappa-with-debias",
-            "f-with-debias", "f-0-with-debias", "force-with-debias", "seed-with-xy",
+            "f-with-debias", "f-0-with-debias", "force-removed", "beta-grid-removed",
+            "seed-with-xy",
             "k-with-shifted-flatness", "mu-with-symmetrization", "h-with-catoni",
             "seed-in-closed-form", "emp-with-flatness", "flatness-no-instance",
             "c-with-coverage-catoni", "C-with-optimize-flatness", "config-f-with-debias",
@@ -577,18 +594,16 @@ class TestUsageContract:
         *(["bounds", "--family", family, "--emp", "0.1", "--kl", "0", "--m", "10", flag, "nan"]
           for family, flag in (("catoni", "--C"), ("matched_catoni", "--c"),
                                ("matched_catoni", "--c2"))),
-        ["optimize", "--family", "kst", "--instance", "INST", "--m", "10", "--seed", "1",
-         "--beta-grid", "nan"],
-        *(["optimize", "--family", "kst", "--instance", "INST", "--m", "10", "--seed", "1",
-           "--beta-grid", grid] for grid in ("-1", "")),
         *(["lemmas", "--which", "shifted-flatness", "--instance", "INST", "--seed", "1",
            flag, "0"] for flag in ("--m", "--h", "--c2")),
-        ["lemmas", "--which", "xy", "--mu", "0.5", "--lambda-over-m", "nan", "--force"],
+        ["lemmas", "--which", "xy", "--mu", "0.5", "--lambda-over-m", "nan"],
         ["lemmas", "--which", "debias", "--instance", "INST", "--m", "5",
          "--lambda-over-m", "nan"],
         ["lemmas", "--which", "debias", "--instance", "INST", "--m", "5",
          "--lambda-over-m", "0.5", "--k", "nan"],
-        ["lemmas", "--which", "xy", "--mu", "0.5,nan", "--lambda-over-m", "0.01"],
+        *(["lemmas", "--which", "xy", "--mu", mu, "--lambda-over-m", "0.01"]
+          for mu in ("0.5,nan", "0.5,1.5", "-0.5")),
+        ["lemmas", "--which", "xy", "--mu", "0.5", "--lambda-over-m", "0.01", "--c", "inf"],
         *(["lemmas", "--which", which, "--instance", "INST", "--seed", "1", "--trials", "50",
            "--t", "nan"] for which in ("shifted-flatness", "symmetrization")),
         ["bounds", "--family", "catoni", "--emp", "0.1", "--kl", "0.1", "--m", "10", "--C", "inf"],
@@ -604,9 +619,9 @@ class TestUsageContract:
         ["lemmas", "--which", "debias", "--instance", "INST", "--m", "5",
          "--lambda-over-m", "1e300"],
     ], ids=["kappa-nan", "kappa-subnormal", "emp-nan", "kl-nan", "emp-2", "C-nan", "c-nan",
-            "c2-nan", "beta-grid-nan", "beta-grid-negative", "beta-grid-empty",
-            "shifted-flatness-m-0", "shifted-flatness-h-0", "shifted-flatness-c2-0",
-            "xy-lambda-nan-forced", "debias-lambda-nan", "debias-k-nan", "xy-mu-nan",
+            "c2-nan", "shifted-flatness-m-0", "shifted-flatness-h-0", "shifted-flatness-c2-0",
+            "xy-lambda-nan", "debias-lambda-nan", "debias-k-nan", "xy-mu-nan",
+            "xy-mu-above-one", "xy-mu-negative", "xy-c-inf",
             "shifted-flatness-t-nan", "symmetrization-t-nan", "C-inf", "flatness-c-inf",
             "sweep-c-inf", "symmetrization-c-inf", "symmetrization-c-inf-with-h",
             "shifted-flatness-c2-inf", "matched-catoni-c-overflows", "debias-lambda-overflows"])
@@ -794,20 +809,20 @@ class TestUsageContract:
         assert again.read_bytes() == first.read_bytes()
 
     def test_config_switch_is_parsed_like_its_flag(self, tmp_path, log_file):
-        argv = ["lemmas", "--which", "xy", "--mu", "0.5,0.5", "--lambda-over-m", "0.001"]
+        argv = ["gen-instance", "--seed", "4", "--hypotheses", "3", "--points", "2"]
         codes, (a, b), (hash_a, hash_b) = self.run_both(
-            tmp_path, log_file, argv, "lemmas.force = true\n", ["--force"])
+            tmp_path, log_file, argv, "gen-instance.nonbinary = true\n", ["--nonbinary"])
         assert codes == (0, 0)
         assert a == b
         assert hash_a == hash_b
         codes, _, (hash_off, hash_plain) = self.run_both(
-            tmp_path, log_file, argv, "lemmas.force = false\n", [])
+            tmp_path, log_file, argv, "gen-instance.nonbinary = false\n", [])
         assert codes == (0, 0)
         assert hash_off == hash_plain != hash_a
 
     def test_config_switch_rejects_other_values(self, tmp_path, log_file, capsys):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("lemmas.force = yes\n")
-        assert main(["--log", log_file, "--config", str(cfg), "lemmas", "--which", "xy",
-                     "--mu", "0.5", "--lambda-over-m", "0.001"]) == 2
+        cfg.write_text("gen-instance.nonbinary = yes\n")
+        assert main(["--log", log_file, "--config", str(cfg), "gen-instance", "--seed", "4",
+                     "--out", str(tmp_path / "gen.txt")]) == 2
         assert "true or false" in capsys.readouterr().err

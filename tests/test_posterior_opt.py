@@ -314,6 +314,17 @@ class TestMinimizeBound:
         assert np.array_equal(a[0].weights, b[0].weights)
         assert a[1].value == b[1].value
 
+    def test_infinite_beta_in_the_grid(self, rng):
+        # The beta -> inf start is the prior on the least-risk atoms, with no warning.
+        dist, table = random_instance(rng)
+        p = ProbMeasure.uniform(table.hypothesis_count)
+        s = draw_sample(dist, 100, 2)
+        params = BoundParams()
+        q, rep = minimize_bound("catoni", params, p, table, s, (0.0, math.inf))
+        starts = [evaluate_posterior_bound("catoni", params, gibbs_posterior(p, table, s, beta),
+                                           p, table, s).value for beta in (0.0, math.inf)]
+        assert math.isfinite(rep.value) and rep.value <= min(starts)
+
     def test_empty_grid_rejected(self, rng):
         dist, table = random_instance(rng)
         s = draw_sample(dist, 5, 1)

@@ -478,15 +478,10 @@ class TestXYMGF:
         one = xy_mgf_bruteforce([0.4], x, c, c2, h)
         assert xy_mgf_bruteforce([0.4] * 30, x, c, c2, h) == pytest.approx(one ** 30, rel=1e-12)
 
-    def test_constraint_violation_rejected_unless_forced(self):
-        with pytest.raises(ValueError):
-            xy_mgf_bruteforce([0.5, 0.5], 10.0, 1.0, 0.125, 0.5)
-        # force flag permits exploratory evaluation outside the admissible region
-        v = xy_mgf_bruteforce([0.5, 0.5], 10.0, 1.0, 0.125, 0.5, force=True)
-        assert v > 1.0
-        with pytest.raises(ValueError, match=r"h must lie in \(0, 1\]"):
-            xy_mgf_bruteforce([0.5], 0.05, 1.0, 0.5, 2.0)
-        assert xy_mgf_bruteforce([0.5], 0.05, 1.0, 0.5, 2.0, force=True) > 1.0
+    def test_computed_outside_the_hypotheses(self):
+        # lambda/m = 10 is above the cap, and h = 2 above 1: the lemma's bound fails there.
+        assert xy_mgf_bruteforce([0.5, 0.5], 10.0, 1.0, 0.125, 0.5) > 1.0
+        assert xy_mgf_bruteforce([0.5], 0.05, 1.0, 0.5, 2.0) > 1.0
 
 
 class TestShiftedFlatnessTail:
