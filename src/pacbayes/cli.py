@@ -83,8 +83,6 @@ def _fixed_q(inst: Instance) -> ProbMeasure:
 
 
 POSTERIOR_RULES = ("fixed-Q", "gibbs-posterior", "bound-minimizer")
-# The tempered-posterior grid that minimize_bound starts from.
-BETA_GRID = (0.0, 0.1, 1.0, 10.0)
 
 # The flags (by dest) that only some runs read, per choice that decides it, each
 # with its default: REQUIRED if it has none, None if the run works it out.
@@ -139,16 +137,14 @@ def _resolve_reads(args) -> None:
 def _posterior_rule(args, inst: Instance):
     """The rule --rule names, as a function (prior, table, block of samples) ->
     posteriors: fixed-Q keeps the instance posterior, gibbs-posterior tempers
-    the prior by --beta, bound-minimizer minimizes the --family bound from
-    BETA_GRID for the whole block in one minimize_bound call."""
+    the prior by --beta, bound-minimizer minimizes the --family bound for the
+    whole block in one minimize_bound call."""
     if args.rule == "fixed-Q":
         posterior = _fixed_q(inst)
         return lambda prior, table, s: posterior
     if args.rule == "gibbs-posterior":
         return functools.partial(gibbs_posterior, beta=args.beta)
-    family, params = args.family, _bound_params(args)
-    return lambda prior, table, s: minimize_bound(family, params, prior, table, s,
-                                                  BETA_GRID)[0]
+    return functools.partial(minimize_bound, args.family, _bound_params(args))
 
 
 BOUNDS_CSV_HEADER = ["family", "value", "emp_term", "complexity_term", "flatness_term", "C_derived"]
@@ -249,7 +245,8 @@ def cmd_optimize(args) -> Result:
     inst = load_instance(args.instance)
     s = draw_sample(inst.dist, args.m, args.seed)
     params = _bound_params(args)
-    q, report = minimize_bound(args.family, params, inst.prior, inst.table, s, BETA_GRID)
+    q = minimize_bound(args.family, params, inst.prior, inst.table, s)
+    report = evaluate_posterior_bound(args.family, params, q, inst.prior, inst.table, s)
     return Result(BOUNDS_CSV_HEADER, [_bounds_row(report, params)], {"posterior": q.weights})
 
 

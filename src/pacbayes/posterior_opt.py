@@ -3,7 +3,8 @@
 A posterior rule maps (prior, table, sample) to a posterior; given a block of
 samples it returns one posterior row per sample, or one posterior for all of
 them. gibbs_posterior is such a rule once beta is bound, and so is
-minimize_bound once its family, parameters and beta grid are.
+minimize_bound once its family and parameters are; its caller evaluates the
+bound at the posterior it returns (evaluate_posterior_bound).
 
 Both are made of the Gibbs tilt Q ~ P exp(-t * score) (_tilt): every family's
 bound is minimised by a tilt, or for flatness by a sequence of them.
@@ -18,7 +19,9 @@ from .core import LossTable, ProbMeasure, Sample, empirical_risks
 from .measures import gibbs_losses, kl_divergence
 from .processes import _kl_ball_tilt
 
-# minimize_bound's stop rule and cap on tilts per row.
+# minimize_bound's starts (the tempered posteriors of these betas, in increasing
+# order, and for kst the one at its kink), its stop rule and its cap on tilts per row.
+BETA_GRID = (0.0, 0.1, 1.0, 10.0)
 _TILT_RTOL = 1e-12
 _MAX_TILTS = 500
 
@@ -86,26 +89,25 @@ def _majoriser(family: str, params: BoundParams, table: LossTable, s: Sample, kl
 
 
 def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: LossTable,
-                   s: Sample, beta_grid) -> tuple[ProbMeasure, BoundReport]:
+                   s: Sample) -> ProbMeasure:
     """Posterior of least bound found, one posterior row (weights [..., n_h])
-    and one bound value per sample of s, by a majorise-minimise loop: each
-    step tilts Q_k by _majoriser at Q_k. One tilt is exact for catoni and
-    matched_catoni; the loop descends for mcallester (concave in KL) and is
-    the convex-concave procedure for flatness. A sample starts from the
-    tempered posterior of every beta in beta_grid; kst, whose max(KL, 2) has a
-    kink, also from the one with KL = 2, or the beta -> inf limit if its KL <= 2.
+    per sample of s, by a majorise-minimise loop: each step tilts Q_k by
+    _majoriser at Q_k. One tilt is exact for catoni and matched_catoni; the
+    loop descends for mcallester (concave in KL) and is the convex-concave
+    procedure for flatness. A sample starts from the tempered posterior of
+    every beta in BETA_GRID; kst, whose max(KL, 2) has a kink, also from the
+    one with KL = 2, or the beta -> inf limit if its KL <= 2.
     A row takes a tilt only where it lowers its bound B, and stops once the
     decrease is at most _TILT_RTOL * max(1, |B|); a row still open after
     _MAX_TILTS tilts raises RuntimeError. A sample keeps its least bound over
     its starts (the least beta on a tie): never above the grid, and
     independent of the rest of the block. Each bound evaluation computes the
-    KL and G = Q L once, and the rows that take a tilt keep them for the next.
+    KL and G = Q L once, and the rows that take a tilt keep them for the next;
+    the bound at the result is left to the caller.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown bound family {family!r}")
-    starts = [gibbs_posterior(p, table, s, beta).weights for beta in sorted(set(beta_grid))]
-    if not starts:
-        raise ValueError("beta grid must be nonempty")
+    starts = [gibbs_posterior(p, table, s, beta).weights for beta in BETA_GRID]
     risks = empirical_risks(table, s)
     if family == "kst":
         starts.append(_tilt(p, risks, _kl_ball_tilt(p, -risks, 2.0)[1]).weights)
@@ -140,5 +142,4 @@ def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: Loss
     if rows.size:
         raise RuntimeError(f"minimize_bound: {rows.size} rows still open after {_MAX_TILTS} tilts")
     best = val.reshape(len(starts), -1).argmin(axis=0)
-    best_q = ProbMeasure(w.reshape(len(starts), -1, p.size)[best, range(best.size)].reshape(shape))
-    return best_q, evaluate_posterior_bound(family, params, best_q, p, table, s)
+    return ProbMeasure(w.reshape(len(starts), -1, p.size)[best, range(best.size)].reshape(shape))

@@ -85,8 +85,9 @@ def _log_mgf(w, d, cmax, switch, lam):
     relative accuracy: at the prior mean, log1p(E_w phi(lam c)), phi(x) = e^x - 1
     - x, each term O(lam^2), until the tilt has moved its mass to max c (lam max c
     >= switch = min(max(1, KL limit), _LOG_LAM_CAP)); then at max c, lam max c +
-    log E_w e^{lam d}, by log1p while E_w expm1(lam d) > -1/2.
-    Returns (at_mean, c or d, x = lam (c or d), expm1(x), log E_w e^x)."""
+    log E_w e^{lam d}, by log1p while E_w expm1(lam d) > -1/2, else by the log
+    of the sum of w e^x. Returns (at_mean, c or d, x = lam (c or d), expm1(x),
+    log E_w e^x, w e^x), the last None unless some row took the log."""
     at_mean = lam * cmax < switch
     y = d + (cmax * at_mean)[..., None]
     x = lam[..., None] * y
@@ -100,10 +101,11 @@ def _log_mgf(w, d, cmax, switch, lam):
         small = (np.abs(x) < 1e-2) & redo[..., None]
         g[small] = np.polyval([1 / 5040, 1 / 720, 1 / 120, 1 / 24, 1 / 6, 1 / 2, 0, 0], x[small])
         a = (g * w).sum(axis=-1)
-    log_m, low = np.log1p(np.maximum(a, -0.5)), a <= -0.5
+    log_m, low, tilt = np.log1p(np.maximum(a, -0.5)), a <= -0.5, None
     if np.count_nonzero(low):
-        log_m = np.where(low, np.log((np.exp(x) * w).sum(axis=-1)), log_m)
-    return at_mean, y, x, em1, log_m
+        tilt = w * np.exp(x)
+        log_m = np.where(low, np.log(tilt.sum(axis=-1)), log_m)
+    return at_mean, y, x, em1, log_m, tilt
 
 
 def kl_ball_sup(p: ProbMeasure, values, kappa: float):
@@ -140,8 +142,8 @@ def _kl_ball_tilt(p: ProbMeasure, values, kappa: float):
             # in a form that neither overflows nor rounds onto an end.
             mid = lo + (hi - lo) / (1.0 + np.sqrt(hi) / np.sqrt(lo))
             lam = np.where(done, lam, np.where((lo < step) & (step < hi), step, mid))
-            at_mean, y, x, em1, log_m = _log_mgf(w, d, cmax, switch, lam)
-            tilt = w * np.exp(x)
+            at_mean, y, x, em1, log_m, tilt = _log_mgf(w, d, cmax, switch, lam)
+            tilt = w * np.exp(x) if tilt is None else tilt
             mgf = tilt.sum(axis=-1)
             # E_Q y; at the prior mean E_p y = 0 is left out of the sum.
             mean_y = (np.where(at_mean[:, None], w * em1, tilt) * y).sum(axis=-1) / mgf
@@ -186,7 +188,7 @@ def kl_dual_value(p: ProbMeasure, values, kappa: float) -> float:
     lo, hi = 0.5 * math.log(2.0 * kappa), _LOG_LAM_CAP
     while True:
         u = np.linspace(lo, hi, 65)
-        at_mean, *_, log_m = _log_mgf(w, d[0], cmax[0], switch[0], lam := np.exp(u))
+        at_mean, *_, log_m, _ = _log_mgf(w, d[0], cmax[0], switch[0], lam := np.exp(u))
         f = np.where(at_mean, mean, top) + (kappa + log_m) / lam
         i = int(np.argmin(f))
         if hi - lo <= 1e-10:
@@ -361,7 +363,7 @@ def symmetrization_tail_mc(table: LossTable, dist: ProbMeasure, prior: ProbMeasu
         k = math.frexp(1.0 + c)[1]
         c_prime = c / 2.0 + c2 / 2.0
         c_dprime = math.ldexp((c - c2) / 2.0, -k)
-        loss_sq = loss * loss
+        loss_sq = table.loss_squared
         shifted = (math.ldexp(1.0 + c, -k) * loss
                    - math.ldexp(c, -k) * (1.0 - h * h) * loss_sq)
         multiplied = (math.ldexp(1.0 + c_prime, -k) * loss

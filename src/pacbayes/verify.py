@@ -25,7 +25,6 @@ from .posterior_opt import evaluate_posterior_bound
 
 @dataclass(frozen=True)
 class CoverageReport:
-    family: str
     trials: int
     violations: int
     clopper_pearson_upper: float
@@ -187,7 +186,6 @@ def coverage_experiment(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
         violations += int(np.count_nonzero(true > bound))
         slacks += (bound - true).tolist()
     return CoverageReport(
-        family=family,
         trials=trials,
         violations=violations,
         clopper_pearson_upper=clopper_pearson_upper(violations, trials, 0.95),

@@ -259,14 +259,15 @@ def test_12_csv_determinism(tmp_path):
     for name, argv in commands.items():
         a = tmp_path / f"{name}_a.csv"
         b = tmp_path / f"{name}_b.csv"
-        main(["--log", str(tmp_path / "log.jsonl")] + argv + ["--out", str(a)])
-        main(["--log", str(tmp_path / "log.jsonl")] + argv + ["--out", str(b)])
-        if a.exists() or b.exists():
-            ok = ok and a.read_bytes() == b.read_bytes()
+        for out in (a, b):
+            assert main(["--log", str(tmp_path / "log.jsonl")] + argv
+                        + ["--out", str(out)]) == 0, name
+            assert out.is_file(), name
+        ok = ok and a.read_bytes() == b.read_bytes()
     # gen-instance output is itself a deterministic artifact
     inst2 = tmp_path / "inst2.txt"
-    main(["--log", str(tmp_path / "log.jsonl"), "gen-instance", "--seed", "12",
-          "--hypotheses", "5", "--points", "4", "--out", str(inst2)])
+    assert main(["--log", str(tmp_path / "log.jsonl"), "gen-instance", "--seed", "12",
+                 "--hypotheses", "5", "--points", "4", "--out", str(inst2)]) == 0
     ok = ok and inst.read_bytes() == inst2.read_bytes()
     report(12, "stochastic subcommands are byte-identical per seed", ok,
            f"{len(commands)} subcommands + instance generator")

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from pacbayes import (FAMILIES, BoundParams, ProbMeasure, Sample, coverage_experiment,
-                      derive_matched_catoni_constants, minimize_bound)
-from pacbayes.cli import duality_tolerance, main
+from pacbayes import (FAMILIES, BoundParams, ProbMeasure, Sample, cli, coverage_experiment,
+                      derive_matched_catoni_constants, draw_sample, minimize_bound,
+                      posterior_opt, verify)
+from pacbayes.cli import POSTERIOR_RULES, duality_tolerance, main
 from pacbayes.io import fmt, load_instance, write_csv
 
 from conftest import strict_json
@@ -164,8 +165,7 @@ class TestCoverage:
 
         def rule(prior, table, block):
             # One minimize_bound call per sample of the block.
-            return ProbMeasure([minimize_bound("catoni", params, prior, table, s,
-                                               (0.0, 0.1, 1.0, 10.0))[0].weights
+            return ProbMeasure([minimize_bound("catoni", params, prior, table, s).weights
                                 for s in map(Sample, block.counts)])
 
         rep = coverage_experiment(inst.table, inst.dist, inst.prior, rule,
@@ -174,6 +174,44 @@ class TestCoverage:
                   [["catoni", rep.trials, rep.violations, rep.clopper_pearson_upper,
                     rep.mean_slack]])
         assert out.read_bytes() == expected.read_bytes()
+
+    def test_bound_minimizer_evaluates_each_block_once(self, inst_file, log_file, monkeypatch):
+        # The rule returns Q alone: coverage_experiment evaluates the bound at
+        # it once per block, and minimize_bound's own evaluations are of its
+        # (start, sample) rows, never of the block it was given.
+        blocks, evaluated = [], []
+        minimize, evaluate = cli.minimize_bound, posterior_opt.evaluate_posterior_bound
+
+        def recording_minimize(family, params, p, table, s, *rest):
+            blocks.append(s)
+            return minimize(family, params, p, table, s, *rest)
+
+        def recording_evaluate(family, params, q, p, table, s, *rest):
+            evaluated.append(s)
+            return evaluate(family, params, q, p, table, s, *rest)
+
+        monkeypatch.setattr(cli, "minimize_bound", recording_minimize)
+        for module in (posterior_opt, verify):
+            monkeypatch.setattr(module, "evaluate_posterior_bound", recording_evaluate)
+        assert run(["coverage", "--family", "catoni", "--instance", inst_file,
+                    "--trials", "1500", "--m", "30", "--seed", "2",
+                    "--rule", "bound-minimizer"], log_file) == 0
+        assert len(blocks) == 2
+        assert [sum(s is block for s in evaluated) for block in blocks] == [1, 1]
+
+    @pytest.mark.parametrize("rule", POSTERIOR_RULES)
+    def test_a_rule_gives_one_row_per_sample_or_one_posterior(self, rule, inst_file):
+        args = cli._PARSER.parse_args(["coverage", "--family", "flatness", "--instance",
+                                       inst_file, "--seed", "1", "--rule", rule])
+        cli._resolve_reads(args)
+        inst = load_instance(inst_file)
+        block = draw_sample(inst.dist, 30, 4, size=5)
+        q = cli._posterior_rule(args, inst)(inst.prior, inst.table, block)
+        assert isinstance(q, ProbMeasure)
+        assert q.weights.shape == ((4,) if rule == "fixed-Q" else (5, 4))
+        for i, s in enumerate(map(Sample, block.counts)):
+            one = cli._posterior_rule(args, inst)(inst.prior, inst.table, s)
+            assert np.array_equal(one.weights, q.weights if rule == "fixed-Q" else q.weights[i])
 
 
 class TestLemmas:

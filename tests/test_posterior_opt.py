@@ -103,9 +103,15 @@ def zero_prior_instance(rng, n_h, n_z, m, size, seed):
     return ProbMeasure.normalized(weights), table, draw_sample(dist, m, seed, size=size)
 
 
+def minimized(family, params, p, table, s):
+    """minimize_bound's posterior, and the bound evaluated there."""
+    q = minimize_bound(family, params, p, table, s)
+    return q, evaluate_posterior_bound(family, params, q, p, table, s)
+
+
 def record_bounds(monkeypatch):
     """Make minimize_bound record the bound values it evaluates: its starts,
-    then each tilt of the rows still open, then the result."""
+    then each tilt of the rows still open."""
     seen = []
     evaluate = posterior_opt.evaluate_posterior_bound
 
@@ -170,19 +176,20 @@ class TestGradient:
 
 class TestMinimizeBound:
     @pytest.mark.parametrize("family", FAMILIES_CLOSED)
-    def test_never_worse_than_prior_or_grid(self, rng, family):
+    def test_never_worse_than_prior_or_grid(self, rng, family, monkeypatch):
         dist, table = random_instance(rng, n_h=5, n_z=4)
         p = ProbMeasure.uniform(5)
         s = draw_sample(dist, 30, 7)
         params = BoundParams(delta=0.05, catoni_C=1.0, c=1.0, h=0.5)
         betas = (0.0, 0.5, 2.0, 10.0)
-        q, rep = minimize_bound(family, params, p, table, s, betas)
+        monkeypatch.setattr(posterior_opt, "BETA_GRID", betas)
+        q, rep = minimized(family, params, p, table, s)
         grid_best = min(evaluate_posterior_bound(
             family, params, gibbs_posterior(p, table, s, b), p, table, s).value
             for b in betas)
         assert rep.value <= grid_best + 1e-12
 
-    def test_catoni_tempered_optimality(self, rng):
+    def test_catoni_tempered_optimality(self, rng, monkeypatch):
         # For the Catoni objective the tempered posterior at beta = C is the
         # exact minimizer, so a fine grid containing it cannot be improved much.
         dist, table = random_instance(rng, n_h=4, n_z=4)
@@ -192,7 +199,8 @@ class TestMinimizeBound:
         params = BoundParams(delta=0.05, catoni_C=C)
         q_opt = gibbs_posterior(p, table, s, C)
         opt_val = evaluate_posterior_bound("catoni", params, q_opt, p, table, s).value
-        _, rep = minimize_bound("catoni", params, p, table, s, (0.0, C, 5.0))
+        monkeypatch.setattr(posterior_opt, "BETA_GRID", (0.0, C, 5.0))
+        _, rep = minimized("catoni", params, p, table, s)
         assert rep.value <= opt_val + 1e-12
         assert rep.value >= opt_val - 1e-8
 
@@ -205,7 +213,7 @@ class TestMinimizeBound:
         assert family == "catoni" or beta == pytest.approx(0.0276, abs=1e-4)
         for seed in range(5):
             p, table, block = zero_prior_instance(rng, 9, 5, 40, 6, seed)
-            q, _ = minimize_bound(family, params, p, table, block, (0.0, 0.1, 1.0, 10.0))
+            q = minimize_bound(family, params, p, table, block)
             # Within 1e-15 at this m: the tilt's temperature d_emp / d_kl
             # rounds differently from beta * m, by about m * 1e-16 in the exponent.
             assert np.abs(q.weights - gibbs_posterior(p, table, block, beta).weights).max() <= 1e-15
@@ -218,7 +226,7 @@ class TestMinimizeBound:
         betas = np.concatenate([np.logspace(-5, 4, 2000), [np.inf]])
         for n_h, n_z, m, seed in ((12, 5, 40, 1), (30, 8, 300, 2), (6, 3, 5000, 3)):
             p, table, block = zero_prior_instance(rng, n_h, n_z, m, 4, seed)
-            _, rep = minimize_bound(family, params, p, table, block, (0.0, 0.1, 1.0, 10.0))
+            _, rep = minimized(family, params, p, table, block)
             for i, s in enumerate(map(Sample, block.counts)):
                 risks = np.broadcast_to(empirical_risks(table, s), (len(betas), n_h))
                 path = _tilt(p, risks, betas * m)
@@ -233,10 +241,10 @@ class TestMinimizeBound:
         n = 20
         table = LossTable((np.arange(n)[None, :] < np.arange(n)[:, None]).astype(float))
         s, p = Sample(np.full(n, 5)), ProbMeasure.uniform(n)
-        q, rep = minimize_bound("kst", BoundParams(), p, table, s, (0.0, 0.1, 1.0, 10.0))
+        q, rep = minimized("kst", BoundParams(), p, table, s)
         assert kl_divergence(q, p) == pytest.approx(2.0, rel=1e-11)
         grid = [evaluate_posterior_bound("kst", BoundParams(), gibbs_posterior(p, table, s, b),
-                                         p, table, s).value for b in (0.0, 0.1, 1.0, 10.0)]
+                                         p, table, s).value for b in posterior_opt.BETA_GRID]
         assert rep.value < min(grid) - 1e-3
 
     @pytest.mark.parametrize("family", ["mcallester", "catoni", "matched_catoni", "flatness"])
@@ -252,8 +260,9 @@ class TestMinimizeBound:
             p, table, block = zero_prior_instance(rng, 15, 6, 200, 1, seed)
             for beta in (0.0, 1.0):
                 seen.clear()
-                _, rep = minimize_bound(family, params, p, table, Sample(block.counts[0]), (beta,))
-                start, *tilts, result = (float(v[-1]) for v in seen)
+                monkeypatch.setattr(posterior_opt, "BETA_GRID", (beta,))
+                _, rep = minimized(family, params, p, table, Sample(block.counts[0]))
+                start, *tilts = (float(v[-1]) for v in seen)
                 assert 1 <= len(tilts) <= posterior_opt._MAX_TILTS
                 best = start
                 for k, value in enumerate(tilts):
@@ -263,25 +272,25 @@ class TestMinimizeBound:
                     else:
                         assert drop <= 1e-12 * max(1.0, abs(min(best, value)))
                     best = min(best, value)
-                assert result == best == rep.value
+                assert best == rep.value
 
     def test_flatness_not_above_its_best_grid_start(self, rng):
         params = BoundParams(delta=0.05, c=3.0, h=0.2)
-        grid = (0.0, 0.1, 1.0, 10.0)
         for seed in range(4):
             p, table, block = zero_prior_instance(rng, 20, 7, 500, 8, seed)
-            _, rep = minimize_bound("flatness", params, p, table, block, grid)
+            _, rep = minimized("flatness", params, p, table, block)
             starts = np.min([evaluate_posterior_bound(
                 "flatness", params, gibbs_posterior(p, table, block, b), p, table, block).value
-                for b in grid], axis=0)
+                for b in posterior_opt.BETA_GRID], axis=0)
             assert (rep.value <= starts).all()
 
     def test_tilt_cap_raises(self, rng, monkeypatch):
         dist, table = random_instance(rng, n_h=8, n_z=5, binary=False)
         monkeypatch.setattr(posterior_opt, "_MAX_TILTS", 1)
+        monkeypatch.setattr(posterior_opt, "BETA_GRID", (0.0,))
         with pytest.raises(RuntimeError, match="still open after 1 tilts"):
             minimize_bound("flatness", BoundParams(c=2.0, h=0.3), ProbMeasure.uniform(8),
-                           table, draw_sample(dist, 50, 3), (0.0,))
+                           table, draw_sample(dist, 50, 3))
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_risks_tied_on_the_support(self, family):
@@ -289,7 +298,7 @@ class TestMinimizeBound:
         # -1.8e-16 before it is clamped to 0.
         p = ProbMeasure([0.6611656251366724, 0.33883437486332774])
         table, s = LossTable([[0.5, 0.5], [0.5, 0.5]]), Sample(np.array([3, 2]))
-        q, rep = minimize_bound(family, BoundParams(), p, table, s, (0.0, 1.0))
+        q, rep = minimized(family, BoundParams(), p, table, s)
         assert kl_divergence(q, p) == 0.0
         at_prior = evaluate_posterior_bound(family, BoundParams(), p, p, table, s).value
         assert rep.value == pytest.approx(at_prior, rel=1e-14)
@@ -299,7 +308,7 @@ class TestMinimizeBound:
         p = ProbMeasure.uniform(4)
         s = draw_sample(dist, 30, 9)
         params = BoundParams(delta=0.05, c=1.0, h=0.6)
-        q, rep = minimize_bound("flatness", params, p, table, s, (0.0, 1.0, 5.0))
+        q, rep = minimized("flatness", params, p, table, s)
         assert rep.family == "flatness"
         assert set(rep.components) == {"empirical", "flatness", "complexity"}
         assert abs(q.weights.sum() - 1.0) <= 1e-12
@@ -309,28 +318,21 @@ class TestMinimizeBound:
         p = ProbMeasure.uniform(table.hypothesis_count)
         s = draw_sample(dist, 20, 10)
         params = BoundParams()
-        a = minimize_bound("mcallester", params, p, table, s, (0.0, 1.0))
-        b = minimize_bound("mcallester", params, p, table, s, (0.0, 1.0))
-        assert np.array_equal(a[0].weights, b[0].weights)
-        assert a[1].value == b[1].value
+        a = minimize_bound("mcallester", params, p, table, s)
+        b = minimize_bound("mcallester", params, p, table, s)
+        assert np.array_equal(a.weights, b.weights)
 
-    def test_infinite_beta_in_the_grid(self, rng):
+    def test_infinite_beta_in_the_grid(self, rng, monkeypatch):
         # The beta -> inf start is the prior on the least-risk atoms, with no warning.
         dist, table = random_instance(rng)
         p = ProbMeasure.uniform(table.hypothesis_count)
         s = draw_sample(dist, 100, 2)
         params = BoundParams()
-        q, rep = minimize_bound("catoni", params, p, table, s, (0.0, math.inf))
+        monkeypatch.setattr(posterior_opt, "BETA_GRID", (0.0, math.inf))
+        q, rep = minimized("catoni", params, p, table, s)
         starts = [evaluate_posterior_bound("catoni", params, gibbs_posterior(p, table, s, beta),
                                            p, table, s).value for beta in (0.0, math.inf)]
         assert math.isfinite(rep.value) and rep.value <= min(starts)
-
-    def test_empty_grid_rejected(self, rng):
-        dist, table = random_instance(rng)
-        s = draw_sample(dist, 5, 1)
-        with pytest.raises(ValueError):
-            minimize_bound("kst", BoundParams(), ProbMeasure.uniform(table.hypothesis_count),
-                           table, s, ())
 
     def test_unknown_family_is_a_value_error_at_every_entry_point(self, rng):
         dist, table = random_instance(rng)
@@ -338,7 +340,7 @@ class TestMinimizeBound:
         s = draw_sample(dist, 10, 1)
         calls = (
             lambda: evaluate_posterior_bound("bogus", BoundParams(), p, p, table, s),
-            lambda: minimize_bound("bogus", BoundParams(), p, table, s, (0.0, 1.0)),
+            lambda: minimize_bound("bogus", BoundParams(), p, table, s),
             lambda: coverage_experiment(table, dist, p, lambda prior, table, s: prior, "bogus",
                                         BoundParams(), 10, 5, 1),
         )
@@ -347,7 +349,7 @@ class TestMinimizeBound:
                 call()
 
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_block_equals_one_sample_calls(self, rng, family):
+    def test_block_equals_one_sample_calls(self, rng, family, monkeypatch):
         # Four atoms carry no prior mass, and the rows of the block pick their
         # own start and stop after their own number of tilts.
         dist, table = random_instance(rng, n_h=12, n_z=5, binary=False)
@@ -356,30 +358,20 @@ class TestMinimizeBound:
         p = ProbMeasure.normalized(weights)
         params = BoundParams(delta=0.05, catoni_C=1.3, c=1.0, h=0.6)
         block = draw_sample(dist, 40, 11, size=7)
-        q, rep = minimize_bound(family, params, p, table, block, (0.0, 0.3, 2.0, 1e3))
+        monkeypatch.setattr(posterior_opt, "BETA_GRID", (0.0, 0.3, 2.0, 1e3))
+        q, rep = minimized(family, params, p, table, block)
         assert q.weights.shape == (7, 12) and rep.value.shape == (7,)
         for i, s in enumerate(map(Sample, block.counts)):
-            q1, rep1 = minimize_bound(family, params, p, table, s, (0.0, 0.3, 2.0, 1e3))
+            q1, rep1 = minimized(family, params, p, table, s)
             assert np.array_equal(q.weights[i], q1.weights)
             assert rep.value[i] == rep1.value
             for name, part in rep.components.items():
                 assert part[i] == rep1.components[name]
 
-    @pytest.mark.parametrize("family", ["kst", "flatness"])
-    def test_grid_order_and_duplicates_do_not_matter(self, rng, family):
-        dist, table = random_instance(rng, n_h=6, n_z=4)
-        p = ProbMeasure.uniform(6)
-        block = draw_sample(dist, 30, 12, size=5)
-        params = BoundParams(delta=0.05, c=1.0, h=0.5)
-        q, rep = minimize_bound(family, params, p, table, block, (0.0, 1.0, 10.0))
-        q2, rep2 = minimize_bound(family, params, p, table, block, (10.0, 0.0, 1.0, 0.0))
-        assert np.array_equal(q.weights, q2.weights)
-        assert np.array_equal(rep.value, rep2.value)
-
     @pytest.mark.parametrize("family", FAMILIES)
     def test_one_kl_and_one_gibbs_losses_per_bound_evaluation(self, rng, family, monkeypatch):
-        # The starts, each tilt and the final report are one bound evaluation
-        # each; the next tilt reads the KL and G = Q L of the last one.
+        # The starts and each tilt are one bound evaluation each; the next
+        # tilt reads the KL and G = Q L of the last one.
         calls = {"kl_divergence": 0, "gibbs_losses": 0}
 
         def counting(fn):
@@ -394,9 +386,8 @@ class TestMinimizeBound:
                     monkeypatch.setattr(module, fn.__name__, counting(fn))
         seen = record_bounds(monkeypatch)
         p, table, block = zero_prior_instance(rng, 15, 6, 200, 5, 3)
-        minimize_bound(family, BoundParams(catoni_C=1.3, c=2.0, h=0.3), p, table, block,
-                       (0.0, 0.1, 1.0, 10.0))
-        assert len(seen) >= 3
+        minimize_bound(family, BoundParams(catoni_C=1.3, c=2.0, h=0.3), p, table, block)
+        assert len(seen) >= 2
         assert calls == {"kl_divergence": len(seen), "gibbs_losses": len(seen)}
 
 
@@ -483,9 +474,9 @@ def oracle_instance(name, rng):
 
 
 class TestBitIdentityOracle:
-    """minimize_bound returns exactly the weights and the report of the loop
-    that recomputed each tilt's KL and G = Q L, on non-binary losses with
-    zero prior mass on some atoms."""
+    """minimize_bound returns exactly the weights of the loop that recomputed
+    each tilt's KL and G = Q L, and so the same report, on non-binary losses
+    with zero prior mass on some atoms."""
 
     @pytest.mark.parametrize("name", ["block", "one-sample", "block-of-one", "m-1",
                                       "tied-risks", "kst-limit-below-2", "kst-limit-above-2"])
@@ -496,13 +487,14 @@ class TestBitIdentityOracle:
             lam = _kl_ball_tilt(p, -empirical_risks(table, s), 2.0)[1]
             assert np.isinf(lam).all() if name == "kst-limit-below-2" else np.isfinite(lam).all()
         params = BoundParams(delta=0.05, catoni_C=1.3, c=2.0, h=0.3)
-        grid = (0.0, 0.1, 1.0, 10.0)
+        grid = posterior_opt.BETA_GRID
         if s.m < FAMILIES[family].m_min:
-            for solver in (minimize_bound, reference_minimize_bound):
+            for solve in (lambda: minimize_bound(family, params, p, table, s),
+                          lambda: reference_minimize_bound(family, params, p, table, s, grid)):
                 with pytest.raises(ValueError, match="m must be >= 2"):
-                    solver(family, params, p, table, s, grid)
+                    solve()
             return
-        q, rep = minimize_bound(family, params, p, table, s, grid)
+        q, rep = minimized(family, params, p, table, s)
         q_ref, rep_ref = reference_minimize_bound(family, params, p, table, s, grid)
         assert np.array_equal(q.weights, q_ref.weights)
         assert np.array_equal(rep.value, rep_ref.value)

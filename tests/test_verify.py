@@ -224,7 +224,7 @@ class TestCoverage:
         params = BoundParams(delta=0.05, catoni_C=1.5)
         rep = coverage_experiment(
             table, dist, prior,
-            lambda p, tab, s: minimize_bound("catoni", params, p, tab, s, (0.0, 1.0))[0],
+            functools.partial(minimize_bound, "catoni", params),
             "catoni", params, m=25, trials=20, seed=5)
         assert rep.trials == 20
 
