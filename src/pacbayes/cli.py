@@ -9,6 +9,8 @@ gen-instance has no table and writes its instance there. Each invocation, one
 whose arguments fail to parse included, appends one JSON line to the run log,
 with summary {"result": [an object per row], **notes} or {"error": message};
 a non-finite number is the string "inf", "-inf" or "nan", as in the CSV.
+The config hash covers the --instance file by the sha256 of its bytes; the
+record keeps the path as given, outside the hash.
 
 The parser declares each flag's type and choices, and the default and
 requiredness of a flag that every run of its subcommand reads. Which of the
@@ -36,8 +38,8 @@ import numpy as np
 
 from .bounds import FAMILIES, BoundParams, evaluate_bound, log_cosh_over_x
 from .core import LossTable, ProbMeasure, draw_sample, true_risks
-from .io import (Instance, append_run_record, csv_text, fmt, load_config, load_instance,
-                 save_instance, write_csv)
+from .io import (Instance, append_run_record, csv_text, file_sha256, fmt, load_config,
+                 load_instance, save_instance, write_csv)
 from .posterior_opt import evaluate_posterior_bound, gibbs_posterior, minimize_bound
 from .processes import (debias_mgf_exact, kl_ball_sup, kl_dual_value,
                         lemma_a3_threshold, shifted_flatness_tail_mc,
@@ -417,7 +419,7 @@ _FIRST.add_argument("rest", nargs=argparse.REMAINDER)
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    log, command, config, seed = _FIRST.get_default("log"), None, {}, None
+    log, command, config, seed, instance = _FIRST.get_default("log"), None, {}, None, None
     try:
         # A first pass reads --log, --config and the subcommand, so that a run
         # whose arguments fail to parse is still recorded in the log asked for.
@@ -435,6 +437,10 @@ def main(argv=None) -> int:
         config = {k: v for k, v in vars(args).items()
                   if k not in _NOT_HASHED and v is not None}
         seed = getattr(args, "seed", None)
+        # The instance enters the hash by its contents, and the record by its path.
+        instance = config.pop("instance", None)
+        if instance is not None:
+            config["instance_sha256"] = file_sha256(instance)
         code, summary = _output(args.handler(args), args.out)
     except (UsageError, ValueError, OSError, RuntimeError, ArithmeticError, MemoryError) as exc:
         message = str(exc)
@@ -447,7 +453,7 @@ def main(argv=None) -> int:
             (_SUBPARSERS[command] if command else _PARSER).print_usage(sys.stderr)
         code, summary = 1 if isinstance(exc, RuntimeError) else 2, {"error": message}
     try:
-        append_run_record(log, command, config, seed, summary, code)
+        append_run_record(log, command, config, seed, summary, code, instance)
     except OSError as exc:
         print(f"error: cannot write the run log: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,15 @@ class ProbMeasure:
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
+    @classmethod
+    def _of(cls, w: np.ndarray) -> "ProbMeasure":
+        """A measure of float weights the package has just computed from checked
+        measures: w is marked read-only, and neither checked nor copied."""
+        w.flags.writeable = False
+        q = object.__new__(cls)
+        object.__setattr__(q, "weights", w)
+        return q
+
     @property
     def size(self) -> int:
         return self.weights.shape[-1]
@@ -131,6 +140,16 @@ class Sample:
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "m", m)
 
+    @classmethod
+    def _of(cls, counts: np.ndarray, m: int) -> "Sample":
+        """A sample of int64 counts the package has just computed, every row
+        summing to m >= 1: counts is marked read-only, and neither checked nor copied."""
+        counts.flags.writeable = False
+        s = object.__new__(cls)
+        object.__setattr__(s, "counts", counts)
+        object.__setattr__(s, "m", m)
+        return s
+
     @property
     def point_count(self) -> int:
         return self.counts.shape[-1]
@@ -159,6 +178,7 @@ def draw_sample(dist: ProbMeasure, m: int, seed: int, *subkeys: int,
     block; subkeys select independent streams (e.g. trial or block index)."""
     if dist.weights.ndim != 1:
         raise ValueError("the data distribution must be one vector, not a block")
+    m = int(m)  # the multinomial draws int(m) points
     if m < 1:
         raise ValueError("sample size m must be >= 1")
     if size is not None and size < 1:
@@ -167,7 +187,7 @@ def draw_sample(dist: ProbMeasure, m: int, seed: int, *subkeys: int,
     # multinomial rejects when an entry lands above 1.
     probs = dist.weights / dist.weights.sum()
     counts = stream(seed, *subkeys).multinomial(m, probs, size=size)
-    return Sample(counts=counts)
+    return Sample._of(counts, m)
 
 
 # Trials per block of sample_blocks: a block's arrays take O(BLOCK * (n_h + n_z)) memory.

@@ -96,6 +96,11 @@ def load_instance(path) -> Instance:
     return parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
+def file_sha256(path) -> str:
+    """Hex sha256 of a file's bytes: what the config hash knows of an instance file."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def format_instance(inst: Instance) -> str:
     def vec(v):
         # The shortest spelling that reads back as the same float; 0 and 1 stay bare.
@@ -169,7 +174,9 @@ def _json_value(x):
 
 
 def append_run_record(log_path, command: str, config: dict, seed: int | None,
-                      summary: dict, exit_code: int) -> None:
+                      summary: dict, exit_code: int, instance: str | None = None) -> None:
+    """Append one record; its config hash covers config alone, so the
+    instance path, like the seed and the outcome, stays outside it."""
     from . import __version__
 
     canonical = json.dumps(config, sort_keys=True, default=str)
@@ -178,6 +185,7 @@ def append_run_record(log_path, command: str, config: dict, seed: int | None,
         "command": command,
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest()[:16],
         "exit_code": exit_code,
+        "instance": instance,
         "seed": seed,
         "version": __version__,
         "summary": summary,

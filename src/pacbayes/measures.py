@@ -3,8 +3,6 @@ and the flatness functional of the empirical risk surface."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import LossTable, ProbMeasure, Sample
@@ -22,11 +20,11 @@ def kl_divergence(q: ProbMeasure, p: ProbMeasure):
     if q.size != p.size:
         raise ValueError("measures must have the same length")
     qw, pw = q.weights, p.weights
-    support, charged = qw > 0, pw > 0
     # q / p where both carry mass; +inf where only q does, so its row sums to
-    # +inf; 1 (a zero term) where q has none.
-    ratio = np.where(support > charged, math.inf, 1.0)
-    np.divide(qw, pw, out=ratio, where=support & charged)
+    # +inf; 1 (a zero term) where q has none, in place of 0 or 0/0.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = qw / pw
+    np.copyto(ratio, 1.0, where=qw == 0)
     return np.maximum((qw * np.log(ratio)).sum(axis=-1), 0.0)
 
 

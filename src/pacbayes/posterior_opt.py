@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import FAMILIES, BoundParams, BoundReport, evaluate_bound, flatness_bound
 from .core import LossTable, ProbMeasure, Sample, empirical_risks
-from .measures import gibbs_losses, kl_divergence
+from .measures import _check_hypotheses, gibbs_losses, kl_divergence
 from .processes import _kl_ball_tilt
 
 # minimize_bound's starts (the tempered posteriors of these betas, in increasing
@@ -36,19 +36,22 @@ def _tilt(p: ProbMeasure, score, t) -> ProbMeasure:
     # Shift by the best exponent on the prior's support, so that the weights
     # there do not all underflow when an atom without prior mass scores better.
     w = -np.where(limit, 0.0, t) * score  # one buffer: the exponent, then the weights
-    np.copyto(w, -np.inf, where=~support)
+    if not support.all():
+        np.copyto(w, -np.inf, where=~support)
     w -= w.max(axis=-1, keepdims=True)
     np.multiply(np.exp(w, out=w), p.weights, out=w)
     if limit.any():
         least = np.where(support, score, np.inf)
         w = np.where(limit, p.weights * (least == least.min(axis=-1, keepdims=True)), w)
-    return ProbMeasure.normalized(w)
+    # Checked by construction: the atom of best exponent on p's support has weight p_f > 0.
+    return ProbMeasure._of(w / w.sum(axis=-1, keepdims=True))
 
 
 def gibbs_posterior(p: ProbMeasure, table: LossTable, s: Sample, beta: float) -> ProbMeasure:
     """Tempered posterior: weights proportional to p(f) exp(-beta * m * Remp(f)),
     one row per sample of s; where beta * m overflows (beta = inf included),
     the beta -> inf limit of _tilt."""
+    _check_hypotheses(p, table)
     if not beta >= 0:
         raise ValueError("beta must be nonnegative")
     if beta == 0:
@@ -125,12 +128,13 @@ def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: Loss
     w = np.stack([np.broadcast_to(start, shape) for start in starts]).reshape(-1, p.size)
     counts, risks = stacked(s.counts), stacked(risks)
     sq = stacked(s.mean_rows(table.loss_squared)) if FAMILIES[family].needs_sample else None
-    val, kl, g = evaluate(ProbMeasure(w), Sample(counts))
+    # w and counts are built here from checked inputs; w.view() leaves w writable.
+    val, kl, g = evaluate(ProbMeasure._of(w.view()), Sample._of(counts, s.m))
     rows = np.arange(len(w))
     for _ in range(_MAX_TILTS):
         if not rows.size:
             break
-        sample = Sample(counts[rows])
+        sample = Sample._of(counts[rows], s.m)
         flat = (g[rows], sq[rows]) if sq is not None else ()
         q = _tilt(p, *_majoriser(family, params, table, sample, kl[rows], risks[rows], *flat))
         (new, q_kl, q_g), old = evaluate(q, sample), val[rows]
@@ -142,4 +146,5 @@ def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: Loss
     if rows.size:
         raise RuntimeError(f"minimize_bound: {rows.size} rows still open after {_MAX_TILTS} tilts")
     best = val.reshape(len(starts), -1).argmin(axis=0)
-    return ProbMeasure(w.reshape(len(starts), -1, p.size)[best, range(best.size)].reshape(shape))
+    best_w = w.reshape(len(starts), -1, p.size)[best, range(best.size)]
+    return ProbMeasure._of(best_w.reshape(shape))

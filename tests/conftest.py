@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from pacbayes import LossTable, ProbMeasure
+from pacbayes import LossTable, ProbMeasure, Sample
 
 
 def random_instance(rng, n_h=5, n_z=4, binary=True):
@@ -17,6 +17,19 @@ def random_instance(rng, n_h=5, n_z=4, binary=True):
 
 def random_measure(rng, n):
     return ProbMeasure(rng.dirichlet(np.ones(n)))
+
+
+def assert_passes_its_checks(x):
+    """x, a ProbMeasure or Sample the package built without its constructor's
+    checks, passes them again unchanged, and its array is read-only."""
+    if isinstance(x, Sample):
+        again, array = Sample(x.counts), x.counts
+        assert again.m == x.m and again.counts.dtype == array.dtype == np.int64
+        assert np.array_equal(again.counts, array)
+    else:
+        array = x.weights
+        assert np.array_equal(ProbMeasure(array).weights, array)
+    assert not array.flags.writeable
 
 
 def flatness_double_sum(q, table, s, h):

@@ -499,8 +499,28 @@ class TestConfigAndLog:
         assert len(lines) == 2
         assert all(json.loads(l)["command"] == "bounds" for l in lines)
 
-    def test_bad_instance_path(self, log_file):
+    def test_bad_instance_path(self, log_file, capsys):
         assert run(["duality", "--instance", "/nonexistent/x.txt"], log_file) == 2
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file")
+        (record,) = self.records(log_file)
+        assert record["exit_code"] == 2 and record["instance"] == "/nonexistent/x.txt"
+        assert "No such file" in record["summary"]["error"]
+
+    def test_config_hash_covers_the_instance_bytes_not_its_path(self, tmp_path, log_file):
+        # Different bytes at one path give different hashes; the same bytes at
+        # two paths give one. The record keeps the path, outside the hash.
+        first, copy = tmp_path / "i.txt", tmp_path / "j.txt"
+        bounds = ["bounds", "--family", "catoni", "--m", "20", "--seed", "2", "--instance"]
+        for gen_seed, path in (("1", first), ("1", copy), ("9", first)):
+            assert run(["gen-instance", "--hypotheses", "4", "--points", "3",
+                        "--seed", gen_seed, "--out", str(path)], log_file) == 0
+            assert run(bounds + [str(path)], log_file) == 0
+        runs = [r for r in self.records(log_file) if r["command"] == "bounds"]
+        assert [r["instance"] for r in runs] == [str(first), str(copy), str(first)]
+        values = [r["summary"]["result"][0]["value"] for r in runs]
+        hashes = [r["config_hash"] for r in runs]
+        assert values[0] == values[1] != values[2]
+        assert hashes[0] == hashes[1] != hashes[2]
 
     @staticmethod
     def records(log_file):

@@ -7,7 +7,7 @@ from pacbayes import (LossTable, ProbMeasure, Sample, draw_sample, empirical_ris
                       gibbs_risk, sample_blocks, true_risks)
 from pacbayes.core import BLOCK
 
-from conftest import random_instance
+from conftest import assert_passes_its_checks, random_instance
 
 
 class TestProbMeasure:
@@ -81,8 +81,16 @@ class TestDrawSample:
         assert a.counts.tobytes() == b.counts.tobytes()
 
     def test_zero_m_rejected(self):
-        with pytest.raises(ValueError):
-            draw_sample(ProbMeasure([1.0]), 0, seed=0)
+        for m in (0, 0.5):  # the multinomial would draw int(0.5) = 0 points
+            with pytest.raises(ValueError, match="m must be >= 1"):
+                draw_sample(ProbMeasure([1.0]), m, seed=0)
+
+    @pytest.mark.parametrize("m, size", [(1, None), (1, 4), (37, None), (37, 6)])
+    def test_drawn_samples_pass_the_sample_checks(self, m, size):
+        d = ProbMeasure([0.2, 0.0, 0.3, 0.5])
+        assert_passes_its_checks(draw_sample(d, m, 3, 1, size=size))
+        for _, block in sample_blocks(d, m, BLOCK + 3, 8):
+            assert_passes_its_checks(block)
 
     def test_probs_summing_to_one_within_tolerance(self):
         # Accepted by ProbMeasure, but an entry lies above 1, which the

@@ -273,7 +273,7 @@ class TestCsvAndLog:
                           {"crossover_m": math.inf, "result": [
                               {"pass": np.bool_(True), "gap": np.float64(-math.inf),
                                "m": np.int64(10), "mean": np.float64(math.nan)}],
-                           "posterior": np.array([0.25, 0.75])}, 2)
+                           "posterior": np.array([0.25, 0.75])}, 2, "i.txt")
         lines = log.read_text().splitlines()
         assert len(lines) == 2
         rec, other = (json.loads(line, parse_constant=strict_json) for line in lines)
@@ -281,11 +281,13 @@ class TestCsvAndLog:
         assert rec["seed"] == 7
         assert rec["exit_code"] == 0
         assert other["exit_code"] == 2
+        assert rec["instance"] is None and other["instance"] == "i.txt"
         assert len(rec["config_hash"]) == 16
         assert "version" in rec and "time" in rec
         # Non-finite values are spelled as in the CSV; NumPy values become JSON values.
         assert other["summary"] == {"crossover_m": "inf", "posterior": [0.25, 0.75], "result": [
             {"pass": True, "gap": "-inf", "m": 10, "mean": "nan"}]}
-        # The config hash is over the config as given, an infinite value included.
+        # The config hash is over the config as given, an infinite value included,
+        # and not over the instance path.
         canonical = json.dumps({"trials": 3, "kappa": math.inf}, sort_keys=True, default=str)
         assert other["config_hash"] == hashlib.sha256(canonical.encode()).hexdigest()[:16]

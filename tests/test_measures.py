@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -44,6 +45,19 @@ class TestKL:
         q = ProbMeasure([0.5, 0.5])
         p = ProbMeasure([1.0, 0.0])
         assert kl_divergence(q, p) == math.inf
+        # Every zero pattern, warnings raised as errors: q > 0 where p = 0 is
+        # +inf; q = 0 where p > 0, and both 0, are zero terms.
+        p = ProbMeasure([0.5, 0.25, 0.25, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kl = kl_divergence(ProbMeasure([[0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0],
+                                            [1.0, 0.0, 0.0, 0.0], [0.5, 0.25, 0.25, 0.0]]), p)
+            assert kl_divergence(ProbMeasure([0.0, 0.0, 0.0, 1.0]), p) == math.inf
+            assert kl_divergence(p, ProbMeasure([[0.0, 0.5, 0.5, 0.0], p.weights])).tolist() \
+                == [math.inf, 0.0]
+        assert kl[0] == math.inf and kl[3] == 0.0
+        assert kl[1] == pytest.approx(math.log(2.0), abs=1e-15)
+        assert kl[2] == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from pacbayes.measures import gibbs_losses
 from pacbayes.posterior_opt import _majoriser, _tilt
 from pacbayes.processes import _kl_ball_tilt
 
-from conftest import random_instance, random_measure
+from conftest import assert_passes_its_checks, random_instance, random_measure
 
 FAMILIES_CLOSED = ("mcallester", "catoni", "kst", "matched_catoni")
 
@@ -92,6 +92,24 @@ class TestGibbsPosterior:
         expected = ProbMeasure([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5],
                                 [0.0, 0.25, 0.375, 0.375]])
         assert np.array_equal(q.weights, expected.weights)
+
+
+class TestPosteriorsPassTheMeasureChecks:
+    """The tilts are built without ProbMeasure's checks; the posteriors pass
+    them again and are read-only."""
+
+    @pytest.mark.parametrize("m, size", [(1, None), (1, 5), (30, None), (30, 5)])
+    @pytest.mark.parametrize("beta", [0.0, 0.7, 1e300, math.inf])
+    def test_gibbs_posterior(self, rng, beta, m, size):
+        p, table, s = zero_prior_instance(rng, 9, 4, m, size, 2)
+        assert_passes_its_checks(gibbs_posterior(p, table, s, beta))
+
+    @pytest.mark.parametrize("size", [None, 5])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_minimize_bound(self, rng, family, size):
+        p, table, s = zero_prior_instance(rng, 9, 4, 30, size, 2)
+        params = BoundParams(catoni_C=1.3, c=2.0, h=0.3)
+        assert_passes_its_checks(minimize_bound(family, params, p, table, s))
 
 
 def zero_prior_instance(rng, n_h, n_z, m, size, seed):
@@ -346,6 +364,15 @@ class TestMinimizeBound:
         )
         for call in calls:
             with pytest.raises(ValueError, match="unknown bound family 'bogus'"):
+                call()
+        # A prior over another number of hypotheses is named as such.
+        wrong = ProbMeasure.uniform(table.hypothesis_count + 1)
+        calls = [lambda beta=beta: gibbs_posterior(wrong, table, s, beta)
+                 for beta in (0.0, 1.0, math.inf)]
+        calls += [lambda family=family: minimize_bound(family, BoundParams(), wrong, table, s)
+                  for family in FAMILIES]
+        for call in calls:
+            with pytest.raises(ValueError, match="disagree on hypothesis count"):
                 call()
 
     @pytest.mark.parametrize("family", FAMILIES)
