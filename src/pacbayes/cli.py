@@ -9,8 +9,9 @@ gen-instance has no table and writes its instance there. Each invocation, one
 whose arguments fail to parse included, appends one JSON line to the run log,
 with summary {"result": [an object per row], **notes} or {"error": message};
 a non-finite number is the string "inf", "-inf" or "nan", as in the CSV.
-The config hash covers the --instance file by the sha256 of its bytes; the
-record keeps the path as given, outside the hash.
+The config hash covers the --instance file by the sha256 of its bytes, which
+are read once and are what the run parses; the record keeps the path as given,
+outside the hash.
 
 The parser declares each flag's type and choices, and the default and
 requiredness of a flag that every run of its subcommand reads. Which of the
@@ -38,8 +39,8 @@ import numpy as np
 
 from .bounds import FAMILIES, BoundParams, evaluate_bound, log_cosh_over_x
 from .core import LossTable, ProbMeasure, draw_sample, true_risks
-from .io import (Instance, append_run_record, csv_text, file_sha256, fmt, load_config,
-                 load_instance, save_instance, write_csv)
+from .io import (Instance, append_run_record, csv_text, fmt, load_config, load_instance,
+                 read_hashed, save_instance, write_csv)
 from .posterior_opt import evaluate_posterior_bound, gibbs_posterior, minimize_bound
 from .processes import (debias_mgf_exact, kl_ball_sup, kl_dual_value,
                         lemma_a3_threshold, shifted_flatness_tail_mc,
@@ -77,6 +78,11 @@ _BOUND_FLAGS = {"delta": "delta", "C": "catoni_C", "c": "c", "c2": "c2", "h": "h
 def _bound_params(args) -> BoundParams:
     return BoundParams(**{name: value for flag, name in _BOUND_FLAGS.items()
                           if (value := getattr(args, flag, None)) is not None})
+
+
+def _instance(args) -> Instance:
+    """The --instance file, parsed from the bytes main read and hashed."""
+    return load_instance(args.instance, args.instance_bytes)
 
 
 def _fixed_q(inst: Instance) -> ProbMeasure:
@@ -173,7 +179,7 @@ def cmd_bounds(args) -> Result:
     family = args.family
     params = _bound_params(args)
     if args.instance is not None:
-        inst = load_instance(args.instance)
+        inst = _instance(args)
         s = draw_sample(inst.dist, args.m, args.seed)
         report = evaluate_posterior_bound(family, params, _fixed_q(inst), inst.prior, inst.table, s)
     else:
@@ -182,7 +188,7 @@ def cmd_bounds(args) -> Result:
 
 
 def cmd_coverage(args) -> Result:
-    inst = load_instance(args.instance)
+    inst = _instance(args)
     params = _bound_params(args)
     report = coverage_experiment(inst.table, inst.dist, inst.prior, _posterior_rule(args, inst),
                                  args.family, params, args.m, args.trials, args.seed)
@@ -195,7 +201,7 @@ def cmd_coverage(args) -> Result:
 def cmd_lemmas(args) -> Result:
     which, x = args.which, args.lambda_over_m
     if which != "xy":
-        inst = load_instance(args.instance)
+        inst = _instance(args)
     if which == "debias":
         value = debias_mgf_exact(inst.prior, inst.table, inst.dist, x, args.k, args.m)
         threshold = log_cosh_over_x(x)
@@ -234,7 +240,7 @@ def duality_tolerance(primal: float) -> float:
 
 
 def cmd_duality(args) -> Result:
-    inst = load_instance(args.instance)
+    inst = _instance(args)
     values = true_risks(inst.table, inst.dist)
     primal = kl_ball_sup(inst.prior, values, args.kappa)
     dual = kl_dual_value(inst.prior, values, args.kappa)
@@ -244,7 +250,7 @@ def cmd_duality(args) -> Result:
 
 
 def cmd_optimize(args) -> Result:
-    inst = load_instance(args.instance)
+    inst = _instance(args)
     s = draw_sample(inst.dist, args.m, args.seed)
     params = _bound_params(args)
     q = minimize_bound(args.family, params, inst.prior, inst.table, s)
@@ -253,7 +259,7 @@ def cmd_optimize(args) -> Result:
 
 
 def cmd_sweep(args) -> Result:
-    inst = load_instance(args.instance)
+    inst = _instance(args)
     result = bound_sweep(inst.table, inst.dist, inst.prior, _posterior_rule(args, inst),
                          _bound_params(args), args.m_grid, args.trials, args.seed)
     return Result(["m", "catoni_mean", "flatness_mean", "T_m_mean", "kl_mean", "crossover_flag"],
@@ -423,24 +429,29 @@ def main(argv=None) -> int:
     try:
         # A first pass reads --log, --config and the subcommand, so that a run
         # whose arguments fail to parse is still recorded in the log asked for.
-        known, _ = _FIRST.parse_known_args(argv)
-        log = known.log
+        known, extra = _FIRST.parse_known_args(argv)
+        log, flags = known.log, []
         if known.rest and known.rest[0] in _SUBPARSERS:
             command = known.rest[0]
             if known.config:
-                # After the subcommand and before the user's own flags, which
-                # win because argparse keeps the last value.
-                at = len(argv) - len(known.rest) + 1
-                argv[at:at] = _config_flags(known.config, command, _SUBPARSERS[command])
-        args = _PARSER.parse_args(argv)
+                flags = _config_flags(known.config, command, _SUBPARSERS[command])
+        if command and not extra:
+            # The rest is the subcommand's alone: its parser reads it, after the
+            # config flags, so the user's own flags win (argparse keeps the last value).
+            args = _SUBPARSERS[command].parse_args(flags + known.rest[1:])
+            args.command = command
+        else:  # no subcommand, or flags before it: the whole parser, for its messages
+            at = len(argv) - len(known.rest) + 1
+            args = _PARSER.parse_args(argv[:at] + flags + argv[at:])
         _resolve_reads(args)
         config = {k: v for k, v in vars(args).items()
                   if k not in _NOT_HASHED and v is not None}
         seed = getattr(args, "seed", None)
-        # The instance enters the hash by its contents, and the record by its path.
+        # The instance enters the hash by its contents, and the record by its path;
+        # the run parses the same bytes.
         instance = config.pop("instance", None)
         if instance is not None:
-            config["instance_sha256"] = file_sha256(instance)
+            args.instance_bytes, config["instance_sha256"] = read_hashed(instance)
         code, summary = _output(args.handler(args), args.out)
     except (UsageError, ValueError, OSError, RuntimeError, ArithmeticError, MemoryError) as exc:
         message = str(exc)

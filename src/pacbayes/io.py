@@ -92,13 +92,17 @@ def parse_instance(text: str) -> Instance:
     return Instance(dist, table, prior, posterior)
 
 
-def load_instance(path) -> Instance:
-    return parse_instance(Path(path).read_text(encoding="utf-8"))
+def load_instance(path, data: bytes | None = None) -> Instance:
+    """The instance in the file at path; data, if given, is the file's bytes as
+    already read (read_hashed), so that the file is read once."""
+    data = Path(path).read_bytes() if data is None else data
+    return parse_instance(data.decode("utf-8"))
 
 
-def file_sha256(path) -> str:
-    """Hex sha256 of a file's bytes: what the config hash knows of an instance file."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def read_hashed(path) -> tuple[bytes, str]:
+    """A file's bytes and their hex sha256, what the config hash knows of an instance file."""
+    data = Path(path).read_bytes()
+    return data, hashlib.sha256(data).hexdigest()
 
 
 def format_instance(inst: Instance) -> str:

@@ -22,10 +22,16 @@ def kl_divergence(q: ProbMeasure, p: ProbMeasure):
     qw, pw = q.weights, p.weights
     # q / p where both carry mass; +inf where only q does, so its row sums to
     # +inf; 1 (a zero term) where q has none, in place of 0 or 0/0.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = qw / pw
-    np.copyto(ratio, 1.0, where=qw == 0)
-    return np.maximum((qw * np.log(ratio)).sum(axis=-1), 0.0)
+        np.copyto(ratio, 1.0, where=qw == 0)
+        kl = (qw * np.log(ratio)).sum(axis=-1)
+        # The ratio also overflows where a prior weight is subnormal; a row that
+        # sums to +inf takes q (log q - log p), +inf only where p has no mass.
+        if (over := np.isinf(kl)).any():
+            terms = np.where(qw > 0, qw * (np.log(qw) - np.log(pw)), 0.0)
+            kl = np.where(over, terms.sum(axis=-1), kl)
+    return np.maximum(kl, 0.0)
 
 
 def gibbs_losses(q: ProbMeasure, table: LossTable, s: Sample) -> np.ndarray:

@@ -47,16 +47,18 @@ def _tilt(p: ProbMeasure, score, t) -> ProbMeasure:
     return ProbMeasure._of(w / w.sum(axis=-1, keepdims=True))
 
 
-def gibbs_posterior(p: ProbMeasure, table: LossTable, s: Sample, beta: float) -> ProbMeasure:
+def gibbs_posterior(p: ProbMeasure, table: LossTable, s: Sample, beta: float,
+                    risks=None) -> ProbMeasure:
     """Tempered posterior: weights proportional to p(f) exp(-beta * m * Remp(f)),
     one row per sample of s; where beta * m overflows (beta = inf included),
-    the beta -> inf limit of _tilt."""
+    the beta -> inf limit of _tilt. risks: empirical_risks(table, s), if known."""
     _check_hypotheses(p, table)
     if not beta >= 0:
         raise ValueError("beta must be nonnegative")
     if beta == 0:
         return p
-    return _tilt(p, empirical_risks(table, s), float(beta) * s.m)
+    risks = empirical_risks(table, s) if risks is None else risks
+    return _tilt(p, risks, float(beta) * s.m)
 
 
 def evaluate_posterior_bound(family: str, params: BoundParams, q: ProbMeasure,
@@ -110,8 +112,8 @@ def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: Loss
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown bound family {family!r}")
-    starts = [gibbs_posterior(p, table, s, beta).weights for beta in BETA_GRID]
     risks = empirical_risks(table, s)
+    starts = [gibbs_posterior(p, table, s, beta, risks).weights for beta in BETA_GRID]
     if family == "kst":
         starts.append(_tilt(p, risks, _kl_ball_tilt(p, -risks, 2.0)[1]).weights)
 

@@ -44,6 +44,8 @@ def _tail_estimate(hits: int, trials: int) -> TailEstimate:
 _KL_BALL_RTOL = 1e-12
 # Both KL-ball solvers keep log lam (in _kl_ball's units) and _log_mgf's exponents below it.
 _LOG_LAM_CAP = 700.0
+# The 65 grid points of a kl_dual_value round, as np.linspace forms them.
+_GRID = np.arange(65.0)
 
 
 def _kl_ball(p: ProbMeasure, values, kappa: float):
@@ -128,7 +130,11 @@ def kl_ball_sup(p: ProbMeasure, values, kappa: float):
 
 
 def _kl_ball_tilt(p: ProbMeasure, values, kappa: float):
-    """kl_ball_sup and each row's lam: 0 at the prior mean, +inf at the lam -> inf limit."""
+    """kl_ball_sup and each row's lam: 0 at the prior mean, +inf at the lam -> inf limit.
+
+    The rows do not interact: every branch is taken per element and a finished
+    row keeps its lam, so a row's result is the same bits in any block.
+    """
     shape, w, out, lam_out, left, base, vmax, k, d, cmax, switch = _kl_ball(p, values, kappa)
     step = np.sqrt(2.0 * kappa / ((d + cmax[:, None]) ** 2 * w).sum(axis=-1))
     # The root is above sqrt(8 kappa), as KL(lam) <= lam^2 R^2 / 8 and the range R < 1 here.
@@ -139,9 +145,12 @@ def _kl_ball_tilt(p: ProbMeasure, values, kappa: float):
             if done.all():
                 break
             # Finished rows keep lam; a step out of the bracket takes its geometric midpoint,
-            # in a form that neither overflows nor rounds onto an end.
-            mid = lo + (hi - lo) / (1.0 + np.sqrt(hi) / np.sqrt(lo))
-            lam = np.where(done, lam, np.where((lo < step) & (step < hi), step, mid))
+            # in a form that neither overflows nor rounds onto an end, formed only when
+            # some open row needs it.
+            outside = ~done & ~((lo < step) & (step < hi))
+            lam = np.where(done, lam, step)
+            if outside.any():
+                lam = np.where(outside, lo + (hi - lo) / (1.0 + np.sqrt(hi) / np.sqrt(lo)), lam)
             at_mean, y, x, em1, log_m, tilt = _log_mgf(w, d, cmax, switch, lam)
             tilt = w * np.exp(x) if tilt is None else tilt
             mgf = tilt.sum(axis=-1)
@@ -187,7 +196,8 @@ def kl_dual_value(p: ProbMeasure, values, kappa: float) -> float:
     top, mean = np.ldexp(vmax[0], -k[0]), np.ldexp(base[0], -k[0])
     lo, hi = 0.5 * math.log(2.0 * kappa), _LOG_LAM_CAP
     while True:
-        u = np.linspace(lo, hi, 65)
+        u = _GRID * ((hi - lo) / 64) + lo  # np.linspace(lo, hi, 65), bit for bit
+        u[-1] = hi
         at_mean, *_, log_m, _ = _log_mgf(w, d[0], cmax[0], switch[0], lam := np.exp(u))
         f = np.where(at_mean, mean, top) + (kappa + log_m) / lam
         i = int(np.argmin(f))
@@ -330,8 +340,10 @@ def symmetrization_tail_mc(table: LossTable, dist: ProbMeasure, prior: ProbMeasu
 
     Trials run in blocks: the LHS samples come from sample_blocks(..., seed, 0),
     the RHS samples from sample_blocks(..., seed, 1), and block b's Rademacher
-    signs from stream(seed, 2, b). Each side of a block is one call: the
-    quadratic variant's maxima, or the linear variant's kl_ball_sup rows.
+    signs from stream(seed, 2, b). A block is one call per side for the
+    quadratic variant's maxima, and one kl_ball_sup call for both sides of the
+    linear variant: its LHS deviation rows stacked on its RHS process rows, as
+    kl_ball_sup solves each row on its own, to the same bits as alone.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -347,13 +359,12 @@ def symmetrization_tail_mc(table: LossTable, dist: ProbMeasure, prior: ProbMeasu
         scale = 1.0 + c_prime / 2.0
         rhs_level = t / (2.0 * (1.0 + c2)) / 2.0
 
-        def lhs_hits(s):
+        def hits(s, s2, eps):
             dev = r - (1.0 + c) * empirical_risks(table, s)
-            return np.count_nonzero(kl_ball_sup(prior, dev, kappa) >= t)
-
-        def rhs_hits(s2, eps):
             proc = scale * (np.matvec(loss, eps) / m - shift * empirical_risks(table, s2))
-            return np.count_nonzero(kl_ball_sup(prior, proc, kappa) >= rhs_level)
+            sup = kl_ball_sup(prior, np.concatenate([dev, proc]), kappa)
+            n = len(dev)
+            return np.count_nonzero(sup[:n] >= t), np.count_nonzero(sup[n:] >= rhs_level)
     else:
         if not 0 <= h <= 1:
             raise ValueError("h must lie in [0, 1]")
@@ -370,18 +381,17 @@ def symmetrization_tail_mc(table: LossTable, dist: ProbMeasure, prior: ProbMeasu
                       - math.ldexp(c_prime, -k) * (1.0 - h * h) * loss_sq)
         reduced = loss - (1.0 - h * h) * loss_sq
 
-        def lhs_hits(s):
-            return np.count_nonzero((np.ldexp(r, -k) - s.mean_rows(shifted)).max(axis=-1)
-                                    >= math.ldexp(t, -k))
-
-        def rhs_hits(s2, eps):
+        def hits(s, s2, eps):
+            dev = np.ldexp(r, -k) - s.mean_rows(shifted)
             proc = np.matvec(multiplied, eps) / m - c_dprime * s2.mean_rows(reduced)
-            return np.count_nonzero(proc.max(axis=-1) >= math.ldexp(t / 4.0, -k))
+            return (np.count_nonzero(dev.max(axis=-1) >= math.ldexp(t, -k)),
+                    np.count_nonzero(proc.max(axis=-1) >= math.ldexp(t / 4.0, -k)))
     lhs = rhs = 0
     blocks = zip(sample_blocks(dist, m, trials, seed, 0), sample_blocks(dist, m, trials, seed, 1))
     for b, ((_, s), (_, s2)) in enumerate(blocks):
         # Per point z, the sum of counts[z] Rademacher signs: 2 Binomial(counts[z], 1/2) - counts[z].
         eps = stream(seed, 2, b).binomial(s2.counts, 0.5) * 2 - s2.counts
-        lhs += int(lhs_hits(s))
-        rhs += int(rhs_hits(s2, eps))
+        lhs_b, rhs_b = hits(s, s2, eps)
+        lhs += int(lhs_b)
+        rhs += int(rhs_b)
     return _tail_estimate(lhs, trials), _tail_estimate(rhs, trials)

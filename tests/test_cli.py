@@ -1,5 +1,8 @@
+import builtins
+import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +120,17 @@ class TestBounds:
                     "--m", "100", "--c", c, "--c2", c2], log_file) == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error:") and f"c2 = {c2}" in line and "overflowed" not in line
+
+    def test_subnormal_prior_weight_gives_a_finite_bound(self, tmp_path, capsys, log_file):
+        # KL(Q || P) with P = (1, 1e-310) is about 356.2; its ratio q / p overflows.
+        inst = tmp_path / "sub.txt"
+        inst.write_text("space: 0.5 0.5\nlosses:\n1 0\n0 1\nprior: 1 1e-310\n"
+                        "posterior: 0.5 0.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["bounds", "--family", "catoni", "--instance", str(inst), "--m", "20",
+                        "--seed", "1"], log_file) == 0
+        assert math.isfinite(float(printed_row(capsys.readouterr().out)["value"]))
 
     def test_missing_closed_form_args(self, log_file):
         assert run(["bounds", "--family", "catoni", "--emp", "0.1"], log_file) == 2
@@ -521,6 +535,80 @@ class TestConfigAndLog:
         hashes = [r["config_hash"] for r in runs]
         assert values[0] == values[1] != values[2]
         assert hashes[0] == hashes[1] != hashes[2]
+
+    @pytest.mark.parametrize("argv", [
+        ["duality"],
+        ["bounds", "--family", "catoni", "--m", "20", "--seed", "1"],
+        ["coverage", "--family", "kst", "--trials", "20", "--m", "20", "--seed", "1"],
+        ["optimize", "--family", "mcallester", "--m", "20", "--seed", "1"],
+        ["sweep", "--m-grid", "10", "--trials", "2", "--seed", "1"],
+        ["lemmas", "--which", "symmetrization", "--trials", "20", "--seed", "1"],
+        ["lemmas", "--which", "debias", "--m", "5", "--lambda-over-m", "0.5"],
+    ], ids=["duality", "bounds", "coverage", "optimize", "sweep", "symmetrization", "debias"])
+    def test_the_instance_file_is_read_once(self, argv, inst_file, log_file, monkeypatch):
+        opened = []
+        for module in (io, builtins):
+            real = module.open
+            monkeypatch.setattr(module, "open", lambda file, *a, real=real, **kw: (
+                opened.append(str(file)), real(file, *a, **kw))[1])
+        assert run(argv + ["--instance", inst_file], log_file) in (0, 1)
+        assert opened.count(inst_file) == 1
+
+    def test_the_hash_and_the_result_come_from_the_same_bytes(self, tmp_path, inst_file,
+                                                              log_file, monkeypatch):
+        # The file is rewritten as soon as it has been read: the run hashes and
+        # computes what it read, as a run on an unchanging copy does.
+        copy, fresh = tmp_path / "copy.txt", tmp_path / "fresh.txt"
+        copy.write_text(INSTANCE)
+        argv = ["duality", "--kappa", "0.3", "--instance"]
+        real = io.open
+
+        def rewrite_after_open(file, *a, **kw):
+            handle = real(file, *a, **kw)
+            if str(file) == inst_file:
+                fresh.write_text(INSTANCE.replace("0.2 0.3 0.5", "0.6 0.3 0.1"))
+                fresh.replace(file)
+            return handle
+
+        with monkeypatch.context() as patch:
+            patch.setattr(io, "open", rewrite_after_open)
+            assert run(argv + [inst_file], log_file) == 0
+        assert run(argv + [str(copy)], log_file) == 0
+        assert run(argv + [inst_file], log_file) == 0
+        read, unchanged, rewritten = self.records(log_file)
+        assert read["config_hash"] == unchanged["config_hash"] != rewritten["config_hash"]
+        assert read["summary"] == unchanged["summary"] != rewritten["summary"]
+
+    def test_flags_win_over_config_flags_and_hash_as_if_given_alone(self, tmp_path, log_file,
+                                                                    capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("bounds.emp = 0.9\nbounds.kl = 0.0\nbounds.m = 100\nbounds.delta = 0.1\n")
+        argv = ["bounds", "--family", "mcallester", "--emp", "0.1", "--delta", "0.2"]
+        assert main(["--log", log_file, "--config", str(cfg)] + argv) == 0
+        assert run(argv + ["--kl", "0.0", "--m", "100"], log_file) == 0
+        configured, alone = self.records(log_file)
+        assert configured["config_hash"] == alone["config_hash"]
+        assert configured["summary"] == alone["summary"]
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == out[2:] and float(printed_row("\n".join(out[:2]))["value"]) < 0.9
+
+    @pytest.mark.parametrize("before, after, error", [
+        (["--bogus"], [], "unrecognized arguments: --bogus"),
+        ([], ["--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ([], ["--log", "elsewhere.jsonl"], "unrecognized arguments: --log elsewhere.jsonl"),
+        ([], ["--emp", "x"], "argument --emp: invalid float value: 'x'"),
+    ], ids=["before-the-subcommand", "after-it", "log-after-it", "bad-value"])
+    def test_a_usage_error_is_recorded_in_the_log_asked_for(self, before, after, error, tmp_path,
+                                                           capsys):
+        cfg, log = tmp_path / "cfg.txt", str(tmp_path / "asked.jsonl")
+        cfg.write_text("bounds.emp = 0.1\n")
+        argv = ["--log", log, "--config", str(cfg), *before, "bounds", "--family", "kst",
+                "--kl", "0", "--m", "10", *after]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {error}\nusage: pacbayes")
+        (record,) = self.records(log)
+        assert record["command"] == "bounds" and record["summary"] == {"error": error}
 
     @staticmethod
     def records(log_file):

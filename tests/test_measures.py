@@ -59,6 +59,31 @@ class TestKL:
         assert kl[1] == pytest.approx(math.log(2.0), abs=1e-15)
         assert kl[2] == pytest.approx(math.log(2.0), abs=1e-15)
 
+    def test_subnormal_prior_weight_against_mpmath(self):
+        # q / p overflows where p is subnormal; such a row is summed as
+        # q (log q - log p), finite and without a warning. The other rows keep their bits.
+        p = ProbMeasure([1.0, 1e-310])
+        with mpmath.workdps(40):
+            want = float(sum(mpmath.mpf(q) * mpmath.log(mpmath.mpf(q) / mpmath.mpf(w))
+                             for q, w in ((0.5, 1.0), (0.5, 1e-310))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kl_divergence(ProbMeasure([0.5, 0.5]), p)
+            rows = kl_divergence(ProbMeasure([[0.5, 0.5], [0.9, 0.1], [1.0, 0.0]]), p)
+            assert kl_divergence(ProbMeasure([0.5, 0.0, 0.5]),
+                                 ProbMeasure([0.5, 0.5 - 1e-310, 1e-310])) == pytest.approx(
+                                     0.5 * (math.log(0.5) - math.log(1e-310)), rel=1e-15)
+            assert kl_divergence(ProbMeasure([0.4, 0.2, 0.4]),
+                                 ProbMeasure([1.0, 1e-310, 0.0])) == math.inf
+        assert got == pytest.approx(want, rel=1e-15) and want == pytest.approx(356.2075, abs=1e-4)
+        assert rows[0] == got
+        assert rows[1] == pytest.approx(0.9 * math.log(0.9) + 0.1 * (math.log(0.1)
+                                                                     - math.log(1e-310)), rel=1e-14)
+        assert rows[2] == kl_divergence(ProbMeasure([1.0, 0.0]), p) == 0.0
+        p3 = ProbMeasure([0.25, 0.75 - 1e-310, 1e-310])
+        normal, overflowed = kl_divergence(ProbMeasure([[0.5, 0.5, 0.0], [0.4, 0.2, 0.4]]), p3)
+        assert normal == kl_divergence(ProbMeasure([0.5, 0.5, 0.0]), p3) and overflowed > 280
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             kl_divergence(ProbMeasure([1.0]), ProbMeasure([0.5, 0.5]))

@@ -417,6 +417,22 @@ class TestMinimizeBound:
         assert len(seen) >= 2
         assert calls == {"kl_divergence": len(seen), "gibbs_losses": len(seen)}
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_empirical_risks_call_feeds_every_start(self, rng, family, monkeypatch):
+        # The starts still come from gibbs_posterior, given the one risk array.
+        risk_calls, starts = [], []
+        monkeypatch.setattr(posterior_opt, "empirical_risks",
+                            lambda *a: risk_calls.append(1) or empirical_risks(*a))
+        real_gibbs = posterior_opt.gibbs_posterior
+        monkeypatch.setattr(posterior_opt, "gibbs_posterior",
+                            lambda *a: starts.append(a) or real_gibbs(*a))
+        p, table, block = zero_prior_instance(rng, 15, 6, 200, 5, 3)
+        minimize_bound(family, BoundParams(c=2.0, h=0.3), p, table, block)
+        assert len(risk_calls) == 1 and len(starts) == len(posterior_opt.BETA_GRID)
+        for p_, table_, s, beta, risks in starts:
+            with_risks, alone = real_gibbs(p_, table_, s, beta, risks), real_gibbs(p, table, s, beta)
+            assert with_risks.weights.tobytes() == alone.weights.tobytes()
+
 
 def reference_minimize_bound(family, params, p, table, s, beta_grid):
     """minimize_bound as it stood before each tilt carried its KL and G = Q L

@@ -12,8 +12,9 @@ from pacbayes import (LossTable, ProbMeasure, debias_mgf_exact,
                       xy_mgf_bruteforce)
 from pacbayes.bounds import log_cosh_over_x
 from pacbayes.cli import duality_tolerance
-from pacbayes.core import empirical_risks, true_risks
+from pacbayes.core import empirical_risks, sample_blocks, true_risks
 from pacbayes.processes import _KL_BALL_RTOL, _kl_ball_tilt
+from pacbayes.rng import stream
 
 from conftest import random_instance, random_measure
 
@@ -182,6 +183,33 @@ class TestKLBallSup:
             assert all(np.ndim(x) == 0 for x in one_by_one)
             np.testing.assert_array_equal(block.ravel(), one_by_one)
         assert kl_ball_sup(p, rows[8], 2.5) == 0.9
+
+    @pytest.mark.parametrize("kappa", [0.0, 1e-12, 0.05, 0.5, 2.0, 4.0, math.log(10.0)])
+    def test_stacked_blocks_keep_every_row_bits(self, rng, kappa, monkeypatch):
+        # symmetrization_tail_mc solves its two sides in one call: kl_ball_sup of
+        # two stacked blocks is both blocks' sups, bit for bit, whatever each row needs.
+        import pacbayes.processes as processes
+        log_rows, log_mgf = [], processes._log_mgf
+        monkeypatch.setattr(processes, "_log_mgf", lambda *a: (
+            r := log_mgf(*a), log_rows.append(r[5] is not None))[0])
+        p = ProbMeasure([0.5, 0.0, 0.2, 0.1, 0.1, 0.1])
+        special = np.array([
+            [0.3, 0.3, 0.3, 0.3, 0.3, 0.3],        # constant
+            [0.0, 9.0, 0.0, 0.0, 0.0, 0.0],        # constant on the support of p
+            [0.0, 0.5, 0.1, 0.2, 0.3, 1.0],        # KL limit -log 0.1 = log 10
+            [0.9, 0.0, 0.1, 0.1, 0.1, 0.1],        # KL limit -log 0.5
+            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],        # the log branch near the limit
+            [-1.0, 3.0, 1e-300, 0.0, 2.0, 1e-3],   # wide range
+        ])
+        for _ in range(5):
+            a = np.vstack([rng.random((int(rng.integers(1, 9)), 6)), special[rng.random(6) < 0.5]])
+            b = np.vstack([np.round(rng.random((int(rng.integers(1, 9)), 6)), 1),
+                           special[rng.permutation(6)[:3]]])
+            a, b = rng.permutation(a), rng.permutation(b)
+            stacked = kl_ball_sup(p, np.concatenate([a, b]), kappa)
+            apart = np.concatenate([kl_ball_sup(p, a, kappa), kl_ball_sup(p, b, kappa)])
+            assert stacked.tobytes() == apart.tobytes()
+        assert any(log_rows) or kappa != 2.0
 
     @pytest.mark.parametrize("kappa", [1e-300, 1e-8, 0.5, 3.0])
     def test_power_of_two_scaling_is_exact(self, rng, kappa):
@@ -563,6 +591,29 @@ class TestSymmetrizationTail:
         lhs, rhs = symmetrization_tail_mc(table, dist, p, kappa=0.3, c=1.0, c2=c2,
                                           t=t, m=m, trials=5000, seed=19, h=h)
         assert lhs.probability <= 4.0 * rhs.probability + lhs.wilson_halfwidth + 4.0 * rhs.wilson_halfwidth
+
+    @pytest.mark.parametrize("seed", [1, 7, 23, 404])
+    def test_linear_variant_matches_a_two_call_reference(self, rng, seed):
+        # One kl_ball_sup call a block for both sides counts what a call per side
+        # counts; 1500 trials make a second, shorter block.
+        dist, table = random_instance(rng, n_h=6, n_z=5, binary=seed % 2 == 0)
+        prior = random_measure(rng, 6)
+        kappa, c, c2, t, m, trials = 0.3, 1.0, 0.5, 0.1, 20, 1500
+        lhs, rhs = symmetrization_tail_mc(table, dist, prior, kappa, c, c2, t, m, trials, seed)
+        r = true_risks(table, dist)
+        c_prime = (c - c2) / (1.0 + c2)
+        lhs_hits = rhs_hits = 0
+        blocks = zip(sample_blocks(dist, m, trials, seed, 0), sample_blocks(dist, m, trials, seed, 1))
+        for b, ((_, s), (_, s2)) in enumerate(blocks):
+            eps = stream(seed, 2, b).binomial(s2.counts, 0.5) * 2 - s2.counts
+            dev = r - (1.0 + c) * empirical_risks(table, s)
+            proc = (1.0 + c_prime / 2.0) * (np.matvec(table.loss, eps) / m
+                                            - c_prime / (2.0 + c_prime) * empirical_risks(table, s2))
+            lhs_hits += np.count_nonzero(kl_ball_sup(prior, dev, kappa) >= t)
+            rhs_hits += np.count_nonzero(kl_ball_sup(prior, proc, kappa)
+                                         >= t / (2.0 * (1.0 + c2)) / 2.0)
+        assert (lhs.probability, rhs.probability) == (lhs_hits / trials, rhs_hits / trials)
+        assert 0 < rhs_hits < trials
 
     def test_determinism(self, rng):
         dist, table = random_instance(rng)
