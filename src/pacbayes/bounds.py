@@ -33,10 +33,11 @@ from .processes import xy_default_c2
 
 @dataclass(frozen=True)
 class BoundParams:
-    """Bound-family parameters; a family reads the fields in its Family.reads."""
+    """Bound-family parameters, each named as its CLI flag; a family reads the
+    fields in its Family.reads."""
 
     delta: float = 0.05
-    catoni_C: float = 1.0
+    C: float = 1.0
     c: float = 1.0
     c2: float | None = None    # matched_catoni only; None means c / 2, filled in when built
     h: float = 0.5
@@ -44,8 +45,8 @@ class BoundParams:
     def __post_init__(self):
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if not 0 < self.catoni_C < math.inf:
-            raise ValueError("catoni_C must be positive and finite")
+        if not 0 < self.C < math.inf:
+            raise ValueError("C must be positive and finite")
         if not 0 < self.c < math.inf:
             raise ValueError("c must be positive and finite")
         if self.c2 is None:
@@ -243,12 +244,12 @@ FAMILIES: dict[str, Family] = {
         m_min=2,
     ),
     "catoni": Family(
-        reads=("delta", "catoni_C"),
-        d_emp=lambda p: catoni_prefactor(p.catoni_C),
+        reads=("delta", "C"),
+        d_emp=lambda p: catoni_prefactor(p.C),
         complexity=lambda kl, m, p: ((kl + math.log(1.0 / p.delta))
-                                     / (m * -math.expm1(-p.catoni_C))),
-        d_kl=lambda kl, m, p: 1.0 / (m * -math.expm1(-p.catoni_C)),
-        derived=lambda p: p.catoni_C,
+                                     / (m * -math.expm1(-p.C))),
+        d_kl=lambda kl, m, p: 1.0 / (m * -math.expm1(-p.C)),
+        derived=lambda p: p.C,
     ),
     "kst": Family(
         reads=("delta",),

@@ -1,26 +1,29 @@
 """Command-line front end.
 
 Subcommands: bounds, coverage, lemmas, duality, optimize, sweep, gen-instance.
-Every stochastic subcommand requires --seed. Each handler returns a Result;
-main alone outputs it. stdout is the result table as CSV (a fixed header,
-17-significant-digit numbers), then a `name value...` line per note, then
-PASS or FAIL if the run checks something. --out gets the same CSV text;
-gen-instance has no table and writes its instance there. Each invocation, one
-whose arguments fail to parse included, appends one JSON line to the run log,
-with summary {"result": [an object per row], **notes} or {"error": message};
-a non-finite number is the string "inf", "-inf" or "nan", as in the CSV.
-The config hash covers the --instance file by the sha256 of its bytes, which
-are read once and are what the run parses; the record keeps the path as given,
-outside the hash.
+Every stochastic subcommand requires --seed. main calls each handler with the
+parsed arguments and the run's Instance (None without --instance); the handler
+returns a Result, and main alone outputs it. stdout is the result table as CSV
+(a fixed header, 17-significant-digit numbers), then a `name value...` line
+per note, then PASS or FAIL if the run checks something. --out gets the same
+CSV text; gen-instance has no table and writes its instance there. Each
+invocation, one whose arguments fail to parse included, appends one JSON line
+to the run log, with summary {"result": [an object per row], **notes} or
+{"error": message}; a non-finite number is the string "inf", "-inf" or "nan",
+as in the CSV. The config hash covers the --instance file by the sha256 of its
+bytes: main reads the file once, hashes those bytes and parses them into the
+Instance it hands the handler. The record keeps the path as given, outside the
+hash.
 
-The parser declares each flag's type and choices, and the default and
-requiredness of a flag that every run of its subcommand reads. Which of the
-other flags a run reads, with their defaults, is declared once per choice
-that decides it: FAMILIES[...].reads, LEMMA_FLAGS, RULE_FLAGS and
-BOUNDS_MODE_FLAGS. _resolve_reads applies these after parsing: an omitted
-flag the run reads takes its default, and a flag it does not read is a usage
-error if given and stays out of the config hash. Config values become flags
-and go through the same parser and resolver.
+A bound flag (--delta, --C, --c, --c2, --h) is the BoundParams field of the
+same name, whose default is the flag's. The parser declares each flag's type
+and choices, and the default and requiredness of a flag that every run of its
+subcommand reads. Which of the other flags a run reads, with their defaults,
+is declared once per choice that decides it: FAMILIES[...].reads, LEMMA_FLAGS,
+RULE_FLAGS and BOUNDS_MODE_FLAGS. _resolve_reads applies these after parsing:
+an omitted flag the run reads takes its default, and a flag it does not read
+is a usage error if given and stays out of the config hash. Config values
+become flags and go through the same parser and resolver.
 
 Exit codes: 0 success, 1 invariant/acceptance failure detected during the run
 (a solver that raises RuntimeError included), 2 usage or configuration error
@@ -33,7 +36,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -71,18 +74,10 @@ def _ints(text: str) -> list[int]:
     return [int(x) for x in text.replace(",", " ").split()]
 
 
-# Flag -> BoundParams field; the defaults have their one definition in BoundParams.
-_BOUND_FLAGS = {"delta": "delta", "C": "catoni_C", "c": "c", "c2": "c2", "h": "h"}
-
-
 def _bound_params(args) -> BoundParams:
-    return BoundParams(**{name: value for flag, name in _BOUND_FLAGS.items()
-                          if (value := getattr(args, flag, None)) is not None})
-
-
-def _instance(args) -> Instance:
-    """The --instance file, parsed from the bytes main read and hashed."""
-    return load_instance(args.instance, args.instance_bytes)
+    """The bound flags given or defaulted; each is the BoundParams field of its name."""
+    return BoundParams(**{f.name: value for f in fields(BoundParams)
+                          if (value := getattr(args, f.name, None)) is not None})
 
 
 def _fixed_q(inst: Instance) -> ProbMeasure:
@@ -95,8 +90,8 @@ POSTERIOR_RULES = ("fixed-Q", "gibbs-posterior", "bound-minimizer")
 # The flags (by dest) that only some runs read, per choice that decides it, each
 # with its default: REQUIRED if it has none, None if the run works it out.
 REQUIRED = "required"
-FAMILY_FLAGS = {name: {flag: getattr(BoundParams, field) for flag, field in _BOUND_FLAGS.items()
-                       if field in family.reads} for name, family in FAMILIES.items()}
+FAMILY_FLAGS = {name: {flag: getattr(BoundParams, flag) for flag in family.reads}
+                for name, family in FAMILIES.items()}
 RULE_FLAGS = {"fixed-Q": {}, "gibbs-posterior": {"beta": 1.0}, "bound-minimizer": {}}
 # bounds in instance mode (True) draws a sample; in closed form it takes emp and kl.
 BOUNDS_MODE_FLAGS = {True: {"instance": REQUIRED, "seed": REQUIRED},
@@ -175,11 +170,10 @@ def _bounds_row(report, params: BoundParams) -> list:
             "" if derived is None else derived(params)]
 
 
-def cmd_bounds(args) -> Result:
+def cmd_bounds(args, inst: Instance | None) -> Result:
     family = args.family
     params = _bound_params(args)
-    if args.instance is not None:
-        inst = _instance(args)
+    if inst is not None:
         s = draw_sample(inst.dist, args.m, args.seed)
         report = evaluate_posterior_bound(family, params, _fixed_q(inst), inst.prior, inst.table, s)
     else:
@@ -187,8 +181,7 @@ def cmd_bounds(args) -> Result:
     return Result(BOUNDS_CSV_HEADER, [_bounds_row(report, params)])
 
 
-def cmd_coverage(args) -> Result:
-    inst = _instance(args)
+def cmd_coverage(args, inst: Instance) -> Result:
     params = _bound_params(args)
     report = coverage_experiment(inst.table, inst.dist, inst.prior, _posterior_rule(args, inst),
                                  args.family, params, args.m, args.trials, args.seed)
@@ -198,10 +191,8 @@ def cmd_coverage(args) -> Result:
                   ok=report.clopper_pearson_upper <= params.delta)
 
 
-def cmd_lemmas(args) -> Result:
+def cmd_lemmas(args, inst: Instance | None) -> Result:
     which, x = args.which, args.lambda_over_m
-    if which != "xy":
-        inst = _instance(args)
     if which == "debias":
         value = debias_mgf_exact(inst.prior, inst.table, inst.dist, x, args.k, args.m)
         threshold = log_cosh_over_x(x)
@@ -217,21 +208,21 @@ def cmd_lemmas(args) -> Result:
         est = shifted_flatness_tail_mc(inst.table, args.f, inst.dist, args.m, args.c2, args.h, t,
                                        args.trials, args.seed)
         ok = est.probability <= 0.5 + est.wilson_halfwidth
-        fields, notes = {"tail": est.probability, "t": t}, {"halfwidth": est.wilson_halfwidth}
+        row, notes = {"tail": est.probability, "t": t}, {"halfwidth": est.wilson_halfwidth}
     else:  # symmetrization
         lhs, rhs = symmetrization_tail_mc(inst.table, inst.dist, inst.prior, args.kappa, args.c,
                                           args.c2, args.t, args.m, args.trials, args.seed,
                                           h=args.h)
         slack = lhs.wilson_halfwidth + 4.0 * rhs.wilson_halfwidth
         ok = lhs.probability <= 4.0 * rhs.probability + slack
-        fields = {"lhs": lhs.probability, "rhs": rhs.probability}
+        row = {"lhs": lhs.probability, "rhs": rhs.probability}
         notes = {"lhs_halfwidth": lhs.wilson_halfwidth, "rhs_halfwidth": rhs.wilson_halfwidth}
     if which in ("debias", "xy"):
         # Outside its hypotheses an exact lemma is still computed and passes unchecked.
         ok = not notes["applies"] or value <= 1.0 + 1e-12
-        fields = {"value": value}
-    fields = {"which": which, **fields, "pass": ok}
-    return Result(list(fields), [list(fields.values())], notes, ok)
+        row = {"value": value}
+    row = {"which": which, **row, "pass": ok}
+    return Result(list(row), [list(row.values())], notes, ok)
 
 
 def duality_tolerance(primal: float) -> float:
@@ -239,8 +230,7 @@ def duality_tolerance(primal: float) -> float:
     return 1e-12 * max(1.0, abs(primal))
 
 
-def cmd_duality(args) -> Result:
-    inst = _instance(args)
+def cmd_duality(args, inst: Instance) -> Result:
     values = true_risks(inst.table, inst.dist)
     primal = kl_ball_sup(inst.prior, values, args.kappa)
     dual = kl_dual_value(inst.prior, values, args.kappa)
@@ -249,8 +239,7 @@ def cmd_duality(args) -> Result:
     return Result(["primal", "dual", "gap", "pass"], [[primal, dual, gap, ok]], ok=ok)
 
 
-def cmd_optimize(args) -> Result:
-    inst = _instance(args)
+def cmd_optimize(args, inst: Instance) -> Result:
     s = draw_sample(inst.dist, args.m, args.seed)
     params = _bound_params(args)
     q = minimize_bound(args.family, params, inst.prior, inst.table, s)
@@ -258,8 +247,7 @@ def cmd_optimize(args) -> Result:
     return Result(BOUNDS_CSV_HEADER, [_bounds_row(report, params)], {"posterior": q.weights})
 
 
-def cmd_sweep(args) -> Result:
-    inst = _instance(args)
+def cmd_sweep(args, inst: Instance) -> Result:
     result = bound_sweep(inst.table, inst.dist, inst.prior, _posterior_rule(args, inst),
                          _bound_params(args), args.m_grid, args.trials, args.seed)
     return Result(["m", "catoni_mean", "flatness_mean", "T_m_mean", "kl_mean", "crossover_flag"],
@@ -268,7 +256,7 @@ def cmd_sweep(args) -> Result:
                   {"crossover_m": result.crossover_m})
 
 
-def cmd_gen_instance(args) -> Result:
+def cmd_gen_instance(args, inst: None) -> Result:
     n_h, n_z = args.hypotheses, args.points
     gen = stream(args.seed, 71)
     probs = gen.dirichlet(np.ones(n_z))
@@ -325,8 +313,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         return p
 
     def bound_flags(p):
-        for flag in _BOUND_FLAGS:
-            p.add_argument(f"--{flag}", type=float)
+        for f in fields(BoundParams):
+            p.add_argument(f"--{f.name}", type=float)
 
     p = subcommand("bounds", cmd_bounds, "evaluate one bound family",
                    seed="optional", instance="optional")
@@ -379,8 +367,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--rule", choices=[r for r in POSTERIOR_RULES if r != "bound-minimizer"],
                    default="fixed-Q")
     p.add_argument("--beta", type=float, help="read by --rule gibbs-posterior")
-    for flag in ("delta", "c", "h"):  # read by every sweep
-        p.add_argument(f"--{flag}", type=float, default=getattr(BoundParams, _BOUND_FLAGS[flag]))
+    for flag in FAMILIES["flatness"].reads:  # read by every sweep
+        p.add_argument(f"--{flag}", type=float, default=getattr(BoundParams, flag))
 
     p = subcommand("gen-instance", cmd_gen_instance, "generate a random problem instance",
                    seed="required")
@@ -448,11 +436,12 @@ def main(argv=None) -> int:
                   if k not in _NOT_HASHED and v is not None}
         seed = getattr(args, "seed", None)
         # The instance enters the hash by its contents, and the record by its path;
-        # the run parses the same bytes.
-        instance = config.pop("instance", None)
+        # the handler gets those bytes parsed.
+        instance, inst = config.pop("instance", None), None
         if instance is not None:
-            args.instance_bytes, config["instance_sha256"] = read_hashed(instance)
-        code, summary = _output(args.handler(args), args.out)
+            data, config["instance_sha256"] = read_hashed(instance)
+            inst = load_instance(instance, data)
+        code, summary = _output(args.handler(args, inst), args.out)
     except (UsageError, ValueError, OSError, RuntimeError, ArithmeticError, MemoryError) as exc:
         message = str(exc)
         if isinstance(exc, ArithmeticError):  # a huge finite argument

@@ -58,18 +58,17 @@ def bound_sweep(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
     grid = [int(m) for m in m_grid]
     if not grid:
         raise ValueError("m grid must be nonempty")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    catoni = replace(params, catoni_C=catoni_C_for_inflation(params.c))
+    catoni = replace(params, C=catoni_C_for_inflation(params.c))
 
     rows = []
     crossover_m = math.inf
     for j, m in enumerate(grid):
+        blocks = sample_blocks(dist, m, trials, seed, j)
         cat_vals = np.empty(trials)
         flat_vals = np.empty(trials)
         tms = np.empty(trials)
         kls = np.empty(trials)
-        for start, s in sample_blocks(dist, m, trials, seed, j):
+        for start, s in blocks:
             block = slice(start, start + len(s.counts))
             q = rule(prior, table, s)
             kl = kl_divergence(q, prior)

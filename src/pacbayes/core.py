@@ -62,15 +62,6 @@ class ProbMeasure:
         w[f] = 1.0
         return ProbMeasure(w)
 
-    @staticmethod
-    def normalized(raw) -> "ProbMeasure":
-        """raw / its sum, row by row."""
-        raw = np.asarray(raw, dtype=float)
-        total = raw.sum(axis=-1, keepdims=True)
-        if (total <= 0).any():
-            raise ValueError("cannot normalize a vector with nonpositive total mass")
-        return ProbMeasure(raw / total)
-
 
 @dataclass(frozen=True)
 class LossTable:
@@ -195,13 +186,16 @@ BLOCK = 1024
 
 
 def sample_blocks(dist: ProbMeasure, m: int, trials: int, seed: int, *subkeys: int):
-    """The samples of trials 0..trials-1 in blocks of at most BLOCK: yields
-    (first trial, block Sample with counts [T, n_z]). Block b is one draw_sample
+    """The samples of trials 0..trials-1 in blocks of at most BLOCK: an iterator
+    of (first trial, block Sample with counts [T, n_z]). Block b is one draw_sample
     call keyed by (seed, *subkeys, b), so trial t's sample is the same
-    whatever the number of trials."""
-    for block, start in enumerate(range(0, trials, BLOCK)):
-        yield start, draw_sample(dist, m, seed, *subkeys, block,
-                                 size=min(BLOCK, trials - start))
+    whatever the number of trials. trials < 1 is rejected at the call, so a
+    caller that calls it first reports a bad trial count before its other
+    arguments."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return ((start, draw_sample(dist, m, seed, *subkeys, block, size=min(BLOCK, trials - start)))
+            for block, start in enumerate(range(0, trials, BLOCK)))
 
 
 def true_risks(table: LossTable, dist: ProbMeasure) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LossTable, ProbMeasure, empirical_risks, sample_blocks, true_risks
+from .measures import _check_hypotheses
 from .rng import stream
 
 _Z95 = 1.959963984540054
@@ -224,8 +225,7 @@ def debias_mgf_exact(p: ProbMeasure, table: LossTable, dist: ProbMeasure,
         raise ValueError("k must be finite")
     if m < 1:
         raise ValueError("m must be >= 1")
-    if p.size != table.hypothesis_count:
-        raise ValueError("measure and loss table disagree on hypothesis count")
+    _check_hypotheses(p, table)
     x = lambda_over_m
     r = true_risks(table, dist)
     factor = (1.0 - r) + math.cosh(x) * math.exp(-k * x) * r
@@ -304,8 +304,7 @@ def shifted_flatness_tail_mc(table: LossTable, f: int, dist: ProbMeasure,
     The trials' samples come from sample_blocks(dist, m, trials, seed, 0x5F),
     and each block's statistics are one vectorised sample mean.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    blocks = sample_blocks(dist, m, trials, seed, 0x5F)
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     _check_shifted_flatness(m, c2, h)
@@ -316,7 +315,7 @@ def shifted_flatness_tail_mc(table: LossTable, f: int, dist: ProbMeasure,
     # stat = r - (1+c2) Remp(f) + c2 (1-h^2) Remp(f^2) = r - (sample mean of `shifted`)
     shifted = (1.0 + c2) * row - c2 * (1.0 - h * h) * row * row
     hits = 0
-    for _, s in sample_blocks(dist, m, trials, seed, 0x5F):
+    for _, s in blocks:
         hits += int(np.count_nonzero(r - s.mean(shifted) >= t / 2.0))
     return _tail_estimate(hits, trials)
 
@@ -345,8 +344,7 @@ def symmetrization_tail_mc(table: LossTable, dist: ProbMeasure, prior: ProbMeasu
     linear variant: its LHS deviation rows stacked on its RHS process rows, as
     kl_ball_sup solves each row on its own, to the same bits as alone.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    blocks = zip(sample_blocks(dist, m, trials, seed, 0), sample_blocks(dist, m, trials, seed, 1))
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     if not 0 < c2 < c < math.inf:
@@ -387,7 +385,6 @@ def symmetrization_tail_mc(table: LossTable, dist: ProbMeasure, prior: ProbMeasu
             return (np.count_nonzero(dev.max(axis=-1) >= math.ldexp(t, -k)),
                     np.count_nonzero(proc.max(axis=-1) >= math.ldexp(t / 4.0, -k)))
     lhs = rhs = 0
-    blocks = zip(sample_blocks(dist, m, trials, seed, 0), sample_blocks(dist, m, trials, seed, 1))
     for b, ((_, s), (_, s2)) in enumerate(blocks):
         # Per point z, the sum of counts[z] Rademacher signs: 2 Binomial(counts[z], 1/2) - counts[z].
         eps = stream(seed, 2, b).binomial(s2.counts, 0.5) * 2 - s2.counts

@@ -174,8 +174,6 @@ def coverage_experiment(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
     rounds once, so it does not depend on how the trials fall into blocks
     either. An infinite bound is never violated and makes mean_slack +inf.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     violations = 0
     slacks = []
     for _, s in sample_blocks(dist, m, trials, seed):

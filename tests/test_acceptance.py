@@ -163,7 +163,7 @@ def _coverage_instances():
 
 def test_08_coverage_soundness():
     t0 = time.perf_counter()
-    params = BoundParams(delta=0.05, catoni_C=1.0, c=1.0, h=0.5)
+    params = BoundParams(delta=0.05, C=1.0, c=1.0, h=0.5)
     worst_cp = 0.0
     total_viol = 0
     for fam in ("mcallester", "catoni", "kst", "matched_catoni", "flatness"):
@@ -186,7 +186,7 @@ def test_09_fast_vs_slow_rate():
     q = ProbMeasure.point_mass(2, 0)
     kw = dict(rule=lambda prior, table, s: q, m=10 ** 4, trials=100, seed=9)
     cat = coverage_experiment(table, dist, prior, family="catoni",
-                              params=BoundParams(delta=0.05, catoni_C=1.0), **kw)
+                              params=BoundParams(delta=0.05, C=1.0), **kw)
     mca = coverage_experiment(table, dist, prior, family="mcallester",
                               params=BoundParams(delta=0.05), **kw)
     report(9, "Catoni slack beats the square-root bound at small risk",

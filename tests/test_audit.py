@@ -43,7 +43,7 @@ def log_uniform(gen, lo, hi):
 
 # Each family's parameters beyond delta: a random draw and the range's corners.
 def catoni_params(gen):
-    return {"catoni_C": log_uniform(gen, 1e-8, 1e3)}
+    return {"C": log_uniform(gen, 1e-8, 1e3)}
 
 
 def matched_params(gen):
@@ -59,7 +59,7 @@ def flatness_params(gen):
 PARAMS = {
     "mcallester": (lambda gen: {}, [{}]),
     "kst": (lambda gen: {}, [{}]),
-    "catoni": (catoni_params, [{"catoni_C": C} for C in (1e-8, 1.0, 1e3)]),
+    "catoni": (catoni_params, [{"C": C} for C in (1e-8, 1.0, 1e3)]),
     "matched_catoni": (matched_params, [
         {"c": c2 + cp * (1.0 + c2), "c2": c2}
         for c2 in (1e-6, 1.0, 1e3) for cp in (1e-6, 1.0, 1e12, 1e15, 2.0 ** 53)]),
@@ -109,7 +109,7 @@ def mp_bound(family, emp, kl, m, delta, p: BoundParams, flat):
     if family == "mcallester":
         return emp + mpmath.sqrt((kl + mpmath.log(m / delta)) / (2 * (m - 1)))
     if family == "catoni":
-        C = mpf(p.catoni_C)
+        C = mpf(p.C)
         return (C * emp + (kl + log_inv_delta) / m) / -mpmath.expm1(-C)
     if family == "kst":
         return emp + mpf("4.5") * mpmath.sqrt(max(kl, 2) / m) + mpmath.sqrt(log_inv_delta / m)

@@ -16,7 +16,7 @@ from pacbayes.core import BLOCK
 
 from conftest import random_instance, random_measure
 
-PARAMS = BoundParams(delta=0.05, catoni_C=1.3, c=0.8, h=0.6)
+PARAMS = BoundParams(delta=0.05, C=1.3, c=0.8, h=0.6)
 
 
 def one_row(s: Sample) -> Sample:

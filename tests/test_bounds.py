@@ -56,7 +56,7 @@ class TestCatoni:
         with mpmath.workdps(50):
             expected = float((mpmath.mpf("0.1") + (2 + mpmath.log(20)) / 100)
                              / (1 - mpmath.exp(-1)))
-        value = bound("catoni", 0.1, 2.0, 100, delta=0.05, catoni_C=1.0)
+        value = bound("catoni", 0.1, 2.0, 100, delta=0.05, C=1.0)
         assert value == pytest.approx(expected, abs=1e-14)
         assert value == pytest.approx(0.23723, abs=1e-5)
 
@@ -67,16 +67,16 @@ class TestCatoni:
         assert catoni_prefactor(1.0) == pytest.approx(1.0 / (1.0 - math.exp(-1.0)), abs=1e-12)
 
     def test_inf_kl_propagates(self):
-        assert bound("catoni", 0.1, math.inf, 100, delta=0.05, catoni_C=1.0) == math.inf
+        assert bound("catoni", 0.1, math.inf, 100, delta=0.05, C=1.0) == math.inf
 
     def test_nonpositive_C_rejected(self):
         with pytest.raises(ValueError):
-            bound("catoni", 0.1, 0.0, 100, delta=0.05, catoni_C=0.0)
+            bound("catoni", 0.1, 0.0, 100, delta=0.05, C=0.0)
 
     def test_bounded_below_by_inflated_empirical(self):
         for C in (0.3, 1.0, 4.0):
             emp = 0.4
-            value = bound("catoni", emp, 0.0, 10 ** 6, delta=0.5, catoni_C=C)
+            value = bound("catoni", emp, 0.0, 10 ** 6, delta=0.5, C=C)
             assert value >= emp * catoni_prefactor(C) * C / C
 
     def test_inflation_inverse(self):
@@ -308,7 +308,7 @@ class TestMonotonicityAndReports:
         deltas = (0.01, 0.1, 0.5)
         families = {
             "mcallester": lambda emp, kl, m, d: bound("mcallester", emp, kl, m, delta=d),
-            "catoni": lambda emp, kl, m, d: bound("catoni", emp, kl, m, delta=d, catoni_C=1.0),
+            "catoni": lambda emp, kl, m, d: bound("catoni", emp, kl, m, delta=d, C=1.0),
             "kst": lambda emp, kl, m, d: bound("kst", emp, kl, m, delta=d),
             "matched": lambda emp, kl, m, d: bound("matched_catoni", emp, kl, m, delta=d, c=1.0,
                                                    c2=0.5),
@@ -333,7 +333,7 @@ class TestMonotonicityAndReports:
     def test_evaluate_bound_empirical_component_is_d_emp_times_emp(self):
         # Catoni's empirical share is C emp / (1 - e^{-C}), also when C != 1.
         C, emp = 1.5, 0.15
-        rep = evaluate_bound("catoni", emp, 1.2, 400, BoundParams(catoni_C=C))
+        rep = evaluate_bound("catoni", emp, 1.2, 400, BoundParams(C=C))
         assert rep.components["empirical"] == pytest.approx(C * emp / (1 - math.exp(-C)),
                                                             rel=1e-14)
         rep = evaluate_bound("matched_catoni", emp, 1.2, 400, BoundParams(c=2.0))
@@ -374,7 +374,7 @@ class TestMonotonicityAndReports:
 
 class TestReads:
     # A value other than the default for each BoundParams field.
-    CHANGED = {"delta": 0.1, "catoni_C": 2.0, "c": 2.0, "c2": 0.3, "h": 0.7}
+    CHANGED = {"delta": 0.1, "C": 2.0, "c": 2.0, "c2": 0.3, "h": 0.7}
 
     @staticmethod
     def evaluate(family, params, rng):

@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import io
 import json
 import math
@@ -94,6 +95,19 @@ class TestBounds:
         # The flatness family reports its rate (as complexity_term) and its flatness term.
         assert row["family"] == "flatness"
         assert float(row["complexity_term"]) > 0 and float(row["flatness_term"]) > 0
+
+    def test_bad_C_is_named_as_its_flag(self, capsys, log_file):
+        assert run(["bounds", "--family", "catoni", "--emp", "0.1", "--kl", "0.1",
+                    "--m", "10", "--C", "0"], log_file) == 2
+        assert capsys.readouterr().err == "error: C must be positive and finite\n"
+
+    def test_bound_flags_are_the_bound_params_fields(self):
+        names = {f.name for f in dataclasses.fields(BoundParams)}
+        assert set().union(*cli.FAMILY_FLAGS.values()) == names
+        for command in ("bounds", "coverage", "optimize"):
+            flags = {a.dest for a in cli._SUBPARSERS[command]._actions
+                     if a.option_strings == [f"--{a.dest}"]}
+            assert names <= flags, command
 
     def test_matched_catoni_root_above_ten(self, capsys, log_file):
         assert run(["bounds", "--family", "matched_catoni", "--emp", "0.1", "--kl", "1",
@@ -799,7 +813,7 @@ class TestUsageContract:
     def test_out_of_memory_exits_2_with_one_record(self, log_file, capsys, monkeypatch):
         import pacbayes.cli
 
-        def too_big(args):
+        def too_big(args, inst):
             raise MemoryError("Unable to allocate 72.8 TiB for an array")
 
         monkeypatch.setitem(pacbayes.cli._SUBPARSERS["gen-instance"]._defaults, "handler",

@@ -110,5 +110,6 @@ class TestBoundSweep:
         dist, table, prior = self._setup(rng)
         with pytest.raises(ValueError):
             bound_sweep(table, dist, prior, prior_rule, BoundParams(h=0.5), (), 3, 1)
-        with pytest.raises(ValueError):
-            bound_sweep(table, dist, prior, prior_rule, BoundParams(h=0.5), (10,), 0, 1)
+        for trials in (0, -2):  # -2 is reported before any array of that length is made
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                bound_sweep(table, dist, prior, prior_rule, BoundParams(h=0.5), (10,), trials, 1)

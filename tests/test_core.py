@@ -219,6 +219,11 @@ class TestBlocks:
         assert [start for start, _ in few] == [0, BLOCK]
         assert np.array_equal(np.concatenate([c for _, c in few]), many[:BLOCK + 5])
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_sample_blocks_rejects_fewer_than_one_trial(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            next(sample_blocks(ProbMeasure([0.5, 0.5]), 5, trials, 1))
+
     def test_batched_risks_match_each_row(self, rng):
         dist, table = random_instance(rng, n_h=6, n_z=5, binary=False)
         s = draw_sample(dist, 33, 5, size=8)

@@ -243,10 +243,6 @@ class TestBlocks:
             ProbMeasure([[0.5, 0.5], [0.7, 0.4]])
         with pytest.raises(ValueError):
             ProbMeasure([[0.5, 0.5], [1.5, -0.5]])
-        with pytest.raises(ValueError):
-            ProbMeasure.normalized([[1.0, 2.0], [0.0, 0.0]])
-        assert np.array_equal(ProbMeasure.normalized([[1.0, 3.0], [2.0, 2.0]]).weights,
-                              [[0.25, 0.75], [0.5, 0.5]])
 
     def test_kl_per_row_with_infinite_rows(self):
         q = ProbMeasure([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])

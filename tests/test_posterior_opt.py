@@ -108,8 +108,13 @@ class TestPosteriorsPassTheMeasureChecks:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_minimize_bound(self, rng, family, size):
         p, table, s = zero_prior_instance(rng, 9, 4, 30, size, 2)
-        params = BoundParams(catoni_C=1.3, c=2.0, h=0.3)
+        params = BoundParams(C=1.3, c=2.0, h=0.3)
         assert_passes_its_checks(minimize_bound(family, params, p, table, s))
+
+
+def normalized(w) -> ProbMeasure:
+    """w / its sum, row by row."""
+    return ProbMeasure(w / w.sum(axis=-1, keepdims=True))
 
 
 def zero_prior_instance(rng, n_h, n_z, m, size, seed):
@@ -118,7 +123,7 @@ def zero_prior_instance(rng, n_h, n_z, m, size, seed):
     dist, table = random_instance(rng, n_h=n_h, n_z=n_z, binary=False)
     weights = rng.dirichlet(np.ones(n_h))
     weights[rng.permutation(n_h)[:n_h // 3]] = 0.0
-    return ProbMeasure.normalized(weights), table, draw_sample(dist, m, seed, size=size)
+    return normalized(weights), table, draw_sample(dist, m, seed, size=size)
 
 
 def minimized(family, params, p, table, s):
@@ -156,25 +161,25 @@ class TestGradient:
     on the prior's support, checked against central differences of the bound.
     For flatness, score carries the gradient of c * flatness."""
 
-    # catoni_C = 1.5 catches a temperature that is right only at C = 1.
-    @pytest.mark.parametrize("family,catoni_C", [
+    # C = 1.5 catches a temperature that is right only at C = 1.
+    @pytest.mark.parametrize("family,C", [
         *(pytest.param(f, 1.0, id=f) for f in FAMILIES_CLOSED + ("flatness",)),
         pytest.param("catoni", 1.5, id="catoni-C1.5"),
     ])
-    def test_finite_difference(self, rng, family, catoni_C):
+    def test_finite_difference(self, rng, family, C):
         dist, table = random_instance(rng, n_h=5, n_z=4, binary=False)
         p = ProbMeasure([0.04, 0.3, 0.26, 0.2, 0.2])
         s = draw_sample(dist, 20, 6)
-        params = BoundParams(delta=0.05, catoni_C=catoni_C, c=1.0, h=0.5)
+        params = BoundParams(delta=0.05, C=C, c=1.0, h=0.5)
         # Mostly on the first atom, so that KL exceeds 2, where kst's d_kl is not 0.
-        q = ProbMeasure.normalized(rng.dirichlet(np.ones(5)) * 0.1 + [1.0, 0, 0, 0, 0])
+        q = normalized(rng.dirichlet(np.ones(5)) * 0.1 + [1.0, 0, 0, 0, 0])
         assert kl_divergence(q, p) > 2
         score, t = majorise_at(family, params, q, p, table, s)
         grad = FAMILIES[family].d_emp(params) * (score + (np.log(q.weights / p.weights) + 1) / t)
 
         def objective(w):
             return evaluate_posterior_bound(
-                family, params, ProbMeasure.normalized(w), p, table, s).value
+                family, params, normalized(w), p, table, s).value
 
         eps = 1e-6
         # compare directional derivatives along simplex-tangent directions
@@ -198,7 +203,7 @@ class TestMinimizeBound:
         dist, table = random_instance(rng, n_h=5, n_z=4)
         p = ProbMeasure.uniform(5)
         s = draw_sample(dist, 30, 7)
-        params = BoundParams(delta=0.05, catoni_C=1.0, c=1.0, h=0.5)
+        params = BoundParams(delta=0.05, C=1.0, c=1.0, h=0.5)
         betas = (0.0, 0.5, 2.0, 10.0)
         monkeypatch.setattr(posterior_opt, "BETA_GRID", betas)
         q, rep = minimized(family, params, p, table, s)
@@ -214,7 +219,7 @@ class TestMinimizeBound:
         p = ProbMeasure.uniform(4)
         s = draw_sample(dist, 25, 8)
         C = 1.3
-        params = BoundParams(delta=0.05, catoni_C=C)
+        params = BoundParams(delta=0.05, C=C)
         q_opt = gibbs_posterior(p, table, s, C)
         opt_val = evaluate_posterior_bound("catoni", params, q_opt, p, table, s).value
         monkeypatch.setattr(posterior_opt, "BETA_GRID", (0.0, C, 5.0))
@@ -225,7 +230,7 @@ class TestMinimizeBound:
     @pytest.mark.parametrize("family", ["catoni", "matched_catoni"])
     def test_one_tilt_is_the_tempered_posterior(self, rng, family):
         # beta = d_emp / (m d_kl): C for catoni, (1 + c) / C1 for matched_catoni.
-        params = BoundParams(delta=0.05, catoni_C=1.3)
+        params = BoundParams(delta=0.05, C=1.3)
         C1 = derive_matched_catoni_constants(1.0, 0.5, 0.05).C1
         beta = 1.3 if family == "catoni" else 2.0 / C1
         assert family == "catoni" or beta == pytest.approx(0.0276, abs=1e-4)
@@ -239,7 +244,7 @@ class TestMinimizeBound:
     @pytest.mark.parametrize("family", FAMILIES_CLOSED)
     def test_not_above_a_fine_beta_scan(self, rng, family):
         # The minimiser of a closed-form family lies on the tempered path.
-        params = BoundParams(delta=0.05, catoni_C=0.7)
+        params = BoundParams(delta=0.05, C=0.7)
         # beta = 0 is the prior itself; the tilt at t = 0 would be p / sum(p).
         betas = np.concatenate([np.logspace(-5, 4, 2000), [np.inf]])
         for n_h, n_z, m, seed in ((12, 5, 40, 1), (30, 8, 300, 2), (6, 3, 5000, 3)):
@@ -272,7 +277,7 @@ class TestMinimizeBound:
         # evaluation after the start is one tilt of the same row. A tilt is
         # kept only where it lowers the bound, and the row stops at the first
         # tilt that lowers it by at most 1e-12 max(1, |B|).
-        params = BoundParams(delta=0.05, catoni_C=1.3, c=2.0, h=0.3)
+        params = BoundParams(delta=0.05, C=1.3, c=2.0, h=0.3)
         seen = record_bounds(monkeypatch)
         for seed in range(4):
             p, table, block = zero_prior_instance(rng, 15, 6, 200, 1, seed)
@@ -382,8 +387,8 @@ class TestMinimizeBound:
         dist, table = random_instance(rng, n_h=12, n_z=5, binary=False)
         weights = rng.dirichlet(np.ones(12))
         weights[[1, 4, 5, 9]] = 0.0
-        p = ProbMeasure.normalized(weights)
-        params = BoundParams(delta=0.05, catoni_C=1.3, c=1.0, h=0.6)
+        p = normalized(weights)
+        params = BoundParams(delta=0.05, C=1.3, c=1.0, h=0.6)
         block = draw_sample(dist, 40, 11, size=7)
         monkeypatch.setattr(posterior_opt, "BETA_GRID", (0.0, 0.3, 2.0, 1e3))
         q, rep = minimized(family, params, p, table, block)
@@ -413,7 +418,7 @@ class TestMinimizeBound:
                     monkeypatch.setattr(module, fn.__name__, counting(fn))
         seen = record_bounds(monkeypatch)
         p, table, block = zero_prior_instance(rng, 15, 6, 200, 5, 3)
-        minimize_bound(family, BoundParams(catoni_C=1.3, c=2.0, h=0.3), p, table, block)
+        minimize_bound(family, BoundParams(C=1.3, c=2.0, h=0.3), p, table, block)
         assert len(seen) >= 2
         assert calls == {"kl_divergence": len(seen), "gibbs_losses": len(seen)}
 
@@ -449,7 +454,7 @@ def reference_minimize_bound(family, params, p, table, s, beta_grid):
         if limit.any():
             least = np.where(support, score, np.inf)
             w = np.where(limit, p.weights * (least == least.min(axis=-1, keepdims=True)), w)
-        return ProbMeasure.normalized(w)
+        return normalized(w)
 
     def evaluate(q, s):
         kl = kl_divergence(q, p)
@@ -503,7 +508,7 @@ def oracle_instance(name, rng):
         # Hypotheses 12 to 15 repeat 0 to 3, so their risks tie on every sample.
         p, table, block = zero_prior_instance(rng, 12, 5, 40, 6, 4)
         table = LossTable(np.vstack([table.loss, table.loss[:4]]))
-        return ProbMeasure.normalized(np.concatenate([p.weights, p.weights[:4]])), table, block
+        return normalized(np.concatenate([p.weights, p.weights[:4]])), table, block
     if name.startswith("kst-limit"):
         # The kst start is the tilt to KL = 2, or the beta -> inf limit where the
         # KL limit -log P(least risk) is at most 2: 1/4 of the mass, or 1/30.
@@ -529,7 +534,7 @@ class TestBitIdentityOracle:
         if name.startswith("kst-limit"):
             lam = _kl_ball_tilt(p, -empirical_risks(table, s), 2.0)[1]
             assert np.isinf(lam).all() if name == "kst-limit-below-2" else np.isfinite(lam).all()
-        params = BoundParams(delta=0.05, catoni_C=1.3, c=2.0, h=0.3)
+        params = BoundParams(delta=0.05, C=1.3, c=2.0, h=0.3)
         grid = posterior_opt.BETA_GRID
         if s.m < FAMILIES[family].m_min:
             for solve in (lambda: minimize_bound(family, params, p, table, s),

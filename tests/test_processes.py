@@ -513,6 +513,13 @@ class TestXYMGF:
 
 
 class TestShiftedFlatnessTail:
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_trial_count_is_checked_first(self, rng, trials):
+        dist, table = random_instance(rng)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            shifted_flatness_tail_mc(table, 99, dist, m=0, c2=0.5, h=0.5, t=math.nan,
+                                     trials=trials, seed=1)
+
     def test_huge_t_never_exceeded(self, rng):
         dist, table = random_instance(rng)
         c2 = 0.5
@@ -551,6 +558,14 @@ class TestShiftedFlatnessTail:
 
 
 class TestSymmetrizationTail:
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_trial_count_is_checked_first(self, rng, trials):
+        dist, table = random_instance(rng)
+        p = ProbMeasure.uniform(table.hypothesis_count)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            symmetrization_tail_mc(table, dist, p, kappa=0.5, c=0.5, c2=1.0, t=math.nan, m=20,
+                                   trials=trials, seed=2)
+
     def test_above_range_both_zero(self, rng):
         dist, table = random_instance(rng)
         p = ProbMeasure.uniform(table.hypothesis_count)

@@ -205,7 +205,7 @@ class TestCoverage:
         dist, table = random_instance(rng)
         prior = ProbMeasure.uniform(table.hypothesis_count)
         kw = dict(rule=functools.partial(gibbs_posterior, beta=1.0),
-                  family="catoni", params=BoundParams(delta=0.05, catoni_C=1.0),
+                  family="catoni", params=BoundParams(delta=0.05, C=1.0),
                   m=30, trials=64, seed=7)
         assert coverage_experiment(table, dist, prior, **kw) == \
             coverage_experiment(table, dist, prior, **kw)
@@ -221,7 +221,7 @@ class TestCoverage:
     def test_bound_minimizer_rule_runs(self, rng):
         dist, table = random_instance(rng, n_h=3, n_z=3)
         prior = ProbMeasure.uniform(3)
-        params = BoundParams(delta=0.05, catoni_C=1.5)
+        params = BoundParams(delta=0.05, C=1.5)
         rep = coverage_experiment(
             table, dist, prior,
             functools.partial(minimize_bound, "catoni", params),
@@ -257,7 +257,8 @@ class TestCoverage:
 
     def test_trials_validation(self, rng):
         dist, table = random_instance(rng)
-        with pytest.raises(ValueError):
-            coverage_experiment(table, dist, ProbMeasure.uniform(table.hypothesis_count),
-                                prior_rule, "kst", BoundParams(), 10, 0, 1)
+        for trials in (0, -2):
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                coverage_experiment(table, dist, ProbMeasure.uniform(table.hypothesis_count),
+                                    prior_rule, "kst", BoundParams(), 10, trials, 1)
 
