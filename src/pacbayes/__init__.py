@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .core import (LossTable, ProbMeasure, Sample, draw_sample, empirical_risks,
                    sample_blocks, true_risks)
-from .measures import (flatness, flatness_alternate, gibbs_empirical_risk, gibbs_losses,
-                       gibbs_risk, kl_divergence)
+from .measures import flatness, flatness_alternate, gibbs_losses, gibbs_risk, kl_divergence
 from .bounds import (FAMILIES, BoundParams, BoundReport, DerivedConstants,
                      catoni_C_for_inflation, catoni_prefactor,
                      derive_matched_catoni_constants, evaluate_bound, flatness_bound)
@@ -21,8 +20,7 @@ from .io import Instance, load_instance, save_instance
 __all__ = [
     "ProbMeasure", "LossTable", "Sample",
     "draw_sample", "sample_blocks", "true_risks", "empirical_risks",
-    "kl_divergence", "gibbs_losses", "gibbs_risk",
-    "gibbs_empirical_risk", "flatness", "flatness_alternate",
+    "kl_divergence", "gibbs_losses", "gibbs_risk", "flatness", "flatness_alternate",
     "FAMILIES", "BoundParams", "BoundReport", "DerivedConstants", "evaluate_bound",
     "derive_matched_catoni_constants", "flatness_bound", "catoni_prefactor",
     "catoni_C_for_inflation",

@@ -28,7 +28,6 @@ import numpy as np
 
 from .core import _SUM_TOL, LossTable, ProbMeasure, Sample
 from .measures import flatness, gibbs_losses
-from .processes import xy_default_c2
 
 
 @dataclass(frozen=True)
@@ -167,9 +166,14 @@ def derive_matched_catoni_constants(c: float, c2: float, delta: float) -> Derive
     )
 
 
+def xy_default_c2(c: float, h: float) -> float:
+    """The sufficient c2 = h^2 c / (1 + 16 h^2 c) of the fast-rate flatness theorem."""
+    return h * h * c / (1.0 + 16.0 * h * h * c)
+
+
 def flatness_rate_constant(c: float, h: float) -> float:
     """Rate constant C = 2 h^2 c2 = 2 h^4 c / (1 + 16 h^2 c) of the flatness bound,
-    with c2 = processes.xy_default_c2(c, h), the theorem's sufficient c2."""
+    with c2 = xy_default_c2(c, h), the theorem's sufficient c2."""
     if not c > 0:
         raise ValueError("c must be positive")
     if not 0 < h < 1:

@@ -40,14 +40,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bounds import FAMILIES, BoundParams, evaluate_bound, log_cosh_over_x
+from .bounds import FAMILIES, BoundParams, evaluate_bound, log_cosh_over_x, xy_default_c2
 from .core import LossTable, ProbMeasure, draw_sample, true_risks
 from .io import (Instance, append_run_record, csv_text, fmt, load_config, load_instance,
                  read_hashed, save_instance, write_csv)
 from .posterior_opt import evaluate_posterior_bound, gibbs_posterior, minimize_bound
 from .processes import (debias_mgf_exact, kl_ball_sup, kl_dual_value,
                         lemma_a3_threshold, shifted_flatness_tail_mc,
-                        symmetrization_tail_mc, xy_cap, xy_default_c2, xy_mgf_bruteforce)
+                        symmetrization_tail_mc, xy_cap, xy_mgf_bruteforce)
 from .rng import stream
 from .compare import bound_sweep
 from .verify import coverage_experiment
@@ -258,6 +258,9 @@ def cmd_sweep(args, inst: Instance) -> Result:
 
 def cmd_gen_instance(args, inst: None) -> Result:
     n_h, n_z = args.hypotheses, args.points
+    for flag, n in (("--hypotheses", n_h), ("--points", n_z)):
+        if n < 1:
+            raise UsageError(f"{flag} must be >= 1")
     gen = stream(args.seed, 71)
     probs = gen.dirichlet(np.ones(n_z))
     if args.nonbinary:

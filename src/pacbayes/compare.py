@@ -55,7 +55,7 @@ def bound_sweep(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
     sample_blocks(dist, m, trials, seed, j); rule maps (prior, table, block of
     samples) to one posterior row per sample, or to one posterior for all.
     """
-    grid = [int(m) for m in m_grid]
+    grid = list(m_grid)
     if not grid:
         raise ValueError("m grid must be nonempty")
     catoni = replace(params, C=catoni_C_for_inflation(params.c))

@@ -56,12 +56,6 @@ class ProbMeasure:
     def uniform(n: int) -> "ProbMeasure":
         return ProbMeasure(np.full(n, 1.0 / n))
 
-    @staticmethod
-    def point_mass(n: int, f: int) -> "ProbMeasure":
-        w = np.zeros(n)
-        w[f] = 1.0
-        return ProbMeasure(w)
-
 
 @dataclass(frozen=True)
 class LossTable:
@@ -161,6 +155,16 @@ class Sample:
         return np.matvec(self._per_point(table), self.counts) / self.m
 
 
+def _sample_size(m) -> int:
+    """m as an int; ValueError unless it is a whole number >= 1 (an integral
+    float or a NumPy integer is one)."""
+    if m < 1:
+        raise ValueError("sample size m must be >= 1")
+    if not isinstance(m, (int, np.integer)) and not float(m).is_integer():
+        raise ValueError(f"sample size m must be a whole number, got {m!r}")
+    return int(m)
+
+
 def draw_sample(dist: ProbMeasure, m: int, seed: int, *subkeys: int,
                 size: int | None = None) -> Sample:
     """Draw m i.i.d. points from dist, or a block of `size` such samples (counts
@@ -169,9 +173,7 @@ def draw_sample(dist: ProbMeasure, m: int, seed: int, *subkeys: int,
     block; subkeys select independent streams (e.g. trial or block index)."""
     if dist.weights.ndim != 1:
         raise ValueError("the data distribution must be one vector, not a block")
-    m = int(m)  # the multinomial draws int(m) points
-    if m < 1:
-        raise ValueError("sample size m must be >= 1")
+    m = _sample_size(m)
     if size is not None and size < 1:
         raise ValueError("a block must hold at least one sample")
     # Renormalize: dist.weights may sum to 1 only within tolerance, which the

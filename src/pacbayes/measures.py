@@ -51,11 +51,6 @@ def gibbs_risk(q: ProbMeasure, table: LossTable, dist: ProbMeasure):
     return np.vecdot(np.vecmat(q.weights, table.loss), dist.weights)
 
 
-def gibbs_empirical_risk(q: ProbMeasure, table: LossTable, s: Sample):
-    """Empirical Gibbs risk: mean of G_Q(z_i) over each sample."""
-    return s.mean(gibbs_losses(q, table, s))
-
-
 def flatness(q: ProbMeasure, table: LossTable, s: Sample, h: float, g=None):
     """h-flatness (1/m) sum_i E_Q[f(z_i) - (1+h) G_Q(z_i)]^2, one value per sample.
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LossTable, ProbMeasure, empirical_risks, sample_blocks, true_risks
+from .core import (LossTable, ProbMeasure, _sample_size, empirical_risks, sample_blocks,
+                   true_risks)
 from .measures import _check_hypotheses
 from .rng import stream
 
@@ -223,8 +224,7 @@ def debias_mgf_exact(p: ProbMeasure, table: LossTable, dist: ProbMeasure,
         raise ValueError("lambda/m must be positive and finite")
     if not math.isfinite(k):
         raise ValueError("k must be finite")
-    if m < 1:
-        raise ValueError("m must be >= 1")
+    m = _sample_size(m)
     _check_hypotheses(p, table)
     x = lambda_over_m
     r = true_risks(table, dist)
@@ -235,11 +235,6 @@ def debias_mgf_exact(p: ProbMeasure, table: LossTable, dist: ProbMeasure,
 def xy_cap(c: float, c2: float, h: float) -> float:
     """Admissible lambda/m cap (h^2 c - c2) / (2 (1 + h^2 c)(1 + c2))."""
     return (h * h * c - c2) / (2.0 * (1.0 + h * h * c) * (1.0 + c2))
-
-
-def xy_default_c2(c: float, h: float) -> float:
-    """The sufficient c2 = h^2 c / (1 + 16 h^2 c) of the fast-rate flatness theorem."""
-    return h * h * c / (1.0 + 16.0 * h * h * c)
 
 
 def xy_mgf_bruteforce(mu, lambda_over_m: float, c: float, c2: float, h: float) -> float:

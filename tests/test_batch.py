@@ -10,7 +10,7 @@ import pytest
 
 from pacbayes import (FAMILIES, BoundParams, LossTable, ProbMeasure, Sample,
                       bound_sweep, coverage_experiment, draw_sample, evaluate_posterior_bound,
-                      flatness_bound, gibbs_empirical_risk, gibbs_posterior, kl_divergence)
+                      flatness_bound, gibbs_losses, gibbs_posterior, kl_divergence)
 from pacbayes.cli import main
 from pacbayes.core import BLOCK
 
@@ -45,8 +45,8 @@ class TestOneRowBlockEqualsOneSample:
         q_block = ProbMeasure(q.weights[None, :])
         assert kl_divergence(q_block, prior).shape == (1,)
         assert kl_divergence(q_block, prior)[0] == kl_divergence(q, prior)
-        assert gibbs_empirical_risk(q_block, table, one_row(s))[0] == \
-            gibbs_empirical_risk(q, table, s)
+        s1 = one_row(s)
+        assert s1.mean(gibbs_losses(q_block, table, s1))[0] == s.mean(gibbs_losses(q, table, s))
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_every_family(self, case, family):

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from pacbayes import (BoundParams, LossTable, ProbMeasure, Sample,
                       catoni_C_for_inflation, catoni_prefactor,
                       derive_matched_catoni_constants, draw_sample, flatness_bound)
-from pacbayes.measures import flatness, gibbs_empirical_risk
+from pacbayes.measures import flatness, gibbs_losses
 from pacbayes.bounds import (FAMILIES, _bisect_increasing, evaluate_bound,
                              flatness_rate_constant, log_cosh_over_x)
 
@@ -270,7 +270,7 @@ class TestFlatnessBound:
     def test_completely_flat_zero_risk(self):
         t = LossTable([[0, 0], [1, 1]])
         s = Sample(np.array([2, 2]))
-        q = ProbMeasure.point_mass(2, 0)
+        q = ProbMeasure(np.eye(2)[0])
         rep = flatness_bound(q, t, s, 0.3, BoundParams(delta=0.1, c=0.7, h=0.3))
         assert rep.components["empirical"] == 0.0
         assert rep.components["flatness"] == 0.0
@@ -366,7 +366,7 @@ class TestMonotonicityAndReports:
         s, q = draw_sample(dist, 40, 3), random_measure(rng, 6)
         params = BoundParams(delta=0.1, c=1.5, h=0.4)
         rep = flatness_bound(q, table, s, 0.7, params)
-        direct = evaluate_bound("flatness", gibbs_empirical_risk(q, table, s), 0.7, s.m, params,
+        direct = evaluate_bound("flatness", s.mean(gibbs_losses(q, table, s)), 0.7, s.m, params,
                                 flatness(q, table, s, 0.4))
         assert rep.value == direct.value
         assert rep.components == direct.components

@@ -431,6 +431,19 @@ class TestGenInstance:
             log_file)
         assert not load_instance(out).table.binary_flag
 
+    @pytest.mark.parametrize("flag, value", [("--hypotheses", "0"), ("--hypotheses", "-2"),
+                                             ("--points", "0")])
+    def test_a_size_below_one_is_a_usage_error_naming_its_flag(self, tmp_path, log_file,
+                                                               capsys, flag, value):
+        out = tmp_path / "gen.txt"
+        assert run(["gen-instance", "--seed", "1", flag, value, "--out", str(out)], log_file) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be >= 1\n") and "usage:" in err
+        assert not out.exists()
+        (rec,) = [json.loads(line) for line in open(log_file).read().splitlines()]
+        assert rec["command"] == "gen-instance" and rec["exit_code"] == 2
+        assert rec["summary"] == {"error": f"{flag} must be >= 1"}
+
 
 class TestOutputPath:
     @pytest.mark.parametrize("argv, notes, verdict", [

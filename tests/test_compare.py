@@ -1,6 +1,7 @@
 import functools
 import math
 
+import numpy as np
 import pytest
 
 from pacbayes import (BoundParams, LossTable, ProbMeasure, bound_sweep,
@@ -68,6 +69,14 @@ class TestBoundSweep:
                     m_grid=(10, 50, 200), trials=5, seed=1)
         assert len(calls) == 3
 
+    def test_non_integral_m_rejected_and_integral_float_kept(self, rng):
+        dist, table, prior = self._setup(rng)
+        sweep = functools.partial(bound_sweep, table, dist, prior, prior_rule,
+                                  BoundParams(delta=0.05, c=1.0, h=0.7), trials=4, seed=3)
+        with pytest.raises(ValueError, match="m must be a whole number"):
+            sweep(m_grid=[2.5])
+        assert sweep(m_grid=[3.0]) == sweep(m_grid=[3])
+
     def test_fixed_q_kl_zero(self, rng):
         dist, table, prior = self._setup(rng)
         res = bound_sweep(table, dist, prior, prior_rule,
@@ -92,7 +101,7 @@ class TestBoundSweep:
         table = LossTable([[1, 0]] * 5)
         dist = ProbMeasure([0.3, 0.7])
         prior = ProbMeasure.uniform(5)
-        q = ProbMeasure.point_mass(5, 0)
+        q = ProbMeasure(np.eye(5)[0])
         res = bound_sweep(table, dist, prior, lambda prior, table, s: q,
                           BoundParams(delta=0.05, c=1.0, h=0.9), m_grid=(100, 100000),
                           trials=3, seed=4)

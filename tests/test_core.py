@@ -63,7 +63,7 @@ class TestLossTable:
 
 
 class TestDrawSample:
-    def test_point_mass(self):
+    def test_dirac_distribution(self):
         d = ProbMeasure([1.0, 0.0])
         s = draw_sample(d, 5, seed=99)
         assert list(s.counts) == [5, 0]
@@ -84,6 +84,23 @@ class TestDrawSample:
         for m in (0, 0.5):  # the multinomial would draw int(0.5) = 0 points
             with pytest.raises(ValueError, match="m must be >= 1"):
                 draw_sample(ProbMeasure([1.0]), m, seed=0)
+
+    @pytest.mark.parametrize("m", [2.5, math.inf, math.nan])
+    def test_non_integral_m_rejected(self, m):
+        d = ProbMeasure([0.3, 0.7])
+        with pytest.raises(ValueError, match="m must be a whole number"):
+            draw_sample(d, m, seed=0)
+        with pytest.raises(ValueError, match="m must be a whole number"):
+            next(sample_blocks(d, m, 3, 0))
+
+    def test_integral_m_of_any_type_draws_the_same_sample(self):
+        d = ProbMeasure([0.3, 0.7])
+        s, first_block = draw_sample(d, 3, 5, size=4), draw_sample(d, 3, 5, 0, size=4)
+        for m in (3.0, np.int64(3), np.float32(3)):
+            t = draw_sample(d, m, 5, size=4)
+            assert type(t.m) is int and t.m == 3 and np.array_equal(t.counts, s.counts)
+            (_, block), = sample_blocks(d, m, 4, 5)
+            assert np.array_equal(block.counts, first_block.counts)
 
     @pytest.mark.parametrize("m, size", [(1, None), (1, 4), (37, None), (37, 6)])
     def test_drawn_samples_pass_the_sample_checks(self, m, size):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacbayes import (LossTable, ProbMeasure, Sample, draw_sample, flatness,
-                      flatness_alternate, gibbs_empirical_risk, gibbs_losses,
+                      flatness_alternate, gibbs_losses,
                       gibbs_risk, kl_divergence, true_risks)
 
 from conftest import flatness_double_sum, random_instance, random_measure
@@ -27,8 +27,8 @@ class TestKL:
         q = random_measure(rng, 7)
         assert kl_divergence(q, q) == pytest.approx(0.0, abs=1e-14)
 
-    def test_point_mass_vs_uniform(self):
-        q = ProbMeasure.point_mass(8, 3)
+    def test_dirac_vs_uniform(self):
+        q = ProbMeasure(np.eye(8)[3])
         p = ProbMeasure.uniform(8)
         assert kl_divergence(q, p) == pytest.approx(math.log(8), abs=1e-14)
 
@@ -103,9 +103,9 @@ class TestKL:
 class TestGibbsRisks:
     S2 = Sample(np.array([1, 1]))
 
-    def test_gibbs_loss_point_mass(self):
+    def test_gibbs_loss_dirac(self):
         t = LossTable([[0.3, 0.9], [0.1, 0.2]])
-        q = ProbMeasure.point_mass(2, 1)
+        q = ProbMeasure(np.eye(2)[1])
         assert gibbs_losses(q, t, self.S2)[0] == pytest.approx(0.1, abs=1e-15)
 
     def test_gibbs_loss_symmetry(self):
@@ -123,9 +123,9 @@ class TestGibbsRisks:
             gibbs_losses(ProbMeasure.uniform(2), LossTable([[1, 0], [0, 1]]),
                          Sample(np.array([1, 1, 1])))
 
-    def test_gibbs_risk_point_mass(self, rng):
+    def test_gibbs_risk_dirac(self, rng):
         dist, table = random_instance(rng)
-        q = ProbMeasure.point_mass(table.hypothesis_count, 2)
+        q = ProbMeasure(np.eye(table.hypothesis_count)[2])
         assert gibbs_risk(q, table, dist) == pytest.approx(true_risks(table, dist)[2], abs=1e-15)
 
     def test_gibbs_risk_uniform_symmetry(self):
@@ -143,31 +143,32 @@ class TestGibbsRisks:
         rhs = alpha * gibbs_risk(q1, table, dist) + (1 - alpha) * gibbs_risk(q2, table, dist)
         assert lhs == pytest.approx(rhs, abs=1e-14)
 
-    def test_gibbs_empirical_risk_linearity(self, rng):
+    def test_empirical_gibbs_risk_linearity(self, rng):
         dist, table = random_instance(rng, n_h=6)
         s = draw_sample(dist, 25, 9)
         q1, q2 = random_measure(rng, 6), random_measure(rng, 6)
         alpha = 0.3
         mix = ProbMeasure(alpha * q1.weights + (1 - alpha) * q2.weights)
-        lhs = gibbs_empirical_risk(mix, table, s)
-        rhs = alpha * gibbs_empirical_risk(q1, table, s) + (1 - alpha) * gibbs_empirical_risk(q2, table, s)
+        lhs = s.mean(gibbs_losses(mix, table, s))
+        rhs = (alpha * s.mean(gibbs_losses(q1, table, s))
+               + (1 - alpha) * s.mean(gibbs_losses(q2, table, s)))
         assert lhs == pytest.approx(rhs, abs=1e-14)
 
 
 class TestFlatness:
-    def test_point_mass_is_h2_times_empirical(self, rng):
+    def test_dirac_is_h2_times_empirical(self, rng):
         dist, table = random_instance(rng, n_h=4, n_z=6)
         s = draw_sample(dist, 40, 11)
         for f in range(4):
-            q = ProbMeasure.point_mass(4, f)
-            emp = gibbs_empirical_risk(q, table, s)
+            q = ProbMeasure(np.eye(4)[f])
+            emp = s.mean(gibbs_losses(q, table, s))
             for h in (0.1, 0.5, 0.9, 1.0):
                 assert flatness(q, table, s, h) == pytest.approx(h * h * emp, abs=1e-12)
 
-    def test_point_mass_zero_loss(self):
+    def test_dirac_zero_loss(self):
         t = LossTable([[0, 0], [1, 1]])
         s = Sample(np.array([2, 1]))
-        q = ProbMeasure.point_mass(2, 0)
+        q = ProbMeasure(np.eye(2)[0])
         for h in (0.1, 0.5, 1.0):
             assert flatness(q, t, s, h) == 0.0
 
@@ -201,7 +202,7 @@ class TestFlatness:
         q = random_measure(rng, table.hypothesis_count)
         s = draw_sample(dist, 20, 4)
         assert flatness_alternate(q, table, s, 1.0) == pytest.approx(
-            gibbs_empirical_risk(q, table, s), abs=1e-15)
+            s.mean(gibbs_losses(q, table, s)), abs=1e-15)
 
     def test_h_domain(self, rng):
         dist, table = random_instance(rng)
@@ -257,13 +258,15 @@ class TestBlocks:
         q = ProbMeasure(rng.dirichlet(np.ones(6), size=5))
         s = draw_sample(dist, 20, 3, size=5)
         risks = gibbs_risk(q, table, dist)
-        emp = gibbs_empirical_risk(q, table, s)
+        emp = s.mean(gibbs_losses(q, table, s))
         assert risks.shape == emp.shape == (5,)
         for t in range(5):
             row = ProbMeasure(q.weights[t])
             assert risks[t] == gibbs_risk(row, table, dist)
-            assert emp[t] == gibbs_empirical_risk(row, table, Sample(s.counts[t]))
+            one = Sample(s.counts[t])
+            assert emp[t] == one.mean(gibbs_losses(row, table, one))
         # One posterior for the whole block broadcasts over its samples.
         fixed = ProbMeasure(q.weights[0])
-        assert np.array_equal(gibbs_empirical_risk(fixed, table, s),
-                              [gibbs_empirical_risk(fixed, table, Sample(c)) for c in s.counts])
+        singles = [Sample(c) for c in s.counts]
+        assert np.array_equal(s.mean(gibbs_losses(fixed, table, s)),
+                              [one.mean(gibbs_losses(fixed, table, one)) for one in singles])

@@ -460,8 +460,7 @@ def reference_minimize_bound(family, params, p, table, s, beta_grid):
         kl = kl_divergence(q, p)
         if FAMILIES[family].needs_sample:
             return bounds.flatness_bound(q, table, s, kl, params)
-        return bounds.evaluate_bound(family, measures.gibbs_empirical_risk(q, table, s), kl,
-                                     s.m, params)
+        return bounds.evaluate_bound(family, s.mean(gibbs_losses(q, table, s)), kl, s.m, params)
 
     def majoriser(q, s):
         fam = FAMILIES[family]

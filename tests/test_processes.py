@@ -446,6 +446,14 @@ class TestDebiasMGF:
             expected += p.weights[f] * factor
         assert debias_mgf_exact(p, table, dist, x, k, m) == pytest.approx(expected, rel=1e-12)
 
+    def test_non_integral_m_rejected_and_integral_float_kept(self, rng):
+        dist, table = random_instance(rng)
+        p = random_measure(rng, table.hypothesis_count)
+        with pytest.raises(ValueError, match="m must be a whole number"):
+            debias_mgf_exact(p, table, dist, 0.5, 1.0, 2.5)
+        assert debias_mgf_exact(p, table, dist, 0.5, 1.0, 3.0) == \
+            debias_mgf_exact(p, table, dist, 0.5, 1.0, 3)
+
     def test_non_binary_rejected(self, rng):
         dist, table = random_instance(rng, binary=False)
         with pytest.raises(ValueError):
@@ -636,6 +644,19 @@ class TestSymmetrizationTail:
         a = symmetrization_tail_mc(table, dist, p, 0.2, 1.0, 0.5, 0.1, 10, 200, seed=23)
         b = symmetrization_tail_mc(table, dist, p, 0.2, 1.0, 0.5, 0.1, 10, 200, seed=23)
         assert a == b
+
+
+def test_tails_reject_non_integral_m_and_keep_integral_floats(rng):
+    dist, table = random_instance(rng)
+    p = ProbMeasure.uniform(table.hypothesis_count)
+    tails = [lambda m: shifted_flatness_tail_mc(table, 0, dist, m, 0.5, 0.5, 0.3, 40, seed=1),
+             lambda m: symmetrization_tail_mc(table, dist, p, 0.5, 1.0, 0.5, 0.2, m, 40, seed=1),
+             lambda m: symmetrization_tail_mc(table, dist, p, 0.5, 1.0, 0.5, 0.2, m, 40, seed=1,
+                                              h=0.5)]
+    for tail in tails:
+        with pytest.raises(ValueError, match="m must be a whole number"):
+            tail(2.5)
+        assert tail(3.0) == tail(3)
 
 
 def test_non_finite_lemma_inputs_rejected(rng):

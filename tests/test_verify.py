@@ -210,6 +210,16 @@ class TestCoverage:
         assert coverage_experiment(table, dist, prior, **kw) == \
             coverage_experiment(table, dist, prior, **kw)
 
+    def test_non_integral_m_rejected_and_integral_float_kept(self, rng):
+        dist, table = random_instance(rng)
+        prior = ProbMeasure.uniform(table.hypothesis_count)
+        run = functools.partial(coverage_experiment, table, dist, prior,
+                                functools.partial(gibbs_posterior, beta=1.0), "catoni",
+                                BoundParams(), trials=20, seed=4)
+        with pytest.raises(ValueError, match="m must be a whole number"):
+            run(m=2.7)
+        assert run(m=3.0) == run(m=3)
+
     def test_cp_upper_is_at_least_the_violation_rate(self, rng):
         dist, table = random_instance(rng)
         prior = ProbMeasure.uniform(table.hypothesis_count)
