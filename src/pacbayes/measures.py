@@ -25,7 +25,7 @@ def kl_divergence(q: ProbMeasure, p: ProbMeasure):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = qw / pw
         np.copyto(ratio, 1.0, where=qw == 0)
-        kl = (qw * np.log(ratio)).sum(axis=-1)
+        kl = np.multiply(qw, np.log(ratio, out=ratio), out=ratio).sum(axis=-1)
         # The ratio also overflows where a prior weight is subnormal; a row that
         # sums to +inf takes q (log q - log p), +inf only where p has no mass.
         if (over := np.isinf(kl)).any():

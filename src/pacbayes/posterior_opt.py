@@ -7,7 +7,11 @@ minimize_bound once its family and parameters are; its caller evaluates the
 bound at the posterior it returns (evaluate_posterior_bound).
 
 Both are made of the Gibbs tilt Q ~ P exp(-t * score) (_tilt): every family's
-bound is minimised by a tilt, or for flatness by a sequence of them.
+bound is minimised by a tilt, or for flatness by a sequence of them. Every
+family but flatness depends on Q only through Remp(Q) and KL(Q || P), so
+minimize_bound searches the tilt path Q_t ~ P exp(-t Remp) for it, with one
+number t per row, and reads Remp and KL off the path's log-partition
+(_path_point); flatness's loop carries each row's weights.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ def _tilt(p: ProbMeasure, score, t) -> ProbMeasure:
         least = np.where(support, score, np.inf)
         w = np.where(limit, p.weights * (least == least.min(axis=-1, keepdims=True)), w)
     # Checked by construction: the atom of best exponent on p's support has weight p_f > 0.
-    return ProbMeasure._of(w / w.sum(axis=-1, keepdims=True))
+    w /= w.sum(axis=-1, keepdims=True)
+    return ProbMeasure._of(w)
 
 
 def gibbs_posterior(p: ProbMeasure, table: LossTable, s: Sample, beta: float,
@@ -73,54 +78,124 @@ def evaluate_posterior_bound(family: str, params: BoundParams, q: ProbMeasure,
     return evaluate_bound(family, s.mean(g), kl, s.m, params)
 
 
+def _temperature(family: str, params: BoundParams, kl, m: int):
+    """t = d_emp / d_kl(kl), one per entry of kl, and +inf where d_kl = 0: the
+    tilt of the risks at t minimises the bound linearised in KL at kl."""
+    fam = FAMILIES[family]
+    b = np.broadcast_to(fam.d_kl(kl, m, params), np.shape(kl))
+    return np.divide(fam.d_emp(params), b, out=np.full(b.shape, np.inf), where=b > 0)
+
+
 def _majoriser(family: str, params: BoundParams, table: LossTable, s: Sample, kl, risks,
                g=None, sq=None):
     """(score, t), one row per sample of s: _tilt(p, score, t) minimises the
     bound linearised at q, of KL(q || p) = kl, in KL and, for flatness, in its
-    concave -(1-h^2) G^2 term. t = d_emp / d_kl(kl) (+inf where d_kl = 0); score
-    is Remp = risks, plus c (sq - 2 (1-h^2) matvec(L, G counts) / m) / d_emp for
-    flatness (G = q L, sq = mean_rows(L^2)). The bound's gradient at q is d_emp
+    concave -(1-h^2) G^2 term. t = _temperature(kl); score is Remp = risks,
+    plus c (sq - 2 (1-h^2) matvec(L, G counts) / m) / d_emp for flatness
+    (G = q L, sq = mean_rows(L^2)). The bound's gradient at q is d_emp
     (score + (log(q/p) + 1) / t)."""
-    fam = FAMILIES[family]
-    d_emp = fam.d_emp(params)
-    b = np.broadcast_to(fam.d_kl(kl, s.m, params), s.counts.shape[:-1])
-    t = np.divide(d_emp, b, out=np.full(b.shape, np.inf), where=b > 0)
+    t = _temperature(family, params, kl, s.m)
     score = risks
-    if fam.needs_sample:
-        shrink = 2.0 * (1.0 - params.h * params.h)
-        score = (score + params.c * (sq - shrink * np.matvec(table.loss, g * s.counts)
-                                     / s.m)) / d_emp
+    if FAMILIES[family].needs_sample:
+        # (risks + c (sq - shrink matvec(L, G counts) / m)) / d_emp in one [rows, n_h]
+        # buffer: a temporary per operation made glibc trim and regrow its heap each step.
+        score = np.matvec(table.loss, g * s.counts)
+        np.multiply(2.0 * (1.0 - params.h * params.h), score, out=score)
+        np.divide(score, s.m, out=score)
+        np.subtract(sq, score, out=score)
+        np.multiply(params.c, score, out=score)
+        np.add(risks, score, out=score)
+        np.divide(score, FAMILIES[family].d_emp(params), out=score)
     return score, t
 
 
-def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: LossTable,
-                   s: Sample) -> ProbMeasure:
-    """Posterior of least bound found, one posterior row (weights [..., n_h])
-    per sample of s, by a majorise-minimise loop: each step tilts Q_k by
-    _majoriser at Q_k. One tilt is exact for catoni and matched_catoni; the
-    loop descends for mcallester (concave in KL) and is the convex-concave
-    procedure for flatness. A sample starts from the tempered posterior of
-    every beta in BETA_GRID; kst, whose max(KL, 2) has a kink, also from the
-    one with KL = 2, or the beta -> inf limit if its KL <= 2.
-    A row takes a tilt only where it lowers its bound B, and stops once the
+def _path_point(w0, a, least, t):
+    """(Remp, KL(Q || p)) at the tilt Q = _tilt(p, risks, t), one per row, from
+    its log-partition: w0 = p's weights on its support, a = risks - least
+    there (least = their minimum, one per row), and t >= 0 one per row, +inf
+    for the t -> inf limit. With w = w0 exp(-t a) and Z = sum w (at least the
+    prior mass of the least risk, so no underflow to 0): Remp = least + w.a / Z
+    and KL = -log Z - t w.a / Z, clamped at 0 as kl_divergence is. Its error is
+    a few ulp of max(1, KL, -log Z)."""
+    limit = np.isinf(t)
+    t = np.where(limit, 0.0, t)
+    w = -t[:, None] * a  # one buffer: the exponent, then the weights
+    if limit.any():
+        np.copyto(w, -np.inf, where=limit[:, None] & (a > 0))
+    np.multiply(np.exp(w, out=w), w0, out=w)
+    z = w.sum(axis=-1)
+    mean = np.vecdot(w, a) / z
+    return least + mean, np.maximum(-np.log(z) - t * mean, 0.0)
+
+
+def _path_bound(family: str, params: BoundParams, w0, a, least, t, m: int):
+    """(B, KL) at the tilt _tilt(p, risks, t), one per row (_path_point's
+    arguments), for a family that depends on Q only through Remp and KL."""
+    emp, kl = _path_point(w0, a, least, t)
+    return evaluate_bound(family, emp, kl, m, params).value, kl
+
+
+def _descend(step, val, state, n_starts: int):
+    """The majorise-minimise loop on rows (start, sample), start-major: step(rows)
+    returns the bound after one more tilt of those rows and their new state,
+    one entry per row for each array of state. A row takes the tilt only where
+    it lowers its bound val (kept with state, in place), and stops once the
     decrease is at most _TILT_RTOL * max(1, |B|); a row still open after
-    _MAX_TILTS tilts raises RuntimeError. A sample keeps its least bound over
-    its starts (the least beta on a tie): never above the grid, and
-    independent of the rest of the block. Each bound evaluation computes the
-    KL and G = Q L once, and the rows that take a tilt keep them for the next;
-    the bound at the result is left to the caller.
-    """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown bound family {family!r}")
-    risks = empirical_risks(table, s)
-    starts = [gibbs_posterior(p, table, s, beta, risks).weights for beta in BETA_GRID]
+    _MAX_TILTS tilts raises RuntimeError. Returns each sample's start of least
+    bound, the first on a tie."""
+    rows = np.arange(len(val))
+    for _ in range(_MAX_TILTS):
+        if not rows.size:
+            break
+        new, fresh = step(rows)
+        old = val[rows]
+        drop = np.where(new < old, old - new, 0.0)
+        took = drop > 0
+        kept = rows[took]
+        val[kept] = new[took]
+        for kept_state, new_state in zip(state, fresh):
+            kept_state[kept] = new_state[took]
+        rows = rows[drop > _TILT_RTOL * np.maximum(1.0, np.abs(np.where(took, new, old)))]
+    if rows.size:
+        raise RuntimeError(f"minimize_bound: {rows.size} rows still open after {_MAX_TILTS} tilts")
+    return val.reshape(n_starts, -1).argmin(axis=0)
+
+
+def _path_minimum(family: str, params: BoundParams, p: ProbMeasure, risks, m: int):
+    """The t of least bound on the tilt path _tilt(p, risks, t), one per sample
+    of risks [..., n_h]: the loop of _descend with one t and its KL per row,
+    evaluated by _path_bound."""
+    support = p.weights > 0
+    w0, r = p.weights[support], risks.reshape(-1, p.size)[:, support]
+    least = r.min(axis=-1)
+    starts = [np.full(len(r), beta * m) for beta in BETA_GRID]
     if family == "kst":
-        starts.append(_tilt(p, risks, _kl_ball_tilt(p, -risks, 2.0)[1]).weights)
+        starts.append(_kl_ball_tilt(p, -risks, 2.0)[1].reshape(-1))
+    t = np.concatenate(starts)
+    # The tilt changes neither a nor least, so the rows of every start share them.
+    a, least = np.tile(r - least[:, None], (len(starts), 1)), np.tile(least, len(starts))
+    val, kl = _path_bound(family, params, w0, a, least, t, m)
+
+    def step(rows):
+        t_new = _temperature(family, params, kl[rows], m)
+        new, kl_new = _path_bound(family, params, w0, a[rows], least[rows], t_new, m)
+        return new, (t_new, kl_new)
+
+    best = _descend(step, val, (t, kl), len(starts))
+    return t.reshape(len(starts), -1)[best, range(best.size)].reshape(risks.shape[:-1])
+
+
+def _weight_minimum(family: str, params: BoundParams, p: ProbMeasure, table: LossTable,
+                    s: Sample, risks) -> np.ndarray:
+    """The posterior weights of least bound for the family that needs_sample,
+    one row per sample of s: the loop of _descend with the weights, KL and
+    G = Q L of each row as its state, each step one _tilt by _majoriser."""
+    starts = [gibbs_posterior(p, table, s, beta, risks).weights for beta in BETA_GRID]
 
     # One row per (start, sample), so a block of samples is one loop. The tilt
-    # changes neither the risks nor, for flatness, the sample means of L^2.
-    def stacked(a):
-        return np.broadcast_to(a, (len(starts),) + a.shape).reshape(-1, a.shape[-1])
+    # changes neither the risks nor the sample means of L^2.
+    def stacked(x):
+        return np.broadcast_to(x, (len(starts),) + x.shape).reshape(-1, x.shape[-1])
 
     def evaluate(q, sample):
         kl, g = kl_divergence(q, p), gibbs_losses(q, table, sample)
@@ -129,24 +204,54 @@ def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: Loss
     shape = s.counts.shape[:-1] + (p.size,)
     w = np.stack([np.broadcast_to(start, shape) for start in starts]).reshape(-1, p.size)
     counts, risks = stacked(s.counts), stacked(risks)
-    sq = stacked(s.mean_rows(table.loss_squared)) if FAMILIES[family].needs_sample else None
+    sq = stacked(s.mean_rows(table.loss_squared))
     # w and counts are built here from checked inputs; w.view() leaves w writable.
     val, kl, g = evaluate(ProbMeasure._of(w.view()), Sample._of(counts, s.m))
-    rows = np.arange(len(w))
-    for _ in range(_MAX_TILTS):
-        if not rows.size:
-            break
+
+    def step(rows):
         sample = Sample._of(counts[rows], s.m)
-        flat = (g[rows], sq[rows]) if sq is not None else ()
-        q = _tilt(p, *_majoriser(family, params, table, sample, kl[rows], risks[rows], *flat))
-        (new, q_kl, q_g), old = evaluate(q, sample), val[rows]
-        drop = np.where(new < old, old - new, 0.0)
-        took = drop > 0
-        kept = rows[took]
-        w[kept], val[kept], kl[kept], g[kept] = q.weights[took], new[took], q_kl[took], q_g[took]
-        rows = rows[drop > _TILT_RTOL * np.maximum(1.0, np.abs(np.where(took, new, old)))]
-    if rows.size:
-        raise RuntimeError(f"minimize_bound: {rows.size} rows still open after {_MAX_TILTS} tilts")
-    best = val.reshape(len(starts), -1).argmin(axis=0)
-    best_w = w.reshape(len(starts), -1, p.size)[best, range(best.size)]
-    return ProbMeasure._of(best_w.reshape(shape))
+        q = _tilt(p, *_majoriser(family, params, table, sample, kl[rows], risks[rows],
+                                 g[rows], sq[rows]))
+        new, q_kl, q_g = evaluate(q, sample)
+        return new, (q.weights, q_kl, q_g)
+
+    best = _descend(step, val, (w, kl, g), len(starts))
+    return w.reshape(len(starts), -1, p.size)[best, range(best.size)].reshape(shape)
+
+
+def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: LossTable,
+                   s: Sample) -> ProbMeasure:
+    """Posterior of least bound found, one posterior row (weights [..., n_h])
+    per sample of s, by a majorise-minimise loop: each step tilts by the
+    minimiser of the bound linearised at the current posterior. A sample
+    starts from the tempered posterior of every beta in BETA_GRID; kst, whose
+    max(KL, 2) has a kink, also from the one with KL = 2, or the beta -> inf
+    limit if its KL <= 2. A row takes a tilt only where it lowers its bound
+    B, and stops once the decrease is at most _TILT_RTOL * max(1, |B|); a row
+    still open after _MAX_TILTS tilts raises RuntimeError. A sample keeps its
+    least bound over its starts (the least beta on a tie): never above the
+    grid, and independent of the rest of the block. The bound at the result
+    is left to the caller.
+
+    The state of a row is of one of two kinds. Every family but flatness
+    depends on Q only through Remp(Q) and KL(Q || p), so its minimiser is on
+    the tilt path Q_t ~ p exp(-t Remp), and a row is one t and its KL: the
+    starts are t = beta m, each step is t <- _temperature(KL) (one step is
+    exact for catoni and matched_catoni; the loop descends for mcallester),
+    each bound comes from _path_bound's log-partition, and the result is one
+    _tilt per sample, or the prior itself where the beta = 0 start won
+    untilted. flatness also depends on G = Q L, so a row is its weights, KL
+    and G, each step tilts by _majoriser (the convex-concave procedure), and
+    each evaluation computes the KL and G once.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown bound family {family!r}")
+    _check_hypotheses(p, table)
+    risks = empirical_risks(table, s)
+    if FAMILIES[family].needs_sample:
+        return ProbMeasure._of(_weight_minimum(family, params, p, table, s, risks))
+    t = _path_minimum(family, params, p, risks, s.m)
+    q = _tilt(p, risks, t)
+    if (untilted := t == 0).any():
+        return ProbMeasure._of(np.where(np.expand_dims(untilted, -1), p.weights, q.weights))
+    return q

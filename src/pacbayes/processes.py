@@ -138,7 +138,10 @@ def _kl_ball_tilt(p: ProbMeasure, values, kappa: float):
     row keeps its lam, so a row's result is the same bits in any block.
     """
     shape, w, out, lam_out, left, base, vmax, k, d, cmax, switch = _kl_ball(p, values, kappa)
-    step = np.sqrt(2.0 * kappa / ((d + cmax[:, None]) ** 2 * w).sum(axis=-1))
+    # The prior variance underflows where only a subnormal prior weight lies off
+    # the prior mean: the first step is then +inf, out of the bracket below.
+    with np.errstate(divide="ignore", over="ignore"):
+        step = np.sqrt(2.0 * kappa / ((d + cmax[:, None]) ** 2 * w).sum(axis=-1))
     # The root is above sqrt(8 kappa), as KL(lam) <= lam^2 R^2 / 8 and the range R < 1 here.
     lo, hi = np.full_like(step, math.sqrt(2.0 * kappa)), np.full_like(step, math.exp(_LOG_LAM_CAP))
     e_lo, e_hi, lam, done = base, vmax, step, np.zeros_like(step, dtype=bool)
