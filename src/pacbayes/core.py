@@ -63,7 +63,9 @@ class LossTable:
 
     binary_flag is derived: True iff every entry is exactly 0 or 1. Several
     identities (notably the alternate flatness form) are exact only in the
-    binary case, so callers gate on it. loss_squared (loss * loss) is derived too.
+    binary case, so callers gate on it. loss_squared (loss * loss) is derived
+    too; on a binary table it equals loss entry for entry (x^2 = x on {0, 1}),
+    so Q @ loss_squared is the Gibbs losses G_Q = Q @ loss, to the bit.
     """
 
     loss: np.ndarray

@@ -59,12 +59,14 @@ def flatness(q: ProbMeasure, table: LossTable, s: Sample, h: float, g=None):
     [0,1]-valued loss; the alternate form below is exact only for binary loss.
     Computed by the exact expansion (since sum_f Q_f = 1)
     sum_f Q_f (L_fz - (1+h) G_z)^2 = (Q @ L^2)_z - (1-h^2) G_z^2,
-    which needs O(n_h + n_z) memory per sample rather than O(n_h * n_z). g: G_Q, if known.
+    which needs O(n_h + n_z) memory per sample rather than O(n_h * n_z). On a
+    binary table L^2 = L entrywise, so Q @ L^2 is G_Q itself, bit for bit, and
+    is not recomputed. g: G_Q, if known.
     """
     if not 0 < h <= 1:
         raise ValueError(f"h must lie in (0, 1], got {h!r}")
     g = gibbs_losses(q, table, s) if g is None else g
-    second = np.vecmat(q.weights, table.loss_squared)
+    second = g if table.binary_flag else np.vecmat(q.weights, table.loss_squared)
     return s.mean(second - (1.0 - h * h) * (g * g))
 
 

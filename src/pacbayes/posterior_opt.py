@@ -138,27 +138,34 @@ def _path_bound(family: str, params: BoundParams, w0, a, least, t, m: int):
 def _descend(step, val, state, n_starts: int):
     """The majorise-minimise loop on rows (start, sample), start-major: step(rows)
     returns the bound after one more tilt of those rows and their new state,
-    one entry per row for each array of state. A row takes the tilt only where
-    it lowers its bound val (kept with state, in place), and stops once the
+    one entry per row for each array of state. rows is slice(None) while every
+    row is open, so that step reads views and the loop writes in place, and an
+    index array once some row has stopped. A row takes the tilt only where it
+    lowers its bound val (kept with state, in place), and stops once the
     decrease is at most _TILT_RTOL * max(1, |B|); a row still open after
-    _MAX_TILTS tilts raises RuntimeError. Returns each sample's start of least
-    bound, the first on a tie."""
-    rows = np.arange(len(val))
+    _MAX_TILTS tilts raises RuntimeError. The rule bounds the last decrease of
+    B, not the distance to the optimum: where the loop converges linearly
+    (kst, mcallester), starts of one sample can stop about 5e-14 apart,
+    relative. Returns each sample's start of least bound, the first on a tie."""
+    rows, index = slice(None), np.arange(len(val))
     for _ in range(_MAX_TILTS):
-        if not rows.size:
-            break
         new, fresh = step(rows)
+        # Under the slice old is a view of val: every mask is formed before val is written.
         old = val[rows]
         drop = np.where(new < old, old - new, 0.0)
         took = drop > 0
-        kept = rows[took]
-        val[kept] = new[took]
+        going = drop > _TILT_RTOL * np.maximum(1.0, np.abs(np.where(took, new, old)))
+        # Where every row took its tilt, new and its state are written whole, ungathered.
+        kept, taken = (rows, slice(None)) if took.all() else (index[rows][took], took)
+        val[kept] = new[taken]
         for kept_state, new_state in zip(state, fresh):
-            kept_state[kept] = new_state[took]
-        rows = rows[drop > _TILT_RTOL * np.maximum(1.0, np.abs(np.where(took, new, old)))]
-    if rows.size:
-        raise RuntimeError(f"minimize_bound: {rows.size} rows still open after {_MAX_TILTS} tilts")
-    return val.reshape(n_starts, -1).argmin(axis=0)
+            kept_state[kept] = new_state[taken]
+        if not going.all():
+            rows = index[rows][going]
+            if not rows.size:
+                return val.reshape(n_starts, -1).argmin(axis=0)
+    still_open = index[rows].size
+    raise RuntimeError(f"minimize_bound: {still_open} rows still open after {_MAX_TILTS} tilts")
 
 
 def _path_minimum(family: str, params: BoundParams, p: ProbMeasure, risks, m: int):
@@ -204,7 +211,8 @@ def _weight_minimum(family: str, params: BoundParams, p: ProbMeasure, table: Los
     shape = s.counts.shape[:-1] + (p.size,)
     w = np.stack([np.broadcast_to(start, shape) for start in starts]).reshape(-1, p.size)
     counts, risks = stacked(s.counts), stacked(risks)
-    sq = stacked(s.mean_rows(table.loss_squared))
+    # On a binary table L^2 = L entrywise, so mean_rows(L^2) is the risks, bit for bit.
+    sq = risks if table.binary_flag else stacked(s.mean_rows(table.loss_squared))
     # w and counts are built here from checked inputs; w.view() leaves w writable.
     val, kl, g = evaluate(ProbMeasure._of(w.view()), Sample._of(counts, s.m))
 
@@ -228,7 +236,10 @@ def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: Loss
     max(KL, 2) has a kink, also from the one with KL = 2, or the beta -> inf
     limit if its KL <= 2. A row takes a tilt only where it lowers its bound
     B, and stops once the decrease is at most _TILT_RTOL * max(1, |B|); a row
-    still open after _MAX_TILTS tilts raises RuntimeError. A sample keeps its
+    still open after _MAX_TILTS tilts raises RuntimeError. The rule bounds the
+    last decrease of B, not the distance to the optimum: for kst and
+    mcallester, whose loop converges linearly, two starts of one sample can
+    stop about 5e-14 apart in B, relative. A sample keeps its
     least bound over its starts (the least beta on a tie): never above the
     grid, and independent of the rest of the block. The bound at the result
     is left to the caller.
@@ -242,7 +253,8 @@ def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: Loss
     _tilt per sample, or the prior itself where the beta = 0 start won
     untilted. flatness also depends on G = Q L, so a row is its weights, KL
     and G, each step tilts by _majoriser (the convex-concave procedure), and
-    each evaluation computes the KL and G once.
+    each evaluation computes the KL and G once; on a binary table it takes G
+    for Q L^2 and the risks for mean_rows(L^2), as L^2 = L there.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown bound family {family!r}")

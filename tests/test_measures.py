@@ -189,6 +189,22 @@ class TestFlatness:
                 assert abs(flatness(q, table, s, h)
                            - flatness_alternate(q, table, s, h)) <= 1e-9
 
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_second_moment_is_g_on_a_binary_table_and_read_from_loss_squared_else(self, rng,
+                                                                                binary):
+        # On a binary table L^2 = L entrywise, so Q L^2 is G to the bit and
+        # flatness takes G for it; on any other table it reads loss_squared.
+        dist, table = random_instance(rng, n_h=7, n_z=5, binary=binary)
+        q = ProbMeasure(rng.dirichlet(np.ones(7), size=6))
+        s = draw_sample(dist, 30, 5, size=6)
+        g = gibbs_losses(q, table, s)
+        for h in (0.2, 0.7, 1.0):
+            expected = s.mean(np.vecmat(q.weights, table.loss_squared) - (1 - h * h) * (g * g))
+            assert np.array_equal(flatness(q, table, s, h), expected)
+            assert np.array_equal(flatness(q, table, s, h, g), expected)
+            from_g = s.mean(g - (1 - h * h) * (g * g))
+            assert np.array_equal(expected, from_g) == binary
+
     def test_alternate_upper_bounds_general_loss(self, rng):
         for _ in range(20):
             dist, table = random_instance(rng, n_h=5, n_z=4, binary=False)

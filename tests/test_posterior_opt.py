@@ -118,10 +118,10 @@ def normalized(w) -> ProbMeasure:
     return ProbMeasure(w / w.sum(axis=-1, keepdims=True))
 
 
-def zero_prior_instance(rng, n_h, n_z, m, size, seed):
-    """A non-binary instance whose prior has no mass on about a third of the
-    atoms, with a block of samples."""
-    dist, table = random_instance(rng, n_h=n_h, n_z=n_z, binary=False)
+def zero_prior_instance(rng, n_h, n_z, m, size, seed, binary=False):
+    """An instance, non-binary unless binary is set, whose prior has no mass on
+    about a third of the atoms, with a block of samples."""
+    dist, table = random_instance(rng, n_h=n_h, n_z=n_z, binary=binary)
     weights = rng.dirichlet(np.ones(n_h))
     weights[rng.permutation(n_h)[:n_h // 3]] = 0.0
     return normalized(weights), table, draw_sample(dist, m, seed, size=size)
@@ -452,13 +452,22 @@ class TestMinimizeBound:
                 for b in posterior_opt.BETA_GRID], axis=0)
             assert (rep.value <= starts).all()
 
-    def test_tilt_cap_raises(self, rng, monkeypatch):
-        dist, table = random_instance(rng, n_h=8, n_z=5, binary=False)
-        monkeypatch.setattr(posterior_opt, "_MAX_TILTS", 1)
-        monkeypatch.setattr(posterior_opt, "BETA_GRID", (0.0,))
-        with pytest.raises(RuntimeError, match="still open after 1 tilts"):
-            minimize_bound("flatness", BoundParams(c=2.0, h=0.3), ProbMeasure.uniform(8),
-                           table, draw_sample(dist, 50, 3))
+    def test_tilt_cap_raises(self, monkeypatch):
+        # One row (one start, one sample), then 4 starts x 3 samples: after one
+        # tilt every row is still open (the loop is on its full slice), for a
+        # path family and for flatness; flatness has stopped 10 of the 12 rows
+        # by its fourth tilt (the loop is on index arrays).
+        dist, table = random_instance(np.random.default_rng(0), n_h=8, n_z=5, binary=False)
+        for family, grid, size, cap, still_open in [
+                ("flatness", (0.0,), None, 1, 1), ("mcallester", posterior_opt.BETA_GRID, 3, 1, 12),
+                ("flatness", posterior_opt.BETA_GRID, 3, 1, 12),
+                ("flatness", posterior_opt.BETA_GRID, 3, 4, 2)]:
+            monkeypatch.setattr(posterior_opt, "_MAX_TILTS", cap)
+            monkeypatch.setattr(posterior_opt, "BETA_GRID", grid)
+            with pytest.raises(RuntimeError, match=f"^minimize_bound: {still_open} rows still "
+                                                   f"open after {cap} tilts$"):
+                minimize_bound(family, BoundParams(c=2.0, h=0.3), ProbMeasure.uniform(8),
+                               table, draw_sample(dist, 50, 3, size=size))
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_risks_tied_on_the_support(self, family):
@@ -592,6 +601,107 @@ class TestMinimizeBound:
             assert with_risks.weights.tobytes() == alone.weights.tobytes()
 
 
+def reference_descend(step, val, state, n_starts):
+    """_descend as it stood before it passed a full slice while every row is
+    open: step always gets an index array of the open rows."""
+    rows = np.arange(len(val))
+    for _ in range(posterior_opt._MAX_TILTS):
+        if not rows.size:
+            break
+        new, fresh = step(rows)
+        old = val[rows]
+        drop = np.where(new < old, old - new, 0.0)
+        took = drop > 0
+        kept = rows[took]
+        val[kept] = new[took]
+        for kept_state, new_state in zip(state, fresh):
+            kept_state[kept] = new_state[took]
+        bound = np.maximum(1.0, np.abs(np.where(took, new, old)))
+        rows = rows[drop > posterior_opt._TILT_RTOL * bound]
+    if rows.size:
+        raise RuntimeError(f"minimize_bound: {rows.size} rows still open")
+    return val.reshape(n_starts, -1).argmin(axis=0)
+
+
+def record_rows(monkeypatch, descend):
+    """Make minimize_bound run its loop with descend, and record the rows each
+    of its steps gets."""
+    seen = []
+
+    def recording(step, val, state, n_starts):
+        def recorded(rows):
+            seen.append(rows)
+            return step(rows)
+        return descend(recorded, val, state, n_starts)
+
+    monkeypatch.setattr(posterior_opt, "_descend", recording)
+    return seen
+
+
+class TestDescend:
+    """_descend passes step a full slice while every row is open, and index
+    arrays once one has stopped, and keeps the same rows, bounds and state as
+    the loop that always gathered the open rows."""
+
+    def test_synthetic_bounds(self):
+        # Each tilt halves a row's distance to its floor, so a row stops after
+        # about 40 tilts, later the further it starts; row 4 gains nothing at
+        # its fifth tilt and stops there.
+        floor = np.array([0.0, 1.0, -3.0, 2.0, 5.0, 0.5])
+        results = []
+        for descend in (posterior_opt._descend, reference_descend):
+            seen, taken = [], [0]
+            val = np.array([8.0, 1e3, 4.0, 2.5, 9.0, 1e6])
+            state = (np.zeros(6), np.zeros((6, 3)))
+
+            def step(rows):
+                seen.append(rows)
+                taken[0] += 1
+                new = floor[rows] + (val[rows] - floor[rows]) / 2
+                if taken[0] == 5:
+                    new[np.arange(6)[rows] == 4] = val[4]
+                return new, (state[0][rows] + 1, np.add.outer(new, [0.0, 1.0, 2.0]))
+
+            best = descend(step, val, state, 2)
+            results.append((seen, best, val, state))
+        (seen, best, val, state), (seen_ref, best_ref, val_ref, state_ref) = results
+        assert len(seen) == len(seen_ref) > 5
+        first_stop = 5
+        for k, (rows, rows_ref) in enumerate(zip(seen, seen_ref)):
+            if k < first_stop:
+                assert rows == slice(None) and np.array_equal(rows_ref, np.arange(6))
+            else:
+                assert rows.dtype.kind == "i" and np.array_equal(rows, rows_ref)
+        assert np.array_equal(best, best_ref)
+        for x, x_ref in zip((val, *state), (val_ref, *state_ref)):
+            assert np.array_equal(x, x_ref)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_minimize_bound_gets_a_slice_until_a_row_stops(self, family, binary, monkeypatch):
+        rng = np.random.default_rng(7)
+        p, table, block = zero_prior_instance(rng, 15, 6, 200, 5, 3, binary)
+        params = BoundParams(delta=0.05, C=1.3, c=2.0, h=0.3)
+        descend = posterior_opt._descend
+        seen_ref = record_rows(monkeypatch, reference_descend)
+        q_ref = minimize_bound(family, params, p, table, block)
+        seen = record_rows(monkeypatch, descend)
+        q = minimize_bound(family, params, p, table, block)
+        assert np.array_equal(q.weights, q_ref.weights)
+        assert len(seen) == len(seen_ref) >= 2
+        n_rows = seen_ref[0].size
+        whole = [rows.size == n_rows for rows in seen_ref]
+        # Every row open at first, then the steps after the first stop; catoni and
+        # matched_catoni may stop every row at once, the others reach those steps here.
+        assert whole[0] and whole == sorted(whole, reverse=True)
+        assert not whole[-1] or family in ("catoni", "matched_catoni")
+        for rows, rows_ref, all_open in zip(seen, seen_ref, whole):
+            if all_open:
+                assert rows == slice(None)
+            else:
+                assert rows.dtype.kind == "i" and np.array_equal(rows, rows_ref)
+
+
 def reference_minimize_bound(family, params, p, table, s, beta_grid):
     """minimize_bound as it stood before each tilt carried its KL and G = Q L
     on: the majoriser recomputed both from Q, each step recomputed the
@@ -667,22 +777,23 @@ def oracle_instance(name, rng):
         n_h = 4 if name == "kst-limit-below-2" else 30
         dist, table = random_instance(rng, n_h=n_h, n_z=6, binary=False)
         return ProbMeasure.uniform(n_h), table, draw_sample(dist, 60, 5, size=6)
-    m, size = {"block": (200, 7), "one-sample": (200, None), "block-of-one": (200, 1),
-               "m-1": (1, 6)}[name]
-    p, table, block = zero_prior_instance(rng, 15, 6, m, size, 6)
-    return p, table, block
+    m, size = {"block": (200, 7), "binary": (200, 7), "one-sample": (200, None),
+               "block-of-one": (200, 1), "m-1": (1, 6)}[name]
+    return zero_prior_instance(rng, 15, 6, m, size, 6, binary=name == "binary")
 
 
 class TestBitIdentityOracle:
     """For flatness, minimize_bound returns exactly the weights of the loop
     that recomputed each tilt's KL and G = Q L, and so the same report, on
-    non-binary losses with zero prior mass on some atoms. The other families
+    non-binary losses with zero prior mass on some atoms, and on a binary
+    table, where minimize_bound takes G for Q L^2 and the risks for the sample
+    means of L^2, and the reference reads L^2 itself. The other families
     run on the tilt path, whose KL and Remp come from the log-partition and
     round differently: the bound at their Q is within 1e-15 max(1, |B|) of the
     reference loop's, on either side. B is flat at the optimum, so their
     weights may move further (by up to 3e-8 on these instances)."""
 
-    @pytest.mark.parametrize("name", ["block", "one-sample", "block-of-one", "m-1",
+    @pytest.mark.parametrize("name", ["block", "binary", "one-sample", "block-of-one", "m-1",
                                       "tied-risks", "kst-limit-below-2", "kst-limit-above-2"])
     @pytest.mark.parametrize("family", FAMILIES)
     def test_same_bits_as_the_reference_loop(self, family, name):
