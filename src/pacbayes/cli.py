@@ -36,7 +36,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .processes import (debias_mgf_exact, kl_ball_sup, kl_dual_value,
                         lemma_a3_threshold, shifted_flatness_tail_mc,
                         symmetrization_tail_mc, xy_cap, xy_mgf_bruteforce)
 from .rng import stream
-from .compare import bound_sweep
+from .compare import SweepRow, bound_sweep
 from .verify import coverage_experiment
 
 
@@ -85,14 +85,13 @@ def _fixed_q(inst: Instance) -> ProbMeasure:
     return inst.prior if inst.posterior is None else inst.posterior
 
 
-POSTERIOR_RULES = ("fixed-Q", "gibbs-posterior", "bound-minimizer")
-
 # The flags (by dest) that only some runs read, per choice that decides it, each
 # with its default: REQUIRED if it has none, None if the run works it out.
 REQUIRED = "required"
 FAMILY_FLAGS = {name: {flag: getattr(BoundParams, flag) for flag in family.reads}
                 for name, family in FAMILIES.items()}
 RULE_FLAGS = {"fixed-Q": {}, "gibbs-posterior": {"beta": 1.0}, "bound-minimizer": {}}
+POSTERIOR_RULES = tuple(RULE_FLAGS)
 # bounds in instance mode (True) draws a sample; in closed form it takes emp and kl.
 BOUNDS_MODE_FLAGS = {True: {"instance": REQUIRED, "seed": REQUIRED},
                      False: {"emp": REQUIRED, "kl": REQUIRED}}
@@ -250,9 +249,7 @@ def cmd_optimize(args, inst: Instance) -> Result:
 def cmd_sweep(args, inst: Instance) -> Result:
     result = bound_sweep(inst.table, inst.dist, inst.prior, _posterior_rule(args, inst),
                          _bound_params(args), args.m_grid, args.trials, args.seed)
-    return Result(["m", "catoni_mean", "flatness_mean", "T_m_mean", "kl_mean", "crossover_flag"],
-                  [[r.m, r.catoni_mean, r.flatness_mean, r.T_m_mean, r.kl_mean, r.crossover_flag]
-                   for r in result.rows],
+    return Result([f.name for f in fields(SweepRow)], [list(astuple(r)) for r in result.rows],
                   {"crossover_m": result.crossover_m})
 
 
@@ -338,8 +335,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = subcommand("lemmas", cmd_lemmas, "verify a proof lemma numerically",
                    seed="optional", instance="optional")
-    p.add_argument("--which", required=True,
-                   choices=("debias", "xy", "shifted-flatness", "symmetrization"))
+    p.add_argument("--which", required=True, choices=LEMMA_FLAGS)
     p.add_argument("--lambda-over-m", dest="lambda_over_m", type=float)
     p.add_argument("--k", type=float)
     p.add_argument("--m", type=int)

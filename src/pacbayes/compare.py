@@ -13,9 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import BoundParams, catoni_C_for_inflation, evaluate_bound, flatness_bound
+from .bounds import BoundParams, catoni_C_for_inflation
 from .core import LossTable, ProbMeasure, sample_blocks
 from .measures import gibbs_losses, kl_divergence
+from .posterior_opt import evaluate_posterior_bound
 
 
 def crossover_threshold(T_m: float, C_r: float, C_c: float, kl: float, delta: float) -> float:
@@ -48,7 +49,8 @@ def bound_sweep(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
                 rule, params: BoundParams, m_grid, trials: int, seed: int) -> SweepResult:
     """Mean flatness and aligned-Catoni bounds per sample size, on shared samples.
 
-    The flatness bound reads params; Catoni's reads its delta, with the C whose
+    Both bounds are evaluate_posterior_bound at the rule's posterior: the
+    flatness bound reads params; Catoni's reads its delta, with the C whose
     prefactor is 1 + c. T_m is the quadratic advantage term c (1-h^2)/m *
     sum_i G_Q(z_i)^2; the crossover m* is the first grid m whose mean
     flatness bound undercuts the mean Catoni bound. The trials of grid point j come in blocks from
@@ -73,9 +75,9 @@ def bound_sweep(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
             q = rule(prior, table, s)
             kl = kl_divergence(q, prior)
             g = gibbs_losses(q, table, s)
-            emp = s.mean(g)
-            cat_vals[block] = evaluate_bound("catoni", emp, kl, m, catoni).value
-            flat_vals[block] = flatness_bound(q, table, s, kl, params, g).value
+            at_q = (q, prior, table, s, kl, g)
+            cat_vals[block] = evaluate_posterior_bound("catoni", catoni, *at_q).value
+            flat_vals[block] = evaluate_posterior_bound("flatness", params, *at_q).value
             tms[block] = params.c * (1.0 - params.h * params.h) * s.mean(g * g)
             kls[block] = kl
         crossed = bool(flat_vals.mean() < cat_vals.mean())

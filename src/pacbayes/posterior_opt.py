@@ -86,27 +86,23 @@ def _temperature(family: str, params: BoundParams, kl, m: int):
     return np.divide(fam.d_emp(params), b, out=np.full(b.shape, np.inf), where=b > 0)
 
 
-def _majoriser(family: str, params: BoundParams, table: LossTable, s: Sample, kl, risks,
-               g=None, sq=None):
-    """(score, t), one row per sample of s: _tilt(p, score, t) minimises the
-    bound linearised at q, of KL(q || p) = kl, in KL and, for flatness, in its
-    concave -(1-h^2) G^2 term. t = _temperature(kl); score is Remp = risks,
-    plus c (sq - 2 (1-h^2) matvec(L, G counts) / m) / d_emp for flatness
-    (G = q L, sq = mean_rows(L^2)). The bound's gradient at q is d_emp
-    (score + (log(q/p) + 1) / t)."""
-    t = _temperature(family, params, kl, s.m)
-    score = risks
-    if FAMILIES[family].needs_sample:
-        # (risks + c (sq - shrink matvec(L, G counts) / m)) / d_emp in one [rows, n_h]
-        # buffer: a temporary per operation made glibc trim and regrow its heap each step.
-        score = np.matvec(table.loss, g * s.counts)
-        np.multiply(2.0 * (1.0 - params.h * params.h), score, out=score)
-        np.divide(score, s.m, out=score)
-        np.subtract(sq, score, out=score)
-        np.multiply(params.c, score, out=score)
-        np.add(risks, score, out=score)
-        np.divide(score, FAMILIES[family].d_emp(params), out=score)
-    return score, t
+def _majoriser(family: str, params: BoundParams, table: LossTable, s: Sample, risks, g, sq):
+    """The score, one row per sample of s, of the tilt that minimises the
+    bound of the family that needs_sample linearised at q in KL and in its
+    concave -(1-h^2) G^2 term: (risks + c (sq - 2 (1-h^2) matvec(L, G counts)
+    / m)) / d_emp, with risks = Remp, G = q L and sq = mean_rows(L^2). At
+    t = _temperature(KL(q || p)), the bound's gradient at q is d_emp (score +
+    (log(q/p) + 1) / t)."""
+    # One [rows, n_h] buffer: a temporary per operation made glibc trim and
+    # regrow its heap each step.
+    score = np.matvec(table.loss, g * s.counts)
+    np.multiply(2.0 * (1.0 - params.h * params.h), score, out=score)
+    np.divide(score, s.m, out=score)
+    np.subtract(sq, score, out=score)
+    np.multiply(params.c, score, out=score)
+    np.add(risks, score, out=score)
+    np.divide(score, FAMILIES[family].d_emp(params), out=score)
+    return score
 
 
 def _path_point(w0, a, least, t):
@@ -196,7 +192,8 @@ def _weight_minimum(family: str, params: BoundParams, p: ProbMeasure, table: Los
                     s: Sample, risks) -> np.ndarray:
     """The posterior weights of least bound for the family that needs_sample,
     one row per sample of s: the loop of _descend with the weights, KL and
-    G = Q L of each row as its state, each step one _tilt by _majoriser."""
+    G = Q L of each row as its state, each step one _tilt of _majoriser's score
+    at _temperature(KL)."""
     starts = [gibbs_posterior(p, table, s, beta, risks).weights for beta in BETA_GRID]
 
     # One row per (start, sample), so a block of samples is one loop. The tilt
@@ -210,16 +207,14 @@ def _weight_minimum(family: str, params: BoundParams, p: ProbMeasure, table: Los
 
     shape = s.counts.shape[:-1] + (p.size,)
     w = np.stack([np.broadcast_to(start, shape) for start in starts]).reshape(-1, p.size)
-    counts, risks = stacked(s.counts), stacked(risks)
-    # On a binary table L^2 = L entrywise, so mean_rows(L^2) is the risks, bit for bit.
-    sq = risks if table.binary_flag else stacked(s.mean_rows(table.loss_squared))
+    counts, risks, sq = stacked(s.counts), stacked(risks), stacked(s.mean_rows(table.loss_squared))
     # w and counts are built here from checked inputs; w.view() leaves w writable.
     val, kl, g = evaluate(ProbMeasure._of(w.view()), Sample._of(counts, s.m))
 
     def step(rows):
         sample = Sample._of(counts[rows], s.m)
-        q = _tilt(p, *_majoriser(family, params, table, sample, kl[rows], risks[rows],
-                                 g[rows], sq[rows]))
+        score = _majoriser(family, params, table, sample, risks[rows], g[rows], sq[rows])
+        q = _tilt(p, score, _temperature(family, params, kl[rows], s.m))
         new, q_kl, q_g = evaluate(q, sample)
         return new, (q.weights, q_kl, q_g)
 
@@ -252,9 +247,10 @@ def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: Loss
     each bound comes from _path_bound's log-partition, and the result is one
     _tilt per sample, or the prior itself where the beta = 0 start won
     untilted. flatness also depends on G = Q L, so a row is its weights, KL
-    and G, each step tilts by _majoriser (the convex-concave procedure), and
-    each evaluation computes the KL and G once; on a binary table it takes G
-    for Q L^2 and the risks for mean_rows(L^2), as L^2 = L there.
+    and G, each step tilts by _majoriser's score at _temperature(KL) (the
+    convex-concave procedure), each evaluation computes the KL and G once (and
+    on a binary table takes G for Q L^2, in measures.flatness), and the sample
+    means of L^2 are computed once per call.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown bound family {family!r}")

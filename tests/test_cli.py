@@ -1,18 +1,20 @@
 import builtins
 import dataclasses
+import functools
 import io
 import json
 import math
+import random
 import warnings
 
 import numpy as np
 import pytest
 
-from pacbayes import (FAMILIES, BoundParams, ProbMeasure, Sample, cli, coverage_experiment,
-                      derive_matched_catoni_constants, draw_sample, minimize_bound,
-                      posterior_opt, verify)
+from pacbayes import (FAMILIES, BoundParams, ProbMeasure, Sample, bound_sweep, cli,
+                      coverage_experiment, derive_matched_catoni_constants, draw_sample,
+                      gibbs_posterior, minimize_bound, posterior_opt, verify)
 from pacbayes.cli import POSTERIOR_RULES, duality_tolerance, main
-from pacbayes.io import fmt, load_instance, write_csv
+from pacbayes.io import csv_text, fmt, load_instance, write_csv
 
 from conftest import strict_json
 
@@ -381,6 +383,22 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[0] == \
             "m,catoni_mean,flatness_mean,T_m_mean,kl_mean,crossover_flag"
+
+    @pytest.mark.parametrize("rule", ["fixed-Q", "gibbs-posterior"])
+    def test_each_row_is_a_bound_sweep_row_under_its_column(self, rule, inst_file, log_file,
+                                                           capsys):
+        assert run(["sweep", "--instance", inst_file, "--m-grid", "10,50,4000", "--trials", "3",
+                    "--seed", "8", "--h", "0.8", "--rule", rule], log_file) == 0
+        inst = load_instance(inst_file)
+        posterior = (functools.partial(gibbs_posterior, beta=1.0) if rule == "gibbs-posterior"
+                     else lambda prior, table, s: inst.posterior)
+        res = bound_sweep(inst.table, inst.dist, inst.prior, posterior, BoundParams(h=0.8),
+                          [10, 50, 4000], 3, 8)
+        rows = [[r.m, r.catoni_mean, r.flatness_mean, r.T_m_mean, r.kl_mean, r.crossover_flag]
+                for r in res.rows]
+        header = ["m", "catoni_mean", "flatness_mean", "T_m_mean", "kl_mean", "crossover_flag"]
+        assert capsys.readouterr().out == (csv_text(header, rows)
+                                           + f"crossover_m {fmt(res.crossover_m)}\n")
 
     def test_beta_zero_is_prior(self, tmp_path, log_file):
         inst = tmp_path / "noposterior.txt"
@@ -999,3 +1017,93 @@ class TestUsageContract:
         assert main(["--log", log_file, "--config", str(cfg), "gen-instance", "--seed", "4",
                      "--out", str(tmp_path / "gen.txt")]) == 2
         assert "true or false" in capsys.readouterr().err
+
+
+# Valid commands that finish in a few milliseconds each; INST is the instance file.
+FUZZ_BASES = [
+    ["bounds", "--family", "mcallester", "--emp", "0.1", "--kl", "0.2", "--m", "50"],
+    ["bounds", "--family", "matched_catoni", "--emp", "0.1", "--kl", "0.2", "--m", "50",
+     "--c", "1", "--c2", "0.5", "--delta", "0.05"],
+    ["bounds", "--family", "flatness", "--instance", "INST", "--m", "20", "--seed", "1",
+     "--h", "0.7"],
+    ["coverage", "--family", "catoni", "--instance", "INST", "--trials", "20", "--m", "20",
+     "--seed", "1", "--C", "2", "--beta", "1"],
+    ["coverage", "--family", "kst", "--instance", "INST", "--trials", "20", "--m", "20",
+     "--seed", "1", "--rule", "bound-minimizer"],
+    DEBIAS + ["--k", "1"],
+    ["lemmas", "--which", "xy", "--mu", "0.2,0.5", "--lambda-over-m", "0.1", "--h", "0.5"],
+    ["lemmas", "--which", "shifted-flatness", "--instance", "INST", "--seed", "1", "--m", "10",
+     "--trials", "50", "--t", "0.1"],
+    ["lemmas", "--which", "symmetrization", "--instance", "INST", "--seed", "1", "--m", "10",
+     "--trials", "20", "--kappa", "0.5"],
+    ["duality", "--instance", "INST", "--kappa", "0.5"],
+    ["optimize", "--family", "flatness", "--instance", "INST", "--m", "20", "--seed", "1",
+     "--c", "2"],
+    ["sweep", "--instance", "INST", "--m-grid", "10,20", "--trials", "3", "--seed", "1",
+     "--rule", "gibbs-posterior", "--beta", "2"],
+    ["gen-instance", "--seed", "1", "--hypotheses", "3", "--points", "2", "--out", "gen.txt"],
+]
+FUZZ_VALUES = ["nan", "-nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "2.5", "0", "-1",
+               "", "x", "1,2"]
+# Instance files that are missing or malformed, by name.
+FUZZ_INSTANCES = {
+    "missing.txt": None,
+    "empty.txt": "",
+    "nan.txt": INSTANCE.replace("0.2 0.3 0.5", "0.2 nan 0.8"),
+    "ragged.txt": INSTANCE.replace("0 0 1\n", "0 0\n"),
+    "range.txt": INSTANCE.replace("1 1 0", "1 2 0"),
+    "flag.txt": INSTANCE.replace("binary: true", "binary: false"),
+    "prior.txt": INSTANCE.replace("prior: 0.25 0.25 0.25 0.25", "prior: 0.5 0.5"),
+    "order.txt": "0 1\n" + INSTANCE,
+    "bytes.txt": b"space: 0.5 0.5\n\xff\xfe\n",
+}
+# The tokens of unbiased lists: subcommands, flags and values. --log (the run log
+# the test reads) and --help (which prints help and records no run) are left out.
+FUZZ_TOKENS = (sorted({t for base in FUZZ_BASES for t in base if t != "INST"}
+                      | {"--config", "--bogus", "--rule", "frobnicate"})
+               + FUZZ_VALUES + ["INST", "missing.txt", "nan.txt"])
+
+
+def fuzzed_argv(rand):
+    """A valid command with one bad value, flag or instance file, or an unbiased
+    list of tokens."""
+    if rand.random() < 0.2:
+        return [rand.choice(FUZZ_TOKENS) for _ in range(rand.randint(0, 8))]
+    argv = list(rand.choice(FUZZ_BASES))
+    values = [i for i in range(1, len(argv)) if argv[i - 1].startswith("--")]
+    kind = rand.random()
+    if kind < 0.6:
+        i = rand.choice(values)
+        argv[i] = rand.choice(list(FUZZ_INSTANCES) if argv[i] == "INST" else FUZZ_VALUES)
+    elif kind < 0.75:
+        argv.insert(rand.randint(1, len(argv)), rand.choice(["--bogus", "--beta-grid", "-x"]))
+    elif kind < 0.9:
+        del argv[rand.choice(values)]
+    else:
+        argv = argv[:rand.randint(0, len(argv))]
+    return argv
+
+
+class TestFuzzedContract:
+    def test_every_run_exits_0_1_or_2_without_a_traceback_and_records_once(
+            self, tmp_path, monkeypatch, capsys):
+        """Seeded lists of arguments, mostly valid commands with one bad value
+        (NaN, +-inf, 1e308, 5e-324, 2.5 for an int flag, a missing or malformed
+        instance file), an unknown flag, a dropped value or a cut; the rest
+        unbiased lists of tokens. Every run exits 0, 1 or 2, prints no
+        traceback and appends exactly one strict-JSON record, with its exit code."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "inst.txt").write_text(INSTANCE)
+        for name, text in FUZZ_INSTANCES.items():
+            if text is not None:
+                (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+        log = tmp_path / "runs.jsonl"
+        rand = random.Random(33)
+        for runs in range(1, 401):
+            argv = ["inst.txt" if a == "INST" else a for a in fuzzed_argv(rand)]
+            code = main(["--log", str(log)] + argv)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in capsys.readouterr().err, argv
+            lines = log.read_text().splitlines()
+            assert len(lines) == runs, argv
+            assert json.loads(lines[-1], parse_constant=strict_json)["exit_code"] == code, argv

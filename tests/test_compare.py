@@ -1,11 +1,14 @@
+import dataclasses
 import functools
 import math
 
 import numpy as np
 import pytest
 
-from pacbayes import (BoundParams, LossTable, ProbMeasure, bound_sweep,
-                      crossover_threshold, gibbs_posterior)
+from pacbayes import (BoundParams, LossTable, ProbMeasure, bound_sweep, catoni_C_for_inflation,
+                      crossover_threshold, evaluate_bound, flatness_bound, gibbs_losses,
+                      gibbs_posterior, kl_divergence, sample_blocks)
+from pacbayes import core
 
 from conftest import random_instance
 
@@ -55,14 +58,50 @@ class TestBoundSweep:
             assert r.catoni_mean > 0 and r.flatness_mean > 0
             assert r.T_m_mean >= 0 and r.kl_mean >= 0
 
+    @pytest.mark.parametrize("rule", ["fixed-Q", "gibbs-posterior"])
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_equals_a_loop_over_the_sample_blocks(self, rng, monkeypatch, rule, binary):
+        # Blocks of 4 trials, so that 10 trials take three blocks, the last one short.
+        monkeypatch.setattr(core, "BLOCK", 4)
+        dist, table = random_instance(rng, n_h=6, n_z=5, binary=binary)
+        prior = ProbMeasure(rng.dirichlet(np.ones(6)))
+        q_fixed = ProbMeasure(rng.dirichlet(np.ones(6)))
+        posterior = {"fixed-Q": lambda prior, table, s: q_fixed,
+                     "gibbs-posterior": functools.partial(gibbs_posterior, beta=2.0)}[rule]
+        params = BoundParams(delta=0.1, c=1.5, h=0.6)
+        aligned = BoundParams(delta=0.1, C=catoni_C_for_inflation(1.5))
+        grid, trials, seed = (7, 60, 3000), 10, 5
+        res = bound_sweep(table, dist, prior, posterior, params, grid, trials, seed)
+        columns = []
+        for j, m in enumerate(grid):
+            cat, flat, tm, kls = [], [], [], []
+            for _, s in sample_blocks(dist, m, trials, seed, j):
+                def per_trial(x):
+                    return np.broadcast_to(x, (len(s.counts),))
+
+                q = posterior(prior, table, s)
+                kl = kl_divergence(q, prior)
+                g = gibbs_losses(q, table, s)
+                cat.extend(per_trial(evaluate_bound("catoni", s.mean(g), kl, m, aligned).value))
+                flat.extend(per_trial(flatness_bound(q, table, s, kl, params, g).value))
+                tm.extend(per_trial(params.c * (1.0 - params.h * params.h) * s.mean(g * g)))
+                kls.extend(per_trial(kl))
+            means = [float(np.mean(x)) for x in (cat, flat, tm, kls)]
+            columns.append((m, *means, means[1] < means[0]))
+        assert [dataclasses.astuple(row) for row in res.rows] == columns
+        assert [r.m for r in res.rows if r.crossover_flag][:1] == (
+            [res.crossover_m] if math.isfinite(res.crossover_m) else [])
+
     def test_gibbs_losses_once_per_block(self, rng, monkeypatch):
         import pacbayes.bounds
         import pacbayes.compare
         import pacbayes.measures
+        import pacbayes.posterior_opt
         dist, table, prior = self._setup(rng)
         calls = []
         real = pacbayes.measures.gibbs_losses
-        for module in (pacbayes.bounds, pacbayes.compare, pacbayes.measures):
+        for module in (pacbayes.bounds, pacbayes.compare, pacbayes.measures,
+                       pacbayes.posterior_opt):
             monkeypatch.setattr(module, "gibbs_losses",
                                 lambda *args: calls.append(1) or real(*args))
         bound_sweep(table, dist, prior, prior_rule, BoundParams(delta=0.05, c=1.0, h=0.7),

@@ -157,15 +157,17 @@ def record_bounds(monkeypatch):
 
 
 def majorise_at(family, params, q, p, table, s):
-    """_majoriser's (score, t) at the posterior q, from q's KL and G = q L."""
-    flat = ((gibbs_losses(q, table, s), s.mean_rows(table.loss_squared))
-            if FAMILIES[family].needs_sample else ())
-    return _majoriser(family, params, table, s, kl_divergence(q, p), empirical_risks(table, s),
-                      *flat)
+    """The tilt's (score, t) at the posterior q: the risks, or for flatness
+    _majoriser's score from G = q L, and _temperature at q's KL."""
+    score = empirical_risks(table, s)
+    if FAMILIES[family].needs_sample:
+        score = _majoriser(family, params, table, s, score, gibbs_losses(q, table, s),
+                           s.mean_rows(table.loss_squared))
+    return score, _temperature(family, params, kl_divergence(q, p), s.m)
 
 
 class TestGradient:
-    """The tilt that _majoriser sets up minimises the bound linearised at q, so
+    """The tilt that majorise_at sets up minimises the bound linearised at q, so
     it must have the bound's gradient at q: d_emp (score + (log(q/p) + 1) / t)
     on the prior's support, checked against central differences of the bound.
     For flatness, score carries the gradient of c * flatness."""
@@ -786,8 +788,8 @@ class TestBitIdentityOracle:
     """For flatness, minimize_bound returns exactly the weights of the loop
     that recomputed each tilt's KL and G = Q L, and so the same report, on
     non-binary losses with zero prior mass on some atoms, and on a binary
-    table, where minimize_bound takes G for Q L^2 and the risks for the sample
-    means of L^2, and the reference reads L^2 itself. The other families
+    table, where minimize_bound takes G for Q L^2 and the reference reads L^2
+    itself. The other families
     run on the tilt path, whose KL and Remp come from the log-partition and
     round differently: the bound at their Q is within 1e-15 max(1, |B|) of the
     reference loop's, on either side. B is flat at the optimum, so their
