@@ -7,9 +7,10 @@ returns a Result, and main alone outputs it. stdout is the result table as CSV
 (a fixed header, 17-significant-digit numbers), then a `name value...` line
 per note, then PASS or FAIL if the run checks something. --out gets the same
 CSV text; gen-instance has no table and writes its instance there. Each
-invocation, one whose arguments fail to parse included, appends one JSON line
-to the run log, with summary {"result": [an object per row], **notes} or
-{"error": message}; a non-finite number is the string "inf", "-inf" or "nan",
+invocation, one whose arguments fail to parse and one with -h or --help
+included, appends one JSON line to the run log, with summary {"result": [an
+object per row], **notes}, {"error": message} or, after the help, {"help":
+true}; a non-finite number is the string "inf", "-inf" or "nan",
 as in the CSV. The config hash covers the --instance file by the sha256 of its
 bytes: main reads the file once, hashes those bytes and parses them into the
 Instance it hands the handler. The record keeps the path as given, outside the
@@ -45,9 +46,9 @@ from .core import LossTable, ProbMeasure, draw_sample, true_risks
 from .io import (Instance, append_run_record, csv_text, fmt, load_config, load_instance,
                  read_hashed, save_instance, write_csv)
 from .posterior_opt import evaluate_posterior_bound, gibbs_posterior, minimize_bound
-from .processes import (debias_mgf_exact, kl_ball_sup, kl_dual_value,
-                        lemma_a3_threshold, shifted_flatness_tail_mc,
-                        symmetrization_tail_mc, xy_cap, xy_mgf_bruteforce)
+from .processes import (debias_mgf_exact, kl_dual_value, lemma_a3_threshold,
+                        shifted_flatness_tail_mc, symmetrization_tail_mc, xy_cap,
+                        xy_mgf_bruteforce)
 from .rng import stream
 from .compare import SweepRow, bound_sweep
 from .verify import coverage_experiment
@@ -57,13 +58,21 @@ class UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    """-h or --help printed a parser's help."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose errors raise UsageError instead of exiting, so
-    main reports and records them like every other usage error. Subparsers
-    inherit the class."""
+    """An ArgumentParser whose errors raise UsageError, and whose help raises
+    _HelpShown once printed, instead of exiting, so main records both runs like
+    every other. Subparsers inherit the class."""
 
     def error(self, message):
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):
+        # Reached from the help action alone, as error raises first.
+        raise _HelpShown
 
 
 def _floats(text: str) -> list[float]:
@@ -225,14 +234,18 @@ def cmd_lemmas(args, inst: Instance | None) -> Result:
 
 
 def duality_tolerance(primal: float) -> float:
-    """The duality self-check's bound on |dual - primal|: 1e-12 max(1, |primal|)."""
+    """The duality check's bound on |dual - primal|, the width of kl_dual_value's
+    bracket: 1e-12 max(1, |primal|). The width is first order in the solve's KL
+    residual, at most about _KL_BALL_RTOL (max v - min v), so a solve that met
+    its stop rule on risks in [0, 1] passes, and one stopped short fails."""
     return 1e-12 * max(1.0, abs(primal))
 
 
 def cmd_duality(args, inst: Instance) -> Result:
-    values = true_risks(inst.table, inst.dist)
-    primal = kl_ball_sup(inst.prior, values, args.kappa)
-    dual = kl_dual_value(inst.prior, values, args.kappa)
+    """The KL-ball sup of the true risks, bracketed by weak duality at the lam of
+    its one solve: primal is the lower end, a feasible posterior's value, dual
+    the upper end, the dual objective there, and gap = dual - primal."""
+    primal, dual = kl_dual_value(inst.prior, true_risks(inst.table, inst.dist), args.kappa)
     gap = dual - primal
     ok = abs(gap) <= duality_tolerance(primal)
     return Result(["primal", "dual", "gap", "pass"], [[primal, dual, gap, ok]], ok=ok)
@@ -348,7 +361,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--kappa", type=float, help="read by the linear symmetrization")
     p.add_argument("--trials", type=int)
 
-    p = subcommand("duality", cmd_duality, "KL-ball primal vs Legendre dual",
+    p = subcommand("duality", cmd_duality, "weak-duality bracket of the KL-ball sup",
                    instance="required")
     p.add_argument("--kappa", type=float, default=1.0)
 
@@ -441,6 +454,8 @@ def main(argv=None) -> int:
             data, config["instance_sha256"] = read_hashed(instance)
             inst = load_instance(instance, data)
         code, summary = _output(args.handler(args, inst), args.out)
+    except _HelpShown:
+        code, summary = 0, {"help": True}
     except (UsageError, ValueError, OSError, RuntimeError, ArithmeticError, MemoryError) as exc:
         message = str(exc)
         if isinstance(exc, ArithmeticError):  # a huge finite argument

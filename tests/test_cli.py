@@ -338,15 +338,28 @@ class TestDuality:
         assert out.splitlines()[-1] == "PASS"
         assert abs(float(printed_row(out)["gap"])) <= 1e-15
 
-    def test_fail_exits_1(self, monkeypatch, capsys, inst_file, log_file):
-        # A dual far from the primal is a FAIL: exit 1, in stdout and in the record.
-        monkeypatch.setattr("pacbayes.cli.kl_dual_value", lambda *a: np.float64(5.0))
+    def test_a_solve_stopped_short_fails_and_exits_1(self, monkeypatch, capsys, inst_file,
+                                                      log_file):
+        # A KL tolerance of 1e-6 leaves the bracket far wider than 1e-12: FAIL, exit 1,
+        # in stdout and in the record.
+        monkeypatch.setattr("pacbayes.processes._KL_BALL_RTOL", 1e-6)
         assert run(["duality", "--instance", inst_file, "--kappa", "0.7"], log_file) == 1
         out = capsys.readouterr().out
         assert out.splitlines()[-1] == "FAIL" and printed_row(out)["pass"] == "false"
         with open(log_file) as fh:
             record = json.loads(fh.readline(), parse_constant=strict_json)
         assert record["exit_code"] == 1 and record["summary"]["result"][0]["pass"] is False
+
+    def test_one_solve(self, monkeypatch, capsys, inst_file, log_file):
+        # Both ends come from one KL-ball solve, checks and scaling included.
+        from pacbayes import processes
+        calls, solve = [], processes._kl_ball_tilt
+        monkeypatch.setattr(processes, "_kl_ball_tilt", lambda *a, **k: (
+            calls.append(a[2]), solve(*a, **k))[1])
+        assert run(["duality", "--instance", inst_file, "--kappa", "0.7"], log_file) == 0
+        assert calls == [0.7]
+        row = printed_row(capsys.readouterr().out)
+        assert float(row["primal"]) <= float(row["dual"])
 
 
 class TestOptimize:
@@ -856,17 +869,18 @@ class TestUsageContract:
         assert rec["exit_code"] == 2 and "out of memory" in rec["summary"]["error"]
 
     @pytest.mark.parametrize("argv, target, name", [
-        (["duality", "--instance", "INST", "--kappa", "0.7"], "pacbayes.cli", "kl_ball_sup"),
+        (["duality", "--instance", "INST", "--kappa", "0.7"], "pacbayes.processes",
+         "_kl_ball_tilt"),
         (["optimize", "--family", "flatness", "--instance", "INST", "--m", "50", "--seed", "6"],
          "pacbayes.posterior_opt", "_MAX_TILTS"),
     ], ids=["duality", "optimize"])
     def test_solver_failure_exits_1_with_one_record(self, argv, target, name, inst_file,
                                                     log_file, capsys, monkeypatch):
-        # kl_ball_sup fails as after 200 steps; minimize_bound gets a cap of one tilt.
-        def fail(*args):
+        # The KL-ball solve fails as after 200 steps; minimize_bound gets a cap of one tilt.
+        def fail(*args, **kwargs):
             raise RuntimeError("kl_ball_sup: 1 rows still open after 200 steps")
 
-        monkeypatch.setattr(f"{target}.{name}", fail if name == "kl_ball_sup" else 1)
+        monkeypatch.setattr(f"{target}.{name}", fail if name == "_kl_ball_tilt" else 1)
         argv = [inst_file if a == "INST" else a for a in argv]
         assert run(argv, log_file) == 1
         err = capsys.readouterr().err
@@ -955,11 +969,15 @@ class TestUsageContract:
         (rec,) = [json.loads(line) for line in open(log_file).read().splitlines()]
         assert rec["exit_code"] == 2 and rec["summary"] == {"error": named}
 
-    def test_help_exits_0(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["bounds", "--help"])
-        assert exc.value.code == 0
-        assert "--family" in capsys.readouterr().out
+    @pytest.mark.parametrize("argv, command, shows", [
+        (["bounds", "--help"], "bounds", "--family"), (["duality", "-h"], "duality", "--kappa"),
+        (["--help"], None, "gen-instance"), (["-h", "sweep"], "sweep", "gen-instance")])
+    def test_help_exits_0_with_one_record(self, argv, command, shows, capsys, log_file):
+        assert run(argv, log_file) == 0
+        assert shows in capsys.readouterr().out
+        (rec,) = [json.loads(line) for line in open(log_file).read().splitlines()]
+        assert rec["exit_code"] == 0 and rec["command"] == command
+        assert rec["summary"] == {"help": True}
 
     @staticmethod
     def run_both(tmp_path, log_file, argv, config, flags):
@@ -1057,10 +1075,10 @@ FUZZ_INSTANCES = {
     "order.txt": "0 1\n" + INSTANCE,
     "bytes.txt": b"space: 0.5 0.5\n\xff\xfe\n",
 }
-# The tokens of unbiased lists: subcommands, flags and values. --log (the run log
-# the test reads) and --help (which prints help and records no run) are left out.
+# The tokens of unbiased lists: subcommands, flags and values. --log, the run log
+# the test reads, is left out.
 FUZZ_TOKENS = (sorted({t for base in FUZZ_BASES for t in base if t != "INST"}
-                      | {"--config", "--bogus", "--rule", "frobnicate"})
+                      | {"--config", "--bogus", "--rule", "frobnicate", "--help", "-h"})
                + FUZZ_VALUES + ["INST", "missing.txt", "nan.txt"])
 
 
@@ -1076,7 +1094,8 @@ def fuzzed_argv(rand):
         i = rand.choice(values)
         argv[i] = rand.choice(list(FUZZ_INSTANCES) if argv[i] == "INST" else FUZZ_VALUES)
     elif kind < 0.75:
-        argv.insert(rand.randint(1, len(argv)), rand.choice(["--bogus", "--beta-grid", "-x"]))
+        argv.insert(rand.randint(1, len(argv)),
+                    rand.choice(["--bogus", "--beta-grid", "-x", "--help", "-h"]))
     elif kind < 0.9:
         del argv[rand.choice(values)]
     else:
@@ -1089,8 +1108,8 @@ class TestFuzzedContract:
             self, tmp_path, monkeypatch, capsys):
         """Seeded lists of arguments, mostly valid commands with one bad value
         (NaN, +-inf, 1e308, 5e-324, 2.5 for an int flag, a missing or malformed
-        instance file), an unknown flag, a dropped value or a cut; the rest
-        unbiased lists of tokens. Every run exits 0, 1 or 2, prints no
+        instance file), an unknown flag or -h/--help, a dropped value or a cut;
+        the rest unbiased lists of tokens. Every run exits 0, 1 or 2, prints no
         traceback and appends exactly one strict-JSON record, with its exit code."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "inst.txt").write_text(INSTANCE)
@@ -1099,6 +1118,7 @@ class TestFuzzedContract:
                 (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
         log = tmp_path / "runs.jsonl"
         rand = random.Random(33)
+        helps = 0
         for runs in range(1, 401):
             argv = ["inst.txt" if a == "INST" else a for a in fuzzed_argv(rand)]
             code = main(["--log", str(log)] + argv)
@@ -1106,4 +1126,7 @@ class TestFuzzedContract:
             assert "Traceback" not in capsys.readouterr().err, argv
             lines = log.read_text().splitlines()
             assert len(lines) == runs, argv
-            assert json.loads(lines[-1], parse_constant=strict_json)["exit_code"] == code, argv
+            record = json.loads(lines[-1], parse_constant=strict_json)
+            assert record["exit_code"] == code, argv
+            helps += record["summary"] == {"help": True}
+        assert helps >= 5

@@ -5,6 +5,7 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from pacbayes import (LossTable, ProbMeasure, debias_mgf_exact,
                       draw_sample, kl_ball_sup, kl_dual_value, lemma_a3_threshold,
@@ -154,7 +155,7 @@ class TestKLBallSup:
         limit = -math.log(0.3)
         for kappa in (limit, np.nextafter(limit, math.inf), 2.0 * limit, math.inf):
             assert kl_ball_sup(p, v, kappa) == 0.9
-            assert kl_dual_value(p, v, kappa) == 0.9
+            assert kl_dual_value(p, v, kappa) == (0.9, 0.9)
         below = kl_ball_sup(p, v, limit * (1.0 - 1e-9))
         assert 0.9 - 1e-6 < below < 0.9
         assert below == pytest.approx(bisection_sup(p, v, limit * (1.0 - 1e-9)), rel=1e-9)
@@ -253,8 +254,8 @@ class TestKLBallSup:
 
 
 class TestKLBallOracle:
-    """Both solvers against an 80-digit bisection, on rows whose prior mean is
-    zero, tiny against the range, and of order one."""
+    """kl_ball_sup and both ends of kl_dual_value against an 80-digit bisection,
+    on rows whose prior mean is zero, tiny against the range, and of order one."""
 
     ROWS = [((0.5, 0.5), (-1.0, 1.0)), ((0.5, 0.5), (-1.0, 1.000001)),
             ((0.2, 0.3, 0.5), (-0.7, 0.1, 0.26))]
@@ -263,28 +264,28 @@ class TestKLBallOracle:
     @pytest.mark.parametrize("kappa", [1e-10, 1e-20, 1e-30, 1e-40, 1e-60])
     def test_matches_an_mpmath_bisection(self, weights, values, kappa):
         want = mp_sup(weights, values, kappa)
-        p = ProbMeasure(np.array(weights))
-        for solver in (kl_ball_sup, kl_dual_value):
-            got = solver(p, np.array(values), kappa)
-            assert abs(got - want) <= 1e-13 * abs(want), (solver.__name__, float(got), float(want))
+        p, v = ProbMeasure(np.array(weights)), np.array(values)
+        for got in (kl_ball_sup(p, v, kappa), *kl_dual_value(p, v, kappa)):
+            assert abs(got - want) <= 1e-13 * abs(want), (float(got), float(want))
 
     @pytest.mark.parametrize("kappa", [1e-100, 1e-300, 5e-324])
     def test_tiny_radius_is_finite_and_raises_nothing(self, kappa):
         # A prior mean of 0 (or tiny against the range) and a tiny radius: the
         # primal raised after 200 steps here, as 1-D values and as a block. A
-        # subnormal radius is rejected: there both solvers came out finite but
-        # wrong (1.57e-162 and 1.28e-162 at 5e-324, against about 3.14e-162).
+        # subnormal radius is rejected: there the primal and the grid dual came out
+        # finite but wrong (1.57e-162 and 1.28e-162 at 5e-324, against about 3.14e-162).
         p, rows = ProbMeasure.uniform(2), np.array([[-1.0, 1.0], [-1.0, 1.000001]])
         if kappa < sys.float_info.min:
             for solver, values in ((kl_ball_sup, rows), (kl_ball_sup, rows[0]),
-                                   (kl_dual_value, rows[0])):
+                                   (kl_dual_value, rows)):
                 with pytest.raises(ValueError, match="kappa must be 0 or at least"):
                     solver(p, values, kappa)
             return
         block = kl_ball_sup(p, rows, kappa)
-        for row, sup in zip(rows, block):
-            for got in (sup, kl_ball_sup(p, row, kappa), kl_dual_value(p, row, kappa)):
+        for row, sup, lower, upper in zip(rows, block, *kl_dual_value(p, rows, kappa)):
+            for got in (sup, kl_ball_sup(p, row, kappa), lower, upper):
                 assert np.isfinite(got) and p.weights @ row <= got <= row.max()
+            assert abs(upper - lower) <= duality_tolerance(lower)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1e-3, 0.1, 0.5, 2.5, math.inf])
@@ -314,63 +315,138 @@ def test_kl_ball_tilt_lambda(kappa):
             assert abs(e_q - s) <= 1e-12 * abs(s)
 
 
-class TestKLDual:
-    def test_matches_primal_on_random_instances(self, rng):
+def mp_ball_sup(weights, values, kappa, lam, dps=60):
+    """The KL-ball sup in dps digits, with the prior normalised in mpmath (a float
+    prior sums to 1 only within about 1e-16, which moves the sup at small kappa
+    by up to 1e-12): the closed cases, else E_Q v at the root of KL(Q_lam || p)
+    = kappa, by Newton's method from lam to dps - 8 digits."""
+    with mpmath.workdps(dps):
+        pairs = [(mpmath.mpf(float(a)), mpmath.mpf(float(x))) for a, x in zip(weights, values) if a > 0]
+        total = mpmath.fsum(a for a, _ in pairs)
+        w, v = [a / total for a, _ in pairs], [x for _, x in pairs]
+        top = max(v)
+        if kappa == 0 or top == min(v):
+            return mpmath.fsum(a * x for a, x in zip(w, v))
+        if kappa >= -mpmath.log(mpmath.fsum(a for a, x in zip(w, v) if x == top)):
+            return top
+        kappa, lam = mpmath.mpf(kappa), mpmath.mpf(float(lam))
+        for _ in range(100):
+            t = [a * mpmath.exp(lam * (x - top)) for a, x in zip(w, v)]
+            z = mpmath.fsum(t)
+            e_q = mpmath.fsum(b * x for b, x in zip(t, v)) / z
+            var = mpmath.fsum(b * (x - e_q) ** 2 for b, x in zip(t, v)) / z
+            step = (lam * (e_q - top) - mpmath.log(z) - kappa) / (lam * var)
+            lam -= step
+            if abs(step) <= lam * mpmath.mpf(10) ** (8 - dps):
+                t = [a * mpmath.exp(lam * (x - top)) for a, x in zip(w, v)]
+                return mpmath.fsum(b * x for b, x in zip(t, v)) / mpmath.fsum(t)
+    raise AssertionError(f"no convergence at kappa = {kappa}")
+
+
+def dual_minimum(p, values, kappa):
+    """inf over lam > 0 of the dual objective D(lam), by SciPy's bounded Brent on
+    u = log lam in [-10, 60]: a second solver, for the tests only. D is formed
+    at max v, max v + (kappa + log E_p e^{lam (v - max v)}) / lam, which keeps
+    its absolute accuracy at every lam the search visits."""
+    w, v = p.weights[p.weights > 0], np.asarray(values, dtype=float)[p.weights > 0]
+    top = v.max()
+
+    def objective(u):
+        lam = math.exp(u)
+        return top + (kappa + math.log(w @ np.exp(lam * (v - top)))) / lam
+
+    return minimize_scalar(objective, bounds=(-10.0, 60.0), method="bounded",
+                           options={"xatol": 1e-12}).fun
+
+
+class TestKLBallBracket:
+    """kl_dual_value's (lower, upper), the weak-duality bracket of the sup at the
+    lam of kl_ball_sup's own solve."""
+
+    def test_brackets_a_60_digit_sup(self):
+        # 300 random rows: n_h from 2 to 60, kappa from 1e-6 to 10, values of
+        # either sign up to 1e3 in size, some atoms without prior mass. Each end
+        # may lie beyond the exact sup by rounding alone, at most 4 ulp of max |v|
+        # (the sum lands on a sup that may be far larger than the range; 2.4 ulp
+        # is the worst seen on 4 800 rows). The width is first order in the KL
+        # residual, so at most _KL_BALL_RTOL (max v - min v) (0.28 of it at worst).
+        gen = np.random.default_rng(34)
+        active = 0
+        for _ in range(300):
+            n = int(gen.integers(2, 61))
+            w = gen.dirichlet(np.full(n, gen.choice([0.3, 1.0, 3.0])))
+            if gen.random() < 0.3:
+                w[gen.choice(n, int(gen.integers(1, n)), replace=False)] = 0.0
+            p = ProbMeasure(w / w.sum())
+            v = (gen.random(n) - gen.random()) * 10.0 ** gen.uniform(-2, 3)
+            kappa = float(10.0 ** gen.uniform(-6, 1))
+            lower, upper = kl_dual_value(p, v, kappa)
+            lam = _kl_ball_tilt(p, v, kappa)[1]
+            active += 0 < lam < math.inf
+            want = mp_ball_sup(p.weights, v, kappa, lam if 0 < lam < math.inf else 1.0)
+            on = v[p.weights > 0]
+            slack = 4.0 * np.spacing(np.abs(on).max())
+            case = (p.weights, v, kappa)
+            assert mpmath.mpf(float(lower)) - want <= slack, case
+            assert want - mpmath.mpf(float(upper)) <= slack, case
+            assert upper - lower <= _KL_BALL_RTOL * np.ptp(on) + 2.0 * slack, case
+        assert active >= 250
+
+    def test_upper_is_the_least_dual_value(self, rng):
+        # Newton's lam minimises D: a bounded Brent search of D finds no lower value.
         for _ in range(10):
-            p = random_measure(rng, 10)
-            v = rng.random(10)
+            p, v = random_measure(rng, 10), rng.random(10)
             for kappa in (0.1, 1.0, 3.0):
-                primal = kl_ball_sup(p, v, kappa)
-                dual = kl_dual_value(p, v, kappa)
-                assert abs(dual - primal) <= duality_tolerance(primal)
+                lower, upper = kl_dual_value(p, v, kappa)
+                assert abs(upper - dual_minimum(p, v, kappa)) <= 1e-13 * max(1.0, abs(upper))
+                assert abs(upper - lower) <= duality_tolerance(lower)
 
     def test_prior_mass_at_the_max_below_an_ulp(self):
         # E_P expm1(lam (v - max v)) rounds to -1 at the max anchor: the log is
         # taken of E_P e^{lam (v - max v)} itself, and nothing warns.
         p, v = ProbMeasure([1e-17, 1.0]), [1.0, 0.0]
         for kappa in (1.0, 30.0):
-            primal = kl_ball_sup(p, v, kappa)
-            assert abs(kl_dual_value(p, v, kappa) - primal) <= duality_tolerance(primal)
+            lower, upper = kl_dual_value(p, v, kappa)
+            assert abs(upper - lower) <= duality_tolerance(lower)
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0])
     def test_narrow_valley_near_the_log_lambda_cap(self, kappa):
         # KL > log(3/2) needs the tilt to split the two atoms 1e-300 apart, so
-        # the minimum lies at log lambda ~ 691, 9 below the cap of 700. 80 digits
+        # the root lies at log lambda ~ 691, 9 below the cap of 700. 80 digits
         # cannot resolve 1e-300 against 1; the oracle's bracket search starts at
         # lam = 2^990 = e^686 to save time.
         p, v = ProbMeasure.uniform(3), [-1.0, 1e-300, 0.0]
+        # The sup is about 1e-300, and the upper end keeps to it as kl_ball_sup does. The
+        # lower end is a mixture with p, whose value lies below the sup by up to
+        # _KL_BALL_RTOL (max v - E_p v), here 3.2e-13 at kappa = 0.5.
         want = mp_sup(p.weights, v, kappa, dps=340, start=mpmath.mpf(2) ** 990)
-        for solver in (kl_ball_sup, kl_dual_value):
-            got = solver(p, v, kappa)
-            assert abs(got - want) <= 1e-13 * abs(want), (solver.__name__, got, float(want))
+        lower, upper = kl_dual_value(p, v, kappa)
+        for got in (kl_ball_sup(p, v, kappa), upper):
+            assert abs(got - want) <= 1e-13 * abs(want), (got, float(want))
+        assert 0 <= want - lower <= _KL_BALL_RTOL * (max(v) - p.weights @ v)
+        assert abs(upper - lower) <= duality_tolerance(lower)
         # In a block with rows that finish in a few steps, the row's answer and
         # theirs are bit for bit those of one call per row.
         rows = np.array([v, [0.7, 0.3, 0.1], [-3.0, 2.0, 0.5], v, [0.7, 0.9, 0.2]])
         np.testing.assert_array_equal(kl_ball_sup(p, rows, kappa),
                                       [kl_ball_sup(p, row, kappa) for row in rows])
 
-    def test_minimum_beyond_the_log_lambda_cap_raises(self):
-        # Atoms 1e-305 apart put the minimum at log lambda ~ 702.
+    def test_root_beyond_the_log_lambda_cap_raises(self):
+        # Atoms 1e-305 apart put the root at log lambda ~ 702.
         p, v = ProbMeasure.uniform(3), [-1.0, 1e-305, 0.0]
-        with pytest.raises(RuntimeError, match="no minimum"):
-            kl_dual_value(p, v, 0.5)
-        with pytest.raises(RuntimeError, match="beyond log lambda = 700"):
-            kl_ball_sup(p, v, 0.5)
+        for solver in (kl_dual_value, kl_ball_sup):
+            with pytest.raises(RuntimeError, match="beyond log lambda = 700"):
+                solver(p, v, 0.5)
 
-    def test_weak_duality(self, rng):
-        p = random_measure(rng, 6)
-        v = rng.random(6)
-        dual = kl_dual_value(p, v, 0.2)
-        assert dual >= float(p.weights @ v) - 1e-12
-
-    def test_constant_values(self, rng):
-        p = random_measure(rng, 4)
-        assert kl_dual_value(p, [0.3] * 4, 0.5) == pytest.approx(0.3, abs=1e-8)
-
-    def test_kappa_zero_is_prior_mean(self, rng):
+    def test_closed_rows_are_the_sup_at_both_ends(self, rng):
+        # kappa = 0 and constant rows: the prior mean; kappa at or beyond the KL
+        # limit: the max. Both ends are kl_ball_sup's closed value, bit for bit.
         p = random_measure(rng, 5)
-        v = rng.random(5)
-        assert kl_dual_value(p, v, 0.0) == pytest.approx(float(p.weights @ v), abs=1e-15)
+        rows = np.vstack([rng.random((3, 5)), np.full(5, 0.3)])
+        for kappa, closed in ((0.0, slice(None)), (0.5, slice(3, 4)), (math.inf, slice(None))):
+            sup = kl_ball_sup(p, rows, kappa)[closed]
+            for end in kl_dual_value(p, rows, kappa):
+                np.testing.assert_array_equal(end[closed], sup)
 
     def test_negative_kappa_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -378,14 +454,18 @@ class TestKLDual:
 
     @pytest.mark.parametrize("kappa", [1e-300, 1e-200, 1e-150, 1e-100, 1e-50, 1e-30, 1e-20,
                                        1e-18, 1e-15, 1e-12, 1e-8, 1e-4, 0.01, 0.5, 3.0, 30.0])
-    def test_matches_primal_at_every_radius(self, kappa):
-        # Down to kappa = 1e-300 neither solver raises, and the dual keeps to
-        # the primal at float resolution, not 1e-16 / lambda.
+    def test_brackets_the_primal_at_every_radius(self, kappa):
+        # Down to kappa = 1e-300 nothing raises, the bracket passes the duality
+        # check (its widths here are at most 4.1e-14, and 0 below kappa = 1e-4),
+        # and kl_ball_sup lies in it within two ulp of 1.
         gen = np.random.default_rng(5)
         for _ in range(40):
             n = int(gen.integers(2, 30))
             p, v = ProbMeasure(gen.dirichlet(np.ones(n))), gen.random(n)
-            assert abs(kl_dual_value(p, v, kappa) - kl_ball_sup(p, v, kappa)) <= 2e-15
+            lower, upper = kl_dual_value(p, v, kappa)
+            sup = kl_ball_sup(p, v, kappa)
+            assert abs(upper - lower) <= duality_tolerance(lower)
+            assert lower - 4.5e-16 <= sup <= upper + 4.5e-16
 
     @pytest.mark.parametrize("kappa", [1e-8, 0.5, 3.0])
     def test_power_of_two_scaling_is_exact(self, rng, kappa):
@@ -393,20 +473,21 @@ class TestKLDual:
             p, v = random_measure(rng, 6), rng.random(6)
             for j in (-900, 900):
                 scaled = kl_dual_value(p, 2.0 ** j * v, kappa)
-                assert scaled == 2.0 ** j * kl_dual_value(p, v, kappa)
+                assert scaled == tuple(2.0 ** j * end for end in kl_dual_value(p, v, kappa))
 
-    def test_huge_values_match_the_primal(self):
+    def test_huge_values(self):
         p = ProbMeasure.uniform(2)
         v = [1e300, 3e300]
-        assert kl_dual_value(p, v, 0.5) == pytest.approx(kl_ball_sup(p, v, 0.5), rel=1e-15)
-        assert kl_dual_value(p, v, 0.5) < 3e300
+        sup = kl_ball_sup(p, v, 0.5)
+        for end in kl_dual_value(p, v, 0.5):
+            assert end == pytest.approx(sup, rel=1e-15) and end < 3e300
 
     def test_full_float_range_does_not_overflow(self):
-        # Both solvers form v - max v from halves, so no RuntimeWarning is raised.
+        # v - max v is formed from halves, so no RuntimeWarning is raised.
         p, v = ProbMeasure.uniform(2), [-1e308, 1e308]
-        dual, primal = kl_dual_value(p, v, 0.5), kl_ball_sup(p, v, 0.5)
-        assert 0.0 < primal < 1e308
-        assert abs(dual - primal) <= 2e293  # 1e-15 of the range
+        (lower, upper), sup = kl_dual_value(p, v, 0.5), kl_ball_sup(p, v, 0.5)
+        assert 0.0 < lower <= upper < 1e308
+        assert abs(upper - lower) <= 2e293 and abs(sup - upper) <= 2e293  # 1e-15 of the range
 
 
 class TestDebiasMGF:
@@ -672,7 +753,8 @@ def test_non_finite_lemma_inputs_rejected(rng):
                 solver(p, w, 0.5)
     with pytest.raises(ValueError, match="finite"):
         kl_ball_sup(p, np.vstack([v, w]), math.inf)
-    assert kl_ball_sup(p, v, math.inf) == kl_dual_value(p, v, math.inf) == v.max()
+    assert kl_ball_sup(p, v, math.inf) == v.max()
+    assert kl_dual_value(p, v, math.inf) == (v.max(), v.max())
     for h in (None, 0.5):
         for c, c2 in ((math.inf, 0.5), (math.inf, math.inf)):
             with pytest.raises(ValueError, match="finite"):
