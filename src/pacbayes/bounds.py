@@ -83,6 +83,15 @@ class BoundReport:
     components: dict
 
 
+def log_over(x: float, delta: float) -> float:
+    """log(x / delta), x > 0: math.log(x / delta) wherever the ratio is finite,
+    and log x - log delta only where it overflows (delta below about
+    x / 1.8e308), so that a tiny delta gives a finite certificate and every
+    other delta the same bits as the one-log form."""
+    ratio = x / delta
+    return math.log(ratio) if ratio < math.inf else math.log(x) - math.log(delta)
+
+
 def catoni_prefactor(C: float) -> float:
     """C / (1 - e^{-C}); > 1 for all C > 0 and -> 1 as C -> 0+."""
     if not C > 0:
@@ -143,7 +152,7 @@ def derive_matched_catoni_constants(c: float, c2: float, delta: float) -> Derive
     # L = c'/(c'+2) as the odds L/(1 - L) = c'/2, a target with no rounding.
     odds = 0.5 * c_prime
     root = _bisect_increasing(_log_cosh_odds, odds)
-    cap = 2.0 * (1.0 + c2) * (2.0 + c_prime) * math.log(4.0 / delta) / ((1.0 + c2) ** 2 / c2)
+    cap = 2.0 * (1.0 + c2) * (2.0 + c_prime) * log_over(4.0, delta) / ((1.0 + c2) ** 2 / c2)
     lam = min(root, cap)
     if lam == 0 or not math.isfinite(C_big := 2.0 * (1.0 + c2) * (2.0 + c_prime) / lam):
         raise ValueError(f"c = {c!r} and c2 = {c2!r} leave lambda/m = {lam!r}, so C = "
@@ -242,15 +251,15 @@ FAMILIES: dict[str, Family] = {
     "mcallester": Family(
         reads=("delta",),
         d_emp=lambda p: 1.0,
-        complexity=lambda kl, m, p: np.sqrt((kl + math.log(m / p.delta)) / (2.0 * (m - 1))),
+        complexity=lambda kl, m, p: np.sqrt((kl + log_over(m, p.delta)) / (2.0 * (m - 1))),
         d_kl=lambda kl, m, p: 1.0 / (4.0 * (m - 1) * np.sqrt(
-            (kl + math.log(m / p.delta)) / (2.0 * (m - 1)))),
+            (kl + log_over(m, p.delta)) / (2.0 * (m - 1)))),
         m_min=2,
     ),
     "catoni": Family(
         reads=("delta", "C"),
         d_emp=lambda p: catoni_prefactor(p.C),
-        complexity=lambda kl, m, p: ((kl + math.log(1.0 / p.delta))
+        complexity=lambda kl, m, p: ((kl + log_over(1.0, p.delta))
                                      / (m * -math.expm1(-p.C))),
         d_kl=lambda kl, m, p: 1.0 / (m * -math.expm1(-p.C)),
         derived=lambda p: p.C,
@@ -259,7 +268,7 @@ FAMILIES: dict[str, Family] = {
         reads=("delta",),
         d_emp=lambda p: 1.0,
         complexity=lambda kl, m, p: (4.5 * np.sqrt(np.maximum(kl, 2.0) / m)
-                                     + math.sqrt(math.log(1.0 / p.delta) / m)),
+                                     + math.sqrt(log_over(1.0, p.delta) / m)),
         d_kl=lambda kl, m, p: np.where(kl > 2.0, 4.5 / (2.0 * np.sqrt(np.maximum(kl, 2.0) * m)),
                                        0.0),
     ),
@@ -268,7 +277,7 @@ FAMILIES: dict[str, Family] = {
         d_emp=lambda p: 1.0 + p.c,
         complexity=lambda kl, m, p: (
             (k := derive_matched_catoni_constants(p.c, p.c2, p.delta)).C1 * kl / m
-            + k.C2 * math.log(1.0 / p.delta) / m + k.C3 / m),
+            + k.C2 * log_over(1.0, p.delta) / m + k.C3 / m),
         d_kl=lambda kl, m, p: derive_matched_catoni_constants(p.c, p.c2, p.delta).C1 / m,
         derived=lambda p: derive_matched_catoni_constants(p.c, p.c2, p.delta).C_big,
     ),
@@ -278,7 +287,7 @@ FAMILIES: dict[str, Family] = {
         reads=("delta", "c", "h"),
         d_emp=lambda p: 1.0,
         complexity=lambda kl, m, p: (4.0 / (flatness_rate_constant(p.c, p.h) * m)
-                                     * (3.0 * kl + math.log(1.0 / p.delta) + 5.0)),
+                                     * (3.0 * kl + log_over(1.0, p.delta) + 5.0)),
         d_kl=lambda kl, m, p: 4.0 / (flatness_rate_constant(p.c, p.h) * m) * 3.0,
         derived=lambda p: flatness_rate_constant(p.c, p.h),
         needs_sample=True,
@@ -306,7 +315,9 @@ def evaluate_bound(family: str, emp, kl, m: int, params: BoundParams, flat=None)
         raise ValueError(f"m must be >= {fam.m_min}")
     if not np.all((emp >= 0) & (emp <= 1.0 + _SUM_TOL)):
         raise ValueError("emp must lie in [0, 1]")
-    complexity = fam.complexity(kl, m, params)
+    # A complexity term too large for a float is the +inf certificate.
+    with np.errstate(over="ignore"):
+        complexity = fam.complexity(kl, m, params)
     finite = np.isfinite(complexity)
     empirical = fam.d_emp(params) * emp * finite
     flat_term = (0.0 if flat is None else params.c * flat) * finite

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import BoundParams, catoni_C_for_inflation
+from .bounds import BoundParams, catoni_C_for_inflation, log_over
 from .core import LossTable, ProbMeasure, sample_blocks
 from .measures import gibbs_losses, kl_divergence
 from .posterior_opt import evaluate_posterior_bound
@@ -26,7 +26,7 @@ def crossover_threshold(T_m: float, C_r: float, C_c: float, kl: float, delta: fl
         raise ValueError("T_m must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
-    return ((C_r - C_c) * (kl + math.log(1.0 / delta)) + C_r) / T_m
+    return ((C_r - C_c) * (kl + log_over(1.0, delta)) + C_r) / T_m
 
 
 @dataclass(frozen=True)

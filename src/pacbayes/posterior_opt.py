@@ -79,11 +79,13 @@ def evaluate_posterior_bound(family: str, params: BoundParams, q: ProbMeasure,
 
 
 def _temperature(family: str, params: BoundParams, kl, m: int):
-    """t = d_emp / d_kl(kl), one per entry of kl, and +inf where d_kl = 0: the
-    tilt of the risks at t minimises the bound linearised in KL at kl."""
+    """t = d_emp / d_kl(kl), one per entry of kl, and +inf where d_kl = 0 or the
+    ratio overflows: the tilt of the risks at t minimises the bound linearised
+    in KL at kl."""
     fam = FAMILIES[family]
     b = np.broadcast_to(fam.d_kl(kl, m, params), np.shape(kl))
-    return np.divide(fam.d_emp(params), b, out=np.full(b.shape, np.inf), where=b > 0)
+    with np.errstate(over="ignore"):
+        return np.divide(fam.d_emp(params), b, out=np.full(b.shape, np.inf), where=b > 0)
 
 
 def _majoriser(family: str, params: BoundParams, table: LossTable, s: Sample, risks, g, sq):
@@ -148,8 +150,9 @@ def _descend(step, val, state, n_starts: int):
         new, fresh = step(rows)
         # Under the slice old is a view of val: every mask is formed before val is written.
         old = val[rows]
-        drop = np.where(new < old, old - new, 0.0)
-        took = drop > 0
+        # The decrease, formed only where there is one: two +inf bounds make none.
+        took = new < old
+        drop = np.subtract(old, new, out=np.zeros_like(new), where=took)
         going = drop > _TILT_RTOL * np.maximum(1.0, np.abs(np.where(took, new, old)))
         # Where every row took its tilt, new and its state are written whole, ungathered.
         kept, taken = (rows, slice(None)) if took.all() else (index[rows][took], took)

@@ -57,7 +57,7 @@ def _log_mgf(w, d, cmax, switch, lam):
     switch = min(max(1, KL limit), _LOG_LAM_CAP)); then at max c, lam max c +
     log E_w e^{lam d}, by log1p while E_w expm1(lam d) > -1/2, else by the log of
     the sum of w e^x. Returns (at_mean, c or d, x = lam (c or d), expm1(x),
-    log E_w e^x, w e^x), the last None unless some row took the log."""
+    log E_w e^x, w e^x); the caller's tilt reads the last, as the low rows' log does."""
     at_mean = lam * cmax < switch
     y = d + (cmax * at_mean)[:, None]
     x = lam[:, None] * y
@@ -71,9 +71,8 @@ def _log_mgf(w, d, cmax, switch, lam):
         small = (np.abs(x) < 1e-2) & redo[:, None]
         g[small] = np.polyval([1 / 5040, 1 / 720, 1 / 120, 1 / 24, 1 / 6, 1 / 2, 0, 0], x[small])
         a = (g * w).sum(axis=-1)
-    log_m, low, tilt = np.log1p(np.maximum(a, -0.5)), a <= -0.5, None
+    log_m, low, tilt = np.log1p(np.maximum(a, -0.5)), a <= -0.5, w * np.exp(x)
     if np.count_nonzero(low):
-        tilt = w * np.exp(x)
         log_m = np.where(low, np.log(tilt.sum(axis=-1)), log_m)
     return at_mean, y, x, em1, log_m, tilt
 
@@ -94,13 +93,17 @@ def kl_ball_sup(p: ProbMeasure, values, kappa: float):
     E_{Q_lam} v + (kappa - KL) / lam, the first-order step onto the boundary. A
     root beyond the cap and 200 steps raise RuntimeError. Tested within 1e-13 of
     an 80-digit bisection for kappa from 1e-60 to 1e-10; kl_dual_value brackets it.
+    It is the first of the four values of _kl_ball_tilt's one solve.
     """
     return _kl_ball_tilt(p, values, kappa)[0]
 
 
-def _kl_ball_tilt(p: ProbMeasure, values, kappa: float, bracket: bool = False):
-    """kl_ball_sup and each row's lam: 0 at the prior mean, +inf at the lam -> inf
-    limit; with bracket, kl_dual_value's (lower, upper) in their place.
+def _kl_ball_tilt(p: ProbMeasure, values, kappa: float):
+    """The one KL-ball solve: (sup, lam, lower, upper), one of each per row, on
+    every call. sup is kl_ball_sup, lam the row's tilt (0 at the prior mean,
+    +inf at the lam -> inf limit), and (lower, upper) kl_dual_value's bracket.
+    Closed rows give sup = lower = upper; open rows take all four from the last
+    Newton iterate.
 
     The open rows are solved on p's support, scaled by 2^k above max v - min v
     (the scaling is exact): d = (v - max v) / 2^k, formed from halves of v so
@@ -151,7 +154,6 @@ def _kl_ball_tilt(p: ProbMeasure, values, kappa: float, bracket: bool = False):
             if outside.any():
                 lam = np.where(outside, lo + (hi - lo) / (1.0 + np.sqrt(hi) / np.sqrt(lo)), lam)
             at_mean, y, x, em1, log_m, tilt = _log_mgf(w, d, cmax, switch, lam)
-            tilt = w * np.exp(x) if tilt is None else tilt
             mgf = tilt.sum(axis=-1)
             # E_Q y; at the prior mean E_p y = 0 is left out of the sum.
             mean_y = (np.where(at_mean[:, None], w * em1, tilt) * y).sum(axis=-1) / mgf
@@ -168,23 +170,21 @@ def _kl_ball_tilt(p: ProbMeasure, values, kappa: float, bracket: bool = False):
             raise RuntimeError(f"kl_ball_sup: {np.count_nonzero(~done)} rows still open after 200 steps")
         if (np.nextafter(lo, np.inf) >= math.exp(_LOG_LAM_CAP)).any():
             raise RuntimeError(f"kl_ball_sup: a root lies beyond log lambda = {_LOG_LAM_CAP:g}")
-        if not bracket:
-            if left.size:
-                out[left] = e + np.ldexp((kappa - kl) / lam, k)
-                lam_out[left] = np.ldexp(lam, -k)
-            return out.reshape(shape)[()], lam_out.reshape(shape)[()]
-        lower, upper = out, out.copy()
+        lower, upper = out.copy(), out.copy()
         if left.size:
+            out[left] = e + np.ldexp((kappa - kl) / lam, k)
+            lam_out[left] = np.ldexp(lam, -k)
             # E_Q v - E_p v, with no cancellation at either anchor.
             rise = np.ldexp(mean_y + np.where(at_mean, 0.0, cmax), k)
             lower[left] = base + np.where(kl > kappa, kappa / kl, 1.0) * rise
             upper[left] = np.where(at_mean, base, vmax) + np.ldexp((kappa + log_m) / lam, k)
-    return lower.reshape(shape)[()], upper.reshape(shape)[()]
+    return tuple(a.reshape(shape)[()] for a in (out, lam_out, lower, upper))
 
 
 def kl_dual_value(p: ProbMeasure, values, kappa: float):
     """(lower, upper) around kl_ball_sup for each row of values [..., n_h], by
-    weak duality at the lam of its one Newton solve:
+    weak duality at the lam of its one Newton solve (the last two of
+    _kl_ball_tilt's four values):
     - upper = D(lam) = E_p v + (kappa + log E_p e^{lam (v - E_p v)}) / lam, the
       Legendre dual objective, at least the sup for every lam > 0, from
       _log_mgf's terms;
@@ -197,7 +197,7 @@ def kl_dual_value(p: ProbMeasure, values, kappa: float):
     another form, so that the pair is not (kl_ball_sup, D).) Tested against a
     60-digit sup on 300 random rows.
     """
-    return _kl_ball_tilt(p, values, kappa, bracket=True)
+    return _kl_ball_tilt(p, values, kappa)[2:]
 
 
 def debias_mgf_exact(p: ProbMeasure, table: LossTable, dist: ProbMeasure,
@@ -244,25 +244,19 @@ def xy_mgf_bruteforce(mu, lambda_over_m: float, c: float, c2: float, h: float) -
         raise ValueError("mu must be a nonempty vector of Bernoulli means in [0, 1]")
     if not all(map(math.isfinite, (lambda_over_m, c, c2, h))):
         raise ValueError("lambda/m, c, c2 and h must be finite")
-    x = lambda_over_m
-    # Exponent coefficient of X_i at (eps_i, Y_i):
+    # Exponent coefficient of X_i at (eps_i, Y_i), eps = +1, -1 by row, Y = 0, 1 by column:
     #   eps = +1: (1 + c2) - c2 (1 - h^2) Y
     #   eps = -1: -(1 + c) + c (1 - h^2) Y
-    a = {
-        (+1, 0): 1.0 + c2,
-        (+1, 1): 1.0 + c2 - c2 * (1.0 - h * h),
-        (-1, 0): -(1.0 + c),
-        (-1, 1): -(1.0 + c) + c * (1.0 - h * h),
-    }
+    coef = np.array([[1.0 + c2, 1.0 + c2 - c2 * (1.0 - h * h)],
+                     [-(1.0 + c), -(1.0 + c) + c * (1.0 - h * h)]])
     # Per-coordinate factor after integrating X_i, for each (eps, Y) pair. A
     # coordinate with mu_i = 0 has factor 1 and is left out, so that a lambda/m
-    # large enough to overflow makes the MGF +inf, never 0 * inf.
+    # large enough to overflow makes the MGF +inf, never 0 * inf; a product that
+    # overflows is +inf too.
     mu = mu[mu > 0]
     with np.errstate(over="ignore"):
-        fac = {key: 1.0 - mu + mu * np.exp(x * coef) for key, coef in a.items()}
-    plus = np.maximum(fac[(+1, 0)], fac[(+1, 1)])
-    minus = np.maximum(fac[(-1, 0)], fac[(-1, 1)])
-    return float(np.prod(0.5 * (plus + minus)))
+        fac = 1.0 - mu + mu * np.exp(lambda_over_m * coef[..., None])
+        return float(np.prod(0.5 * fac.max(axis=1).sum(axis=0)))
 
 
 def _check_shifted_flatness(m: int, c2: float, h: float) -> None:
@@ -292,8 +286,10 @@ def shifted_flatness_tail_mc(table: LossTable, f: int, dist: ProbMeasure,
     if not math.isfinite(t):
         raise ValueError("t must be finite")
     _check_shifted_flatness(m, c2, h)
-    if not 0 <= f < table.hypothesis_count:
-        raise ValueError("hypothesis index out of range")
+    n = table.hypothesis_count
+    if not 0 <= f < n:
+        raise ValueError(f"hypothesis index {f} is out of range for a table of {n} "
+                         f"hypotheses (0 to {n - 1})")
     row = table.loss[f]
     r = float(row @ dist.weights)
     # stat = r - (1+c2) Remp(f) + c2 (1-h^2) Remp(f^2) = r - (sample mean of `shifted`)

@@ -1,7 +1,8 @@
 """An audit of the certificates' arithmetic. Every bound family's value, and the
 constants behind the values, are recomputed in 50-digit mpmath from the same
 float inputs, at seeded random points and at the corners of each range:
-kl from 0 to 1e3, m from 2 to 1e7, delta from 1e-300 to 0.999, emp in [0, 1],
+kl from 0 to 1e3, m from 2 to 1e7, delta from 1e-300 to 0.999 (and the least
+float, 5e-324, where log(1/delta) overflows its ratio), emp in [0, 1],
 and each family's own parameters across theirs. A certificate may round, but
 it must not fall below its exact value by more than ULP_TOL ulp (MATCHED_ULP_TOL
 for matched_catoni); the constants and crossover_threshold must lie within
@@ -80,7 +81,7 @@ def audit_points(family, count=200, seed=2024):
         points.append((gen.uniform(0, 1), kl, m, log_uniform(gen, 1e-300, 0.999), draw(gen),
                        gen.uniform(0, 1)))
     for emp, kl, m, delta, extra in itertools.product(
-            (0.0, 1.0), (0.0, 1e3), (2, 10 ** 7), (1e-300, 0.999), corners):
+            (0.0, 1.0), (0.0, 1e3), (2, 10 ** 7), (5e-324, 1e-300, 0.999), corners):
         points.append((emp, kl, m, delta, extra, 1.0))
     return points
 
@@ -139,6 +140,23 @@ def test_no_bound_falls_below_its_exact_value(family):
             assert abs(mpf(got) - exact) <= mpf("1e-12") * exact, point
 
 
+@pytest.mark.parametrize("family", list(FAMILIES))
+@pytest.mark.parametrize("delta", [1e-307, 1e-320, 5e-324])
+def test_a_tiny_delta_gives_a_finite_certificate(family, delta):
+    # Where x / delta overflows, log(x / delta) is log x - log delta: a finite
+    # bound within 1e-14 of its exact value, not +inf.
+    draw, corners = PARAMS[family]
+    flat = 0.25 if FAMILIES[family].needs_sample else None
+    with mpmath.workdps(50):
+        for extra in corners + [draw(np.random.default_rng(seed)) for seed in range(5)]:
+            for emp, kl, m in ((0.1, 0.1, 100), (0.0, 0.0, 2), (1.0, 1e3, 10 ** 7)):
+                params = BoundParams(delta=delta, **extra)
+                got = float(evaluate_bound(family, emp, kl, m, params, flat).value)
+                exact = mp_bound(family, emp, kl, m, delta, params, flat)
+                assert math.isfinite(got), (emp, kl, m, extra)
+                assert abs(mpf(got) - exact) <= mpf("1e-14") * exact, (emp, kl, m, extra)
+
+
 def test_catoni_C_for_inflation_is_its_root():
     # The C with C/(1 - e^-C) = 1 + c, to a few ulp, c from 1e-300 to the largest float,
     # where the root, about c + 1, rounds to c; at c = inf there is none.
@@ -161,7 +179,7 @@ def test_crossover_threshold_is_its_exact_value():
                log_uniform(gen, 1e-12, 1e3), log_uniform(gen, 1e-300, 0.999))
               for _ in range(1000)]
     points += list(itertools.product((1e-12, 1.0, 1e6), (1.0, 1.0 + 2.0 ** -40, 2.0, 1e15),
-                                     (1.0, 1e12), (0.0, 1e3), (1e-300, 0.5, 0.999)))
+                                     (1.0, 1e12), (0.0, 1e3), (5e-324, 1e-300, 0.5, 0.999)))
     with mpmath.workdps(50):
         for T_m, ratio, C_c, kl, delta in points:
             C_r = C_c * ratio

@@ -10,7 +10,8 @@ from pacbayes import (BoundParams, LossTable, ProbMeasure, Sample,
                       derive_matched_catoni_constants, draw_sample, flatness_bound)
 from pacbayes.measures import flatness, gibbs_losses
 from pacbayes.bounds import (FAMILIES, _bisect_increasing, evaluate_bound,
-                             flatness_rate_constant, log_cosh_over_x)
+                             flatness_rate_constant, log_cosh_over_x, log_over)
+from pacbayes.compare import crossover_threshold
 
 from conftest import mp_logcosh_root_55, random_instance, random_measure
 
@@ -299,6 +300,44 @@ class TestFlatnessBound:
         q = random_measure(rng, table.hypothesis_count)
         params = BoundParams(delta=0.05, c=1.0, h=0.5)
         assert flatness_bound(q, table, s, math.inf, params).value == math.inf
+
+
+class TestLogOverDelta:
+    """log(x / delta), the one place the families and crossover_threshold take it."""
+
+    def test_the_one_log_wherever_the_ratio_is_finite(self):
+        gen = np.random.default_rng(3)
+        deltas = [0.05, 0.5, 0.999, 1e-300] + [10.0 ** gen.uniform(-300, 0) for _ in range(200)]
+        for x in (1.0, 4.0, 2.0, 100.0, 10 ** 7):
+            for delta in deltas + [x / 1.7e308]:
+                assert log_over(x, delta) == math.log(x / delta)
+
+    @pytest.mark.parametrize("x", [1.0, 4.0, 100.0, 10 ** 7])
+    @pytest.mark.parametrize("delta", [1e-307, 1e-320, 5e-324])
+    def test_the_difference_of_logs_where_the_ratio_overflows(self, x, delta):
+        with mpmath.workdps(40):
+            exact = mpmath.log(mpmath.mpf(x)) - mpmath.log(mpmath.mpf(delta))
+        got = log_over(x, delta)
+        assert math.isfinite(got) and abs(got - exact) <= 1e-15 * exact
+
+    def test_outputs_at_ordinary_delta_keep_their_bits(self):
+        # Every site gives what math.log(x / delta) gave, at delta = 0.05.
+        kl, m, d, p = 0.3, 100, 0.05, BoundParams(delta=0.05)
+        k = derive_matched_catoni_constants(p.c, p.c2, d)
+        one_log = {
+            "mcallester": np.sqrt((kl + math.log(m / d)) / (2.0 * (m - 1))),
+            "catoni": (kl + math.log(1.0 / d)) / (m * -math.expm1(-p.C)),
+            "kst": 4.5 * np.sqrt(np.maximum(kl, 2.0) / m) + math.sqrt(math.log(1.0 / d) / m),
+            "matched_catoni": k.C1 * kl / m + k.C2 * math.log(1.0 / d) / m + k.C3 / m,
+            "flatness": (4.0 / (flatness_rate_constant(p.c, p.h) * m)
+                         * (3.0 * kl + math.log(1.0 / d) + 5.0)),
+        }
+        for family, want in one_log.items():
+            assert FAMILIES[family].complexity(kl, m, p) == want, family
+        cap = 2.0 * 1.5 * (2.0 + k.c_prime) * math.log(4.0 / d) / (1.5 ** 2 / 0.5)
+        assert k.provenance["delta_cap"] == cap
+        assert crossover_threshold(0.05, 12.0, 2.0, kl, d) == (10.0 * (kl + math.log(1.0 / d))
+                                                                 + 12.0) / 0.05
 
 
 class TestMonotonicityAndReports:

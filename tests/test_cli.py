@@ -7,6 +7,7 @@ import math
 import random
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -75,6 +76,19 @@ class TestBounds:
         value = float(printed_row(capsys.readouterr().out)["value"])
         assert value == pytest.approx(0.1 + math.sqrt(
             (0.13081203594113694 + math.log(100 / 0.05)) / (2 * 99)), abs=1e-12)
+
+    @pytest.mark.parametrize("family, delta", [("mcallester", "1e-307"), ("catoni", "5e-324")])
+    def test_a_tiny_delta_gives_a_finite_certificate(self, family, delta, capsys, log_file):
+        # m / delta and 1 / delta overflow here; the certificate is finite.
+        code = run(["bounds", "--family", family, "--emp", "0.1", "--kl", "0.1", "--m", "100",
+                    "--delta", delta], log_file)
+        assert code == 0
+        value = float(printed_row(capsys.readouterr().out)["value"])
+        with mpmath.workdps(40):
+            emp, kl, d = mpmath.mpf("0.1"), mpmath.mpf("0.1"), mpmath.mpf(float(delta))
+            exact = (emp + mpmath.sqrt((kl + mpmath.log(100 / d)) / 198) if family == "mcallester"
+                     else (emp + (kl - mpmath.log(d)) / 100) / -mpmath.expm1(-1))
+        assert math.isfinite(value) and abs(value - exact) <= 1e-14 * exact
 
     def test_csv_output(self, tmp_path, log_file):
         out = tmp_path / "b.csv"
@@ -853,6 +867,76 @@ class TestUsageContract:
                     "--trials", "5", "--h", "0.5", "--c", "1e308", "--c2", "1e307"],
                    log_file) == 0
         assert capsys.readouterr().err == ""
+
+    # Valid arguments whose overflow is expected, on the README's instance (INST):
+    # each +inf is the right float, and the run prints what it printed before,
+    # without a warning (RuntimeWarnings are errors in this suite, as under
+    # python -W error). The sweep's c makes the flatness rate constant 0, a usage error.
+    @pytest.mark.parametrize("argv, code, out", [
+        (["lemmas", "--which", "xy", "--mu", "0.2,0.5,0.9", "--lambda-over-m", "300"], 0,
+         "which,value,pass\nxy,inf,true\ncap 0.076190476190476197\napplies false\nPASS\n"),
+        (["lemmas", "--which", "xy", "--mu", "0.2,0.5,0.9", "--lambda-over-m", "0.02",
+          "--h", "700"], 0,
+         "which,value,pass\nxy,inf,true\ncap 0.47058721841886053\napplies false\nPASS\n"),
+        (["lemmas", "--which", "xy", "--mu", "0.2,0.5,0.9", "--lambda-over-m", "1",
+          "--c2", "700"], 0,
+         "which,value,pass\nxy,inf,true\ncap -0.39928673323823111\napplies false\nPASS\n"),
+        *((["coverage", "--family", "catoni", "--instance", "INST", "--trials", "200", "--m", "20",
+            "--seed", "3", "--C", "5e-324", *rule], 0,
+           "family,trials,violations,cp_upper,mean_slack\n"
+           "catoni,200,0,0.014867039231272054,inf\nPASS\n")
+          for rule in ([], ["--rule", "bound-minimizer"])),
+        (["bounds", "--family", "catoni", "--instance", "INST", "--m", "20", "--seed", "3",
+          "--C", "5e-324"], 0,
+         "family,value,emp_term,complexity_term,flatness_term,C_derived\n"
+         "catoni,inf,0,inf,0,4.9406564584124654e-324\n"),
+        (["sweep", "--instance", "INST", "--m-grid", "100,1000", "--seed", "5", "--c", "5e-324"],
+         2, ""),
+        (["optimize", "--family", "catoni", "--instance", "INST", "--m", "100", "--seed", "4",
+          "--C", "1e308"], 0,
+         "family,value,emp_term,complexity_term,flatness_term,C_derived\n"
+         "catoni,2.4000000000000002e+307,2.4000000000000002e+307,0.050751738152338265,0,"
+         "1e+308\nposterior 1 0 0 0 0 0 0 0\n"),
+    ], ids=["xy-lambda-300", "xy-h-700", "xy-c2-700", "coverage-C-tiny",
+            "coverage-minimizer-C-tiny", "bounds-C-tiny", "sweep-c-tiny", "optimize-C-huge"])
+    def test_extreme_arguments_keep_their_output_without_a_warning(self, argv, code, out,
+                                                                   tmp_path, log_file, capsys):
+        inst = str(tmp_path / "readme.txt")
+        assert main(["--log", str(tmp_path / "gen.jsonl"), "gen-instance", "--seed", "1",
+                     "--hypotheses", "8", "--points", "5", "--out", inst]) == 0
+        capsys.readouterr()
+        assert run([inst if a == "INST" else a for a in argv], log_file) == code
+        captured = capsys.readouterr()
+        assert captured.out == out
+        if code:
+            assert captured.err == ("error: a number overflowed or divided by zero: "
+                                    "float division by zero\n")
+        else:
+            assert captured.err == ""
+        (rec,) = [json.loads(line, parse_constant=strict_json)
+                  for line in open(log_file).read().splitlines()]
+        assert rec["exit_code"] == code
+
+    @pytest.mark.parametrize("argv, error", [
+        *((["lemmas", "--which", "shifted-flatness", "--instance", "INST", "--seed", "1",
+            "--trials", "50", "--f", f],
+           f"hypothesis index {f} is out of range for a table of 4 hypotheses (0 to 3)")
+          for f in ("99", "-1")),
+        (["lemmas", "--which", "symmetrization", "--instance", "INST", "--seed", "1",
+          "--trials", "50", "--h", "1.5"], "h must lie in [0, 1]"),
+        (["duality", "--instance", "MAYBE"], "binary flag must be true or false, got 'maybe'"),
+    ], ids=["f-99", "f-negative", "symmetrization-h-above-one", "binary-maybe"])
+    def test_bad_input_exits_2_with_one_error_line(self, argv, error, tmp_path, inst_file,
+                                                     log_file, capsys):
+        maybe = tmp_path / "maybe.txt"
+        maybe.write_text(INSTANCE.replace("binary: true", "binary: maybe"))
+        argv = [{"INST": inst_file, "MAYBE": str(maybe)}.get(a, a) for a in argv]
+        assert run(argv, log_file) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {error}\n"
+        (rec,) = [json.loads(line, parse_constant=strict_json)
+                  for line in open(log_file).read().splitlines()]
+        assert rec["exit_code"] == 2 and rec["summary"] == {"error": error}
 
     def test_out_of_memory_exits_2_with_one_record(self, log_file, capsys, monkeypatch):
         import pacbayes.cli

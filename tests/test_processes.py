@@ -13,7 +13,7 @@ from pacbayes import (LossTable, ProbMeasure, debias_mgf_exact,
                       xy_mgf_bruteforce)
 from pacbayes.bounds import log_cosh_over_x
 from pacbayes.cli import duality_tolerance
-from pacbayes.core import empirical_risks, sample_blocks, true_risks
+from pacbayes.core import BLOCK, empirical_risks, sample_blocks, true_risks
 from pacbayes.processes import _KL_BALL_RTOL, _kl_ball_tilt
 from pacbayes.rng import stream
 
@@ -189,10 +189,17 @@ class TestKLBallSup:
     def test_stacked_blocks_keep_every_row_bits(self, rng, kappa, monkeypatch):
         # symmetrization_tail_mc solves its two sides in one call: kl_ball_sup of
         # two stacked blocks is both blocks' sups, bit for bit, whatever each row needs.
+        # The probe reads _log_mgf's branch condition: a row anchored at its max
+        # takes the log where E_w expm1(lam d) <= -1/2.
         import pacbayes.processes as processes
         log_rows, log_mgf = [], processes._log_mgf
-        monkeypatch.setattr(processes, "_log_mgf", lambda *a: (
-            r := log_mgf(*a), log_rows.append(r[5] is not None))[0])
+
+        def probe(w, *rest):
+            at_mean, _, _, em1, _, _ = r = log_mgf(w, *rest)
+            log_rows.append(np.any(~at_mean & ((em1 * w).sum(axis=-1) <= -0.5)))
+            return r
+
+        monkeypatch.setattr(processes, "_log_mgf", probe)
         p = ProbMeasure([0.5, 0.0, 0.2, 0.1, 0.1, 0.1])
         special = np.array([
             [0.3, 0.3, 0.3, 0.3, 0.3, 0.3],        # constant
@@ -302,7 +309,7 @@ def test_kl_ball_tilt_lambda(kappa):
         [0.1, 0.2, 0.3, 0.9, 0.5],             # KL limit -log 0.1
         [0.5, 0.2, 0.5, 0.1, 0.2],             # tied at the max
     ])
-    sup, lam = _kl_ball_tilt(p, rows, kappa)
+    sup, lam = _kl_ball_tilt(p, rows, kappa)[:2]
     for v, s, t in zip(rows, sup, lam):
         if kappa == 0 or np.ptp(v[p.weights > 0]) == 0:
             assert t == 0.0 and math.isclose(s, p.weights @ v, rel_tol=1e-15)
@@ -313,6 +320,55 @@ def test_kl_ball_tilt_lambda(kappa):
             assert 0 < t < math.inf
             assert abs(kl - kappa) <= _KL_BALL_RTOL * kappa + 1e-15 * kappa
             assert abs(e_q - s) <= 1e-12 * abs(s)
+
+
+class TestOneSolve:
+    """kl_ball_sup, kl_dual_value and kst's start in minimize_bound read the one
+    solve of _kl_ball_tilt, which returns (sup, lam, lower, upper) on every call."""
+
+    P = ProbMeasure([0.3, 0.0, 0.2, 0.1, 0.4])
+    ROWS = np.vstack([
+        np.random.default_rng(5).random((5, 5)),  # open at every kappa below
+        np.full(5, 0.25),                          # constant
+        [0.0, 9.0, 0.0, 0.0, 0.0],                 # constant on the support of p
+        [0.1, 0.2, 0.3, 0.9, 0.5],                 # KL limit -log 0.1
+    ])
+
+    @pytest.mark.parametrize("kappa", [0.0, 1e-9, 0.1, 2.0, math.inf])
+    @pytest.mark.parametrize("values", [ROWS, ROWS[0], ROWS[5], ROWS.reshape(2, 4, 5)],
+                             ids=["block", "open-row", "closed-row", "stacked"])
+    def test_each_reader_is_its_part_of_the_solve(self, values, kappa):
+        solve = _kl_ball_tilt(self.P, values, kappa)
+        assert len(solve) == 4 and all(np.shape(x) == values.shape[:-1] for x in solve)
+        assert np.asarray(kl_ball_sup(self.P, values, kappa)).tobytes() == solve[0].tobytes()
+        dual = kl_dual_value(self.P, values, kappa)
+        assert [np.asarray(x).tobytes() for x in dual] == [x.tobytes() for x in solve[2:]]
+        sup, lam, lower, upper = solve
+        closed = (lam == 0) | (lam == math.inf)
+        assert (lower[closed] == sup[closed]).all() and (upper[closed] == sup[closed]).all()
+        assert closed.all() or kappa not in (0.0, math.inf)
+
+    def test_one_call_per_solve(self, monkeypatch, rng):
+        import pacbayes.posterior_opt as posterior_opt
+        import pacbayes.processes as processes
+        from pacbayes import BoundParams, minimize_bound
+        calls, solve = [], processes._kl_ball_tilt
+
+        def counted(*args):
+            calls.append(np.shape(args[1]))
+            return solve(*args)
+
+        monkeypatch.setattr(processes, "_kl_ball_tilt", counted)
+        monkeypatch.setattr(posterior_opt, "_kl_ball_tilt", counted)
+        dist, table = random_instance(rng, n_h=4, n_z=3)
+        prior = random_measure(rng, 4)
+        # The linear symmetrization: one solve per block of trials, both sides stacked.
+        symmetrization_tail_mc(table, dist, prior, 0.5, 1.0, 0.5, 0.2, 10, BLOCK + 476, 3)
+        assert calls == [(2 * BLOCK, 4), (2 * 476, 4)]
+        calls.clear()
+        s = draw_sample(dist, 20, 4, size=7)
+        minimize_bound("kst", BoundParams(), prior, table, s)
+        assert calls == [(7, 4)]
 
 
 def mp_ball_sup(weights, values, kappa, lam, dps=60):
