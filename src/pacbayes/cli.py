@@ -84,9 +84,14 @@ def _ints(text: str) -> list[int]:
 
 
 def _bound_params(args) -> BoundParams:
-    """The bound flags given or defaulted; each is the BoundParams field of its name."""
-    return BoundParams(**{f.name: value for f in fields(BoundParams)
-                          if (value := getattr(args, f.name, None)) is not None})
+    """The bound flags given or defaulted; each is the BoundParams field of its
+    name. A run that reads h (flatness) rejects a rate constant that rounds to 0."""
+    params = BoundParams(**{f.name: value for f in fields(BoundParams)
+                            if (value := getattr(args, f.name, None)) is not None})
+    if getattr(args, "h", None) is not None and FAMILIES["flatness"].derived(params) == 0:
+        raise UsageError(f"--c {params.c!r} and --h {params.h!r} make the flatness rate "
+                         "constant C = 2 h^4 c / (1 + 16 h^2 c) round to 0")
+    return params
 
 
 def _fixed_q(inst: Instance) -> ProbMeasure:
@@ -233,21 +238,23 @@ def cmd_lemmas(args, inst: Instance | None) -> Result:
     return Result(list(row), [list(row.values())], notes, ok)
 
 
-def duality_tolerance(primal: float) -> float:
-    """The duality check's bound on |dual - primal|, the width of kl_dual_value's
-    bracket: 1e-12 max(1, |primal|). The width is first order in the solve's KL
-    residual, at most about _KL_BALL_RTOL (max v - min v), so a solve that met
-    its stop rule on risks in [0, 1] passes, and one stopped short fails."""
-    return 1e-12 * max(1.0, abs(primal))
+def duality_tolerance(values) -> float:
+    """The duality check's bound on |dual - primal| for the KL ball of one row
+    of values v, the width of kl_dual_value's bracket: 1e-12 max(1, max v -
+    min v). The width is first order in the solve's KL residual, at most about
+    _KL_BALL_RTOL (max v - min v), so a solve that met its stop rule passes
+    wherever the values lie, and one stopped short fails."""
+    return 1e-12 * max(1.0, float(np.max(values)) - float(np.min(values)))
 
 
 def cmd_duality(args, inst: Instance) -> Result:
     """The KL-ball sup of the true risks, bracketed by weak duality at the lam of
     its one solve: primal is the lower end, a feasible posterior's value, dual
     the upper end, the dual objective there, and gap = dual - primal."""
-    primal, dual = kl_dual_value(inst.prior, true_risks(inst.table, inst.dist), args.kappa)
+    risks = true_risks(inst.table, inst.dist)
+    primal, dual = kl_dual_value(inst.prior, risks, args.kappa)
     gap = dual - primal
-    ok = abs(gap) <= duality_tolerance(primal)
+    ok = abs(gap) <= duality_tolerance(risks)
     return Result(["primal", "dual", "gap", "pass"], [[primal, dual, gap, ok]], ok=ok)
 
 

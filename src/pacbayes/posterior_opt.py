@@ -6,12 +6,11 @@ them. gibbs_posterior is such a rule once beta is bound, and so is
 minimize_bound once its family and parameters are; its caller evaluates the
 bound at the posterior it returns (evaluate_posterior_bound).
 
-Both are made of the Gibbs tilt Q ~ P exp(-t * score) (_tilt): every family's
-bound is minimised by a tilt, or for flatness by a sequence of them. Every
-family but flatness depends on Q only through Remp(Q) and KL(Q || P), so
-minimize_bound searches the tilt path Q_t ~ P exp(-t Remp) for it, with one
-number t per row, and reads Remp and KL off the path's log-partition
-(_path_point); flatness's loop carries each row's weights.
+Both are made of the Gibbs tilt Q ~ P exp(-t * score) (_tilt). minimize_bound
+searches tilts of the prior alone, reading Remp, KL and G = Q L off each one's
+log-partition (_path_point): with one number t per row on the path Q_t ~ P
+exp(-t Remp) for the families that depend on Q only through Remp and KL, and
+for flatness with the dual variable y of -G^2 = min_y (y^2 - 2 y G) as well.
 """
 
 from __future__ import annotations
@@ -52,18 +51,16 @@ def _tilt(p: ProbMeasure, score, t) -> ProbMeasure:
     return ProbMeasure._of(w)
 
 
-def gibbs_posterior(p: ProbMeasure, table: LossTable, s: Sample, beta: float,
-                    risks=None) -> ProbMeasure:
+def gibbs_posterior(p: ProbMeasure, table: LossTable, s: Sample, beta: float) -> ProbMeasure:
     """Tempered posterior: weights proportional to p(f) exp(-beta * m * Remp(f)),
     one row per sample of s; where beta * m overflows (beta = inf included),
-    the beta -> inf limit of _tilt. risks: empirical_risks(table, s), if known."""
+    the beta -> inf limit of _tilt."""
     _check_hypotheses(p, table)
     if not beta >= 0:
         raise ValueError("beta must be nonnegative")
     if beta == 0:
         return p
-    risks = empirical_risks(table, s) if risks is None else risks
-    return _tilt(p, risks, float(beta) * s.m)
+    return _tilt(p, empirical_risks(table, s), float(beta) * s.m)
 
 
 def evaluate_posterior_bound(family: str, params: BoundParams, q: ProbMeasure,
@@ -88,33 +85,15 @@ def _temperature(family: str, params: BoundParams, kl, m: int):
         return np.divide(fam.d_emp(params), b, out=np.full(b.shape, np.inf), where=b > 0)
 
 
-def _majoriser(family: str, params: BoundParams, table: LossTable, s: Sample, risks, g, sq):
-    """The score, one row per sample of s, of the tilt that minimises the
-    bound of the family that needs_sample linearised at q in KL and in its
-    concave -(1-h^2) G^2 term: (risks + c (sq - 2 (1-h^2) matvec(L, G counts)
-    / m)) / d_emp, with risks = Remp, G = q L and sq = mean_rows(L^2). At
-    t = _temperature(KL(q || p)), the bound's gradient at q is d_emp (score +
-    (log(q/p) + 1) / t)."""
-    # One [rows, n_h] buffer: a temporary per operation made glibc trim and
-    # regrow its heap each step.
-    score = np.matvec(table.loss, g * s.counts)
-    np.multiply(2.0 * (1.0 - params.h * params.h), score, out=score)
-    np.divide(score, s.m, out=score)
-    np.subtract(sq, score, out=score)
-    np.multiply(params.c, score, out=score)
-    np.add(risks, score, out=score)
-    np.divide(score, FAMILIES[family].d_emp(params), out=score)
-    return score
-
-
-def _path_point(w0, a, least, t):
-    """(Remp, KL(Q || p)) at the tilt Q = _tilt(p, risks, t), one per row, from
-    its log-partition: w0 = p's weights on its support, a = risks - least
-    there (least = their minimum, one per row), and t >= 0 one per row, +inf
-    for the t -> inf limit. With w = w0 exp(-t a) and Z = sum w (at least the
-    prior mass of the least risk, so no underflow to 0): Remp = least + w.a / Z
+def _path_point(w0, a, least, t, loss=None):
+    """(Q score, KL(Q || p)) at the tilt Q = _tilt(p, score, t), one per row,
+    from its log-partition: w0 = p's weights on its support, a = score - least
+    there (least = its minimum, one per row), and t >= 0 one per row, +inf for
+    the t -> inf limit. With w = w0 exp(-t a) and Z = sum w (at least the prior
+    mass of the least score, so no underflow to 0): Q score = least + w.a / Z
     and KL = -log Z - t w.a / Z, clamped at 0 as kl_divergence is. Its error is
-    a few ulp of max(1, KL, -log Z)."""
+    a few ulp of max(1, KL, -log Z). With loss, columns on p's support [n, k],
+    also Q loss = w loss / Z [rows, k]."""
     limit = np.isinf(t)
     t = np.where(limit, 0.0, t)
     w = -t[:, None] * a  # one buffer: the exponent, then the weights
@@ -123,14 +102,45 @@ def _path_point(w0, a, least, t):
     np.multiply(np.exp(w, out=w), w0, out=w)
     z = w.sum(axis=-1)
     mean = np.vecdot(w, a) / z
-    return least + mean, np.maximum(-np.log(z) - t * mean, 0.0)
+    point = least + mean, np.maximum(-np.log(z) - t * mean, 0.0)
+    if loss is None:
+        return point
+    q_loss = np.matmul(w, loss)
+    return *point, np.divide(q_loss, z[:, None], out=q_loss)
 
 
-def _path_bound(family: str, params: BoundParams, w0, a, least, t, m: int):
-    """(B, KL) at the tilt _tilt(p, risks, t), one per row (_path_point's
-    arguments), for a family that depends on Q only through Remp and KL."""
-    emp, kl = _path_point(w0, a, least, t)
-    return evaluate_bound(family, emp, kl, m, params).value, kl
+def _path_bound(family: str, params: BoundParams, w0, a, least, t, m: int,
+                moments=None, counts=None):
+    """(B, KL) at the tilt _tilt(p, score, t), one per row (_path_point's
+    arguments), where the score is the risks for a family that reads only
+    Remp and KL. flatness also returns G = Q L, given moments = L on p's
+    support, beside L^2 off a binary table (where Q L^2 = G), and each row's
+    counts: Remp and its flatness are sample means of G and Q L^2 - (1-h^2) G^2."""
+    if moments is None:
+        emp, kl = _path_point(w0, a, least, t)
+        return evaluate_bound(family, emp, kl, m, params).value, kl
+    _, kl, q_moments = _path_point(w0, a, least, t, moments)
+    s = Sample._of(counts, m)
+    g, second = q_moments[:, :s.point_count], q_moments[:, -s.point_count:]
+    flat = s.mean(second - (1.0 - params.h * params.h) * (g * g))
+    return evaluate_bound(family, s.mean(g), kl, m, params, flat).value, kl, g
+
+
+def _dual_score(params: BoundParams, loss, risks, sq, y, counts, m: int):
+    """The flatness score at the dual variable y on the data space, one row per
+    row of y: score(y) = risks + c (sq - (2 (1 - h^2) / m) L (n y)), for counts
+    n, risks = Remp and sq = mean_S(L^2). With a = c (1 - h^2) and b = d_kl the
+    bound is B(Q) = Q score(0) - (a/m) sum_z n_z G_z^2 + b KL + k. As -G^2 =
+    min_y (y^2 - 2 y G), min_Q B = min_y F(y), F(y) = k - b log E_p e^{-score(y)/b}
+    + (a/m) sum_z n_z y_z^2, and at Q_y ~ p e^{-score(y)/b}, B(Q_y) = F(y) - (a/m)
+    sum_z n_z (y_z - G_z(Q_y))^2: so y <- G(Q), Q <- Q_y never raises B."""
+    # One [rows, n_h] buffer: a temporary per operation made glibc trim and
+    # regrow its heap each step. For y in [0, 1] the factor of c lies in [-1, 1].
+    score = np.matvec(loss, y * counts)
+    np.multiply(score, -2.0 * (1.0 - params.h * params.h) / m, out=score)
+    np.add(score, sq, out=score)
+    np.multiply(score, params.c, out=score)
+    return np.add(score, risks, out=score)
 
 
 def _descend(step, val, state, n_starts: int):
@@ -167,102 +177,84 @@ def _descend(step, val, state, n_starts: int):
     raise RuntimeError(f"minimize_bound: {still_open} rows still open after {_MAX_TILTS} tilts")
 
 
-def _path_minimum(family: str, params: BoundParams, p: ProbMeasure, risks, m: int):
-    """The t of least bound on the tilt path _tilt(p, risks, t), one per sample
-    of risks [..., n_h]: the loop of _descend with one t and its KL per row,
-    evaluated by _path_bound."""
+def _path_minimum(family: str, params: BoundParams, p: ProbMeasure, table: LossTable,
+                  s: Sample, risks):
+    """The tilt of least bound found for each sample of s, as (score [..., n_h],
+    t): the loop of _descend on rows (start, sample), each a t and its KL,
+    evaluated by _path_bound. A flatness row also holds G = Q L and the y of
+    its _dual_score, NaN on a start, which tilts the risks."""
     support = p.weights > 0
     w0, r = p.weights[support], risks.reshape(-1, p.size)[:, support]
-    least = r.min(axis=-1)
-    starts = [np.full(len(r), beta * m) for beta in BETA_GRID]
+    starts = [np.full(len(r), beta * s.m) for beta in BETA_GRID]
     if family == "kst":
         starts.append(_kl_ball_tilt(p, -risks, 2.0)[1].reshape(-1))
-    t = np.concatenate(starts)
-    # The tilt changes neither a nor least, so the rows of every start share them.
-    a, least = np.tile(r - least[:, None], (len(starts), 1)), np.tile(least, len(starts))
-    val, kl = _path_bound(family, params, w0, a, least, t, m)
+    n_starts, t = len(starts), np.concatenate(starts)
+    least = r.min(axis=-1)
+    # Every start tilts the risks, and the tilt changes neither a nor least.
+    a, least = np.tile(r - least[:, None], (n_starts, 1)), np.tile(least, n_starts)
+    score = risks.reshape(r.shape[0], p.size)
+    if dual := FAMILIES[family].needs_sample:
+        counts, loss = s.counts.reshape(len(r), -1), table.loss[support]
+        moments = loss if table.binary_flag else np.hstack([loss, table.loss_squared[support]])
+        # mean_S(L^2), which on a binary table is Remp (L^2 = L).
+        sq = score if table.binary_flag else s.mean_rows(table.loss_squared).reshape(score.shape)
+        n_rows, r_rows = np.tile(counts, (n_starts, 1)), np.tile(r, (n_starts, 1))
+        sq_rows = r_rows if table.binary_flag else np.tile(sq[:, support], (n_starts, 1))
+        val, kl, g = _path_bound(family, params, w0, a, least, t, s.m, moments, n_rows)
+        y = np.full_like(g, np.nan)
+        state = t, kl, y, g
+    else:
+        val, kl = _path_bound(family, params, w0, a, least, t, s.m)
+        state = t, kl
 
     def step(rows):
-        t_new = _temperature(family, params, kl[rows], m)
-        new, kl_new = _path_bound(family, params, w0, a[rows], least[rows], t_new, m)
-        return new, (t_new, kl_new)
+        t_new = _temperature(family, params, kl[rows], s.m)
+        if not dual:
+            new, kl_new = _path_bound(family, params, w0, a[rows], least[rows], t_new, s.m)
+            return new, (t_new, kl_new)
+        # The convex-concave step: y <- G, then the tilt of score(y).
+        n, y_new = n_rows[rows], g[rows]
+        a_new = _dual_score(params, loss, r_rows[rows], sq_rows[rows], y_new, n, s.m)
+        least_new = a_new.min(axis=-1)
+        np.subtract(a_new, least_new[:, None], out=a_new)
+        new, kl_new, g_new = _path_bound(family, params, w0, a_new, least_new, t_new, s.m,
+                                         moments, n)
+        # y before g, which it may be a view of (under the full slice).
+        return new, (t_new, kl_new, y_new, g_new)
 
-    best = _descend(step, val, (t, kl), len(starts))
-    return t.reshape(len(starts), -1)[best, range(best.size)].reshape(risks.shape[:-1])
-
-
-def _weight_minimum(family: str, params: BoundParams, p: ProbMeasure, table: LossTable,
-                    s: Sample, risks) -> np.ndarray:
-    """The posterior weights of least bound for the family that needs_sample,
-    one row per sample of s: the loop of _descend with the weights, KL and
-    G = Q L of each row as its state, each step one _tilt of _majoriser's score
-    at _temperature(KL)."""
-    starts = [gibbs_posterior(p, table, s, beta, risks).weights for beta in BETA_GRID]
-
-    # One row per (start, sample), so a block of samples is one loop. The tilt
-    # changes neither the risks nor the sample means of L^2.
-    def stacked(x):
-        return np.broadcast_to(x, (len(starts),) + x.shape).reshape(-1, x.shape[-1])
-
-    def evaluate(q, sample):
-        kl, g = kl_divergence(q, p), gibbs_losses(q, table, sample)
-        return evaluate_posterior_bound(family, params, q, p, table, sample, kl, g).value, kl, g
-
-    shape = s.counts.shape[:-1] + (p.size,)
-    w = np.stack([np.broadcast_to(start, shape) for start in starts]).reshape(-1, p.size)
-    counts, risks, sq = stacked(s.counts), stacked(risks), stacked(s.mean_rows(table.loss_squared))
-    # w and counts are built here from checked inputs; w.view() leaves w writable.
-    val, kl, g = evaluate(ProbMeasure._of(w.view()), Sample._of(counts, s.m))
-
-    def step(rows):
-        sample = Sample._of(counts[rows], s.m)
-        score = _majoriser(family, params, table, sample, risks[rows], g[rows], sq[rows])
-        q = _tilt(p, score, _temperature(family, params, kl[rows], s.m))
-        new, q_kl, q_g = evaluate(q, sample)
-        return new, (q.weights, q_kl, q_g)
-
-    best = _descend(step, val, (w, kl, g), len(starts))
-    return w.reshape(len(starts), -1, p.size)[best, range(best.size)].reshape(shape)
+    best = _descend(step, val, state, n_starts)
+    pick = best * len(r) + np.arange(len(r))
+    if dual:
+        score = np.where(np.isnan(y[pick, :1]), score,
+                         _dual_score(params, table.loss, score, sq, y[pick], counts, s.m))
+    return score.reshape(risks.shape), t[pick].reshape(risks.shape[:-1])
 
 
 def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: LossTable,
                    s: Sample) -> ProbMeasure:
     """Posterior of least bound found, one posterior row (weights [..., n_h])
-    per sample of s, by a majorise-minimise loop: each step tilts by the
-    minimiser of the bound linearised at the current posterior. A sample
-    starts from the tempered posterior of every beta in BETA_GRID; kst, whose
-    max(KL, 2) has a kink, also from the one with KL = 2, or the beta -> inf
-    limit if its KL <= 2. A row takes a tilt only where it lowers its bound
-    B, and stops once the decrease is at most _TILT_RTOL * max(1, |B|); a row
-    still open after _MAX_TILTS tilts raises RuntimeError. The rule bounds the
-    last decrease of B, not the distance to the optimum: for kst and
-    mcallester, whose loop converges linearly, two starts of one sample can
-    stop about 5e-14 apart in B, relative. A sample keeps its
-    least bound over its starts (the least beta on a tie): never above the
-    grid, and independent of the rest of the block. The bound at the result
-    is left to the caller.
+    per sample of s, by a majorise-minimise loop (_descend): each step tilts
+    by the minimiser of the bound linearised at the current posterior. A
+    sample starts from the tempered posterior of every beta in BETA_GRID; kst,
+    whose max(KL, 2) has a kink, also from the one with KL = 2, or the beta ->
+    inf limit if its KL <= 2. A sample keeps its least bound over its starts
+    (the least beta on a tie): never above the grid, and independent of the
+    rest of the block. The bound at the result is left to the caller.
 
-    The state of a row is of one of two kinds. Every family but flatness
-    depends on Q only through Remp(Q) and KL(Q || p), so its minimiser is on
-    the tilt path Q_t ~ p exp(-t Remp), and a row is one t and its KL: the
-    starts are t = beta m, each step is t <- _temperature(KL) (one step is
-    exact for catoni and matched_catoni; the loop descends for mcallester),
-    each bound comes from _path_bound's log-partition, and the result is one
-    _tilt per sample, or the prior itself where the beta = 0 start won
-    untilted. flatness also depends on G = Q L, so a row is its weights, KL
-    and G, each step tilts by _majoriser's score at _temperature(KL) (the
-    convex-concave procedure), each evaluation computes the KL and G once (and
-    on a binary table takes G for Q L^2, in measures.flatness), and the sample
-    means of L^2 are computed once per call.
+    Every row is a tilt of the prior, held as its t and its KL, whose bound
+    _path_bound reads off the log-partition. A family that depends on Q only
+    through Remp(Q) and KL(Q || p) has its minimiser on the tilt path Q_t ~ p
+    exp(-t Remp); each step is t <- _temperature(KL), exact at once for catoni
+    and matched_catoni. A flatness row also holds G = Q L and the dual y of
+    its tilt, and each step is y <- G and the tilt of _dual_score(y) (the
+    convex-concave procedure). The result is one _tilt per sample, or the
+    prior itself where the beta = 0 start won untilted.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown bound family {family!r}")
     _check_hypotheses(p, table)
-    risks = empirical_risks(table, s)
-    if FAMILIES[family].needs_sample:
-        return ProbMeasure._of(_weight_minimum(family, params, p, table, s, risks))
-    t = _path_minimum(family, params, p, risks, s.m)
-    q = _tilt(p, risks, t)
+    score, t = _path_minimum(family, params, p, table, s, empirical_risks(table, s))
+    q = _tilt(p, score, t)
     if (untilted := t == 0).any():
         return ProbMeasure._of(np.where(np.expand_dims(untilted, -1), p.weights, q.weights))
     return q

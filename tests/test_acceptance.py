@@ -92,7 +92,7 @@ def test_04_kl_ball_duality():
             lower, upper = kl_dual_value(p, v, kappa)
             sup = kl_ball_sup(p, v, kappa)
             worst = max(worst, abs(upper - lower))
-            ok &= (abs(upper - lower) <= duality_tolerance(lower)
+            ok &= (abs(upper - lower) <= duality_tolerance(v)
                    and lower - 4.5e-16 <= sup <= upper + 4.5e-16)
     elapsed = time.perf_counter() - t0
     report(4, "KL-ball weak-duality bracket",

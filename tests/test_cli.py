@@ -15,7 +15,9 @@ from pacbayes import (FAMILIES, BoundParams, ProbMeasure, Sample, bound_sweep, c
                       coverage_experiment, derive_matched_catoni_constants, draw_sample,
                       gibbs_posterior, minimize_bound, posterior_opt, verify)
 from pacbayes.cli import POSTERIOR_RULES, duality_tolerance, main
+from pacbayes.core import true_risks
 from pacbayes.io import csv_text, fmt, load_instance, write_csv
+from pacbayes.processes import kl_dual_value
 
 from conftest import strict_json
 
@@ -327,7 +329,22 @@ class TestDuality:
         out = capsys.readouterr().out
         assert out.splitlines()[-1] == "PASS"
         row = printed_row(out)
-        assert abs(float(row["gap"])) <= duality_tolerance(float(row["primal"]))
+        inst = load_instance(inst_file)
+        assert abs(float(row["gap"])) <= duality_tolerance(true_risks(inst.table, inst.dist))
+
+    @pytest.mark.parametrize("p, v, kappa", [
+        ([0.611142103859425, 0.06788204732138085, 0.320975848819194],
+         [42.5405236010829, -112.75925022935678, -122.51009565581138], 0.049697204795759085),
+        ([0.4514679342067866, 0.191875884880757, 0.2672736290441099, 0.08938255186834661],
+         [-158.3260763639494, -63.26199407066705, 30.46096754203963, -79.81676601527762],
+         0.5694397546153195),
+    ], ids=["range-165", "range-189"])
+    def test_tolerance_scales_with_the_range_of_the_values(self, p, v, kappa):
+        # Values that straddle 0: the bracket of a converged solve is 1.2e-11 and
+        # 6.3e-12 wide, below 1e-12 times the range but above 1e-12 max(1, |primal|).
+        lower, upper = kl_dual_value(ProbMeasure(p), v, kappa)
+        assert 1e-12 * max(1.0, abs(lower)) < upper - lower <= duality_tolerance(v)
+        assert duality_tolerance(v) == 1e-12 * (max(v) - min(v))
 
     def test_large_kappa(self, capsys, inst_file, log_file):
         # sup saturates at the support max; the dual needs huge lambda
@@ -909,8 +926,10 @@ class TestUsageContract:
         captured = capsys.readouterr()
         assert captured.out == out
         if code:
-            assert captured.err == ("error: a number overflowed or divided by zero: "
-                                    "float division by zero\n")
+            assert captured.err == (
+                "error: --c 5e-324 and --h 0.5 make the flatness rate constant "
+                "C = 2 h^4 c / (1 + 16 h^2 c) round to 0\n"
+                + cli._SUBPARSERS[argv[0]].format_usage())
         else:
             assert captured.err == ""
         (rec,) = [json.loads(line, parse_constant=strict_json)
@@ -1187,6 +1206,24 @@ def fuzzed_argv(rand):
     return argv
 
 
+# The extreme values that every value flag of every base takes once.
+EXTREME_VALUES = ["1e308", "-1e308", "5e-324", "-5e-324", "1e-300", "nan", "inf", "0"]
+
+
+def run_and_check_the_record(log, argv, runs, capsys):
+    """main on argv: it exits 0, 1 or 2, prints no traceback and appends
+    exactly one strict-JSON record (the log's runs-th), with its exit code.
+    Returns the record."""
+    code = main(["--log", str(log)] + argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in capsys.readouterr().err, argv
+    lines = log.read_text().splitlines()
+    assert len(lines) == runs, argv
+    record = json.loads(lines[-1], parse_constant=strict_json)
+    assert record["exit_code"] == code, argv
+    return record
+
+
 class TestFuzzedContract:
     def test_every_run_exits_0_1_or_2_without_a_traceback_and_records_once(
             self, tmp_path, monkeypatch, capsys):
@@ -1205,12 +1242,25 @@ class TestFuzzedContract:
         helps = 0
         for runs in range(1, 401):
             argv = ["inst.txt" if a == "INST" else a for a in fuzzed_argv(rand)]
-            code = main(["--log", str(log)] + argv)
-            assert code in (0, 1, 2), argv
-            assert "Traceback" not in capsys.readouterr().err, argv
-            lines = log.read_text().splitlines()
-            assert len(lines) == runs, argv
-            record = json.loads(lines[-1], parse_constant=strict_json)
-            assert record["exit_code"] == code, argv
+            record = run_and_check_the_record(log, argv, runs, capsys)
             helps += record["summary"] == {"help": True}
         assert helps >= 5
+
+    def test_every_value_flag_at_every_extreme_value(self, tmp_path, monkeypatch, capsys):
+        """Every value flag of every base but --instance, set in turn to each of
+        EXTREME_VALUES, with the rest of the base kept: 464 runs, each held to
+        the contract above. RuntimeWarnings are errors in this suite, so a run
+        that warns fails here, as it would under python -W error."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "inst.txt").write_text(INSTANCE)
+        log = tmp_path / "runs.jsonl"
+        runs = 0
+        for base in FUZZ_BASES:
+            base = ["inst.txt" if a == "INST" else a for a in base]
+            for i in range(1, len(base)):
+                if not base[i - 1].startswith("--") or base[i - 1] == "--instance":
+                    continue
+                for value in EXTREME_VALUES:
+                    runs += 1
+                    run_and_check_the_record(log, base[:i] + [value] + base[i + 1:], runs, capsys)
+        assert runs == 464

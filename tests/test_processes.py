@@ -14,7 +14,7 @@ from pacbayes import (LossTable, ProbMeasure, debias_mgf_exact,
 from pacbayes.bounds import log_cosh_over_x
 from pacbayes.cli import duality_tolerance
 from pacbayes.core import BLOCK, empirical_risks, sample_blocks, true_risks
-from pacbayes.processes import _KL_BALL_RTOL, _kl_ball_tilt
+from pacbayes.processes import _KL_BALL_RTOL, _kl_ball_tilt, _log_mgf
 from pacbayes.rng import stream
 
 from conftest import random_instance, random_measure
@@ -292,7 +292,7 @@ class TestKLBallOracle:
         for row, sup, lower, upper in zip(rows, block, *kl_dual_value(p, rows, kappa)):
             for got in (sup, kl_ball_sup(p, row, kappa), lower, upper):
                 assert np.isfinite(got) and p.weights @ row <= got <= row.max()
-            assert abs(upper - lower) <= duality_tolerance(lower)
+            assert abs(upper - lower) <= duality_tolerance(row)
 
 
 @pytest.mark.parametrize("kappa", [0.0, 1e-3, 0.1, 0.5, 2.5, math.inf])
@@ -320,6 +320,24 @@ def test_kl_ball_tilt_lambda(kappa):
             assert 0 < t < math.inf
             assert abs(kl - kappa) <= _KL_BALL_RTOL * kappa + 1e-15 * kappa
             assert abs(e_q - s) <= 1e-12 * abs(s)
+
+
+@pytest.mark.parametrize("x_max", [0.0099, 0.009999, 0.005])
+def test_log_mgf_taylor_series_against_mpmath(x_max):
+    # At the prior mean _log_mgf returns log1p(E_w phi(x)), phi(x) = e^x - 1 - x,
+    # and below E_w phi = 1e-4 it takes phi from its Taylor series for |x| < 1e-2.
+    # x = (x_max, -x_max / 7) is centred under w = (1/8, 7/8). Within 2 ulp of the
+    # 50-digit value; without its x^7 / 5040 term the series is 3e-14 off at x_max = 0.0099.
+    w = np.array([0.125, 0.875])
+    c = np.array([[x_max, -x_max / 7.0]])
+    cmax, one = c.max(axis=-1), np.ones(1)
+    at_mean, _, x, _, log_m, _ = _log_mgf(w, c - cmax[:, None], cmax, one, one)
+    assert at_mean.all()
+    with mpmath.workdps(50):
+        want = mpmath.log1p(mpmath.fsum(mpmath.mpf(float(wi)) * (mpmath.expm1(xi) - xi)
+                                        for wi, xi in zip(w, map(mpmath.mpf, x[0]))))
+    assert float(want) < 1e-4
+    assert abs(float(log_m[0]) - want) <= 2.0 * np.spacing(float(want))
 
 
 class TestOneSolve:
@@ -455,7 +473,7 @@ class TestKLBallBracket:
             for kappa in (0.1, 1.0, 3.0):
                 lower, upper = kl_dual_value(p, v, kappa)
                 assert abs(upper - dual_minimum(p, v, kappa)) <= 1e-13 * max(1.0, abs(upper))
-                assert abs(upper - lower) <= duality_tolerance(lower)
+                assert abs(upper - lower) <= duality_tolerance(v)
 
     def test_prior_mass_at_the_max_below_an_ulp(self):
         # E_P expm1(lam (v - max v)) rounds to -1 at the max anchor: the log is
@@ -463,7 +481,7 @@ class TestKLBallBracket:
         p, v = ProbMeasure([1e-17, 1.0]), [1.0, 0.0]
         for kappa in (1.0, 30.0):
             lower, upper = kl_dual_value(p, v, kappa)
-            assert abs(upper - lower) <= duality_tolerance(lower)
+            assert abs(upper - lower) <= duality_tolerance(v)
 
     @pytest.mark.parametrize("kappa", [0.5, 1.0])
     def test_narrow_valley_near_the_log_lambda_cap(self, kappa):
@@ -480,7 +498,7 @@ class TestKLBallBracket:
         for got in (kl_ball_sup(p, v, kappa), upper):
             assert abs(got - want) <= 1e-13 * abs(want), (got, float(want))
         assert 0 <= want - lower <= _KL_BALL_RTOL * (max(v) - p.weights @ v)
-        assert abs(upper - lower) <= duality_tolerance(lower)
+        assert abs(upper - lower) <= duality_tolerance(v)
         # In a block with rows that finish in a few steps, the row's answer and
         # theirs are bit for bit those of one call per row.
         rows = np.array([v, [0.7, 0.3, 0.1], [-3.0, 2.0, 0.5], v, [0.7, 0.9, 0.2]])
@@ -520,7 +538,7 @@ class TestKLBallBracket:
             p, v = ProbMeasure(gen.dirichlet(np.ones(n))), gen.random(n)
             lower, upper = kl_dual_value(p, v, kappa)
             sup = kl_ball_sup(p, v, kappa)
-            assert abs(upper - lower) <= duality_tolerance(lower)
+            assert abs(upper - lower) <= duality_tolerance(v)
             assert lower - 4.5e-16 <= sup <= upper + 4.5e-16
 
     @pytest.mark.parametrize("kappa", [1e-8, 0.5, 3.0])

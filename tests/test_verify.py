@@ -265,6 +265,24 @@ class TestCoverage:
         assert rep.violations == violations
         assert rep.mean_slack == math.fsum(slacks) / trials
 
+    def test_a_violation_by_less_than_a_thousandth_counts(self):
+        # At C = 1e-6 and delta = 1 - 1e-12 Catoni's bound at the prior is its
+        # empirical risk times 1 + 5e-7, plus 1e-8: a sample of risk 0.30
+        # misses the true risk 0.3005 by 5.0e-4, and 16 of the 200 samples do.
+        table, prior = LossTable([[1, 0, 0]]), ProbMeasure([1.0])
+        dist = ProbMeasure([0.3005, 0.4, 0.2995])
+        params = BoundParams(delta=1 - 1e-12, C=1e-6)
+        m, trials, seed = 100, 200, 3
+        rep = coverage_experiment(table, dist, prior, prior_rule, "catoni", params,
+                                  m=m, trials=trials, seed=seed)
+        true = float(gibbs_risk(prior, table, dist))
+        excess = [true - float(evaluate_posterior_bound("catoni", params, prior, prior,
+                                                        table, s).value)
+                  for _, block in sample_blocks(dist, m, trials, seed)
+                  for s in map(Sample, block.counts)]
+        assert sum(0 < e < 1e-3 for e in excess) == 16
+        assert rep.violations == sum(e > 0 for e in excess)
+
     def test_trials_validation(self, rng):
         dist, table = random_instance(rng)
         for trials in (0, -2):
