@@ -85,15 +85,15 @@ def _temperature(family: str, params: BoundParams, kl, m: int):
         return np.divide(fam.d_emp(params), b, out=np.full(b.shape, np.inf), where=b > 0)
 
 
-def _path_point(w0, a, least, t, loss=None):
-    """(Q score, KL(Q || p)) at the tilt Q = _tilt(p, score, t), one per row,
-    from its log-partition: w0 = p's weights on its support, a = score - least
-    there (least = its minimum, one per row), and t >= 0 one per row, +inf for
-    the t -> inf limit. With w = w0 exp(-t a) and Z = sum w (at least the prior
-    mass of the least score, so no underflow to 0): Q score = least + w.a / Z
-    and KL = -log Z - t w.a / Z, clamped at 0 as kl_divergence is. Its error is
-    a few ulp of max(1, KL, -log Z). With loss, columns on p's support [n, k],
-    also Q loss = w loss / Z [rows, k]."""
+def _path_point(w0, a, least, t, loss):
+    """(Q score, KL(Q || p), Q loss) at the tilt Q = _tilt(p, score, t), one per
+    row, from its log-partition: w0 = p's weights on its support, a = score -
+    least there (least = its minimum, one per row), t >= 0 one per row, +inf
+    for the t -> inf limit, and loss columns on p's support [n, k], k >= 0.
+    With w = w0 exp(-t a) and Z = sum w (at least the prior mass of the least
+    score, so no underflow to 0): Q score = least + w.a / Z, KL = -log Z - t
+    w.a / Z, clamped at 0 as kl_divergence is, and Q loss = w loss / Z [rows,
+    k]. The error of KL is a few ulp of max(1, KL, -log Z)."""
     limit = np.isinf(t)
     t = np.where(limit, 0.0, t)
     w = -t[:, None] * a  # one buffer: the exponent, then the weights
@@ -102,24 +102,21 @@ def _path_point(w0, a, least, t, loss=None):
     np.multiply(np.exp(w, out=w), w0, out=w)
     z = w.sum(axis=-1)
     mean = np.vecdot(w, a) / z
-    point = least + mean, np.maximum(-np.log(z) - t * mean, 0.0)
-    if loss is None:
-        return point
+    emp, kl = least + mean, np.maximum(-np.log(z) - t * mean, 0.0)
     q_loss = np.matmul(w, loss)
-    return *point, np.divide(q_loss, z[:, None], out=q_loss)
+    return emp, kl, np.divide(q_loss, z[:, None], out=q_loss)
 
 
-def _path_bound(family: str, params: BoundParams, w0, a, least, t, m: int,
-                moments=None, counts=None):
-    """(B, KL) at the tilt _tilt(p, score, t), one per row (_path_point's
-    arguments), where the score is the risks for a family that reads only
-    Remp and KL. flatness also returns G = Q L, given moments = L on p's
-    support, beside L^2 off a binary table (where Q L^2 = G), and each row's
-    counts: Remp and its flatness are sample means of G and Q L^2 - (1-h^2) G^2."""
-    if moments is None:
-        emp, kl = _path_point(w0, a, least, t)
-        return evaluate_bound(family, emp, kl, m, params).value, kl
-    _, kl, q_moments = _path_point(w0, a, least, t, moments)
+def _path_bound(family: str, params: BoundParams, w0, a, least, t, m: int, moments, counts):
+    """(B, KL, G) at the tilt _tilt(p, score, t), one per row (_path_point's
+    arguments, moments its loss columns). A family that reads only Remp and
+    KL tilts the risks and reads no moments (G has no columns). flatness reads
+    moments = L on p's support, beside L^2 off a binary table (where Q L^2 =
+    G), at each row's counts: Remp and its flatness are sample means of G = Q L
+    and Q L^2 - (1-h^2) G^2."""
+    emp, kl, q_moments = _path_point(w0, a, least, t, moments)
+    if not FAMILIES[family].needs_sample:
+        return evaluate_bound(family, emp, kl, m, params).value, kl, q_moments
     s = Sample._of(counts, m)
     g, second = q_moments[:, :s.point_count], q_moments[:, -s.point_count:]
     flat = s.mean(second - (1.0 - params.h * params.h) * (g * g))
@@ -180,9 +177,10 @@ def _descend(step, val, state, n_starts: int):
 def _path_minimum(family: str, params: BoundParams, p: ProbMeasure, table: LossTable,
                   s: Sample, risks):
     """The tilt of least bound found for each sample of s, as (score [..., n_h],
-    t): the loop of _descend on rows (start, sample), each a t and its KL,
-    evaluated by _path_bound. A flatness row also holds G = Q L and the y of
-    its _dual_score, NaN on a start, which tilts the risks."""
+    t): the loop of _descend on rows (start, sample), each a t, its KL, G =
+    Q L and the y of its score, evaluated by _path_bound. G and y have
+    columns only for flatness, whose y is NaN on a start, which tilts the
+    risks."""
     support = p.weights > 0
     w0, r = p.weights[support], risks.reshape(-1, p.size)[:, support]
     starts = [np.full(len(r), beta * s.m) for beta in BETA_GRID]
@@ -193,30 +191,31 @@ def _path_minimum(family: str, params: BoundParams, p: ProbMeasure, table: LossT
     # Every start tilts the risks, and the tilt changes neither a nor least.
     a, least = np.tile(r - least[:, None], (n_starts, 1)), np.tile(least, n_starts)
     score = risks.reshape(r.shape[0], p.size)
+    counts, loss = s.counts.reshape(len(r), -1), table.loss[support]
     if dual := FAMILIES[family].needs_sample:
-        counts, loss = s.counts.reshape(len(r), -1), table.loss[support]
         moments = loss if table.binary_flag else np.hstack([loss, table.loss_squared[support]])
         # mean_S(L^2), which on a binary table is Remp (L^2 = L).
         sq = score if table.binary_flag else s.mean_rows(table.loss_squared).reshape(score.shape)
         n_rows, r_rows = np.tile(counts, (n_starts, 1)), np.tile(r, (n_starts, 1))
         sq_rows = r_rows if table.binary_flag else np.tile(sq[:, support], (n_starts, 1))
-        val, kl, g = _path_bound(family, params, w0, a, least, t, s.m, moments, n_rows)
-        y = np.full_like(g, np.nan)
-        state = t, kl, y, g
     else:
-        val, kl = _path_bound(family, params, w0, a, least, t, s.m)
-        state = t, kl
+        # The other families' rows hold no counts, and so no G and no y.
+        moments, n_rows = loss[:, :0], np.zeros((len(t), 0))
+    val, kl, g = _path_bound(family, params, w0, a, least, t, s.m, moments, n_rows)
+    y = np.full_like(g, np.nan)
+    state = t, kl, y, g
 
     def step(rows):
         t_new = _temperature(family, params, kl[rows], s.m)
-        if not dual:
-            new, kl_new = _path_bound(family, params, w0, a[rows], least[rows], t_new, s.m)
-            return new, (t_new, kl_new)
-        # The convex-concave step: y <- G, then the tilt of score(y).
+        # The convex-concave step: y <- G, then the tilt of score(y), which
+        # for a family that reads only Remp and KL is the risks.
         n, y_new = n_rows[rows], g[rows]
-        a_new = _dual_score(params, loss, r_rows[rows], sq_rows[rows], y_new, n, s.m)
-        least_new = a_new.min(axis=-1)
-        np.subtract(a_new, least_new[:, None], out=a_new)
+        if dual:
+            a_new = _dual_score(params, loss, r_rows[rows], sq_rows[rows], y_new, n, s.m)
+            least_new = a_new.min(axis=-1)
+            np.subtract(a_new, least_new[:, None], out=a_new)
+        else:
+            a_new, least_new = a[rows], least[rows]
         new, kl_new, g_new = _path_bound(family, params, w0, a_new, least_new, t_new, s.m,
                                          moments, n)
         # y before g, which it may be a view of (under the full slice).

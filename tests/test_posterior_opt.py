@@ -242,27 +242,33 @@ class TestDualIdentity:
             assert abs(value - want) <= 1e-14 * max(1.0, abs(float(want))), seed
 
 
-def path_point(p, risks, t):
+def path_point(p, risks, t, loss=None):
     """_path_point at the tilts _tilt(p, risks, t), risks [..., n_h] and t
-    broadcast against each other, as flat rows."""
+    broadcast against each other, as flat rows: (Remp, KL), and Q loss given
+    loss [n_h, k]."""
     shape = np.broadcast_shapes(risks.shape[:-1], np.shape(t))
-    r = np.broadcast_to(risks, shape + (p.size,)).reshape(-1, p.size)[:, p.weights > 0]
+    support = p.weights > 0
+    r = np.broadcast_to(risks, shape + (p.size,)).reshape(-1, p.size)[:, support]
     least = r.min(axis=-1)
-    return _path_point(p.weights[p.weights > 0], r - least[:, None], least,
-                       np.broadcast_to(np.asarray(t, dtype=float), shape).reshape(-1))
+    point = _path_point(p.weights[support], r - least[:, None], least,
+                        np.broadcast_to(np.asarray(t, dtype=float), shape).reshape(-1),
+                        np.zeros((support.sum(), 0)) if loss is None else loss[support])
+    return point[:2] if loss is None else point
 
 
 def assert_path_point_is_the_tilt(p, table, s, t):
-    """The tilt path's Remp and KL at t are those of the posterior _tilt(p,
-    risks, t), within 4 ulp and 64 ulp of max(1, KL) (kl_divergence rounds its
-    log-ratios up to 15 ulp off at large t, see below)."""
+    """The tilt path's Remp, KL and G = Q L at t are those of the posterior
+    _tilt(p, risks, t), within 4 ulp, 64 ulp of max(1, KL) (kl_divergence
+    rounds its log-ratios up to 15 ulp off at large t, see below) and 16 ulp
+    (12 seen)."""
     risks = empirical_risks(table, s)
-    emp, kl = path_point(p, risks, t)
+    emp, kl, g = path_point(p, risks, t, table.loss)
     q = _tilt(p, risks, t)
     eps = np.finfo(float).eps
     assert np.abs(emp - s.mean(gibbs_losses(q, table, s))).max() <= 4 * eps
     kl_q = kl_divergence(q, p)
     assert (np.abs(kl - kl_q) <= 64 * eps * np.maximum(1.0, kl_q)).all()
+    assert np.abs(g - (q.weights @ table.loss).reshape(g.shape)).max() <= 16 * eps
     return emp, kl
 
 
