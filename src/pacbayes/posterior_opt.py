@@ -6,11 +6,12 @@ them. gibbs_posterior is such a rule once beta is bound, and so is
 minimize_bound once its family and parameters are; its caller evaluates the
 bound at the posterior it returns (evaluate_posterior_bound).
 
-Both are made of the Gibbs tilt Q ~ P exp(-t * score) (_tilt). minimize_bound
-searches tilts of the prior alone, reading Remp, KL and G = Q L off each one's
-log-partition (_path_point): with one number t per row on the path Q_t ~ P
-exp(-t Remp) for the families that depend on Q only through Remp and KL, and
-for flatness with the dual variable y of -G^2 = min_y (y^2 - 2 y G) as well.
+Both are made of the Gibbs tilt Q ~ P exp(-t a), a the score less its least
+value on P's support, whose weights one kernel forms (_tilt_weights).
+minimize_bound searches tilts of the prior alone, reading Remp, KL and G = Q L
+off each one's log-partition (_path_point). A row is a t on the path Q_t ~ P
+exp(-t Remp), and for flatness also the a of the score at the dual variable y
+of -G^2 = min_y (y^2 - 2 y G); it returns the winning row's own tilt.
 """
 
 from __future__ import annotations
@@ -29,26 +30,37 @@ _TILT_RTOL = 1e-12
 _MAX_TILTS = 500
 
 
-def _tilt(p: ProbMeasure, score, t) -> ProbMeasure:
-    """The tilt Q ~ p exp(-t * score), row by row: score [..., n_h], and t >= 0
-    a number or one per row. Where t is +inf it is the t -> inf limit: p
-    restricted to the atoms of least score on its support."""
-    support = p.weights > 0
-    t = np.expand_dims(t, -1)
+def _tilt_weights(w0, a, t):
+    """The unnormalised weights w0 exp(-t a) of every tilt the package forms: w0
+    = p's weights on its support, a = score - least >= 0 there [..., k] (so an
+    atom of least score keeps its weight and the sum cannot underflow to 0), and
+    t >= 0 one per row of a, +inf for the limit t -> inf: w0 where a = 0, else 0."""
     limit = np.isinf(t)
-    # Shift by the best exponent on the prior's support, so that the weights
-    # there do not all underflow when an atom without prior mass scores better.
-    w = -np.where(limit, 0.0, t) * score  # one buffer: the exponent, then the weights
-    if not support.all():
-        np.copyto(w, -np.inf, where=~support)
-    w -= w.max(axis=-1, keepdims=True)
-    np.multiply(np.exp(w, out=w), p.weights, out=w)
+    w = -np.where(limit, 0.0, t)[..., None] * a  # one buffer: the exponent, then the weights
     if limit.any():
-        least = np.where(support, score, np.inf)
-        w = np.where(limit, p.weights * (least == least.min(axis=-1, keepdims=True)), w)
-    # Checked by construction: the atom of best exponent on p's support has weight p_f > 0.
+        np.copyto(w, -np.inf, where=limit[..., None] & (a > 0))
+    return np.multiply(np.exp(w, out=w), w0, out=w)
+
+
+def _tilt_posterior(p: ProbMeasure, support, a, t):
+    """The weights [..., n_h] of the tilt _tilt_weights(p's weights on support,
+    a, t), normalised, and 0 off the support."""
+    w = _tilt_weights(p.weights[support], a, t)
     w /= w.sum(axis=-1, keepdims=True)
-    return ProbMeasure._of(w)
+    if not support.all():
+        w, on_support = np.zeros(w.shape[:-1] + (p.size,)), w
+        w[..., support] = on_support
+    return w
+
+
+def _tilt(p: ProbMeasure, score, t) -> ProbMeasure:
+    """The tilt Q ~ p exp(-t * score), row by row: score [..., n_h], and t >= 0 a
+    number or one per row, +inf for the limit t -> inf (p on the atoms of least
+    score on its support), tilted by the score less that least value."""
+    support = p.weights > 0
+    score = score if support.all() else score[..., support]
+    a = score - score.min(axis=-1, keepdims=True)
+    return ProbMeasure._of(_tilt_posterior(p, support, a, t))
 
 
 def gibbs_posterior(p: ProbMeasure, table: LossTable, s: Sample, beta: float) -> ProbMeasure:
@@ -87,22 +99,16 @@ def _temperature(family: str, params: BoundParams, kl, m: int):
 
 def _path_point(w0, a, least, t, loss):
     """(Q score, KL(Q || p), Q loss) at the tilt Q = _tilt(p, score, t), one per
-    row, from its log-partition: w0 = p's weights on its support, a = score -
-    least there (least = its minimum, one per row), t >= 0 one per row, +inf
-    for the t -> inf limit, and loss columns on p's support [n, k], k >= 0.
-    With w = w0 exp(-t a) and Z = sum w (at least the prior mass of the least
-    score, so no underflow to 0): Q score = least + w.a / Z, KL = -log Z - t
-    w.a / Z, clamped at 0 as kl_divergence is, and Q loss = w loss / Z [rows,
-    k]. The error of KL is a few ulp of max(1, KL, -log Z)."""
-    limit = np.isinf(t)
-    t = np.where(limit, 0.0, t)
-    w = -t[:, None] * a  # one buffer: the exponent, then the weights
-    if limit.any():
-        np.copyto(w, -np.inf, where=limit[:, None] & (a > 0))
-    np.multiply(np.exp(w, out=w), w0, out=w)
+    row, from its log-partition: with w = _tilt_weights(w0, a, t), Z = sum w,
+    least one per row and loss columns on p's support [n, k], k >= 0: Q score
+    = least + w.a / Z, KL = -log Z - t w.a / Z, clamped at 0 as kl_divergence
+    is, and Q loss = w loss / Z [rows, k]. KL is a few ulp of max(1, KL, -log Z) off."""
+    w = _tilt_weights(w0, a, t)
     z = w.sum(axis=-1)
     mean = np.vecdot(w, a) / z
-    emp, kl = least + mean, np.maximum(-np.log(z) - t * mean, 0.0)
+    # t mean is 0 where mean is, at t = +inf too: there w is 0 wherever a > 0.
+    t_mean = np.multiply(t, mean, out=np.zeros_like(mean), where=mean > 0)
+    emp, kl = least + mean, np.maximum(-np.log(z) - t_mean, 0.0)
     q_loss = np.matmul(w, loss)
     return emp, kl, np.divide(q_loss, z[:, None], out=q_loss)
 
@@ -176,11 +182,11 @@ def _descend(step, val, state, n_starts: int):
 
 def _path_minimum(family: str, params: BoundParams, p: ProbMeasure, table: LossTable,
                   s: Sample, risks):
-    """The tilt of least bound found for each sample of s, as (score [..., n_h],
-    t): the loop of _descend on rows (start, sample), each a t, its KL, G =
-    Q L and the y of its score, evaluated by _path_bound. G and y have
-    columns only for flatness, whose y is NaN on a start, which tilts the
-    risks."""
+    """The weights [..., n_h] of the tilt of least bound found for each sample
+    of s: the loop of _descend on rows (start, sample), each a t, its KL and G
+    = Q L, evaluated by _path_bound. G has columns only for flatness, whose rows
+    also hold the shifted score a they tilt. The weights are _tilt_posterior's
+    at the winning row's own (a, t), or the prior itself where that t is 0."""
     support = p.weights > 0
     w0, r = p.weights[support], risks.reshape(-1, p.size)[:, support]
     starts = [np.full(len(r), beta * s.m) for beta in BETA_GRID]
@@ -190,43 +196,37 @@ def _path_minimum(family: str, params: BoundParams, p: ProbMeasure, table: LossT
     least = r.min(axis=-1)
     # Every start tilts the risks, and the tilt changes neither a nor least.
     a, least = np.tile(r - least[:, None], (n_starts, 1)), np.tile(least, n_starts)
-    score = risks.reshape(r.shape[0], p.size)
     counts, loss = s.counts.reshape(len(r), -1), table.loss[support]
+    moments, n_rows = loss[:, :0], np.zeros((len(t), 0))
     if dual := FAMILIES[family].needs_sample:
         moments = loss if table.binary_flag else np.hstack([loss, table.loss_squared[support]])
-        # mean_S(L^2), which on a binary table is Remp (L^2 = L).
-        sq = score if table.binary_flag else s.mean_rows(table.loss_squared).reshape(score.shape)
         n_rows, r_rows = np.tile(counts, (n_starts, 1)), np.tile(r, (n_starts, 1))
-        sq_rows = r_rows if table.binary_flag else np.tile(sq[:, support], (n_starts, 1))
-    else:
-        # The other families' rows hold no counts, and so no G and no y.
-        moments, n_rows = loss[:, :0], np.zeros((len(t), 0))
+        # mean_S(L^2), which on a binary table is Remp (L^2 = L).
+        sq_rows = r_rows if table.binary_flag else np.tile(
+            s.mean_rows(table.loss_squared).reshape(len(r), -1)[:, support], (n_starts, 1))
     val, kl, g = _path_bound(family, params, w0, a, least, t, s.m, moments, n_rows)
-    y = np.full_like(g, np.nan)
-    state = t, kl, y, g
+    state = (t, kl, g, a) if dual else (t, kl, g)
 
     def step(rows):
         t_new = _temperature(family, params, kl[rows], s.m)
         # The convex-concave step: y <- G, then the tilt of score(y), which
         # for a family that reads only Remp and KL is the risks.
-        n, y_new = n_rows[rows], g[rows]
+        n = n_rows[rows]
         if dual:
-            a_new = _dual_score(params, loss, r_rows[rows], sq_rows[rows], y_new, n, s.m)
+            a_new = _dual_score(params, loss, r_rows[rows], sq_rows[rows], g[rows], n, s.m)
             least_new = a_new.min(axis=-1)
             np.subtract(a_new, least_new[:, None], out=a_new)
         else:
             a_new, least_new = a[rows], least[rows]
         new, kl_new, g_new = _path_bound(family, params, w0, a_new, least_new, t_new, s.m,
                                          moments, n)
-        # y before g, which it may be a view of (under the full slice).
-        return new, (t_new, kl_new, y_new, g_new)
+        return new, (t_new, kl_new, g_new, a_new)[:len(state)]
 
     best = _descend(step, val, state, n_starts)
     pick = best * len(r) + np.arange(len(r))
-    if dual:
-        score = np.where(np.isnan(y[pick, :1]), score,
-                         _dual_score(params, table.loss, score, sq, y[pick], counts, s.m))
-    return score.reshape(risks.shape), t[pick].reshape(risks.shape[:-1])
+    w = _tilt_posterior(p, support, a[pick], t[pick])
+    w[t[pick] == 0] = p.weights
+    return w.reshape(risks.shape)
 
 
 def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: LossTable,
@@ -244,16 +244,11 @@ def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: Loss
     _path_bound reads off the log-partition. A family that depends on Q only
     through Remp(Q) and KL(Q || p) has its minimiser on the tilt path Q_t ~ p
     exp(-t Remp); each step is t <- _temperature(KL), exact at once for catoni
-    and matched_catoni. A flatness row also holds G = Q L and the dual y of
-    its tilt, and each step is y <- G and the tilt of _dual_score(y) (the
-    convex-concave procedure). The result is one _tilt per sample, or the
-    prior itself where the beta = 0 start won untilted.
+    and matched_catoni. A flatness row also holds G = Q L and the shifted score
+    a it tilts, and each step tilts by _dual_score at y = G (the convex-concave
+    procedure). The result is the chosen row's own tilt, or p where t = 0 won.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown bound family {family!r}")
     _check_hypotheses(p, table)
-    score, t = _path_minimum(family, params, p, table, s, empirical_risks(table, s))
-    q = _tilt(p, score, t)
-    if (untilted := t == 0).any():
-        return ProbMeasure._of(np.where(np.expand_dims(untilted, -1), p.weights, q.weights))
-    return q
+    return ProbMeasure._of(_path_minimum(family, params, p, table, s, empirical_risks(table, s)))

@@ -171,7 +171,8 @@ def coverage_experiment(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
     or one posterior for every trial (a fixed Q). The samples come from
     sample_blocks(dist, m, trials, seed), so a trial's sample does not depend
     on the number of trials. mean_slack sums the slacks with math.fsum, which
-    rounds once, so it does not depend on how the trials fall into blocks
+    rounds once (on the slacks scaled by 2^-64, exactly, where their sum passes
+    the float range), so it does not depend on how the trials fall into blocks
     either. An infinite bound is never violated and makes mean_slack +inf.
     """
     violations = 0
@@ -183,9 +184,13 @@ def coverage_experiment(table: LossTable, dist: ProbMeasure, prior: ProbMeasure,
         true = gibbs_risk(q, table, dist)
         violations += int(np.count_nonzero(true > bound))
         slacks += (bound - true).tolist()
+    try:
+        mean_slack = math.fsum(slacks) / trials
+    except OverflowError:
+        mean_slack = math.fsum(x * 2.0 ** -64 for x in slacks) / trials * 2.0 ** 64
     return CoverageReport(
         trials=trials,
         violations=violations,
         clopper_pearson_upper=clopper_pearson_upper(violations, trials, 0.95),
-        mean_slack=math.fsum(slacks) / trials,
+        mean_slack=mean_slack,
     )

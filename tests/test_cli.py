@@ -1,5 +1,6 @@
 import builtins
 import dataclasses
+import fractions
 import functools
 import io
 import json
@@ -17,7 +18,7 @@ from pacbayes import (FAMILIES, BoundParams, ProbMeasure, Sample, bound_sweep, c
 from pacbayes.cli import POSTERIOR_RULES, duality_tolerance, main
 from pacbayes.core import true_risks
 from pacbayes.io import csv_text, fmt, load_instance, write_csv
-from pacbayes.processes import kl_dual_value
+from pacbayes.processes import TailEstimate, kl_dual_value
 
 from conftest import strict_json
 
@@ -245,6 +246,31 @@ class TestCoverage:
         assert len(blocks) == 2
         assert [sum(s is block for s in evaluated) for block in blocks] == [1, 1]
 
+    def test_mean_slack_of_slacks_whose_sum_overflows(self, tmp_path, capsys, log_file,
+                                                      monkeypatch):
+        # At c = 1e-308 each flatness bound is about 1.7e307, so fsum of the 60
+        # slacks overflows; their mean is finite, and is the exact mean rounded.
+        inst = str(tmp_path / "small.txt")
+        assert run(["gen-instance", "--hypotheses", "8", "--points", "5", "--seed", "1",
+                    "--nonbinary", "--out", inst], log_file) == 0
+        bounds, risks = [], []
+        evaluate, risk = verify.evaluate_posterior_bound, verify.gibbs_risk
+        monkeypatch.setattr(verify, "evaluate_posterior_bound",
+                            lambda *a: bounds.append(evaluate(*a)) or bounds[-1])
+        monkeypatch.setattr(verify, "gibbs_risk", lambda *a: risks.append(risk(*a)) or risks[-1])
+        capsys.readouterr()
+        assert run(["coverage", "--family", "flatness", "--rule", "fixed-Q", "--instance", inst,
+                    "--trials", "60", "--m", "100", "--seed", "3", "--c", "1e-308",
+                    "--h", "0.99"], log_file) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "PASS"
+        slacks = np.concatenate([rep.value - true for rep, true in zip(bounds, risks)]).tolist()
+        assert len(slacks) == 60 and all(map(math.isfinite, slacks))
+        with pytest.raises(OverflowError):
+            math.fsum(slacks)
+        exact = sum(map(fractions.Fraction, slacks)) / 60
+        assert float(printed_row(out)["mean_slack"]) == float(exact)
+
     @pytest.mark.parametrize("rule", POSTERIOR_RULES)
     def test_a_rule_gives_one_row_per_sample_or_one_posterior(self, rule, inst_file):
         args = cli._PARSER.parse_args(["coverage", "--family", "flatness", "--instance",
@@ -316,6 +342,20 @@ class TestLemmas:
                    log_file)
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_symmetrization_verdict_is_lhs_at_most_four_rhs(self, above, capsys, inst_file,
+                                                            log_file, monkeypatch):
+        # The verdict's rule is lhs <= 4 rhs + lhs_halfwidth + 4 rhs_halfwidth: a left
+        # tail at the rule passes, and one an ulp above it fails.
+        rhs = TailEstimate(0.01, 0.001)
+        rule = 4.0 * rhs.probability + (0.001 + 4.0 * rhs.wilson_halfwidth)
+        lhs = TailEstimate(math.nextafter(rule, 1.0) if above else rule, 0.001)
+        monkeypatch.setattr(cli, "symmetrization_tail_mc", lambda *a, **k: (lhs, rhs))
+        code = run(["lemmas", "--which", "symmetrization", "--instance", inst_file,
+                    "--m", "30", "--trials", "2000", "--t", "0.2", "--seed", "5"], log_file)
+        assert code == (1 if above else 0)
+        assert capsys.readouterr().out.splitlines()[-1] == ("FAIL" if above else "PASS")
 
     def test_stochastic_lemma_requires_seed(self, inst_file, log_file):
         assert run(["lemmas", "--which", "shifted-flatness",

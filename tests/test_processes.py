@@ -713,6 +713,16 @@ class TestShiftedFlatnessTail:
         with pytest.raises(ValueError):
             shifted_flatness_tail_mc(table, 0, dist, m, c2, h, 0.3, 10, seed=1)
 
+    def test_a_statistic_between_half_t_and_t_over_one_point_eight_is_a_hit(self):
+        # m = 1: a sample at point 1 has Remp = 0 and the statistic R = 0.5, which is
+        # at least t/2 = 0.475 and below t/1.8 = 0.528; one at point 0 has -0.5 - c2 h^2.
+        table, dist, trials, seed = LossTable([[1, 0]]), ProbMeasure([0.5, 0.5]), 400, 9
+        est = shifted_flatness_tail_mc(table, 0, dist, 1, 0.5, 0.5, 0.95, trials, seed)
+        at_one = sum(int(s.counts[:, 1].sum()) for _, s in sample_blocks(dist, 1, trials,
+                                                                          seed, 0x5F))
+        assert 0 < at_one < trials
+        assert est.probability == at_one / trials
+
     def test_determinism(self, rng):
         dist, table = random_instance(rng)
         a = shifted_flatness_tail_mc(table, 0, dist, 15, 0.5, 0.5, 0.3, 300, seed=11)
