@@ -182,12 +182,17 @@ def xy_default_c2(c: float, h: float) -> float:
 
 def flatness_rate_constant(c: float, h: float) -> float:
     """Rate constant C = 2 h^2 c2 = 2 h^4 c / (1 + 16 h^2 c) of the flatness bound,
-    with c2 = xy_default_c2(c, h), the theorem's sufficient c2."""
+    with c2 = xy_default_c2(c, h), the theorem's sufficient c2. The bound divides
+    by C, so a c and h that make it round to 0 (c = 5e-324, or h = 1e-170) are
+    a ValueError that names them."""
     if not c > 0:
         raise ValueError("c must be positive")
     if not 0 < h < 1:
         raise ValueError("h must lie in (0, 1)")
-    return 2.0 * h * h * xy_default_c2(c, h)
+    if (C := 2.0 * h * h * xy_default_c2(c, h)) == 0:
+        raise ValueError(f"c = {c!r} and h = {h!r} make the flatness rate constant "
+                         "C = 2 h^4 c / (1 + 16 h^2 c) round to 0")
+    return C
 
 
 def flatness_bound(q: ProbMeasure, table: LossTable, s: Sample, kl, params: BoundParams,

@@ -84,14 +84,9 @@ def _ints(text: str) -> list[int]:
 
 
 def _bound_params(args) -> BoundParams:
-    """The bound flags given or defaulted; each is the BoundParams field of its
-    name. A run that reads h (flatness) rejects a rate constant that rounds to 0."""
-    params = BoundParams(**{f.name: value for f in fields(BoundParams)
-                            if (value := getattr(args, f.name, None)) is not None})
-    if getattr(args, "h", None) is not None and FAMILIES["flatness"].derived(params) == 0:
-        raise UsageError(f"--c {params.c!r} and --h {params.h!r} make the flatness rate "
-                         "constant C = 2 h^4 c / (1 + 16 h^2 c) round to 0")
-    return params
+    """The bound flags given or defaulted; each is the BoundParams field of its name."""
+    return BoundParams(**{f.name: value for f in fields(BoundParams)
+                          if (value := getattr(args, f.name, None)) is not None})
 
 
 def _fixed_q(inst: Instance) -> ProbMeasure:

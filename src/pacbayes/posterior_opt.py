@@ -10,8 +10,9 @@ Both are made of the Gibbs tilt Q ~ P exp(-t a), a the score less its least
 value on P's support, whose weights one kernel forms (_tilt_weights).
 minimize_bound searches tilts of the prior alone, reading Remp, KL and G = Q L
 off each one's log-partition (_path_point). A row is a t on the path Q_t ~ P
-exp(-t Remp), and for flatness also the a of the score at the dual variable y
-of -G^2 = min_y (y^2 - 2 y G); it returns the winning row's own tilt.
+exp(-t Remp), and for flatness also the a of the score s0 - (2 c (1 - h^2)/m)
+L (n y) at the dual variable y of -G^2 = min_y (y^2 - 2 y G), from one base
+score s0 = Remp + c mean_S(L^2) per sample; it returns the winning row's own tilt.
 """
 
 from __future__ import annotations
@@ -129,21 +130,20 @@ def _path_bound(family: str, params: BoundParams, w0, a, least, t, m: int, momen
     return evaluate_bound(family, s.mean(g), kl, m, params, flat).value, kl, g
 
 
-def _dual_score(params: BoundParams, loss, risks, sq, y, counts, m: int):
+def _dual_score(params: BoundParams, loss, s0, y, counts, m: int):
     """The flatness score at the dual variable y on the data space, one row per
-    row of y: score(y) = risks + c (sq - (2 (1 - h^2) / m) L (n y)), for counts
-    n, risks = Remp and sq = mean_S(L^2). With a = c (1 - h^2) and b = d_kl the
-    bound is B(Q) = Q score(0) - (a/m) sum_z n_z G_z^2 + b KL + k. As -G^2 =
-    min_y (y^2 - 2 y G), min_Q B = min_y F(y), F(y) = k - b log E_p e^{-score(y)/b}
+    row of y: score(y) = s0 - (2 a / m) L (n y), for counts n, a = c (1 - h^2)
+    and the base score s0 = score(0) = Remp + c mean_S(L^2). With b = d_kl the
+    bound is B(Q) = Q s0 - (a/m) sum_z n_z G_z^2 + b KL + k. As -G^2 = min_y
+    (y^2 - 2 y G), min_Q B = min_y F(y), F(y) = k - b log E_p e^{-score(y)/b}
     + (a/m) sum_z n_z y_z^2, and at Q_y ~ p e^{-score(y)/b}, B(Q_y) = F(y) - (a/m)
     sum_z n_z (y_z - G_z(Q_y))^2: so y <- G(Q), Q <- Q_y never raises B."""
     # One [rows, n_h] buffer: a temporary per operation made glibc trim and
-    # regrow its heap each step. For y in [0, 1] the factor of c lies in [-1, 1].
-    score = np.matvec(loss, y * counts)
-    np.multiply(score, -2.0 * (1.0 - params.h * params.h) / m, out=score)
-    np.add(score, sq, out=score)
+    # regrow its heap each step. For y in [0, 1] the factor of c lies in [-2, 0],
+    # and c enters last, so no factor is inf and the product is finite for c < 9e307.
+    score = np.matvec(loss, y * counts * (-2.0 * (1.0 - params.h * params.h) / m))
     np.multiply(score, params.c, out=score)
-    return np.add(score, risks, out=score)
+    return np.add(score, s0, out=score)
 
 
 def _descend(step, val, state, n_starts: int):
@@ -180,13 +180,32 @@ def _descend(step, val, state, n_starts: int):
     raise RuntimeError(f"minimize_bound: {still_open} rows still open after {_MAX_TILTS} tilts")
 
 
-def _path_minimum(family: str, params: BoundParams, p: ProbMeasure, table: LossTable,
-                  s: Sample, risks):
-    """The weights [..., n_h] of the tilt of least bound found for each sample
-    of s: the loop of _descend on rows (start, sample), each a t, its KL and G
-    = Q L, evaluated by _path_bound. G has columns only for flatness, whose rows
-    also hold the shifted score a they tilt. The weights are _tilt_posterior's
-    at the winning row's own (a, t), or the prior itself where that t is 0."""
+def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: LossTable,
+                   s: Sample) -> ProbMeasure:
+    """Posterior of least bound found, one posterior row (weights [..., n_h])
+    per sample of s, by a majorise-minimise loop (_descend) on rows (start,
+    sample): each step tilts by the minimiser of the bound linearised at the
+    current posterior. A sample starts from the tempered posterior of every
+    beta in BETA_GRID; kst, whose max(KL, 2) has a kink, also from the one with
+    KL = 2, or the beta -> inf limit if its KL <= 2. A sample keeps its least
+    bound over its starts (the least beta on a tie): never above the grid, and
+    independent of the rest of the block. The bound at the result is left to
+    the caller.
+
+    Every row is a tilt of the prior, held as its t, its KL and G = Q L, whose
+    bound _path_bound reads off the log-partition. A family that depends on Q
+    only through Remp(Q) and KL(Q || p) has its minimiser on the tilt path Q_t ~
+    p exp(-t Remp); each step is t <- _temperature(KL), exact at once for catoni
+    and matched_catoni, and G has no columns. A flatness row also holds the
+    shifted score a it tilts, and each step tilts by _dual_score at y = G (the
+    convex-concave procedure), from the row's base score s0, formed once. The
+    result is the winning row's own tilt, _tilt_posterior at its (a, t), or p
+    where that t is 0.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown bound family {family!r}")
+    _check_hypotheses(p, table)
+    risks = empirical_risks(table, s)
     support = p.weights > 0
     w0, r = p.weights[support], risks.reshape(-1, p.size)[:, support]
     starts = [np.full(len(r), beta * s.m) for beta in BETA_GRID]
@@ -200,10 +219,8 @@ def _path_minimum(family: str, params: BoundParams, p: ProbMeasure, table: LossT
     moments, n_rows = loss[:, :0], np.zeros((len(t), 0))
     if dual := FAMILIES[family].needs_sample:
         moments = loss if table.binary_flag else np.hstack([loss, table.loss_squared[support]])
-        n_rows, r_rows = np.tile(counts, (n_starts, 1)), np.tile(r, (n_starts, 1))
-        # mean_S(L^2), which on a binary table is Remp (L^2 = L).
-        sq_rows = r_rows if table.binary_flag else np.tile(
-            s.mean_rows(table.loss_squared).reshape(len(r), -1)[:, support], (n_starts, 1))
+        sq = s.mean_rows(table.loss_squared[support]).reshape(r.shape)
+        n_rows, s0 = np.tile(counts, (n_starts, 1)), np.tile(r + params.c * sq, (n_starts, 1))
     val, kl, g = _path_bound(family, params, w0, a, least, t, s.m, moments, n_rows)
     state = (t, kl, g, a) if dual else (t, kl, g)
 
@@ -213,7 +230,7 @@ def _path_minimum(family: str, params: BoundParams, p: ProbMeasure, table: LossT
         # for a family that reads only Remp and KL is the risks.
         n = n_rows[rows]
         if dual:
-            a_new = _dual_score(params, loss, r_rows[rows], sq_rows[rows], g[rows], n, s.m)
+            a_new = _dual_score(params, loss, s0[rows], g[rows], n, s.m)
             least_new = a_new.min(axis=-1)
             np.subtract(a_new, least_new[:, None], out=a_new)
         else:
@@ -226,29 +243,4 @@ def _path_minimum(family: str, params: BoundParams, p: ProbMeasure, table: LossT
     pick = best * len(r) + np.arange(len(r))
     w = _tilt_posterior(p, support, a[pick], t[pick])
     w[t[pick] == 0] = p.weights
-    return w.reshape(risks.shape)
-
-
-def minimize_bound(family: str, params: BoundParams, p: ProbMeasure, table: LossTable,
-                   s: Sample) -> ProbMeasure:
-    """Posterior of least bound found, one posterior row (weights [..., n_h])
-    per sample of s, by a majorise-minimise loop (_descend): each step tilts
-    by the minimiser of the bound linearised at the current posterior. A
-    sample starts from the tempered posterior of every beta in BETA_GRID; kst,
-    whose max(KL, 2) has a kink, also from the one with KL = 2, or the beta ->
-    inf limit if its KL <= 2. A sample keeps its least bound over its starts
-    (the least beta on a tie): never above the grid, and independent of the
-    rest of the block. The bound at the result is left to the caller.
-
-    Every row is a tilt of the prior, held as its t and its KL, whose bound
-    _path_bound reads off the log-partition. A family that depends on Q only
-    through Remp(Q) and KL(Q || p) has its minimiser on the tilt path Q_t ~ p
-    exp(-t Remp); each step is t <- _temperature(KL), exact at once for catoni
-    and matched_catoni. A flatness row also holds G = Q L and the shifted score
-    a it tilts, and each step tilts by _dual_score at y = G (the convex-concave
-    procedure). The result is the chosen row's own tilt, or p where t = 0 won.
-    """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown bound family {family!r}")
-    _check_hypotheses(p, table)
-    return ProbMeasure._of(_path_minimum(family, params, p, table, s, empirical_risks(table, s)))
+    return ProbMeasure._of(w.reshape(risks.shape))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -7,7 +8,8 @@ from scipy.optimize import brentq
 
 from pacbayes import (BoundParams, LossTable, ProbMeasure, Sample,
                       catoni_C_for_inflation, catoni_prefactor,
-                      derive_matched_catoni_constants, draw_sample, flatness_bound)
+                      bound_sweep, derive_matched_catoni_constants, draw_sample,
+                      flatness_bound, minimize_bound)
 from pacbayes.measures import flatness, gibbs_losses
 from pacbayes.bounds import (FAMILIES, _bisect_increasing, evaluate_bound,
                              flatness_rate_constant, log_cosh_over_x, log_over)
@@ -300,6 +302,26 @@ class TestFlatnessBound:
         q = random_measure(rng, table.hypothesis_count)
         params = BoundParams(delta=0.05, c=1.0, h=0.5)
         assert flatness_bound(q, table, s, math.inf, params).value == math.inf
+
+    @pytest.mark.parametrize("c, h", [(5e-324, 0.5), (1.0, 1e-170)], ids=["c-tiny", "h-tiny"])
+    def test_a_rate_constant_that_rounds_to_0_is_a_value_error_naming_c_and_h(self, rng, c, h):
+        # h^2 c underflows, so C = 2 h^4 c / (1 + 16 h^2 c) rounds to 0 and the
+        # bound, which divides by C, is undefined: each entry point says why.
+        dist, table = random_instance(rng)
+        p = ProbMeasure.uniform(table.hypothesis_count)
+        s = draw_sample(dist, 20, 1, size=3)
+        params = BoundParams(delta=0.05, c=c, h=h)
+        calls = (
+            lambda: flatness_rate_constant(c, h),
+            lambda: evaluate_bound("flatness", 0.1, 0.1, 20, params, 0.05),
+            lambda: minimize_bound("flatness", params, p, table, s),
+            lambda: bound_sweep(table, dist, p, lambda prior, table, s: prior, params, [20], 5, 1),
+        )
+        message = (f"c = {c!r} and h = {h!r} make the flatness rate constant "
+                   "C = 2 h^4 c / (1 + 16 h^2 c) round to 0")
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
 
 
 class TestLogOverDelta:

@@ -928,7 +928,8 @@ class TestUsageContract:
     # Valid arguments whose overflow is expected, on the README's instance (INST):
     # each +inf is the right float, and the run prints what it printed before,
     # without a warning (RuntimeWarnings are errors in this suite, as under
-    # python -W error). The sweep's c makes the flatness rate constant 0, a usage error.
+    # python -W error). The sweep's c makes the flatness rate constant 0, which
+    # flatness_rate_constant rejects: a configuration error, with no usage line.
     @pytest.mark.parametrize("argv, code, out", [
         (["lemmas", "--which", "xy", "--mu", "0.2,0.5,0.9", "--lambda-over-m", "300"], 0,
          "which,value,pass\nxy,inf,true\ncap 0.076190476190476197\napplies false\nPASS\n"),
@@ -967,9 +968,8 @@ class TestUsageContract:
         assert captured.out == out
         if code:
             assert captured.err == (
-                "error: --c 5e-324 and --h 0.5 make the flatness rate constant "
-                "C = 2 h^4 c / (1 + 16 h^2 c) round to 0\n"
-                + cli._SUBPARSERS[argv[0]].format_usage())
+                "error: c = 5e-324 and h = 0.5 make the flatness rate constant "
+                "C = 2 h^4 c / (1 + 16 h^2 c) round to 0\n")
         else:
             assert captured.err == ""
         (rec,) = [json.loads(line, parse_constant=strict_json)

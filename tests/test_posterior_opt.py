@@ -197,9 +197,10 @@ def record_bounds(monkeypatch):
 
 
 def flatness_score(params, table, s, y):
-    """_dual_score at y over the whole table: the flatness score of the tilt Q_y."""
-    return _dual_score(params, table.loss, empirical_risks(table, s),
-                       s.mean_rows(table.loss_squared), y, s.counts, s.m)
+    """_dual_score at y over the whole table, from the base score Remp + c
+    mean_S(L^2): the flatness score of the tilt Q_y."""
+    s0 = empirical_risks(table, s) + params.c * s.mean_rows(table.loss_squared)
+    return _dual_score(params, table.loss, s0, y, s.counts, s.m)
 
 
 def majorise_at(family, params, q, p, table, s):
