@@ -44,23 +44,21 @@ def _tilt_weights(w0, a, t):
 
 
 def _tilt_posterior(p: ProbMeasure, support, a, t):
-    """The weights [..., n_h] of the tilt _tilt_weights(p's weights on support,
-    a, t), normalised, and 0 off the support."""
-    w = _tilt_weights(p.weights[support], a, t)
-    w /= w.sum(axis=-1, keepdims=True)
-    if not support.all():
-        w, on_support = np.zeros(w.shape[:-1] + (p.size,)), w
-        w[..., support] = on_support
+    """The weights [..., n_h]: those of _tilt_weights(p's weights on support, a,
+    t), normalised on the support, scattered into a fresh array, 0 off it."""
+    on_support = _tilt_weights(p.weights[support], a, t)
+    on_support /= on_support.sum(axis=-1, keepdims=True)
+    w = np.zeros(on_support.shape[:-1] + (p.size,))
+    w[..., support] = on_support
     return w
 
 
 def _tilt(p: ProbMeasure, score, t) -> ProbMeasure:
-    """The tilt Q ~ p exp(-t * score), row by row: score [..., n_h], and t >= 0 a
-    number or one per row, +inf for the limit t -> inf (p on the atoms of least
-    score on its support), tilted by the score less that least value."""
+    """The tilt Q ~ p exp(-t * score) row by row, score [..., n_h] gathered on p's support
+    less its least there, t >= 0 a number or one per row (+inf: p on the least-score atoms)."""
     support = p.weights > 0
-    score = score if support.all() else score[..., support]
-    a = score - score.min(axis=-1, keepdims=True)
+    a = score[..., support]  # a copy, whatever the support
+    a -= a.min(axis=-1, keepdims=True)
     return ProbMeasure._of(_tilt_posterior(p, support, a, t))
 
 
@@ -140,10 +138,17 @@ def _dual_score(params: BoundParams, loss, s0, y, counts, m: int):
     sum_z n_z (y_z - G_z(Q_y))^2: so y <- G(Q), Q <- Q_y never raises B."""
     # One [rows, n_h] buffer: a temporary per operation made glibc trim and
     # regrow its heap each step. For y in [0, 1] the factor of c lies in [-2, 0],
-    # and c enters last, so no factor is inf and the product is finite for c < 9e307.
+    # and c enters last, so no factor is inf.
     score = np.matvec(loss, y * counts * (-2.0 * (1.0 - params.h * params.h) / m))
-    np.multiply(score, params.c, out=score)
-    return np.add(score, s0, out=score)
+    if params.c <= 2.0 ** 1022:
+        np.multiply(score, params.c, out=score)
+        return np.add(score, s0, out=score)
+    # Above, c times that factor can pass the float range, though the score lies in
+    # [-c, 1 + c]: both terms are halved and their sum doubled, which gives the same
+    # bits as the sum in full wherever that is finite.
+    np.multiply(score, params.c / 2.0, out=score)
+    np.add(score, s0 / 2.0, out=score)
+    return np.multiply(score, 2.0, out=score)
 
 
 def _descend(step, val, state, n_starts: int):

@@ -14,6 +14,7 @@ from pacbayes.measures import flatness, gibbs_losses
 from pacbayes.bounds import (FAMILIES, _bisect_increasing, evaluate_bound,
                              flatness_rate_constant, log_cosh_over_x, log_over)
 from pacbayes.compare import crossover_threshold
+from pacbayes.posterior_opt import evaluate_posterior_bound
 
 from conftest import mp_logcosh_root_55, random_instance, random_measure
 
@@ -421,6 +422,17 @@ class TestMonotonicityAndReports:
         # The infinite value puts all of itself in complexity.
         assert np.isinf(rep.value[1]) and np.isinf(comp["complexity"][1])
         assert comp["empirical"][1] == comp["flatness"][1] == 0.0
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_a_gibbs_risk_rounded_above_1_is_evaluated(self, family):
+        # Weights that sum to 1 + 3e-13, which ProbMeasure accepts, on a table of
+        # ones give an empirical Gibbs risk of 1 + 3e-13: its bound is evaluated.
+        q = ProbMeasure([1 / 3, 1 / 3, 1 / 3 + 3e-13])
+        table, s = LossTable(np.ones((3, 2))), Sample(np.array([4, 6]))
+        emp = s.mean(gibbs_losses(q, table, s))
+        assert emp > 1.0
+        rep = evaluate_posterior_bound(family, BoundParams(), q, ProbMeasure.uniform(3), table, s)
+        assert np.isfinite(rep.value) and rep.components["empirical"] >= emp
 
     def test_flatness_bound_is_evaluate_bound_at_the_posterior(self, rng):
         dist, table = random_instance(rng, n_h=6, n_z=5)

@@ -190,6 +190,20 @@ class TestCoverage:
         assert printed_row(out)["violations"] == "0"
         assert out.splitlines()[-1] == "PASS"
 
+    @pytest.mark.parametrize("above", [False, True])
+    def test_verdict_is_cp_upper_at_most_delta(self, above, capsys, inst_file, log_file,
+                                               monkeypatch):
+        delta = 0.05
+        cp = math.nextafter(delta, 1.0) if above else delta
+        monkeypatch.setattr(cli, "coverage_experiment",
+                            lambda *a: verify.CoverageReport(100, 3, cp, 0.1))
+        code = run(["coverage", "--family", "catoni", "--instance", inst_file, "--trials", "100",
+                    "--seed", "2", "--delta", str(delta)], log_file)
+        out = capsys.readouterr().out
+        assert float(printed_row(out)["cp_upper"]) == cp
+        assert code == (1 if above else 0)
+        assert out.splitlines()[-1] == ("FAIL" if above else "PASS")
+
     def test_csv_and_log(self, tmp_path, inst_file, log_file):
         out = tmp_path / "cov.csv"
         code = run(["coverage", "--family", "catoni", "--instance", inst_file,
@@ -356,6 +370,35 @@ class TestLemmas:
                     "--m", "30", "--trials", "2000", "--t", "0.2", "--seed", "5"], log_file)
         assert code == (1 if above else 0)
         assert capsys.readouterr().out.splitlines()[-1] == ("FAIL" if above else "PASS")
+
+    @pytest.mark.parametrize("above", [False, True])
+    def test_shifted_flatness_verdict_is_tail_at_most_half_plus_halfwidth(
+            self, above, capsys, inst_file, log_file, monkeypatch):
+        halfwidth = 0.01
+        rule = 0.5 + halfwidth
+        est = TailEstimate(math.nextafter(rule, 1.0) if above else rule, halfwidth)
+        monkeypatch.setattr(cli, "shifted_flatness_tail_mc", lambda *a, **k: est)
+        code = run(["lemmas", "--which", "shifted-flatness", "--instance", inst_file,
+                    "--m", "40", "--trials", "2000", "--seed", "4"], log_file)
+        assert code == (1 if above else 0)
+        assert capsys.readouterr().out.splitlines()[-1] == ("FAIL" if above else "PASS")
+
+    @pytest.mark.parametrize("above", [False, True])
+    @pytest.mark.parametrize("which", ["debias", "xy"])
+    def test_exact_lemma_verdict_is_value_at_most_1_plus_1e_12(
+            self, which, above, capsys, inst_file, log_file, monkeypatch):
+        # Both runs are inside the lemma's hypotheses, so the verdict is checked.
+        rule = 1.0 + 1e-12
+        value = math.nextafter(rule, 2.0) if above else rule
+        producer = "debias_mgf_exact" if which == "debias" else "xy_mgf_bruteforce"
+        monkeypatch.setattr(cli, producer, lambda *a, **k: value)
+        argv = ([a if a != "INST" else inst_file for a in DEBIAS] if which == "debias" else
+                ["lemmas", "--which", "xy", "--mu", "0.2,0.5,0.9", "--lambda-over-m", "0.02"])
+        code = run(argv, log_file)
+        out = capsys.readouterr().out
+        assert "applies true" in out.splitlines()
+        assert code == (1 if above else 0)
+        assert out.splitlines()[-1] == ("FAIL" if above else "PASS")
 
     def test_stochastic_lemma_requires_seed(self, inst_file, log_file):
         assert run(["lemmas", "--which", "shifted-flatness",
@@ -975,6 +1018,25 @@ class TestUsageContract:
         (rec,) = [json.loads(line, parse_constant=strict_json)
                   for line in open(log_file).read().splitlines()]
         assert rec["exit_code"] == code
+
+    # At c = 1e308 and m = 1 the flatness score's c-term reaches -2c, past the float
+    # range, though the score itself lies in [-c, 1 + c]: the minimiser still finds the
+    # point mass of least loss on the one sampled point, without a warning.
+    @pytest.mark.parametrize("seed, posterior", [("2", "0 1 0"), ("3", "1 0 0"),
+                                                 ("5", "0 1 0"), ("6", "0 1 0")])
+    def test_flatness_minimiser_at_c_1e308(self, seed, posterior, tmp_path, log_file, capsys):
+        inst = tmp_path / "tri.txt"
+        inst.write_text("space: 0.4 0.3 0.3\nlosses:\n1 0 1\n0 1 0\n1 1 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["optimize", "--family", "flatness", "--instance", str(inst), "--m", "1",
+                        "--seed", seed, "--c", "1e308", "--h", "1e-3"], log_file)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out == (
+            "family,value,emp_term,complexity_term,flatness_term,C_derived\n"
+            "flatness,361330212.46586621,0,361330212.46586621,0,1.2499999999999999e-07\n"
+            f"posterior {posterior}\n")
 
     @pytest.mark.parametrize("argv, error", [
         *((["lemmas", "--which", "shifted-flatness", "--instance", "INST", "--seed", "1",

@@ -15,6 +15,12 @@ class TestProbMeasure:
         with pytest.raises(ValueError):
             ProbMeasure([0.5, 0.4])
 
+    def test_a_sum_within_1e_12_of_1_is_accepted(self):
+        # The weights rounding leaves are accepted, and a sum further off is not.
+        assert ProbMeasure([0.5, 0.5 + 5e-13]).weights.sum() > 1.0
+        with pytest.raises(ValueError, match="must sum to 1"):
+            ProbMeasure([0.5, 0.5 + 2e-12])
+
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ProbMeasure([1.5, -0.5])

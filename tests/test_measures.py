@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pacbayes import (LossTable, ProbMeasure, Sample, draw_sample, flatness,
+from pacbayes import (BoundParams, LossTable, ProbMeasure, Sample, draw_sample, flatness,
                       flatness_alternate, gibbs_losses,
                       gibbs_risk, kl_divergence, true_risks)
+from pacbayes.bounds import evaluate_bound
 
 from conftest import flatness_double_sum, random_instance, random_measure
 
@@ -26,6 +27,21 @@ class TestKL:
     def test_identity(self, rng):
         q = random_measure(rng, 7)
         assert kl_divergence(q, q) == pytest.approx(0.0, abs=1e-14)
+
+    def test_a_kl_rounded_below_0_is_0_and_its_bound_evaluates(self, rng):
+        # For q within 1e-9 of p (relative) the sum of q log(q / p) rounds below 0
+        # on about half the rows; each of those is 0, and the bound there takes KL = 0.
+        p = random_measure(rng, 6)
+        w = p.weights * (1.0 + 1e-9 * rng.standard_normal((20000, 6)))
+        q = ProbMeasure(w / w.sum(axis=-1, keepdims=True))
+        raw = (q.weights * np.log(q.weights / p.weights)).sum(axis=-1)
+        kl = kl_divergence(q, p)
+        assert np.count_nonzero(raw < 0) > 5000
+        assert (kl[raw < 0] == 0).all() and (kl >= 0).all()
+        params = BoundParams()
+        value = evaluate_bound("mcallester", np.full(len(kl), 0.2), kl, 100, params).value
+        at_0 = evaluate_bound("mcallester", 0.2, 0.0, 100, params).value
+        assert (value[raw < 0] == at_0).all()
 
     def test_dirac_vs_uniform(self):
         q = ProbMeasure(np.eye(8)[3])

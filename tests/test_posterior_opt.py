@@ -291,6 +291,42 @@ class TestDualIdentity:
             assert abs(value - want) <= 1e-14 * max(1.0, abs(float(want))), seed
 
 
+class TestHugeC:
+    """_dual_score's c-term c (-2 (1 - h^2)/m) L (n y) lies in [-2 c, 0], and
+    passes the float range for c near its top, though the score s0 plus it
+    lies in [-c, 1 + c]."""
+
+    def test_minimiser_at_c_1e308(self):
+        # m = 1 and y = G = 1 at the sampled point: every c-term that is not 0
+        # is about -2c. Hypothesis 1 has the least loss there.
+        table = LossTable(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]))
+        q = minimize_bound("flatness", BoundParams(c=1e308, h=1e-3), ProbMeasure.uniform(3),
+                           table, Sample(np.array([1, 0, 0])))
+        assert np.array_equal(q.weights, [0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("c", [3.0, 1e300, 2.0 ** 1022, 5e307, 8.9e307, 1e308, 1.7e308])
+    def test_the_sum_of_s0_and_the_rounded_c_term(self, rng, c):
+        # The score is s0 + fl(c v), rounded once more, as on a float format with
+        # no exponent limit (mpmath at 53 bits): where that is below the float
+        # maximum, it is the sum formed in full, bit for bit, and it is finite.
+        params = BoundParams(c=c, h=1e-3)
+        for seed in range(20):
+            n_h, n_z, m = int(rng.integers(2, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            _, table, s = zero_prior_instance(rng, n_h, n_z, m, None, seed, binary=seed % 2 == 0)
+            y = rng.random(n_z)
+            y[0] = 1.0
+            s0 = empirical_risks(table, s) + c * s.mean_rows(table.loss_squared)
+            v = np.matvec(table.loss, y * s.counts * (-2.0 * (1.0 - params.h ** 2) / m))
+            score = _dual_score(params, table.loss, s0, y, s.counts, m)
+            with mpmath.workprec(53):
+                want = [float(mpmath.mpf(float(a)) + mpmath.mpf(c) * mpmath.mpf(float(b)))
+                        for a, b in zip(s0, v)]
+            assert score.tolist() == want, seed
+            with np.errstate(over="ignore"):
+                full = c * v + s0
+            assert np.array_equal(score[np.isfinite(full)], full[np.isfinite(full)])
+
+
 def path_point(p, risks, t, loss=None):
     """_path_point at the tilts _tilt(p, risks, t), risks [..., n_h] and t
     broadcast against each other, as flat rows: (Remp, KL), and Q loss given

@@ -1,5 +1,6 @@
 import itertools
 import math
+import statistics
 import sys
 
 import mpmath
@@ -14,7 +15,7 @@ from pacbayes import (LossTable, ProbMeasure, debias_mgf_exact,
 from pacbayes.bounds import log_cosh_over_x
 from pacbayes.cli import duality_tolerance
 from pacbayes.core import BLOCK, empirical_risks, sample_blocks, true_risks
-from pacbayes.processes import _KL_BALL_RTOL, _kl_ball_tilt, _log_mgf
+from pacbayes.processes import _KL_BALL_RTOL, _Z95, _kl_ball_tilt, _log_mgf
 from pacbayes.rng import stream
 
 from conftest import random_instance, random_measure
@@ -673,6 +674,15 @@ class TestXYMGF:
         # lambda/m = 10 is above the cap, and h = 2 above 1: the lemma's bound fails there.
         assert xy_mgf_bruteforce([0.5, 0.5], 10.0, 1.0, 0.125, 0.5) > 1.0
         assert xy_mgf_bruteforce([0.5], 0.05, 1.0, 0.5, 2.0) > 1.0
+
+
+def test_z95_is_the_two_sided_95_percent_normal_quantile():
+    # The Wilson halfwidths' z: within 2 ulp of the standard library's quantile,
+    # and within 1 of the 40-digit value.
+    assert abs(_Z95 - statistics.NormalDist().inv_cdf(0.975)) <= 2 * math.ulp(_Z95)
+    with mpmath.workdps(40):
+        exact = mpmath.sqrt(2) * mpmath.erfinv(mpmath.mpf("0.95"))
+        assert abs(mpmath.mpf(_Z95) - exact) <= math.ulp(_Z95)
 
 
 class TestShiftedFlatnessTail:

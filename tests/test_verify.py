@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -290,3 +291,17 @@ class TestCoverage:
                 coverage_experiment(table, dist, ProbMeasure.uniform(table.hypothesis_count),
                                     prior_rule, "kst", BoundParams(), 10, trials, 1)
 
+    def test_a_violation_is_a_true_risk_above_its_bound(self, monkeypatch):
+        # A true risk equal to its bound is no violation; one an ulp above it is.
+        bound = np.linspace(0.2, 0.8, 20)
+        true = bound - 0.1
+        true[:5] = bound[:5]
+        true[5:8] = np.nextafter(bound[5:8], 1.0)
+        monkeypatch.setattr(pacbayes.verify, "evaluate_posterior_bound",
+                            lambda *a: types.SimpleNamespace(value=bound))
+        monkeypatch.setattr(pacbayes.verify, "gibbs_risk", lambda *a: true)
+        table = LossTable([[0, 1], [1, 0]])
+        prior = ProbMeasure.uniform(2)
+        rep = coverage_experiment(table, ProbMeasure([0.5, 0.5]), prior, prior_rule, "mcallester",
+                                  BoundParams(delta=0.05), m=10, trials=20, seed=1)
+        assert rep.violations == 3
